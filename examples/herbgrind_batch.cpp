@@ -999,13 +999,7 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      if (std::strcmp(V, "full") == 0)
-        Cfg.Tier = TierMode::Full;
-      else if (std::strcmp(V, "confirm") == 0)
-        Cfg.Tier = TierMode::Confirm;
-      else if (std::strcmp(V, "fast") == 0)
-        Cfg.Tier = TierMode::Fast;
-      else {
+      if (!parseTierMode(V, Cfg.Tier)) {
         std::fprintf(stderr,
                      "error: --tier wants full, confirm, or fast; got '%s'\n",
                      V);
@@ -1357,7 +1351,7 @@ int main(int Argc, char **Argv) {
         stderr,
         "tier: %s; %llu tier-0 runs (%llu ops), %llu escalated runs, "
         "%llu/%llu benchmarks confirmed\n",
-        Cfg.Tier == TierMode::Confirm ? "confirm" : "fast",
+        tierModeName(Cfg.Tier),
         static_cast<unsigned long long>(Result.Stats.Tier0Runs),
         static_cast<unsigned long long>(Result.Stats.Tier0Ops),
         static_cast<unsigned long long>(Result.Stats.EscalatedRuns),

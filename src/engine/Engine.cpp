@@ -60,58 +60,44 @@ sampleSourceInputs(const std::vector<std::pair<double, double>> &Ranges,
 
 namespace {
 
-/// What a tier-0 (predicate-only) pass over one shard observed: the
-/// suspect verdict that drives escalation, plus cost counters.
-struct Tier0Outcome {
-  bool Suspect = false;
-  uint64_t Runs = 0;
-  uint64_t Ops = 0; ///< Shadow ops the predicate analyzer executed.
+/// One pass over a shard. Every tier is a fixed sequence of stages: Full
+/// runs Full; Fast runs Escalate; Confirm runs Verdict over every shard,
+/// then Full over the benchmarks the verdicts found suspect.
+enum class Stage {
+  Full,     ///< Every run under the full shadow.
+  Verdict,  ///< Tier-0 runs until the first suspect one.
+  Escalate, ///< Every run at tier 0; suspect runs replay in full.
 };
 
-/// One fast-tier shard: full-shadow records for the escalated runs only,
-/// plus the tier accounting.
-struct FastOutcome {
-  AnalysisResult Result;
-  uint64_t Tier0Runs = 0;
-  uint64_t Tier0Ops = 0;
-  uint64_t EscalatedRuns = 0;
+/// What one stage observed over one shard.
+struct ShardOutcome {
+  AnalysisResult Records;     ///< Full-shadow records (none for Verdict).
+  bool Suspect = false;       ///< Verdict: some tier-0 run was suspect.
+  uint64_t Tier0Runs = 0;     ///< Runs whose tier-0 verdict was read.
+  uint64_t Tier0Ops = 0;      ///< Shadow ops the tier-0 analyzer executed.
+  uint64_t EscalatedRuns = 0; ///< Runs replayed under the full shadow.
 };
 
 /// One benchmark the generic sweep driver can run, whatever frontend it
 /// executes under: everything the driver needs is a name, a cache
-/// identity, sampling ranges, and a way to analyze a slice of sampled
-/// inputs into mergeable records. The FPCore path wraps a compiled
-/// program in a worker-local Herbgrind; the native path wraps a
-/// registered Kernel in a worker-local native::Context.
+/// identity, sampling ranges, and a way to run a stage over a slice of
+/// sampled inputs. The FPCore path wraps a compiled program in
+/// worker-local Herbgrind instances; the native path wraps a registered
+/// Kernel in worker-local native::Contexts.
 struct SweepSource {
   std::string Name;
   std::vector<std::pair<double, double>> Ranges;
   /// Cache/wire identity; computed lazily (FPCore printing is not free)
   /// and only when a result cache or emit directory needs it.
   std::function<std::string()> MakeIdentity;
-  /// Analyzes sampled inputs [Begin, End); must be callable concurrently
-  /// with itself -- across sources AND across shards of one source
-  /// (work stealing rebalances affine queues). Worker-local analyzer
-  /// state (thread_local) is the only mutable state it may keep.
-  std::function<AnalysisResult(
-      uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
-      size_t Begin, size_t End)>
-      AnalyzeShard;
-  /// Tier-0 sweep of the same slice: runs the frontend in predicate-only
-  /// mode (no BigFloat, no traces, no records) and reports whether any
-  /// run was suspect. Same concurrency contract as AnalyzeShard; uses a
-  /// separate worker-local analyzer so the two never alias.
-  std::function<Tier0Outcome(
-      uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
-      size_t Begin, size_t End)>
-      Tier0Shard;
-  /// Fast-tier analysis of the slice: every run executes at tier 0
-  /// first, and only suspect runs replay under the full shadow, whose
-  /// records are the result.
-  std::function<FastOutcome(
-      uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
-      size_t Begin, size_t End)>
-      FastShard;
+  /// Runs one stage over sampled inputs [Begin, End); must be callable
+  /// concurrently with itself -- across sources AND across shards of one
+  /// source (work stealing rebalances affine queues). The worker-local
+  /// analyzer cache is the only mutable state it may keep.
+  std::function<ShardOutcome(Stage St, uint64_t RunId,
+                             const std::vector<std::vector<double>> &Inputs,
+                             size_t Begin, size_t End)>
+      Analyze;
 };
 
 } // namespace
@@ -205,8 +191,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   static metrics::Timer TAnalyze = metrics::timer("engine.shard_analyze_ns");
   static metrics::Timer TReduce = metrics::timer("engine.shard_reduce_ns");
   static metrics::Timer TRun = metrics::timer("engine.run_ns");
-  metrics::ScopedTimer RunTimer(TRun);
-  trace::Span RunSpan("engine.run", "engine");
+  trace::Span RunSpan("engine.run", "engine", TRun);
   // Source identities (printed FPCores, kernel identity strings) feed
   // only cache keys; emit-only runs stamp documents with the config hash
   // alone, computed once.
@@ -254,9 +239,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         format("\"benchmarks\":%zu,\"shards\":%zu,\"runs\":%zu,\"jobs\":%u,"
                "\"tier\":\"%s\"",
                Sources.size(), Shards.size(), SliceRuns, Cfg.Jobs,
-               Cfg.Tier == TierMode::Full      ? "full"
-               : Cfg.Tier == TierMode::Fast    ? "fast"
-                                               : "confirm"));
+               tierModeName(Cfg.Tier)));
   }
 
   BatchResult Out;
@@ -271,96 +254,93 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     Folds[B].NextIndex = Cfg.ShardBegin;
   }
 
-  // Phase 2a (parallel, Confirm tier only): a predicate-only sweep over
-  // every shard decides per benchmark whether the full shadow is needed
-  // at all. The tier-0 pass is pure native-double arithmetic -- no
-  // BigFloat, no traces -- so running it over the whole layout costs a
-  // small fraction of one full shard. Predicate soundness (an erroneous
-  // full-mode spot implies a suspect tier-0 run) is what lets a clean
-  // verdict skip phase 2b for the benchmark without changing the report.
-  std::vector<char> BenchSuspect(Sources.size(),
-                                 Cfg.Tier != TierMode::Confirm ? 1 : 0);
+  // Every stage's outcome reaches the sweep statistics, the metrics
+  // counters and the event stream here, whichever tier produced it.
   std::atomic<uint64_t> Tier0Runs{0}, Tier0Ops{0}, EscalatedRuns{0};
-  uint64_t PoolTasks = 0, PoolSteals = 0, PoolMaxDepth = 0;
-  if (Cfg.Tier == TierMode::Confirm) {
-    trace::Span Tier0Span("engine.tier0", "engine");
-    std::vector<std::atomic<char>> SuspectFlags(Sources.size());
-    for (auto &F : SuspectFlags)
-      F.store(0, std::memory_order_relaxed);
-    ThreadPool Pool(Cfg.Jobs);
-    for (size_t S = 0; S < Shards.size(); ++S)
-      Pool.submitTo(Shards[S].Bench, [S, RunId, &Shards, &Sources, &Inputs,
-                                      &SuspectFlags, &Tier0Runs, &Tier0Ops] {
-        const Shard &Sh = Shards[S];
-        // A benchmark already marked suspect needs no further verdicts;
-        // the remaining tier-0 shards are skipped, not run for show.
-        if (SuspectFlags[Sh.Bench].load(std::memory_order_relaxed))
-          return;
-        Tier0Outcome O =
-            Sources[Sh.Bench].Tier0Shard(RunId, Inputs[Sh.Bench], Sh.Begin,
-                                         Sh.End);
-        Tier0Runs += O.Runs;
-        Tier0Ops += O.Ops;
-        if (O.Suspect)
-          SuspectFlags[Sh.Bench].store(1, std::memory_order_relaxed);
-      });
-    Pool.waitAll();
-    ThreadPool::PoolStats PS = Pool.stats();
-    PoolTasks += PS.Executed;
-    PoolSteals += PS.Steals;
-    PoolMaxDepth = std::max<uint64_t>(PoolMaxDepth, PS.MaxQueueDepth);
-    for (size_t B = 0; B < Sources.size(); ++B)
-      BenchSuspect[B] = SuspectFlags[B].load(std::memory_order_relaxed);
-  }
+  auto Account = [&](const ShardOutcome &O, const std::string &Fields) {
+    Tier0Runs += O.Tier0Runs;
+    Tier0Ops += O.Tier0Ops;
+    EscalatedRuns += O.EscalatedRuns;
+    MTier0Runs.add(O.Tier0Runs);
+    MTier0Ops.add(O.Tier0Ops);
+    MTierEscalations.add(O.EscalatedRuns);
+    if (O.EscalatedRuns > 0 && events::enabled())
+      events::emit("shard.escalated",
+                   Fields + format(",\"escalated\":%llu",
+                                   static_cast<unsigned long long>(
+                                       O.EscalatedRuns)));
+  };
 
-  // Phase 2 (parallel): every shard is satisfied from the result cache or
-  // analyzed by its source's frontend, then folded into its benchmark's
-  // accumulator in ascending shard order. The fold happens on whichever
-  // worker completes the gap shard, overlapping reduce with analyze; only
-  // out-of-order completions buffer. In Confirm tier, benchmarks cleared
-  // by phase 2a fold empty records -- their full-shadow report is empty
-  // too, so the rendered output is unchanged -- and skip the cache in
-  // both directions (an empty record set must never masquerade as a full
-  // one under the shared hash).
+  // Per benchmark: does it need the full shadow? Outside Confirm tier
+  // every benchmark does; in Confirm tier phase 2a decides.
+  std::vector<std::atomic<char>> Suspect(Sources.size());
+  for (std::atomic<char> &S : Suspect)
+    S.store(Cfg.Tier != TierMode::Confirm, std::memory_order_relaxed);
   std::atomic<uint64_t> Analyzed{0}, Cached{0}, EmitFailed{0};
   std::atomic<uint64_t> LimbHeap{0}, LimbHits{0};
   const uint64_t RcHits0 = RC ? RC->hits() : 0;
   const uint64_t RcMisses0 = RC ? RC->misses() : 0;
   const uint64_t RcStoreFail0 = RC ? RC->storeFailures() : 0;
   {
+    // One pool serves every phase of the sweep. Benchmark-affine
+    // placement lands a benchmark's shards on one worker (stealing still
+    // rebalances), so the worker-local analyzers behind Analyze actually
+    // get reused across them at any jobs count. The pool is joined -- and
+    // the worker-local analyzers die with its threads -- before the
+    // reports are built.
     ThreadPool Pool(Cfg.Jobs);
+
+    // Phase 2a (Confirm tier only): a Verdict stage over every shard
+    // decides per benchmark whether the full shadow is needed at all.
+    // Tier 0 is pure native-double arithmetic -- no BigFloat, no traces
+    // -- so running it over the whole layout costs a small fraction of
+    // one full shard. Predicate soundness (an erroneous full-mode spot
+    // implies a suspect tier-0 run) is what lets a clean verdict skip
+    // phase 2b's analysis for the benchmark without changing the report.
+    if (Cfg.Tier == TierMode::Confirm) {
+      trace::Span Tier0Span("engine.tier0", "engine");
+      for (size_t S = 0; S < Shards.size(); ++S)
+        Pool.submitTo(Shards[S].Bench, [&, S] {
+          const Shard &Sh = Shards[S];
+          // A benchmark already marked suspect needs no further verdicts;
+          // the remaining tier-0 shards are skipped, not run for show.
+          if (Suspect[Sh.Bench].load(std::memory_order_relaxed))
+            return;
+          ShardOutcome O = Sources[Sh.Bench].Analyze(
+              Stage::Verdict, RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End);
+          Account(O, std::string());
+          if (O.Suspect)
+            Suspect[Sh.Bench].store(1, std::memory_order_relaxed);
+        });
+      Pool.waitAll();
+    }
+
+    // Phase 2b: every shard is satisfied from the result cache or
+    // analyzed by its source's frontend, then folded into its benchmark's
+    // accumulator in ascending shard order. The fold happens on whichever
+    // worker completes the gap shard, overlapping reduce with analyze;
+    // only out-of-order completions buffer. In Confirm tier, benchmarks
+    // cleared by phase 2a fold empty records -- their full-shadow report
+    // is empty too, so the rendered output is unchanged -- and skip the
+    // cache in both directions (an empty record set must never
+    // masquerade as a full one under the shared hash).
+    const Stage Main = Cfg.Tier == TierMode::Fast ? Stage::Escalate
+                                                  : Stage::Full;
     for (size_t S = 0; S < Shards.size(); ++S) {
+      // Rendered once: span args and every event of the shard share them.
+      std::string Fields =
+          trace::enabled() || events::enabled()
+              ? format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu",
+                       Shards[S].Bench, Shards[S].Index,
+                       Shards[S].End - Shards[S].Begin)
+              : std::string();
       if (events::enabled())
-        events::emit("shard.queued",
-                     format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu",
-                            Shards[S].Bench, Shards[S].Index,
-                            Shards[S].End - Shards[S].Begin));
-      // Benchmark-affine placement: a benchmark's shards land on one
-      // worker (stealing still rebalances), so the worker-local analyzer
-      // inside AnalyzeShard actually gets reused across them at any jobs
-      // count.
-      Pool.submitTo(Shards[S].Bench, [RC, &Cfg, S, RunId, &Shards, &Sources,
-                                      &Inputs, &Seeds, &Identities, &Folds,
-                                      &Out, &Analyzed, &Cached, &EmitFailed,
-                                      &LimbHeap, &LimbHits, &CfgHash,
-                                      &BenchSuspect, &Tier0Runs, &Tier0Ops,
-                                      &EscalatedRuns] {
+        events::emit("shard.queued", Fields);
+      Pool.submitTo(Shards[S].Bench, [&, S, Fields = std::move(Fields)] {
         const Shard &Sh = Shards[S];
-        // Confirm tier, benchmark cleared by phase 2a: no probe, no
-        // analysis, no store -- fold an empty shard so the layout's
-        // shard/run accounting (and the emitted document set) stays
-        // complete.
-        const bool Cleared = !BenchSuspect[Sh.Bench];
-        std::string SpanArgs =
-            trace::enabled()
-                ? format("{\"bench\":%zu,\"shard\":%zu,\"runs\":%zu}",
-                         Sh.Bench, Sh.Index, Sh.End - Sh.Begin)
-                : std::string();
-        std::string EvArgs =
-            events::enabled()
-                ? format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu", Sh.Bench,
-                         Sh.Index, Sh.End - Sh.Begin)
-                : std::string();
+        const bool Cleared = !Suspect[Sh.Bench].load(std::memory_order_relaxed);
+        const std::string SpanArgs =
+            trace::enabled() ? "{" + Fields + "}" : std::string();
         ResultCache::ShardKey Key;
         if (RC && !Cleared) {
           Key.CoreIdentity = Identities[Sh.Bench];
@@ -371,61 +351,38 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           Key.RunEnd = Sh.End;
         }
 
-        AnalysisResult Result;
+        // A cleared benchmark's shard gets no probe, no analysis and no
+        // store: its records stay empty, so the layout's shard/run
+        // accounting (and the emitted document set) stays complete.
+        ShardOutcome O;
         bool FromCache = false;
         if (RC && !Cleared) {
-          trace::Span ProbeSpan("shard.cache_probe", "engine", SpanArgs);
-          metrics::ScopedTimer ProbeTimer(TProbe);
-          FromCache = RC->lookup(Key, Result);
+          trace::Span ProbeSpan("shard.cache_probe", "engine", TProbe,
+                                SpanArgs);
+          FromCache = RC->lookup(Key, O.Records);
         }
-        if (Cleared) {
-          // Nothing to do: Result stays empty.
-        } else if (FromCache) {
+        if (FromCache) {
           ++Cached;
           MShardsCached.add(1);
           if (events::enabled())
-            events::emit("shard.cache_hit", EvArgs);
-        } else {
+            events::emit("shard.cache_hit", Fields);
+        } else if (!Cleared) {
           // Limb-traffic deltas bracket the analysis on this worker
           // thread (the counters are thread-local), so the sum over
           // shards is the sweep's total allocator activity.
           uint64_t Heap0 = limballoc::heapAllocs();
           uint64_t Hits0 = limballoc::cacheHits();
           {
-            trace::Span AnalyzeSpan("shard.analyze", "engine", SpanArgs);
-            metrics::ScopedTimer AnalyzeTimer(TAnalyze);
-            if (Cfg.Tier == TierMode::Fast) {
-              FastOutcome FO = Sources[Sh.Bench].FastShard(
-                  RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End);
-              Result = std::move(FO.Result);
-              Tier0Runs += FO.Tier0Runs;
-              Tier0Ops += FO.Tier0Ops;
-              EscalatedRuns += FO.EscalatedRuns;
-              MTier0Runs.add(FO.Tier0Runs);
-              MTier0Ops.add(FO.Tier0Ops);
-              MTierEscalations.add(FO.EscalatedRuns);
-              if (FO.EscalatedRuns > 0 && events::enabled())
-                events::emit(
-                    "shard.escalated",
-                    EvArgs + format(",\"escalated\":%llu",
-                                    static_cast<unsigned long long>(
-                                        FO.EscalatedRuns)));
-            } else {
-              Result = Sources[Sh.Bench].AnalyzeShard(RunId, Inputs[Sh.Bench],
-                                                      Sh.Begin, Sh.End);
-              if (Cfg.Tier == TierMode::Confirm) {
-                // Every run of a suspect benchmark replays under the full
-                // shadow: that is the escalation cost of this tier.
-                EscalatedRuns += Sh.End - Sh.Begin;
-                MTierEscalations.add(Sh.End - Sh.Begin);
-                if (events::enabled())
-                  events::emit("shard.escalated",
-                               EvArgs +
-                                   format(",\"escalated\":%zu",
-                                          Sh.End - Sh.Begin));
-              }
-            }
+            trace::Span AnalyzeSpan("shard.analyze", "engine", TAnalyze,
+                                    SpanArgs);
+            O = Sources[Sh.Bench].Analyze(Main, RunId, Inputs[Sh.Bench],
+                                          Sh.Begin, Sh.End);
           }
+          // Every run of a confirmed benchmark replays under the full
+          // shadow: that is the Confirm tier's escalation cost.
+          if (Cfg.Tier == TierMode::Confirm)
+            O.EscalatedRuns = Sh.End - Sh.Begin;
+          Account(O, Fields);
           uint64_t HeapD = limballoc::heapAllocs() - Heap0;
           uint64_t HitsD = limballoc::cacheHits() - Hits0;
           LimbHeap += HeapD;
@@ -435,9 +392,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           ++Analyzed;
           MShardsAnalyzed.add(1);
           if (events::enabled())
-            events::emit("shard.analyzed", EvArgs);
+            events::emit("shard.analyzed", Fields);
           if (RC)
-            RC->store(Key, Sources[Sh.Bench].Name, Result);
+            RC->store(Key, Sources[Sh.Bench].Name, O.Records);
         }
         MShardsDone.add(1);
         MRuns.add(Sh.End - Sh.Begin);
@@ -450,9 +407,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           std::string Doc =
               Bin ? renderShardBinary(CfgHash, Sources[Sh.Bench].Name,
                                       Sh.Bench, Sh.Index, Sh.Begin, Sh.End,
-                                      Result)
+                                      O.Records)
                   : renderShardJson(CfgHash, Sources[Sh.Bench].Name, Sh.Bench,
-                                    Sh.Index, Sh.Begin, Sh.End, Result);
+                                    Sh.Index, Sh.Begin, Sh.End, O.Records);
           if (!writeFileAtomic(Cfg.EmitShardDir + "/" + Name, Doc))
             ++EmitFailed;
         }
@@ -465,10 +422,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         BenchmarkResult &BR = Out.Benchmarks[Sh.Bench];
         size_t Step = static_cast<size_t>(Cfg.ShardSize);
         size_t Total = Inputs[Sh.Bench].size();
-        trace::Span ReduceSpan("shard.reduce", "engine", SpanArgs);
-        metrics::ScopedTimer ReduceTimer(TReduce);
+        trace::Span ReduceSpan("shard.reduce", "engine", TReduce, SpanArgs);
         std::lock_guard<std::mutex> Lock(Fold.M);
-        Fold.Pending.emplace(Sh.Index, std::move(Result));
+        Fold.Pending.emplace(Sh.Index, std::move(O.Records));
         for (auto It = Fold.Pending.find(Fold.NextIndex);
              It != Fold.Pending.end();
              It = Fold.Pending.find(Fold.NextIndex)) {
@@ -490,12 +446,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     }
     Pool.waitAll();
     ThreadPool::PoolStats PS = Pool.stats();
-    PoolTasks += PS.Executed;
-    PoolSteals += PS.Steals;
-    PoolMaxDepth = std::max<uint64_t>(PoolMaxDepth, PS.MaxQueueDepth);
-    Out.Stats.PoolTasks = PoolTasks;
-    Out.Stats.PoolSteals = PoolSteals;
-    Out.Stats.PoolMaxQueueDepth = PoolMaxDepth;
+    Out.Stats.PoolTasks = PS.Executed;
+    Out.Stats.PoolSteals = PS.Steals;
+    Out.Stats.PoolMaxQueueDepth = PS.MaxQueueDepth;
     metrics::counter("pool.tasks_submitted").add(PS.Submitted);
     metrics::counter("pool.tasks_executed").add(PS.Executed);
     metrics::counter("pool.steals").add(PS.Steals);
@@ -521,12 +474,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   Out.Stats.Tier0Ops = Tier0Ops.load();
   Out.Stats.EscalatedRuns = EscalatedRuns.load();
   if (Cfg.Tier == TierMode::Confirm) {
-    for (size_t B = 0; B < Sources.size(); ++B)
-      if (BenchSuspect[B])
-        ++Out.Stats.ConfirmedBenchmarks;
+    for (const std::atomic<char> &S : Suspect)
+      Out.Stats.ConfirmedBenchmarks += S.load(std::memory_order_relaxed);
     MTierConfirmations.add(Out.Stats.ConfirmedBenchmarks);
-    MTier0Runs.add(Out.Stats.Tier0Runs);
-    MTier0Ops.add(Out.Stats.Tier0Ops);
   }
   if (RC) {
     Out.Stats.ResultCacheHits = RC->hits() - RcHits0;
@@ -570,233 +520,159 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 }
 
 //===----------------------------------------------------------------------===//
-// Frontend entry points
+// The shard path
 //===----------------------------------------------------------------------===//
 
-/// Worker-local analyzer reuse shared by both frontends: consecutive
-/// shards of the same benchmark on one worker recycle one analyzer -- its
-/// trace arena, shadow-value pool, interned influence sets, and
-/// per-thread limb scratch all stay warm -- instead of rebuilding the
-/// arenas per shard. reset() restores the exact fresh-instance records
-/// contract, so reports stay byte-identical at any worker count (the
-/// selftest checks this). \p Key is the benchmark's address identity,
-/// only meaningful within one run() (ProgramCache never evicts during
-/// it, and caller-owned kernel vectors outlive it); the RunId in the
-/// cache makes a recycled address harmless even if worker threads ever
-/// outlive a run. One thread_local cache exists per analyzer type.
-template <typename Analyzer, typename MakeFn, typename RunOneFn,
-          typename RunBatchFn>
-static AnalysisResult
-analyzeShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
-                        RunOneFn RunOne, RunBatchFn RunBatch, unsigned Lanes,
-                        const std::vector<std::vector<double>> &Inputs,
-                        size_t Begin, size_t End) {
-  struct Worker {
-    uint64_t Run = 0;
-    const void *Key = nullptr;
-    std::unique_ptr<Analyzer> A;
-  };
-  thread_local Worker W;
-  if (W.Run == RunId && W.Key == Key && W.A) {
-    W.A->reset();
-  } else {
-    W.A = Make();
-    W.Run = RunId;
-    W.Key = Key;
-  }
-  if (Lanes <= 1) {
-    for (size_t I = Begin; I < End; ++I)
-      RunOne(*W.A, Inputs[I]);
-  } else {
-    // Batched hot path: the frontend guarantees records byte-identical
-    // to the scalar loop at every lane count (the per-lane verdicts are
-    // irrelevant here -- full analysis records everything).
-    std::vector<uint8_t> Suspects;
-    for (size_t I = Begin; I < End; I += Lanes)
-      RunBatch(*W.A, &Inputs[I], std::min<size_t>(Lanes, End - I), Suspects);
-  }
-  return W.A->snapshot();
+/// \name Frontend adapters
+/// How each frontend builds an analyzer for its subject (a compiled
+/// program or a native kernel) and runs one input tuple or a batch of
+/// them through it. Batched runs leave records, verdicts and outputs
+/// byte-identical to the scalar runs; their per-lane tier-0 verdicts land
+/// in \p Suspects (all false in full mode).
+/// @{
+static std::unique_ptr<Herbgrind> makeAnalyzer(const Program &P,
+                                               const AnalysisConfig &Cfg) {
+  return std::make_unique<Herbgrind>(P, Cfg);
 }
-
-/// Tier-0 sibling of analyzeShardWorkerLocal: a worker-local
-/// predicate-only analyzer sweeps the slice and reports the suspect
-/// verdict. Each call site instantiates its own thread_local cache (the
-/// Make/RunOne lambda types are part of the template identity), so a
-/// tier-0 analyzer can never be mistaken for a full one even under the
-/// same (RunId, Key).
-template <typename Analyzer, typename MakeFn, typename RunOneFn,
-          typename RunBatchFn>
-static Tier0Outcome
-tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
-                      RunOneFn RunOne, RunBatchFn RunBatch, unsigned Lanes,
-                      const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End) {
-  struct Worker {
-    uint64_t Run = 0;
-    const void *Key = nullptr;
-    std::unique_ptr<Analyzer> A;
-  };
-  thread_local Worker W;
-  if (W.Run == RunId && W.Key == Key && W.A) {
-    W.A->reset();
-  } else {
-    W.A = Make();
-    W.Run = RunId;
-    W.Key = Key;
-  }
-  Tier0Outcome Out;
-  uint64_t Ops0 = W.A->stats().ShadowOpsExecuted;
-  if (Lanes <= 1) {
-    for (size_t I = Begin; I < End; ++I) {
-      RunOne(*W.A, Inputs[I]);
-      ++Out.Runs;
-      if (W.A->lastRunSuspect()) {
-        Out.Suspect = true;
-        break; // One suspect run settles the shard's verdict.
-      }
-    }
-  } else {
-    // Batched: verdicts scan in lane order and Runs counts scanned lanes,
-    // so the suspect verdict and run accounting match the scalar loop's
-    // early break exactly. The batch may have *executed* lanes past the
-    // first suspect one -- Ops is informational and may exceed scalar's.
-    std::vector<uint8_t> Suspects;
-    for (size_t I = Begin; I < End && !Out.Suspect; I += Lanes) {
-      size_t N = std::min<size_t>(Lanes, End - I);
-      RunBatch(*W.A, &Inputs[I], N, Suspects);
-      for (size_t L = 0; L < N; ++L) {
-        ++Out.Runs;
-        if (Suspects[L]) {
-          Out.Suspect = true;
-          break;
-        }
-      }
-    }
-  }
-  Out.Ops = W.A->stats().ShadowOpsExecuted - Ops0;
-  return Out;
+static std::unique_ptr<native::Context>
+makeAnalyzer(const native::Kernel &, const AnalysisConfig &Cfg) {
+  return std::make_unique<native::Context>(Cfg);
 }
+static void runOne(Herbgrind &HG, const Program &,
+                   const std::vector<double> &In) {
+  HG.runOnInput(In);
+}
+static void runOne(native::Context &C, const native::Kernel &K,
+                   const std::vector<double> &In) {
+  C.run(K, In);
+}
+static void runBatch(Herbgrind &HG, const Program &,
+                     const std::vector<double> *Tuples, size_t N,
+                     std::vector<uint8_t> &Suspects) {
+  HG.runOnBatch(Tuples, N);
+  Suspects = HG.laneSuspects();
+}
+static void runBatch(native::Context &C, const native::Kernel &K,
+                     const std::vector<double> *Tuples, size_t N,
+                     std::vector<uint8_t> &Suspects) {
+  C.runBatch(K, Tuples, N, &Suspects);
+}
+/// @}
 
-/// Fast-tier sibling: one worker-local *pair* of analyzers -- tier-0
-/// predicates and the full shadow -- sweeps the slice; every run executes
-/// at tier 0 and only suspect runs replay under the full shadow. The
-/// escalation decision is per-run deterministic, and escalated runs
-/// accumulate in sampling order, so fast-tier sweeps stay byte-identical
-/// across worker counts like everything else in the engine.
-template <typename Analyzer, typename MakeT0Fn, typename MakeFullFn,
-          typename RunOneFn, typename RunBatchFn>
-static FastOutcome
-fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
-                     MakeFullFn MakeFull, RunOneFn RunOne, RunBatchFn RunBatch,
-                     unsigned Lanes,
-                     const std::vector<std::vector<double>> &Inputs,
-                     size_t Begin, size_t End) {
+/// Runs stage \p St over sampled inputs [Begin, End) of \p Sub: the one
+/// shard path of both frontends and every tier.
+///
+/// A worker-local cache holds a full and a tier-0 analyzer for the
+/// (run, benchmark) the worker last served; each is built the first time
+/// a stage needs it. Consecutive shards of the same benchmark on one
+/// worker recycle them -- trace arena, shadow-value pool, interned
+/// influence sets, and per-thread limb scratch all stay warm -- instead
+/// of rebuilding the arenas per shard. reset() restores the exact
+/// fresh-instance records contract, so reports stay byte-identical at any
+/// worker count (the selftest checks this). The benchmark's address is
+/// its identity, only meaningful within one run() (ProgramCache never
+/// evicts during it, and caller-owned kernel vectors outlive it); the
+/// RunId makes a recycled address harmless even if worker threads ever
+/// outlive a run. There is one such cache per analyzer type.
+///
+/// One chunk loop runs every stage. A chunk is one runOnInput /
+/// Context::run call when Lanes <= 1 -- exactly the scalar loop -- and
+/// one batch of up to Lanes runs otherwise. Tier 0, when the stage has
+/// it, leads each chunk, and its verdicts are read in lane order: Verdict
+/// stops at the first suspect run, Escalate replays each suspect run
+/// under the full shadow, so run accounting and the full analyzer's
+/// escalation sequence match the scalar loop's at every lane count. A
+/// batch may execute lanes past Verdict's first suspect one, so Tier0Ops
+/// is informational and may exceed the scalar count.
+template <typename Subject>
+static ShardOutcome
+analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, unsigned Lanes,
+             Stage St, uint64_t RunId,
+             const std::vector<std::vector<double>> &Inputs, size_t Begin,
+             size_t End) {
+  using Analyzer = typename decltype(makeAnalyzer(Sub, Cfg))::element_type;
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
-    std::unique_ptr<Analyzer> T0;
-    std::unique_ptr<Analyzer> Full;
+    std::unique_ptr<Analyzer> Full, Tier0;
   };
   thread_local Worker W;
-  if (W.Run == RunId && W.Key == Key && W.T0 && W.Full) {
-    W.T0->reset();
-    W.Full->reset();
-  } else {
-    W.T0 = MakeT0();
-    W.Full = MakeFull();
+  if (W.Run != RunId || W.Key != &Sub) {
+    W.Full.reset();
+    W.Tier0.reset();
     W.Run = RunId;
-    W.Key = Key;
+    W.Key = &Sub;
   }
-  FastOutcome Out;
-  uint64_t Ops0 = W.T0->stats().ShadowOpsExecuted;
-  if (Lanes <= 1) {
-    for (size_t I = Begin; I < End; ++I) {
-      RunOne(*W.T0, Inputs[I]);
+  auto Ready = [&](std::unique_ptr<Analyzer> &A, bool Predicate) -> Analyzer & {
+    if (A) {
+      A->reset();
+    } else {
+      AnalysisConfig C = Cfg;
+      C.PredicateOnly |= Predicate;
+      A = makeAnalyzer(Sub, C);
+    }
+    return *A;
+  };
+  Analyzer *Tier0 = St == Stage::Full ? nullptr : &Ready(W.Tier0, true);
+  Analyzer *Full = St == Stage::Verdict ? nullptr : &Ready(W.Full, false);
+  Analyzer &Lead = Tier0 ? *Tier0 : *Full;
+
+  ShardOutcome Out;
+  const uint64_t Ops0 = Tier0 ? Tier0->stats().ShadowOpsExecuted : 0;
+  std::vector<uint8_t> Suspects;
+  for (size_t I = Begin; I < End && !Out.Suspect; I += Lanes) {
+    size_t N = std::min<size_t>(Lanes, End - I);
+    if (Lanes > 1) {
+      runBatch(Lead, Sub, &Inputs[I], N, Suspects);
+    } else {
+      runOne(Lead, Sub, Inputs[I]);
+      Suspects.assign(1, Lead.lastRunSuspect());
+    }
+    if (!Tier0)
+      continue;
+    for (size_t L = 0; L < N; ++L) {
       ++Out.Tier0Runs;
-      if (W.T0->lastRunSuspect()) {
-        RunOne(*W.Full, Inputs[I]);
-        ++Out.EscalatedRuns;
+      if (!Suspects[L])
+        continue;
+      if (St == Stage::Verdict) {
+        Out.Suspect = true; // One suspect run settles the shard's verdict.
+        break;
       }
-    }
-  } else {
-    // Batched: tier 0 sweeps whole batches, then suspect lanes escalate
-    // scalar in ascending lane order. Per-lane verdicts are independent
-    // of batching, so the full analyzer sees exactly the scalar loop's
-    // escalation sequence and its records stay byte-identical.
-    std::vector<uint8_t> Suspects;
-    for (size_t I = Begin; I < End; I += Lanes) {
-      size_t N = std::min<size_t>(Lanes, End - I);
-      RunBatch(*W.T0, &Inputs[I], N, Suspects);
-      Out.Tier0Runs += N;
-      for (size_t L = 0; L < N; ++L)
-        if (Suspects[L]) {
-          RunOne(*W.Full, Inputs[I + L]);
-          ++Out.EscalatedRuns;
-        }
+      runOne(*Full, Sub, Inputs[I + L]);
+      ++Out.EscalatedRuns;
     }
   }
-  Out.Tier0Ops = W.T0->stats().ShadowOpsExecuted - Ops0;
-  Out.Result = W.Full->snapshot();
+  if (Tier0)
+    Out.Tier0Ops = Tier0->stats().ShadowOpsExecuted - Ops0;
+  if (Full)
+    Out.Records = Full->snapshot();
   return Out;
 }
 
-/// Wraps one FPCore core as a sweep source: analysis runs a worker-local
-/// Herbgrind instance over the compiled program.
+/// Wraps one FPCore core as a sweep source: stages run worker-local
+/// Herbgrind instances over the compiled program.
 static SweepSource coreSource(const fpcore::Core &C,
                               fpcore::ProgramCache &Cache,
                               const AnalysisConfig &ACfg, unsigned Lanes) {
   SweepSource Src;
   Src.Name = C.Name;
-  std::vector<std::pair<double, double>> Ranges;
   for (const fpcore::VarRange &VR : fpcore::sampleRanges(C))
-    Ranges.push_back({VR.Lo, VR.Hi});
-  Src.Ranges = std::move(Ranges);
+    Src.Ranges.push_back({VR.Lo, VR.Hi});
   Src.MakeIdentity = [&C] { return C.print(); };
-  auto RunOne = [](Herbgrind &HG, const std::vector<double> &In) {
-    HG.runOnInput(In);
-  };
-  auto RunBatch = [](Herbgrind &HG, const std::vector<double> *Tuples,
-                     size_t N, std::vector<uint8_t> &Suspects) {
-    HG.runOnBatch(Tuples, N);
-    Suspects = HG.laneSuspects();
-  };
-  Src.AnalyzeShard = [&C, &Cache, &ACfg, RunOne, RunBatch, Lanes](
-                         uint64_t RunId,
-                         const std::vector<std::vector<double>> &Inputs,
-                         size_t Begin, size_t End) {
-    const Program &P = Cache.get(C);
-    return analyzeShardWorkerLocal<Herbgrind>(
-        RunId, &P, [&] { return std::make_unique<Herbgrind>(P, ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
-  };
-  AnalysisConfig PCfg = ACfg;
-  PCfg.PredicateOnly = true;
-  Src.Tier0Shard = [&C, &Cache, PCfg, RunOne, RunBatch, Lanes](
-                       uint64_t RunId,
-                       const std::vector<std::vector<double>> &Inputs,
-                       size_t Begin, size_t End) {
-    const Program &P = Cache.get(C);
-    return tier0ShardWorkerLocal<Herbgrind>(
-        RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
-  };
-  Src.FastShard = [&C, &Cache, &ACfg, PCfg, RunOne, RunBatch, Lanes](
-                      uint64_t RunId,
-                      const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End) {
-    const Program &P = Cache.get(C);
-    return fastShardWorkerLocal<Herbgrind>(
-        RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
-        [&] { return std::make_unique<Herbgrind>(P, ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+  Src.Analyze = [&C, &Cache, &ACfg, Lanes](
+                    Stage St, uint64_t RunId,
+                    const std::vector<std::vector<double>> &Inputs,
+                    size_t Begin, size_t End) {
+    return analyzeStage(Cache.get(C), ACfg, Lanes, St, RunId, Inputs, Begin,
+                        End);
   };
   return Src;
 }
 
-/// Wraps one native kernel as a sweep source: analysis runs the kernel's
-/// actual C++ code under a worker-local native::Context. The context's
-/// content-hashed op identities are what keep this mergeable and cacheable
-/// exactly like the interpreter path.
+/// Wraps one native kernel as a sweep source: stages run the kernel's
+/// actual C++ code under worker-local native::Contexts. The contexts'
+/// content-hashed op identities are what keep this mergeable and
+/// cacheable exactly like the interpreter path.
 static SweepSource kernelSource(const native::Kernel &K,
                                 const AnalysisConfig &ACfg, unsigned Lanes) {
   SweepSource Src;
@@ -804,39 +680,11 @@ static SweepSource kernelSource(const native::Kernel &K,
   for (const native::Kernel::InputRange &R : K.Inputs)
     Src.Ranges.push_back({R.Lo, R.Hi});
   Src.MakeIdentity = [&K] { return K.identity(); };
-  auto RunOne = [&K](native::Context &C, const std::vector<double> &In) {
-    C.run(K, In);
-  };
-  auto RunBatch = [&K](native::Context &C, const std::vector<double> *Tuples,
-                       size_t N, std::vector<uint8_t> &Suspects) {
-    C.runBatch(K, Tuples, N, &Suspects);
-  };
-  Src.AnalyzeShard = [&ACfg, RunOne, RunBatch, Lanes, &K](
-                         uint64_t RunId,
-                         const std::vector<std::vector<double>> &Inputs,
-                         size_t Begin, size_t End) {
-    return analyzeShardWorkerLocal<native::Context>(
-        RunId, &K, [&] { return std::make_unique<native::Context>(ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
-  };
-  AnalysisConfig PCfg = ACfg;
-  PCfg.PredicateOnly = true;
-  Src.Tier0Shard = [PCfg, RunOne, RunBatch, Lanes, &K](
-                       uint64_t RunId,
-                       const std::vector<std::vector<double>> &Inputs,
-                       size_t Begin, size_t End) {
-    return tier0ShardWorkerLocal<native::Context>(
-        RunId, &K, [&] { return std::make_unique<native::Context>(PCfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
-  };
-  Src.FastShard = [&ACfg, PCfg, RunOne, RunBatch, Lanes, &K](
-                      uint64_t RunId,
-                      const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End) {
-    return fastShardWorkerLocal<native::Context>(
-        RunId, &K, [&] { return std::make_unique<native::Context>(PCfg); },
-        [&] { return std::make_unique<native::Context>(ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+  Src.Analyze = [&K, &ACfg, Lanes](
+                    Stage St, uint64_t RunId,
+                    const std::vector<std::vector<double>> &Inputs,
+                    size_t Begin, size_t End) {
+    return analyzeStage(K, ACfg, Lanes, St, RunId, Inputs, Begin, End);
   };
   return Src;
 }

@@ -78,6 +78,24 @@ enum class TierMode {
   Confirm,
 };
 
+/// The spelling of \p T that `--tier`, the run ledger and the event
+/// stream share: "full", "fast" or "confirm".
+inline const char *tierModeName(TierMode T) {
+  return T == TierMode::Full   ? "full"
+         : T == TierMode::Fast ? "fast"
+                               : "confirm";
+}
+
+/// Parses a tierModeName spelling into \p T; false for any other string.
+inline bool parseTierMode(const std::string &Name, TierMode &T) {
+  for (TierMode M : {TierMode::Full, TierMode::Fast, TierMode::Confirm})
+    if (Name == tierModeName(M)) {
+      T = M;
+      return true;
+    }
+  return false;
+}
+
 /// Batch-run configuration.
 struct EngineConfig {
   /// Worker threads; 0 means hardware concurrency.

@@ -58,18 +58,6 @@ std::string herbgrind::engine::isoTimestampUtc(uint64_t UnixSeconds) {
                 Tm.tm_mon + 1, Tm.tm_mday, Tm.tm_hour, Tm.tm_min, Tm.tm_sec);
 }
 
-static const char *tierName(TierMode T) {
-  switch (T) {
-  case TierMode::Full:
-    return "full";
-  case TierMode::Fast:
-    return "fast";
-  case TierMode::Confirm:
-    return "confirm";
-  }
-  return "?";
-}
-
 LedgerEntry herbgrind::engine::makeLedgerEntry(const EngineConfig &Cfg,
                                                const EngineStats &Stats,
                                                const std::string &Label) {
@@ -80,7 +68,7 @@ LedgerEntry herbgrind::engine::makeLedgerEntry(const EngineConfig &Cfg,
   E.Label = Label;
   E.ConfigHash = configHash(Cfg);
   E.WireFormat = Cfg.WireFormat == WireEncoding::Binary ? "binary" : "json";
-  E.Tier = tierName(Cfg.Tier);
+  E.Tier = tierModeName(Cfg.Tier);
   E.Jobs = Cfg.Jobs;
   E.Samples = static_cast<uint64_t>(Cfg.SamplesPerBenchmark);
   E.ShardSize = static_cast<uint64_t>(Cfg.ShardSize);

@@ -71,8 +71,7 @@ BatchImproveStats improve::batchImprove(engine::BatchResult &Batch,
   static metrics::Counter MCached = metrics::counter("improve.records_cached");
   static metrics::Timer TRecord = metrics::timer("improve.record_ns");
   static metrics::Timer TBatch = metrics::timer("improve.batch_ns");
-  metrics::ScopedTimer BatchTimer(TBatch);
-  trace::Span BatchSpan("improve.batch", "improve");
+  trace::Span BatchSpan("improve.batch", "improve", TBatch);
 
   // Phase 1 (serial, cheap): enumerate the qualifying records -- every
   // distinct root cause the report presents whose merged OpRecord still
@@ -116,11 +115,10 @@ BatchImproveStats improve::batchImprove(engine::BatchResult &Batch,
                    Cache, T] {
         const engine::BenchmarkResult &BR = Batch.Benchmarks[T.Bench];
         trace::Span RecordSpan(
-            "improve.record", "improve",
+            "improve.record", "improve", TRecord,
             trace::enabled()
                 ? format("{\"bench\":%zu,\"pc\":%u}", T.Bench, T.PC)
                 : std::string());
-        metrics::ScopedTimer RecordTimer(TRecord);
         const OpRecord &Rec = BR.Records.Ops.at(T.PC);
         fpcore::ExprPtr Frag = fromSymExpr(*Rec.Expr);
         uint32_t NumVars = Rec.Expr->numVars();

@@ -106,19 +106,6 @@ private:
 /// Registers (or finds) the timer named \p Name.
 Timer timer(const char *Name);
 
-/// RAII span timing: records the enclosing scope's duration on exit.
-class ScopedTimer {
-public:
-  explicit ScopedTimer(Timer T) : T(T), Start(nowNanos()) {}
-  ~ScopedTimer() { T.record(nowNanos() - Start); }
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-private:
-  Timer T;
-  uint64_t Start;
-};
-
 /// \name Snapshot: the merged view of every registered metric
 /// @{
 

@@ -106,10 +106,23 @@ Span::Span(const char *Name, const char *Cat, std::string Args) {
   StartNanos = metrics::nowNanos();
 }
 
+Span::Span(const char *Name, const char *Cat, metrics::Timer T,
+           std::string Args)
+    : Span(Name, Cat, std::move(Args)) {
+  this->T = T;
+  Timed = true;
+  if (!Armed)
+    StartNanos = metrics::nowNanos();
+}
+
 Span::~Span() {
-  if (!Armed || !enabled())
+  if (!Armed && !Timed)
     return;
   uint64_t End = metrics::nowNanos();
+  if (Timed)
+    T.record(End - StartNanos);
+  if (!Armed || !enabled())
+    return;
   uint64_t T0 = TimeBase.load(std::memory_order_relaxed);
   ThreadBuf *B = TLBuf.get();
   Event E;

@@ -27,6 +27,8 @@
 #ifndef HERBGRIND_SUPPORT_TRACE_H
 #define HERBGRIND_SUPPORT_TRACE_H
 
+#include "support/Metrics.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,6 +65,11 @@ void clear();
 class Span {
 public:
   Span(const char *Name, const char *Cat, std::string Args = std::string());
+  /// Also records the span's duration into \p T whether or not tracing is
+  /// on, so one object times a lifecycle point for both the trace and the
+  /// metrics registry.
+  Span(const char *Name, const char *Cat, metrics::Timer T,
+       std::string Args = std::string());
   ~Span();
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
@@ -72,6 +79,8 @@ private:
   std::string ArgsJson;
   const char *Cat = nullptr;
   uint64_t StartNanos = 0;
+  metrics::Timer T;
+  bool Timed = false;
   bool Armed = false;
 };
 

@@ -185,14 +185,25 @@ TEST(Batched, EngineSweepByteIdenticalAcrossLanesJobsTiers) {
                                 engine::TierMode::Fast}) {
     engine::EngineConfig Cfg = Base;
     Cfg.Tier = Tier;
-    std::string Want = diffharness::sweepJson(Cores, Kernels, Cfg);
+    engine::BatchResult Want = engine::Engine(Cfg).run(Cores, Kernels);
+    std::string WantJson = Want.renderJson();
     for (unsigned Lanes : {1u, 3u, 8u, 32u}) {
       for (unsigned Jobs : {1u, 4u}) {
         Cfg.BatchLanes = Lanes;
         Cfg.Jobs = Jobs;
-        ASSERT_EQ(Want, diffharness::sweepJson(Cores, Kernels, Cfg))
-            << "tier=" << static_cast<int>(Tier) << " lanes=" << Lanes
-            << " jobs=" << Jobs;
+        engine::BatchResult Got = engine::Engine(Cfg).run(Cores, Kernels);
+        std::string Where = format("tier=%s lanes=%u jobs=%u",
+                                   engine::tierModeName(Tier), Lanes, Jobs);
+        ASSERT_EQ(WantJson, Got.renderJson()) << Where;
+        if (Jobs != 1)
+          continue;
+        // Lanes must not change the tier accounting either. Tier0Ops may:
+        // a batch can execute lanes past the first suspect one.
+        EXPECT_EQ(Want.Stats.Tier0Runs, Got.Stats.Tier0Runs) << Where;
+        EXPECT_EQ(Want.Stats.EscalatedRuns, Got.Stats.EscalatedRuns) << Where;
+        EXPECT_EQ(Want.Stats.ConfirmedBenchmarks,
+                  Got.Stats.ConfirmedBenchmarks)
+            << Where;
       }
     }
   }

@@ -191,6 +191,24 @@ TEST_F(TelemetryTest, SpansRecordOnlyWhileEnabled) {
   EXPECT_EQ(Events[0].Args, "{\"k\":1}");
 }
 
+TEST_F(TelemetryTest, TimedSpansRecordTheirTimerWhetherOrNotTracing) {
+  metrics::Timer T = metrics::timer("test.span_timer");
+  { trace::Span S("telemetry.test.untraced", "test", T); }
+  trace::start();
+  { trace::Span S("telemetry.test.traced", "test", T, "{\"k\":2}"); }
+  trace::stop();
+
+  metrics::Snapshot S = metrics::snapshot();
+  const metrics::TimerSample *TS = S.findTimer("test.span_timer");
+  ASSERT_NE(TS, nullptr);
+  EXPECT_EQ(TS->Count, 2u);
+  std::vector<trace::Event> Events = trace::collect();
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_EQ(Events[0].Name, "telemetry.test.traced");
+  EXPECT_EQ(Events[0].Args, "{\"k\":2}");
+  EXPECT_LE(Events[0].DurNanos, TS->MaxNanos);
+}
+
 TEST_F(TelemetryTest, SpansFromExitedThreadsSurviveAndSortByStart) {
   trace::start();
   {
@@ -568,6 +586,21 @@ TEST_F(TelemetryTest, FullTelemetryLeavesEngineReportBytesIdentical) {
   EXPECT_EQ(RowNanos, S.counterValue("profile.shadow_ns"));
   // EngineStats mirrors the new counters.
   EXPECT_EQ(Instrumented.Stats.PoolTasks, S.counterValue("pool.tasks_executed"));
+  EXPECT_EQ(Instrumented.Stats.PoolSteals, S.counterValue("pool.steals"));
+
+  // A confirm sweep runs its tier-0 and full phases through one pool, and
+  // the pool counters cover both phases, as EngineStats does.
+  EngineConfig Confirm = Cfg;
+  Confirm.Tier = TierMode::Confirm;
+  metrics::resetAll();
+  trace::start();
+  BatchResult Tiered = Engine(Confirm).run(Cores);
+  trace::stop();
+  EXPECT_EQ(Tiered.renderJson(), Plain);
+  metrics::Snapshot T = metrics::snapshot();
+  EXPECT_GT(Tiered.Stats.PoolTasks, Tiered.Stats.Shards);
+  EXPECT_EQ(Tiered.Stats.PoolTasks, T.counterValue("pool.tasks_executed"));
+  EXPECT_EQ(Tiered.Stats.PoolSteals, T.counterValue("pool.steals"));
 }
 
 //===----------------------------------------------------------------------===//
