@@ -46,6 +46,16 @@ static void BM_BigFloatDiv(benchmark::State &State) {
 }
 BENCHMARK(BM_BigFloatDiv)->Arg(256)->Arg(1024);
 
+static void BM_BigFloatSqrt(benchmark::State &State) {
+  size_t Prec = static_cast<size_t>(State.range(0));
+  // A full-width mantissa, like the shadow values sqrt sees in practice.
+  BigFloat X = BigFloat::div(BigFloat::fromDouble(2.0, Prec),
+                             BigFloat::fromDouble(3.0, Prec));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(BigFloat::sqrt(X));
+}
+BENCHMARK(BM_BigFloatSqrt)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
 static void BM_RealExp(benchmark::State &State) {
   BigFloat X = BigFloat::fromDouble(1.5, 256);
   for (auto _ : State)
@@ -59,6 +69,21 @@ static void BM_RealSinLargeArg(benchmark::State &State) {
     benchmark::DoNotOptimize(realmath::sin(X));
 }
 BENCHMARK(BM_RealSinLargeArg);
+
+static void BM_RealAtan(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(0.75, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::atan(X));
+}
+BENCHMARK(BM_RealAtan);
+
+static void BM_RealHypot(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(3.1, 256);
+  BigFloat Y = BigFloat::fromDouble(-4.7, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::hypot(X, Y));
+}
+BENCHMARK(BM_RealHypot);
 
 static void BM_ToDouble(benchmark::State &State) {
   BigFloat X = realmath::pi(256);

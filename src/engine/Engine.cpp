@@ -297,21 +297,28 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     // one full shard. Predicate soundness (an erroneous full-mode spot
     // implies a suspect tier-0 run) is what lets a clean verdict skip
     // phase 2b's analysis for the benchmark without changing the report.
+    // One task per benchmark walks its shards (contiguous in the layout)
+    // in ascending order and stops after the first suspect one: the rest
+    // are skipped, not run for show, and which ones ran -- hence the tier-0
+    // counts -- does not depend on worker scheduling.
     if (Cfg.Tier == TierMode::Confirm) {
       trace::Span Tier0Span("engine.tier0", "engine");
-      for (size_t S = 0; S < Shards.size(); ++S)
-        Pool.submitTo(Shards[S].Bench, [&, S] {
-          const Shard &Sh = Shards[S];
-          // A benchmark already marked suspect needs no further verdicts;
-          // the remaining tier-0 shards are skipped, not run for show.
-          if (Suspect[Sh.Bench].load(std::memory_order_relaxed))
-            return;
-          ShardOutcome O = Sources[Sh.Bench].Analyze(
-              Stage::Verdict, RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End);
-          Account(O, std::string());
-          if (O.Suspect)
-            Suspect[Sh.Bench].store(1, std::memory_order_relaxed);
+      for (size_t Lo = 0, Hi = 0; Lo < Shards.size(); Lo = Hi) {
+        while (Hi < Shards.size() && Shards[Hi].Bench == Shards[Lo].Bench)
+          ++Hi;
+        Pool.submitTo(Shards[Lo].Bench, [&, Lo, Hi] {
+          for (size_t S = Lo; S < Hi; ++S) {
+            const Shard &Sh = Shards[S];
+            ShardOutcome O = Sources[Sh.Bench].Analyze(
+                Stage::Verdict, RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End);
+            Account(O, std::string());
+            if (O.Suspect) {
+              Suspect[Sh.Bench].store(1, std::memory_order_relaxed);
+              return;
+            }
+          }
         });
+      }
       Pool.waitAll();
     }
 

@@ -109,18 +109,13 @@ static void decrementVec(uint64_t *A, size_t N) {
   assert(false && "decrementVec underflow");
 }
 
-/// Adds 1 at bit position Pos (must not overflow the vector).
-static void addBitAt(uint64_t *A, size_t N, size_t Pos) {
-  size_t LimbIdx = Pos / 64;
-  assert(LimbIdx < N && "addBitAt position out of range");
-  uint64_t Old = A[LimbIdx];
-  A[LimbIdx] += 1ULL << (Pos % 64);
-  bool Carry = A[LimbIdx] < Old;
-  for (size_t I = LimbIdx + 1; Carry && I < N; ++I) {
-    ++A[I];
-    Carry = A[I] == 0;
-  }
-  assert(!Carry && "addBitAt overflowed the vector");
+/// A += B where B has NB <= NA limbs; returns the carry out of A.
+static uint64_t addVecPadded(uint64_t *A, size_t NA, const uint64_t *B,
+                             size_t NB) {
+  uint64_t Carry = addVecInPlace(A, B, NB);
+  for (size_t I = NB; Carry && I < NA; ++I)
+    Carry = ++A[I] == 0;
+  return Carry;
 }
 
 /// Reads bit Pos of A (0 = least significant).
@@ -275,6 +270,97 @@ static void divmodVec(uint64_t *U, size_t NU, const uint64_t *V, size_t NV,
   // Remainder is R[0 .. NV-1].
   for (size_t I = 0; I < NU; ++I)
     U[I] = I < NV ? R[I] : 0;
+}
+
+/// floor(sqrt(A)) for A in [2^126, 2^128); the remainder A - S^2 (at most
+/// 2S, so 65 bits) goes to Rem. A double square root seeds the root to
+/// within 2^12; one integer Newton step lands on floor(sqrt(A)) or one
+/// above it, and a square-and-compare settles which.
+static uint64_t sqrtRem2(unsigned __int128 A, unsigned __int128 &Rem) {
+  assert((A >> 126) != 0 && "sqrtRem2 requires a normalized operand");
+  double Seed = std::sqrt(static_cast<double>(A));
+  uint64_t S0 = Seed >= 0x1p64 ? ~0ULL : static_cast<uint64_t>(Seed);
+  unsigned __int128 S1 = (S0 + A / S0) >> 1;
+  uint64_t S = S1 >> 64 ? ~0ULL : static_cast<uint64_t>(S1);
+  if ((unsigned __int128)S * S > A)
+    --S;
+  Rem = A - (unsigned __int128)S * S;
+  return S;
+}
+
+/// Integer square root with remainder, a limb-block at a time (Zimmermann,
+/// "Karatsuba Square Root", INRIA RR-3805: the algorithm behind GMP's
+/// mpn_sqrtrem). A holds 2N limbs whose top two bits are not both zero.
+/// Writes S = floor(sqrt(A)) to N limbs (top bit set) and the remainder
+/// A - S^2, at most 2S, to the N + 1 limbs of R. No argument may overlap
+/// another.
+///
+/// With B = 2^(64L), L = N/2 and H = N - L, the root S' of A's top 2H limbs
+/// (remainder R') is the high part of S. Dividing R'B plus the next L limbs
+/// of A by 2S' gives the low part Q and a remainder u. The exact remainder
+/// uB + (A's low L limbs) - Q^2 is negative only when S = S'B + Q is one
+/// too large, and one correction step fixes that.
+static void sqrtRemVec(uint64_t *S, uint64_t *R, const uint64_t *A,
+                       size_t N) {
+  if (N == 1) {
+    unsigned __int128 Rem;
+    S[0] = sqrtRem2(((unsigned __int128)A[1] << 64) | A[0], Rem);
+    R[0] = static_cast<uint64_t>(Rem);
+    R[1] = static_cast<uint64_t>(Rem >> 64);
+    return;
+  }
+  size_t L = N / 2, H = N - L;
+  const uint64_t *SHi = S + L;
+
+  // U = R' * B + A[L .. 2L-1]: the recursion writes R' straight into the
+  // top H + 1 limbs.
+  Scratch U;
+  U.assignZeros(N + 1);
+  std::memcpy(U.data(), A + L, L * sizeof(uint64_t));
+  sqrtRemVec(S + L, U.data() + L, A + 2 * L, H);
+
+  // Divide by the normalized S' rather than 2S': Q = floor(Q'/2), and the
+  // remainder gains S' back when Q' is odd. Q' <= 2B + 1 because R' <= 2S'
+  // and S' >= B/2, so Q <= B fits L limbs plus one bit.
+  Scratch Q;
+  Q.assignZeros(L + 2);
+  Scratch DivScratch;
+  DivScratch.assignZeros(N + 2);
+  divmodVec(U.data(), N + 1, SHi, H, Q.data(), DivScratch.data());
+  bool Odd = Q[0] & 1;
+  bool Dummy = false;
+  shiftRightVec(Q.data(), L + 1, 1, Dummy);
+  if (Odd)
+    addVecPadded(U.data(), H + 1, SHi, H);
+
+  // S = S' * B + Q. Q == B carries into S', and out of N limbs when S' is
+  // all ones. S is then 2^(64N), whose square exceeds A, so the correction
+  // below always takes that carry back.
+  std::memcpy(S, Q.data(), L * sizeof(uint64_t));
+  addVecPadded(S + L, H, Q.data() + L, 1);
+
+  // Rem = u * B + A[0 .. L-1] - Q^2, over N + 2 limbs.
+  Scratch Rem;
+  Rem.assignZeros(N + 2);
+  std::memcpy(Rem.data(), A, L * sizeof(uint64_t));
+  std::memcpy(Rem.data() + L, U.data(), (H + 1) * sizeof(uint64_t));
+  Scratch QSq;
+  QSq.assignZeros(N + 2);
+  mulVec(QSq.data(), Q.data(), L + 1, Q.data(), L + 1);
+  if (cmpVec(Rem.data(), QSq.data(), N + 2) < 0) {
+    // S is one too large: S -= 1 (wrapping a carried-out S back to all
+    // ones), then Rem += 2S + 1.
+    for (size_t I = 0; I < N; ++I)
+      if (S[I]-- != 0)
+        break;
+    const uint64_t One = 1;
+    addVecPadded(Rem.data(), N + 2, S, N);
+    addVecPadded(Rem.data(), N + 2, S, N);
+    addVecPadded(Rem.data(), N + 2, &One, 1);
+  }
+  subVecInPlace(Rem.data(), QSq.data(), N + 2);
+  assert(Rem[N + 1] == 0 && "sqrtRemVec remainder exceeds 2S");
+  std::memcpy(R, Rem.data(), (N + 1) * sizeof(uint64_t));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1031,53 +1117,29 @@ void BigFloat::sqrtInto(BigFloat &Dst, const BigFloat &X) {
   }
 
   size_t N = X.Limbs.size();
-  // Normalize to an even exponent: value = F * 2^E with E even and
-  // F in [1/4, 1).
+  // Integer square root of Num = F * 2^(64*NI), NI = N + 1, where F is the
+  // mantissa over NI limbs (one low guard limb), halved when the exponent
+  // is odd so that value = F * 2^E with E even and F in [1/4, 1). The
+  // root S = floor(sqrt(Num)) has NI limbs with the top bit set: exactly
+  // the mantissa plus a guard limb, and the remainder is the sticky bit.
   int64_t E = X.Exp;
-  Scratch F; // one extra low guard limb for the odd-exponent shift
-  F.assignZeros(N + 1);
-  std::memcpy(F.data() + 1, X.Limbs.data(), N * sizeof(uint64_t));
+  size_t NI = N + 1;
+  Scratch Num;
+  Num.assignZeros(2 * NI);
+  std::memcpy(Num.data() + NI + 1, X.Limbs.data(), N * sizeof(uint64_t));
   if (E & 1) {
     bool Dummy = false;
-    shiftRightVec(F.data(), N + 1, 1, Dummy);
+    shiftRightVec(Num.data() + NI, NI, 1, Dummy);
     assert(!Dummy && "guard limb absorbed the shift");
     E += 1;
   }
 
-  // Integer square root of Num = F * 2^(64*(N+1)) interpreted as an integer
-  // of 2*(N+1) limbs. Result S = floor(sqrt(F')) has N+1 limbs with the top
-  // bit set, i.e. exactly the mantissa-plus-guard-limb we want.
-  size_t NI = N + 1;
-  Scratch Num;
-  Num.assignZeros(2 * NI);
-  std::memcpy(Num.data() + NI, F.data(), NI * sizeof(uint64_t));
-
-  // Classic bit-pair integer square root.
-  Scratch Rem;
-  Rem.assignZeros(2 * NI);
   Scratch Root;
-  Root.assignZeros(2 * NI);
-  Scratch Trial;
-  Trial.assignZeros(2 * NI);
-  for (size_t I = NI * 64; I-- > 0;) {
-    // Rem = Rem*4 + next two bits of Num.
-    shiftLeftVec(Rem.data(), 2 * NI, 2);
-    if (getBit(Num.data(), 2 * NI, 2 * I + 1))
-      addBitAt(Rem.data(), 2 * NI, 1);
-    if (getBit(Num.data(), 2 * NI, 2 * I))
-      addBitAt(Rem.data(), 2 * NI, 0);
-    // Trial = Root*4 + 1 (Root currently holds the partial root shifted so
-    // its low bit is at position 0).
-    std::memcpy(Trial.data(), Root.data(), 2 * NI * sizeof(uint64_t));
-    shiftLeftVec(Trial.data(), 2 * NI, 2);
-    addBitAt(Trial.data(), 2 * NI, 0);
-    shiftLeftVec(Root.data(), 2 * NI, 1);
-    if (cmpVec(Rem.data(), Trial.data(), 2 * NI) >= 0) {
-      subVecInPlace(Rem.data(), Trial.data(), 2 * NI);
-      addBitAt(Root.data(), 2 * NI, 0);
-    }
-  }
-  bool Sticky = !vecIsZero(Rem.data(), 2 * NI);
+  Root.assignZeros(NI);
+  Scratch Rem;
+  Rem.assignZeros(NI + 1);
+  sqrtRemVec(Root.data(), Rem.data(), Num.data(), NI);
+  bool Sticky = !vecIsZero(Rem.data(), NI + 1);
   assert((Root[NI - 1] >> 63) == 1 && "isqrt result not normalized");
   BigFloatBuilder::normalizeAndRoundInto(Dst, false, E / 2, Root.data(), NI,
                                          Sticky, N);

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "real/BigFloat.h"
+#include "real/RealMath.h"
 
 #include "support/FloatBits.h"
 #include "support/LimbAlloc.h"
@@ -21,9 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
+#include <vector>
 
 using namespace herbgrind;
 
@@ -55,6 +59,87 @@ class BigFloatPrecisionTest : public ::testing::TestWithParam<size_t> {};
 /// inline-limb representation, 320..512 the spilled one. Results must be
 /// bit-identical across the inline/heap boundary.
 class BigFloatLimbSweepTest : public ::testing::TestWithParam<size_t> {};
+
+/// V <<= Shift for Shift < 64 (bits shifted past the top are dropped).
+void shiftLeftSmall(std::vector<uint64_t> &V, unsigned Shift) {
+  for (size_t I = V.size(); I-- > 0;)
+    V[I] = (V[I] << Shift) | (I > 0 ? V[I - 1] >> (64 - Shift) : 0);
+}
+
+/// The bit-serial square root BigFloat::sqrtInto used before its limb-level
+/// kernel, kept as the oracle for it. It takes the integer root of
+/// Num = F * 2^(64*NI), NI = N + 1 limbs, one bit per iteration: F is the
+/// mantissa over NI limbs, halved when the exponent is odd; the root has NI
+/// limbs with the top bit set and any remainder is the sticky bit.
+BigFloat referenceSqrt(const BigFloat &X) {
+  if (X.isNaN())
+    return BigFloat::nan();
+  if (X.isZero())
+    return X;
+  if (X.isNegative())
+    return BigFloat::nan();
+  if (X.isInf())
+    return BigFloat::inf(false);
+
+  size_t N = BigFloatBuilder::limbCount(X);
+  int64_t E = BigFloatBuilder::rawExp(X);
+  size_t NI = N + 1;
+  size_t W = 2 * NI;
+  std::vector<uint64_t> Num(W, 0);
+  std::copy(BigFloatBuilder::limbs(X), BigFloatBuilder::limbs(X) + N,
+            Num.begin() + NI + 1);
+  if (E & 1) {
+    for (size_t I = NI; I < W; ++I)
+      Num[I] = (Num[I] >> 1) | (I + 1 < W ? Num[I + 1] << 63 : 0);
+    E += 1;
+  }
+  auto Bit = [&](size_t Pos) { return (Num[Pos / 64] >> (Pos % 64)) & 1; };
+
+  std::vector<uint64_t> Rem(W, 0), Root(W, 0), Trial(W, 0);
+  for (size_t I = NI * 64; I-- > 0;) {
+    // Rem = Rem*4 + the next two bits of Num.
+    shiftLeftSmall(Rem, 2);
+    Rem[0] |= (Bit(2 * I + 1) << 1) | Bit(2 * I);
+    // Trial = Root*4 + 1.
+    Trial = Root;
+    shiftLeftSmall(Trial, 2);
+    Trial[0] |= 1;
+    shiftLeftSmall(Root, 1);
+    if (!std::lexicographical_compare(Rem.rbegin(), Rem.rend(),
+                                      Trial.rbegin(), Trial.rend())) {
+      unsigned __int128 Borrow = 0;
+      for (size_t J = 0; J < W; ++J) {
+        unsigned __int128 D = (unsigned __int128)Rem[J] - Trial[J] - Borrow;
+        Rem[J] = static_cast<uint64_t>(D);
+        Borrow = (D >> 64) & 1;
+      }
+      Root[0] |= 1;
+    }
+  }
+  bool Sticky = std::any_of(Rem.begin(), Rem.end(),
+                            [](uint64_t L) { return L != 0; });
+  BigFloat R;
+  BigFloatBuilder::normalizeAndRoundInto(R, false, E / 2, Root.data(), NI,
+                                         Sticky, N);
+  return R;
+}
+
+/// Bit-for-bit equality: kind, sign, precision, exponent and limbs.
+::testing::AssertionResult sameBigFloat(const BigFloat &A, const BigFloat &B) {
+  bool Same = A.kind() == B.kind() && A.isNegative() == B.isNegative() &&
+              A.precisionBits() == B.precisionBits();
+  if (Same && A.kind() == BigFloat::Kind::Finite) {
+    size_t N = BigFloatBuilder::limbCount(A);
+    Same = BigFloatBuilder::rawExp(A) == BigFloatBuilder::rawExp(B) &&
+           N == BigFloatBuilder::limbCount(B) &&
+           std::equal(BigFloatBuilder::limbs(A), BigFloatBuilder::limbs(A) + N,
+                      BigFloatBuilder::limbs(B));
+  }
+  if (Same)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << A.debugStr() << " vs "
+                                       << B.debugStr();
+}
 
 } // namespace
 
@@ -333,6 +418,91 @@ TEST_P(BigFloatLimbSweepTest, AliasedDestinationPassing) {
   }
 }
 
+TEST_P(BigFloatLimbSweepTest, SqrtMatchesBitSerialReference) {
+  // The IEEE checks only see the top 53 bits of a root. Here every bit
+  // counts: sqrtInto must reproduce the bit-serial oracle exactly on
+  // random, all-ones and sparse mantissas, exact squares and squares one
+  // ulp either side, at both exponent parities and near the ends of the
+  // double and int64 exponent ranges.
+  size_t Prec = GetParam();
+  size_t N = Prec / 64;
+  Rng R(604 + N);
+  const int64_t EdgeExps[] = {-1074,         -1073,         -1022,
+                              -1021,         1023,          1024,
+                              INT64_MIN,     INT64_MIN + 1, INT64_MAX - 2,
+                              INT64_MAX - 1};
+  std::vector<uint64_t> Mant(N);
+  BigFloat X, Got;
+  for (int I = 0; I < 4000; ++I) {
+    int64_t Exp = R.chance(1, 4)
+                      ? EdgeExps[R.nextBelow(std::size(EdgeExps))]
+                      : static_cast<int64_t>(R.nextBelow(2001)) - 1000;
+    switch (R.nextBelow(6)) {
+    case 0: // random
+      for (uint64_t &L : Mant)
+        L = R.next();
+      break;
+    case 1: // all ones
+      std::fill(Mant.begin(), Mant.end(), ~0ULL);
+      break;
+    case 2: // sparse: a few set bits below the leading one
+      std::fill(Mant.begin(), Mant.end(), 0);
+      for (uint64_t K = R.nextBelow(4); K-- > 0;) {
+        uint64_t Pos = R.nextBelow(64 * N);
+        Mant[Pos / 64] |= 1ULL << (Pos % 64);
+      }
+      break;
+    default: { // an exact square, or one ulp either side of it
+      // A root with at most 32N significant bits squares exactly into N
+      // limbs.
+      std::vector<uint64_t> Half(N, 0);
+      for (size_t B = 0; B < 32 * N; ++B)
+        if (R.chance(1, 2))
+          Half[N - 1 - B / 64] |= 1ULL << (63 - B % 64);
+      Half[N - 1] |= 1ULL << 63;
+      BigFloat Root;
+      int64_t RootExp = std::clamp<int64_t>(Exp / 2, -(1LL << 60), 1LL << 60);
+      BigFloatBuilder::makeRoundedInto(Root, false, RootExp, Half.data(), N,
+                                       false, N);
+      BigFloat Sq = BigFloat::mul(Root, Root);
+      Exp = BigFloatBuilder::rawExp(Sq);
+      std::copy(BigFloatBuilder::limbs(Sq), BigFloatBuilder::limbs(Sq) + N,
+                Mant.begin());
+      bool AllOnes = std::all_of(Mant.begin(), Mant.end(),
+                                 [](uint64_t L) { return L == ~0ULL; });
+      bool PowerOfTwo =
+          Mant[N - 1] == 1ULL << 63 &&
+          std::all_of(Mant.begin(), Mant.end() - 1,
+                      [](uint64_t L) { return L == 0; });
+      uint64_t Ulp = R.nextBelow(3);
+      if (Ulp == 1 && !AllOnes) {
+        for (uint64_t &L : Mant)
+          if (++L != 0)
+            break;
+      } else if (Ulp == 2 && !PowerOfTwo) {
+        for (uint64_t &L : Mant)
+          if (L-- != 0)
+            break;
+      }
+      break;
+    }
+    }
+    Mant[N - 1] |= 1ULL << 63;
+    BigFloatBuilder::makeRoundedInto(X, false, Exp, Mant.data(), N, false, N);
+    BigFloat::sqrtInto(Got, X);
+    ASSERT_TRUE(sameBigFloat(Got, referenceSqrt(X)))
+        << "sqrt of " << X.debugStr() << " prec " << Prec;
+  }
+
+  // Specials and zeros keep the old kernel's results too.
+  for (const BigFloat &S :
+       {BigFloat::zero(false), BigFloat::zero(true), BigFloat::inf(false),
+        BigFloat::inf(true), BigFloat::nan(),
+        BigFloat::fromDouble(-2.0, Prec)})
+    EXPECT_TRUE(sameBigFloat(BigFloat::sqrt(S), referenceSqrt(S)))
+        << S.debugStr();
+}
+
 TEST_P(BigFloatLimbSweepTest, AliasedSpecialValues) {
   size_t Prec = GetParam();
   BigFloat Inf = BigFloat::inf(false);
@@ -420,6 +590,27 @@ TEST(BigFloat, SteadyStateArithmeticIsAllocationFree) {
   Round();
   EXPECT_EQ(limballoc::heapAllocs(), 0u)
       << "steady-state 256-bit arithmetic reached the heap";
+
+  // The same holds at the widths RealMath's transcendentals take roots at:
+  // sqrt at 384 and 512 bits (512 spills its scratch to the limb cache),
+  // and atan and hypot of 256-bit values, which work at 384 bits.
+  auto WideRound = [&] {
+    BigFloat T;
+    for (int I = 0; I < 50; ++I) {
+      double D = R.uniformReal(0.5, 2.0);
+      BigFloat::sqrtInto(T, BigFloat::fromDouble(D, 384));
+      BigFloat::sqrtInto(T, BigFloat::fromDouble(D, 512));
+      BigFloat X = BigFloat::fromDouble(D, 256);
+      T = realmath::atan(X);
+      T = realmath::hypot(X, T);
+    }
+  };
+  WideRound();
+  limballoc::resetCounters();
+  WideRound();
+  EXPECT_EQ(limballoc::heapAllocs(), 0u)
+      << "steady-state sqrt, atan or hypot at RealMath widths reached the "
+         "heap";
 }
 
 //===----------------------------------------------------------------------===//

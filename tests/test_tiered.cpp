@@ -308,3 +308,59 @@ TEST(TieredStats, FastEscalatesOnlySuspectRuns) {
   EXPECT_EQ(R.Stats.Tier0Runs, R.Stats.Runs);
   EXPECT_TRUE(R.Benchmarks[0].Rep.Spots.empty());
 }
+
+TEST(TieredStats, Tier0CountsDoNotDependOnScheduling) {
+  // Confirm tier walks each benchmark's verdict shards in ascending order
+  // and stops after the first suspect one, so its tier-0 counts follow
+  // from the program set alone. Over this range NMSE 3.1 mixes clean and
+  // suspect shards, where the order shards run in could otherwise change
+  // which of them tier 0 visits.
+  std::vector<fpcore::Core> Mixed;
+  fpcore::ParseResult P = fpcore::parse(
+      "(FPCore (x) :name \"sparse cancellation\" :pre (<= 0 x 1e5)"
+      " (- (sqrt (+ x 1)) (sqrt x)))");
+  ASSERT_TRUE(P.Ok);
+  Mixed.push_back(std::move(P.Value));
+  EngineConfig Cfg = smallConfig(1, TierMode::Confirm);
+  Cfg.SamplesPerBenchmark = 32;
+  Cfg.ShardSize = 2;
+
+  // The oracle: one-shard slices give each shard's tier-0 counts and
+  // verdict; a sweep counts every shard up to the first suspect one.
+  uint64_t WantRuns = 0, WantOps = 0;
+  size_t FirstSuspect = 16, Suspects = 0;
+  for (size_t K = 0; K < 16; ++K) {
+    EngineConfig Slice = Cfg;
+    Slice.ShardBegin = K;
+    Slice.ShardEnd = K + 1;
+    BatchResult R = Engine(Slice).run(Mixed);
+    if (K <= FirstSuspect) {
+      WantRuns += R.Stats.Tier0Runs;
+      WantOps += R.Stats.Tier0Ops;
+    }
+    if (R.Stats.ConfirmedBenchmarks) {
+      FirstSuspect = std::min(FirstSuspect, K);
+      ++Suspects;
+    }
+  }
+  ASSERT_GT(FirstSuspect, 0u) << "the first shard must be clean";
+  ASSERT_LT(Suspects, 16u - FirstSuspect) << "a later shard must be clean";
+
+  std::vector<fpcore::Core> Set;
+  Set.push_back(Mixed[0].clone());
+  Set.push_back(benignCore());
+  Set.push_back(cancellingCore());
+  Set.push_back(Mixed[0].clone());
+  Cfg.Jobs = 1;
+  BatchResult SetOne = Engine(Cfg).run(Set);
+  for (unsigned Jobs : {1u, 2u, 4u, 4u}) {
+    Cfg.Jobs = Jobs;
+    BatchResult R = Engine(Cfg).run(Mixed);
+    EXPECT_EQ(R.Stats.Tier0Runs, WantRuns) << "jobs " << Jobs;
+    EXPECT_EQ(R.Stats.Tier0Ops, WantOps) << "jobs " << Jobs;
+    BatchResult S = Engine(Cfg).run(Set);
+    EXPECT_EQ(S.Stats.Tier0Runs, SetOne.Stats.Tier0Runs) << "jobs " << Jobs;
+    EXPECT_EQ(S.Stats.Tier0Ops, SetOne.Stats.Tier0Ops) << "jobs " << Jobs;
+    EXPECT_EQ(S.renderJson(), SetOne.renderJson()) << "jobs " << Jobs;
+  }
+}
