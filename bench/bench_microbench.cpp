@@ -4,8 +4,9 @@
 //
 // Microbenchmarks of the analysis primitives whose costs the paper's
 // Section 6 engineering targets: shadow-real arithmetic at several
-// precisions, trace-node construction with sharing, anti-unification, and
-// the instrumented-vs-native execution gap on a small kernel.
+// precisions, trace-node construction with sharing, depth-bounded
+// loop-carried traces, anti-unification, and the instrumented-vs-native
+// execution gap on a small kernel.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,6 +106,25 @@ static void BM_TraceNodeChurn(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TraceNodeChurn)->Arg(1)->Arg(0); // pools on / off
+
+static void BM_TraceLoopCarried(benchmark::State &State) {
+  // acc = acc + c at the default depth bound: once acc is 24 deep, every
+  // add trims it, so this is the per-iteration trace cost of a long loop.
+  TraceArena Arena(24, 5, true);
+  TraceNode *Acc = Arena.leaf(0.0);
+  const double C = 0.1;
+  for (auto _ : State) {
+    TraceNode *L = Arena.leaf(C);
+    TraceNode *Kids[2] = {Acc, L};
+    TraceNode *Next = Arena.node(Opcode::AddF64, 1, Acc->Value + C, Kids, 2);
+    benchmark::DoNotOptimize(Next);
+    Arena.release(L);
+    Arena.release(Acc);
+    Acc = Next;
+  }
+  Arena.release(Acc);
+}
+BENCHMARK(BM_TraceLoopCarried);
 
 static void BM_AntiUnify(benchmark::State &State) {
   TraceArena Arena(24, 5, true);

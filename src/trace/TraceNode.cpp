@@ -27,25 +27,6 @@ std::string TraceNode::str() const {
   return S;
 }
 
-TraceArena::~TraceArena() { dropTrimCache(); }
-
-void TraceArena::resetForReuse() {
-  dropTrimCache();
-  NodePool.reset();
-}
-
-void TraceArena::dropTrimCache() {
-  // Release the references the trim cache holds -- on the result AND on
-  // the key node (retained so a dead key's pool slot cannot be recycled
-  // into a new node that would alias a stale cache entry). Everything
-  // else must already have been released by the analysis.
-  for (auto &[Key, Node] : TrimCache) {
-    release(const_cast<TraceNode *>(Key.N));
-    release(Node);
-  }
-  TrimCache.clear();
-}
-
 TraceNode *TraceArena::leaf(double Value) {
   TraceNode *N = NodePool.create();
   N->Kind = TraceNode::TNKind::Leaf;
@@ -87,7 +68,7 @@ TraceNode *TraceArena::node(Opcode Op, uint32_t Site, double Value,
   for (unsigned I = 0; I < NumKids; ++I) {
     TraceNode *Kid = Kids[I];
     if (Kid->Depth > MaxDepth - 1)
-      Kid = trim(Kid, MaxDepth - 1); // borrowed from the trim cache
+      Kid = trim(Kid, MaxDepth - 1); // borrowed from Kid->Trimmed
     retain(Kid);
     N->Kids[I] = Kid;
     Depth = std::max(Depth, Kid->Depth + 1);
@@ -100,13 +81,15 @@ TraceNode *TraceArena::trim(TraceNode *N, uint32_t ToDepth) {
   assert(ToDepth >= 1 && "cannot trim below depth 1");
   if (N->Depth <= ToDepth)
     return N;
-  TrimKey Key{N, ToDepth};
-  auto It = TrimCache.find(Key);
-  if (It != TrimCache.end())
-    return It->second;
+  // node() caps every node at MaxDepth and asks for MaxDepth - 1, and a
+  // node one level too deep has kids at most ToDepth deep: so every trim
+  // that does work cuts exactly one level, which is the one N memoizes.
+  assert(N->Depth == ToDepth + 1 && "trim must cut exactly one level");
+  if (N->Trimmed)
+    return N->Trimmed;
 
   TraceNode *Result;
-  if (ToDepth == 1 || N->Kind == TraceNode::TNKind::Leaf) {
+  if (ToDepth == 1) {
     Result = leaf(N->Value);
   } else {
     Result = NodePool.create();
@@ -125,11 +108,10 @@ TraceNode *TraceArena::trim(TraceNode *N, uint32_t ToDepth) {
     }
     Result->Depth = Depth;
   }
-  // The cache keeps the single reference created above (callers borrow)
-  // and retains the key node: entries are looked up by address, so the
-  // key must stay alive or its recycled slot could alias a fresh node.
-  retain(N);
-  TrimCache.emplace(Key, Result);
+  // N keeps the single reference created above (callers borrow) and drops
+  // it when it dies. Only live nodes are asked for trims, so a dead node's
+  // copy is never needed again.
+  N->Trimmed = Result;
   return Result;
 }
 
@@ -146,12 +128,19 @@ void TraceArena::release(TraceNode *N) {
   while (!Work.empty()) {
     TraceNode *Cur = Work.back();
     Work.pop_back();
-    assert(Cur->RefCount > 0 && "double release");
-    if (--Cur->RefCount > 0)
-      continue;
-    for (unsigned I = 0; I < Cur->NumKids; ++I)
-      Work.push_back(Cur->Kids[I]);
-    NodePool.destroy(Cur);
+    // A dead node's trimmed copy loses its owner reference next. Following
+    // it here, rather than pushing it, keeps one push site, which lets the
+    // compiler hold Work in registers.
+    while (Cur) {
+      assert(Cur->RefCount > 0 && "double release");
+      if (--Cur->RefCount > 0)
+        break;
+      for (unsigned I = 0; I < Cur->NumKids; ++I)
+        Work.push_back(Cur->Kids[I]);
+      TraceNode *Trimmed = Cur->Trimmed;
+      NodePool.destroy(Cur);
+      Cur = Trimmed;
+    }
   }
 }
 

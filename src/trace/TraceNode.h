@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace herbgrind {
@@ -39,6 +38,7 @@ struct TraceNode {
   TNKind Kind = TNKind::Leaf;
   Opcode Op = Opcode::AddF64; ///< Valid when Kind == Op.
   uint8_t NumKids = 0;
+  bool FPValid = false; ///< Whether CachedFP is populated.
   uint32_t RefCount = 0;
   uint32_t Depth = 1; ///< Longest path to a leaf, counting this node.
   uint32_t Site = UINT32_MAX; ///< Producing pc (UINT32_MAX for leaves).
@@ -46,16 +46,25 @@ struct TraceNode {
   TraceNode *Kids[3] = {nullptr, nullptr, nullptr};
 
   /// Cached bounded-depth structural fingerprint (see TraceArena::
-  /// fingerprint); FPValid marks whether the cache is populated.
+  /// fingerprint).
   uint64_t CachedFP = 0;
-  bool FPValid = false;
+
+  /// This node cut to Depth - 1 levels, built on the first request and
+  /// owned by this node (one reference), so it dies with it. Null until
+  /// requested. One slot suffices: every node is at most MaxDepth deep,
+  /// so every trim that does work cuts exactly one level.
+  TraceNode *Trimmed = nullptr;
 
   std::string str() const;
 };
 
+static_assert(sizeof(TraceNode) <= 64, "a trace node fits one cache line");
+
 /// Owns trace nodes: pool allocation, reference counting, depth-bounded
-/// construction, memoized trimming, and bounded-depth fingerprints for the
-/// anti-unification equivalence classes (Section 6.1).
+/// construction with per-node memoized trimming, and bounded-depth
+/// fingerprints for the anti-unification equivalence classes (Section 6.1).
+/// A released node frees its trimmed copy too, so live nodes are bounded by
+/// the live values' traces, not by the history that built them.
 class TraceArena {
 public:
   /// \p MaxDepth bounds trace depth (Fig 5c/d sweep knob); \p EquivDepth
@@ -66,8 +75,6 @@ public:
       : NodePool(UsePool), MaxDepth(MaxDepth ? MaxDepth : 1),
         EquivDepth(EquivDepth) {}
 
-  ~TraceArena();
-
   TraceArena(const TraceArena &) = delete;
   TraceArena &operator=(const TraceArena &) = delete;
 
@@ -76,21 +83,21 @@ public:
   TraceNode *leaf(double Value);
 
   /// Creates an op node; kids deeper than MaxDepth-1 are trimmed (their
-  /// top levels preserved, lower levels replaced by value leaves). Takes no
-  /// ownership of the kid references passed in (it retains its own); the
-  /// caller receives one reference to the result.
+  /// top levels preserved, lower levels replaced by value leaves; the kid
+  /// keeps the trimmed copy for later requests). Takes no ownership of the
+  /// kid references passed in (it retains its own); the caller receives one
+  /// reference to the result.
   TraceNode *node(Opcode Op, uint32_t Site, double Value, TraceNode *const *Kids,
                   unsigned NumKids);
 
   void retain(TraceNode *N);
   void release(TraceNode *N);
 
-  /// Recycles the arena for a fresh analysis round: drops the trim cache
-  /// (and the references it holds) and rewinds the node pool's slabs. Every
-  /// node outside the trim cache must already have been released. This is
+  /// Recycles the arena for a fresh analysis round by rewinding the node
+  /// pool's slabs. Every node must already have been released. This is
   /// what lets the batch engine reuse a shard-local arena across shards
   /// instead of rebuilding it.
-  void resetForReuse();
+  void resetForReuse() { NodePool.reset(); }
 
   /// Structural fingerprint of a subtree to EquivDepth levels, used to
   /// decide which subtrees anti-unification may map to the same variable.
@@ -107,27 +114,12 @@ public:
 
 private:
   TraceNode *trim(TraceNode *N, uint32_t ToDepth);
-  void dropTrimCache();
   uint64_t fingerprintRec(TraceNode *N, uint32_t DepthLeft);
   bool equivalentRec(TraceNode *A, TraceNode *B, uint32_t DepthLeft);
 
   Pool<TraceNode> NodePool;
   uint32_t MaxDepth;
   uint32_t EquivDepth;
-
-  struct TrimKey {
-    const TraceNode *N;
-    uint32_t Depth;
-    bool operator==(const TrimKey &O) const {
-      return N == O.N && Depth == O.Depth;
-    }
-  };
-  struct TrimKeyHash {
-    size_t operator()(const TrimKey &K) const {
-      return std::hash<const void *>()(K.N) * 31 + K.Depth;
-    }
-  };
-  std::unordered_map<TrimKey, TraceNode *, TrimKeyHash> TrimCache;
 };
 
 } // namespace herbgrind

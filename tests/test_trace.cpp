@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+
 using namespace herbgrind;
 
 //===----------------------------------------------------------------------===//
@@ -71,6 +75,152 @@ TEST(TraceArena, DepthOneKeepsOnlyTheOperation) {
   A.release(L1);
   A.release(Inner);
   A.release(Outer);
+}
+
+namespace {
+/// Loop-carried values as a shadowed loop builds them: a chain
+/// (acc = acc + c), a shared kid (x = x*x + c) and a Fibonacci DAG
+/// (a, b = b, a+b).
+enum class Shape { Chain, SharedKid, Fibonacci };
+
+/// Steps one shape through an arena, releasing each value the loop
+/// overwrites, as the shadow interpreter does.
+class LoopCarried {
+public:
+  LoopCarried(TraceArena &A, Shape S)
+      : A(A), S(S), Prev(S == Shape::Fibonacci ? A.leaf(0.0) : nullptr),
+        Cur(A.leaf(0.5)) {}
+  ~LoopCarried() {
+    if (Prev)
+      A.release(Prev);
+    A.release(Cur);
+  }
+  LoopCarried(const LoopCarried &) = delete;
+  LoopCarried &operator=(const LoopCarried &) = delete;
+
+  /// The loop-carried value (b for Fibonacci).
+  const TraceNode *value() const { return Cur; }
+
+  void step(int I) {
+    TraceNode *Next;
+    if (S == Shape::Fibonacci) {
+      TraceNode *Kids[2] = {Prev, Cur};
+      Next = A.node(Opcode::AddF64, 1, Prev->Value + Cur->Value, Kids, 2);
+      A.release(Prev);
+      Prev = Cur;
+      Cur = Next;
+      return;
+    }
+    TraceNode *Acc = Cur;
+    if (S == Shape::SharedKid) {
+      TraceNode *Sq[2] = {Cur, Cur};
+      Acc = A.node(Opcode::MulF64, 2, Cur->Value * Cur->Value, Sq, 2);
+    }
+    // c stays in [-0.2, 0.2], so x*x + c stays bounded.
+    double C = 0.1 * (I % 5 - 2);
+    TraceNode *L = A.leaf(C);
+    TraceNode *Kids[2] = {Acc, L};
+    Next = A.node(Opcode::AddF64, 1, Acc->Value + C, Kids, 2);
+    A.release(L);
+    if (Acc != Cur)
+      A.release(Acc);
+    A.release(Cur);
+    Cur = Next;
+  }
+
+private:
+  TraceArena &A;
+  Shape S;
+  TraceNode *Prev;
+  TraceNode *Cur;
+};
+
+const char *shapeName(Shape S) {
+  switch (S) {
+  case Shape::Chain:
+    return "chain";
+  case Shape::SharedKid:
+    return "shared kid";
+  case Shape::Fibonacci:
+    return "fibonacci";
+  }
+  return "?";
+}
+
+/// Reference trimming: the top \p D levels of the untrimmed trace \p N,
+/// with the nodes at the cut replaced by leaves carrying their values.
+/// Nodes live in \p Store; the DAG is expanded into a tree.
+TraceNode *referenceCut(const TraceNode *N, uint32_t D,
+                        std::deque<TraceNode> &Store) {
+  TraceNode &Cut = Store.emplace_back();
+  Cut.Value = N->Value;
+  if (D == 1 || N->Kind == TraceNode::TNKind::Leaf)
+    return &Cut;
+  Cut.Kind = N->Kind;
+  Cut.Op = N->Op;
+  Cut.NumKids = N->NumKids;
+  for (unsigned I = 0; I < N->NumKids; ++I)
+    Cut.Kids[I] = referenceCut(N->Kids[I], D - 1, Store);
+  return &Cut;
+}
+} // namespace
+
+TEST(TraceArena, LoopCarriedTracesHoldNoHistory) {
+  // The depth bound must also bound memory: a value released by the loop
+  // frees its trimmed copy, so live nodes stop growing once traces reach
+  // the bound, and nothing outlives the last value.
+  for (uint32_t D : {4u, 24u}) {
+    for (Shape S : {Shape::Chain, Shape::SharedKid, Shape::Fibonacci}) {
+      SCOPED_TRACE(std::string(shapeName(S)) + " at depth " +
+                   std::to_string(D));
+      TraceArena A(D);
+      size_t PeakFirst100 = 0, Peak = 0;
+      {
+        LoopCarried Loop(A, S);
+        for (int I = 1; I <= 5000; ++I) {
+          Loop.step(I);
+          Peak = std::max(Peak, A.liveNodes());
+          if (I == 100)
+            PeakFirst100 = Peak;
+        }
+      }
+      EXPECT_LE(Peak, PeakFirst100);
+      EXPECT_EQ(A.liveNodes(), 0u);
+      // One trim per node that reaches the bound, as with a cache keyed by
+      // (node, depth): 10001 loop nodes plus 4977 trims of 23 nodes.
+      if (D == 24 && S == Shape::Chain) {
+        EXPECT_EQ(A.totalAllocated(), 124472u);
+      }
+    }
+  }
+}
+
+TEST(TraceArena, TrimmingMatchesReferenceCut) {
+  // A bounded trace must read exactly as the top MaxDepth levels of the
+  // same trace built without a bound.
+  for (Shape S : {Shape::Chain, Shape::SharedKid, Shape::Fibonacci}) {
+    for (uint32_t D : {2u, 3u, 5u, 8u, 24u}) {
+      if (D == 24 && S != Shape::Chain)
+        continue; // the reference expands the DAG into 2^24 nodes
+      SCOPED_TRACE(std::string(shapeName(S)) + " at depth " +
+                   std::to_string(D));
+      TraceArena Bounded(D);
+      TraceArena Full(std::numeric_limits<uint32_t>::max());
+      LoopCarried B(Bounded, S), F(Full, S);
+      for (int I = 1; I <= 200; ++I) {
+        B.step(I);
+        F.step(I);
+        std::deque<TraceNode> Store;
+        ASSERT_EQ(B.value()->str(), referenceCut(F.value(), D, Store)->str())
+            << "iteration " << I;
+        // x*x keeps one node for its two trimmed kids.
+        const TraceNode *Sq = B.value()->Kids[0];
+        if (S == Shape::SharedKid && Sq->Kind == TraceNode::TNKind::Op) {
+          ASSERT_EQ(Sq->Kids[0], Sq->Kids[1]) << "iteration " << I;
+        }
+      }
+    }
+  }
 }
 
 TEST(TraceArena, EquivalenceRespectsValuesAndStructure) {
