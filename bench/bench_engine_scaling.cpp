@@ -109,55 +109,6 @@ HotPathProbe runHotPathProbe() {
   return Probe;
 }
 
-/// Sample-batched hot-path probe: the tier-0 (predicate-only) analyzer
-/// over the straight-line SoA-batchable corpus benchmarks, scalar
-/// point-at-a-time vs. runOnBatch. This is where batching pays directly:
-/// the SoA runner strides contiguous double rows with no ShadowState,
-/// machine state, or pool traffic per point. The speedup is the perf
-/// gate of the batched path (byte-identity is checked at engine level).
-struct BatchedProbe {
-  double ScalarSeconds = 0.0;
-  double BatchedSeconds = 0.0;
-  uint64_t Runs = 0;
-  unsigned Lanes = 32;
-  bool Ok = false;
-};
-
-BatchedProbe runBatchedProbe() {
-  BatchedProbe Probe;
-  const int Samples = 256;
-  const int Reps = 4;
-  AnalysisConfig PCfg;
-  PCfg.PredicateOnly = true;
-  for (const fpcore::Core &C : fpcore::corpus()) {
-    if (!isStraightLine(*C.Body) || !fpcore::isCompilable(C))
-      continue;
-    Program P = fpcore::compile(C);
-    Herbgrind HG(P, PCfg);
-    if (!HG.soaBatchable())
-      continue;
-    std::vector<std::vector<double>> Inputs = sampleInputs(C, Samples);
-    // Warm both paths (interning, scratch growth), then time steady state.
-    for (const auto &In : Inputs)
-      HG.runOnInput(In);
-    HG.runOnBatch(Inputs.data(), Probe.Lanes);
-    Probe.ScalarSeconds += timeIt([&] {
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        for (const auto &In : Inputs)
-          HG.runOnInput(In);
-    });
-    Probe.BatchedSeconds += timeIt([&] {
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        for (size_t I = 0; I < Inputs.size(); I += Probe.Lanes)
-          HG.runOnBatch(&Inputs[I],
-                        std::min<size_t>(Probe.Lanes, Inputs.size() - I));
-    });
-    Probe.Runs += static_cast<uint64_t>(Reps) * Inputs.size();
-  }
-  Probe.Ok = Probe.Runs > 0;
-  return Probe;
-}
-
 /// Native-frontend overhead probe: the same quadratic-root kernel run
 /// four ways -- raw doubles, native::Real under a Context, the
 /// uninstrumented interpreter, and the instrumented interpreter -- so the
@@ -627,37 +578,6 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(FastFraction).c_str(),
       TierIdentical ? "true" : "false");
 
-  // Sample-batched evaluation: the SoA tier-0 hot path scalar vs.
-  // batched, plus the engine-level contract check -- a --batch sweep of
-  // the corpus must reproduce the scalar reference bytes.
-  BatchedProbe BP = runBatchedProbe();
-  double BatchSpeedup = BP.BatchedSeconds > 0.0
-                            ? BP.ScalarSeconds / BP.BatchedSeconds
-                            : 0.0;
-  EngineConfig BatCfg;
-  BatCfg.Jobs = JobCounts.back();
-  BatCfg.SamplesPerBenchmark = Cfg.SamplesPerBenchmark;
-  BatCfg.ShardSize = Cfg.ShardSize;
-  BatCfg.BatchLanes = BP.Lanes;
-  BatchResult BatResult = Engine(BatCfg).runCorpus();
-  bool BatchIdentical = BatResult.renderJson() == Reference;
-  if (!AppendLedger(BatCfg, BatResult.Stats, "batched"))
-    return 1;
-  std::printf("\nbatched evaluation (tier-0 SoA hot path, %u lanes):\n"
-              "  scalar %.3fs, batched %.3fs (%.2fx, %llu runs); "
-              "--batch %u corpus sweep identical to scalar: %s\n",
-              BP.Lanes, BP.ScalarSeconds, BP.BatchedSeconds, BatchSpeedup,
-              static_cast<unsigned long long>(BP.Runs), BatCfg.BatchLanes,
-              BatchIdentical ? "yes" : "NO -- BUG");
-  std::string BatchedJson = format(
-      "{\"lanes\":%u,\"scalar_s\":%s,\"batched_s\":%s,\"speedup\":%s,"
-      "\"runs\":%llu,\"byte_identical\":%s}",
-      BP.Lanes, formatDoubleShortest(BP.ScalarSeconds).c_str(),
-      formatDoubleShortest(BP.BatchedSeconds).c_str(),
-      formatDoubleShortest(BatchSpeedup).c_str(),
-      static_cast<unsigned long long>(BP.Runs),
-      BatchIdentical ? "true" : "false");
-
   // Wire-format probe: both encodings of the corpus batch report
   // document (the top-jobs sweep), sized and timed. The claims: HGB is
   // at least 4x smaller than the JSON bytes on this document, and the
@@ -749,7 +669,6 @@ int main(int Argc, char **Argv) {
       "\"profile\":%s,"
       "\"telemetry_merge\":%s,"
       "\"tiered\":%s,"
-      "\"batched\":%s,"
       "\"wire\":%s,"
       "\"cache\":%s}\n",
       Cfg.SamplesPerBenchmark, Cfg.ShardSize, HW, JobsJson.c_str(),
@@ -774,7 +693,7 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.InterpSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
       ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
-      BatchedJson.c_str(), WireSectionJson.c_str(), CacheJson.c_str());
+      WireSectionJson.c_str(), CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
   if (Out) {
     Out << Json;
@@ -834,24 +753,6 @@ int main(int Argc, char **Argv) {
                  "FAIL: tier-0 escalated everything (confirm %.2f, fast "
                  "%.2f); the predicate tier is vacuous\n",
                  ConfirmFraction, FastFraction);
-    return 1;
-  }
-  // The batched-evaluation acceptance gates: batching must never change
-  // report bytes, and the SoA hot path must actually amortize -- below
-  // 1.5x the per-batch restructuring is not earning its complexity. An
-  // empty probe fails too (a corpus change must not make the gate
-  // vacuous).
-  if (!BatchIdentical) {
-    std::fprintf(stderr,
-                 "FAIL: --batch %u corpus sweep differs from scalar\n",
-                 BatCfg.BatchLanes);
-    return 1;
-  }
-  if (!BP.Ok || BatchSpeedup < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: batched tier-0 hot path %.2fx over scalar "
-                 "(expected >= 1.5x over %llu runs)\n",
-                 BatchSpeedup, static_cast<unsigned long long>(BP.Runs));
     return 1;
   }
   // The wire-format acceptance gates: the binary round trip must be

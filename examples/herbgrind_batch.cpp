@@ -58,11 +58,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace herbgrind;
@@ -76,9 +78,6 @@ static int usage(const char *Prog) {
       "  --jobs N          worker threads (default: hardware concurrency)\n"
       "  --samples N       sampled inputs per benchmark (default 64)\n"
       "  --shard N         inputs per shard (default 16)\n"
-      "  --batch N         sample points per batched analyzer call (the\n"
-      "                    SoA hot path; default 1 = scalar point-at-a-\n"
-      "                    time; report bytes are identical at every value)\n"
       "  --seed S          base sampling seed (default 0xcafe)\n"
       "  --tier MODE       shadowing tier: full (default; every run under\n"
       "                    the 256-bit shadow), confirm (tier-0 error\n"
@@ -154,6 +153,50 @@ static int usage(const char *Prog) {
       "With no files and no --name, the whole bundled corpus is analyzed.\n",
       Prog);
   return 2;
+}
+
+/// The one parser behind every numeric flag. The whole of \p V must be a
+/// number in [Lo, Hi]: no sign, no leading space, no trailing text, so
+/// "abc", "12abc" and "0x10" are errors instead of 0, 12 and 0. Integers
+/// are decimal; \p Base 0 also accepts C-style hex and octal (--seed).
+/// On failure it prints an error naming \p Flag and returns false, and
+/// the caller exits 2.
+template <typename T>
+static bool parseNumber(const char *Flag, const char *V, T &Out, T Lo,
+                        T Hi = std::numeric_limits<T>::max(), int Base = 10) {
+  constexpr bool IsFloat = std::is_floating_point_v<T>;
+  char *End = nullptr;
+  errno = 0;
+  bool Ok = std::isdigit(static_cast<unsigned char>(*V)) ||
+            (IsFloat && *V == '.');
+  if constexpr (IsFloat) {
+    double X = std::strtod(V, &End);
+    // Written so that NaN fails the range test.
+    Ok = Ok && *End == 0 && errno != ERANGE && X >= Lo && X <= Hi;
+    if (Ok)
+      Out = X;
+  } else {
+    unsigned long long X = std::strtoull(V, &End, Base);
+    Ok = Ok && *End == 0 && errno != ERANGE &&
+         X >= static_cast<unsigned long long>(Lo) &&
+         X <= static_cast<unsigned long long>(Hi);
+    if (Ok)
+      Out = static_cast<T>(X);
+  }
+  if (!Ok) {
+    auto Text = [](T X) {
+      if constexpr (IsFloat)
+        return format("%g", X);
+      else
+        return std::to_string(X);
+    };
+    std::string Range = IsFloat && Hi == std::numeric_limits<T>::max()
+                            ? ">= " + Text(Lo)
+                            : "in [" + Text(Lo) + ", " + Text(Hi) + "]";
+    std::fprintf(stderr, "error: %s wants %s %s; got '%s'\n", Flag,
+                 IsFloat ? "a number" : "an integer", Range.c_str(), V);
+  }
+  return Ok;
 }
 
 /// Writes the rendered report to --out (or stdout); shared by the run and
@@ -790,30 +833,33 @@ static int ledgerMain(int Argc, char **Argv) {
   std::vector<size_t> Indices;
   for (int I = 4; I < Argc; ++I) {
     const char *Arg = Argv[I];
-    auto NextDouble = [&](double &Out) {
-      if (I + 1 >= Argc)
+    auto Next = [&](auto &Out, auto Lo) {
+      if (I + 1 >= Argc) {
+        usage(Argv[0]);
         return false;
-      Out = std::atof(Argv[++I]);
-      return true;
+      }
+      return parseNumber(Arg, Argv[++I], Out, Lo);
     };
     if (std::strcmp(Arg, "--wall-frac") == 0) {
-      if (!NextDouble(Thresholds.WallFrac))
-        return usage(Argv[0]);
+      if (!Next(Thresholds.WallFrac, 0.0))
+        return 2;
     } else if (std::strcmp(Arg, "--cache-hit-drop") == 0) {
-      if (!NextDouble(Thresholds.CacheHitDrop))
-        return usage(Argv[0]);
+      if (!Next(Thresholds.CacheHitDrop, 0.0))
+        return 2;
     } else if (std::strcmp(Arg, "--escalation-rise") == 0) {
-      if (!NextDouble(Thresholds.EscalationRise))
-        return usage(Argv[0]);
+      if (!Next(Thresholds.EscalationRise, 0.0))
+        return 2;
     } else if (std::strcmp(Arg, "--heap-frac") == 0) {
-      if (!NextDouble(Thresholds.HeapFrac))
-        return usage(Argv[0]);
+      if (!Next(Thresholds.HeapFrac, 0.0))
+        return 2;
     } else if (std::strcmp(Arg, "--heap-slack") == 0) {
-      if (I + 1 >= Argc)
-        return usage(Argv[0]);
-      Thresholds.HeapSlack = std::strtoull(Argv[++I], nullptr, 10);
+      if (!Next(Thresholds.HeapSlack, uint64_t(0)))
+        return 2;
     } else if (std::isdigit(static_cast<unsigned char>(Arg[0]))) {
-      Indices.push_back(static_cast<size_t>(std::strtoull(Arg, nullptr, 10)));
+      size_t Index = 0;
+      if (!parseNumber("ledger index", Arg, Index, size_t(0)))
+        return 2;
+      Indices.push_back(Index);
     } else {
       return usage(Argv[0]);
     }
@@ -964,37 +1010,27 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      int Jobs = std::atoi(V);
-      if (Jobs < 0) {
-        std::fprintf(stderr, "error: --jobs must be >= 0 (0 = auto)\n");
+      if (!parseNumber(Arg, V, Cfg.Jobs, 0u)) // 0 = auto
         return 2;
-      }
-      Cfg.Jobs = static_cast<unsigned>(Jobs);
     } else if (std::strcmp(Arg, "--samples") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      Cfg.SamplesPerBenchmark = std::atoi(V);
+      if (!parseNumber(Arg, V, Cfg.SamplesPerBenchmark, 0))
+        return 2;
     } else if (std::strcmp(Arg, "--shard") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      Cfg.ShardSize = std::atoi(V);
-    } else if (std::strcmp(Arg, "--batch") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      int Lanes = std::atoi(V);
-      if (Lanes < 1) {
-        std::fprintf(stderr, "error: --batch must be >= 1\n");
+      if (!parseNumber(Arg, V, Cfg.ShardSize, 0))
         return 2;
-      }
-      Cfg.BatchLanes = static_cast<unsigned>(Lanes);
     } else if (std::strcmp(Arg, "--seed") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      Cfg.Seed = std::strtoull(V, nullptr, 0);
+      if (!parseNumber(Arg, V, Cfg.Seed, uint64_t(0),
+                       std::numeric_limits<uint64_t>::max(), /*Base=*/0))
+        return 2;
     } else if (std::strcmp(Arg, "--tier") == 0) {
       const char *V = NextValue();
       if (!V)
@@ -1014,22 +1050,10 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      char *End = nullptr;
-      errno = 0;
-      Cfg.CacheMaxBytes = std::strtoull(V, &End, 10);
-      // A partially-consumed value ("1G", "abc") must not silently become
-      // a tiny cap that the GC then prunes everything to, a negative one
-      // must not wrap to an effectively unbounded cap, base 10 keeps
-      // "010" meaning ten (not octal eight), and an out-of-range value
-      // must not saturate to an unbounded cap.
-      if (*V == 0 || !std::isdigit(static_cast<unsigned char>(*V)) ||
-          End == nullptr || *End != 0 || errno == ERANGE) {
-        std::fprintf(stderr,
-                     "error: --cache-max-bytes wants a plain byte count, "
-                     "got '%s'\n",
-                     V);
+      // "1G" must not become a 1-byte cap the GC prunes everything to,
+      // "-1" must not wrap to an unbounded one, and "010" means ten.
+      if (!parseNumber(Arg, V, Cfg.CacheMaxBytes, uint64_t(0)))
         return 2;
-      }
       CacheMaxSet = true;
     } else if (std::strcmp(Arg, "--cache-gc") == 0) {
       CacheGc = true;
@@ -1072,11 +1096,8 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      BCfg.Improve.SampleCount = std::atoi(V);
-      if (BCfg.Improve.SampleCount < 1) {
-        std::fprintf(stderr, "error: --improve-samples must be >= 1\n");
+      if (!parseNumber(Arg, V, BCfg.Improve.SampleCount, 1))
         return 2;
-      }
     } else if (std::strcmp(Arg, "--name") == 0) {
       const char *V = NextValue();
       if (!V)
@@ -1121,20 +1142,17 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      int P = std::atoi(V);
-      if (P < 1) {
-        std::fprintf(stderr, "error: --profile-period must be >= 1\n");
+      if (!parseNumber(Arg, V, ProfilePeriod, uint32_t(1)))
         return 2;
-      }
-      ProfilePeriod = static_cast<uint32_t>(P);
     } else if (std::strcmp(Arg, "--progress") == 0) {
       Progress = true;
     } else if (std::strcmp(Arg, "--progress-every") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      ProgressEvery = std::atof(V);
-      if (!(ProgressEvery > 0.0)) {
+      if (!parseNumber(Arg, V, ProgressEvery, 0.0))
+        return 2;
+      if (ProgressEvery == 0.0) {
         std::fprintf(stderr, "error: --progress-every must be > 0 seconds\n");
         return 2;
       }
@@ -1237,20 +1255,6 @@ int main(int Argc, char **Argv) {
     OneCfg.Jobs = 1;
     Engine One(OneCfg);
     BatchResult Single = One.run(Cores, Kernels);
-    // Batching is part of the same contract: the lane count must never
-    // change report bytes. The extra leg flips --batch (scalar when the
-    // main legs ran batched, 8 lanes otherwise) and bypasses the cache
-    // so it genuinely re-executes rather than reading back stored shards.
-    EngineConfig BatchCfg = OneCfg;
-    BatchCfg.BatchLanes = Cfg.BatchLanes > 1 ? 1 : 8;
-    BatchCfg.CacheDir.clear();
-    Engine Batched(BatchCfg);
-    if (Batched.run(Cores, Kernels).renderJson() != Single.renderJson()) {
-      std::fprintf(stderr,
-                   "FAIL: --batch %u report differs from --batch %u report\n",
-                   BatchCfg.BatchLanes, Eng.config().BatchLanes);
-      return 1;
-    }
     if (Improve) {
       // The improver is part of the determinism contract too: its
       // outcomes must not depend on the worker count either. The
@@ -1271,8 +1275,7 @@ int main(int Argc, char **Argv) {
     }
     std::fprintf(stderr,
                  "OK: %llu benchmarks, %llu shards, %llu runs; --jobs %u "
-                 "output identical to --jobs 1, batched output identical "
-                 "to scalar (%llu analyzed, %llu from "
+                 "output identical to --jobs 1 (%llu analyzed, %llu from "
                  "cache)\n",
                  static_cast<unsigned long long>(Multi.Stats.Benchmarks),
                  static_cast<unsigned long long>(Multi.Stats.Shards),

@@ -60,27 +60,6 @@ static bool computeSkippable(const Statement &S,
   }
 }
 
-/// A float op the generic shadowStep handles through its final "plain
-/// scalar float op" branch: single-lane, no bit tricks, no lane shuffling.
-/// These are the ops the batched real kernel can take over wholesale.
-static bool isPlainScalarFloatOp(Opcode Op) {
-  const OpInfo &Info = opInfo(Op);
-  if (!Info.IsFloatOp || Info.IsComparison || Info.IsSIMD)
-    return false;
-  switch (Op) {
-  case Opcode::I64toF64:
-  case Opcode::I64BitsToF64:
-  case Opcode::XorV128:
-  case Opcode::AndV128:
-  case Opcode::ExtractLaneF64:
-  case Opcode::ExtractLaneF32:
-  case Opcode::BuildV2F64:
-    return false;
-  default:
-    return true;
-  }
-}
-
 Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
     : Prog(Config.WrapLibraryCalls ? P : lowerLibraryCalls(P)),
       Cfg(Config),
@@ -91,51 +70,6 @@ Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
   for (const Statement &S : Prog.statements())
     Skippable.push_back(computeSkippable(S, TempTypes));
 
-  // Batchability (computed once, like Skippable). Lockstep needs the
-  // program straight-line over temps only: every lane then visits the
-  // identical statement sequence, which is what makes the per-record event
-  // order -- lanes ascending at each pc -- equal to the sequential order.
-  // The SoA tier additionally needs every value to be a scalar F64 moved
-  // by plain float ops, so temps can live in contiguous double lanes.
-  BatchableLockstep = true;
-  BatchableSoA = true;
-  BatchFastOp.reserve(Prog.size());
-  for (const Statement &S : Prog.statements()) {
-    bool FastOp = S.Kind == StmtKind::Op && isPlainScalarFloatOp(S.Op);
-    BatchFastOp.push_back(FastOp);
-    switch (S.Kind) {
-    case StmtKind::Input:
-    case StmtKind::Halt:
-      break;
-    case StmtKind::Const:
-      if (S.Literal.Ty != ValueType::F64)
-        BatchableSoA = false;
-      break;
-    case StmtKind::Copy:
-      if (TempTypes[S.Dst] != ValueType::F64 ||
-          TempTypes[S.Args[0]] != ValueType::F64)
-        BatchableSoA = false;
-      break;
-    case StmtKind::Out:
-      if (TempTypes[S.Args[0]] != ValueType::F64)
-        BatchableSoA = false;
-      break;
-    case StmtKind::Op: {
-      const OpInfo &Info = opInfo(S.Op);
-      if (!FastOp || Info.ResultTy != ValueType::F64 ||
-          Info.OperandTy != ValueType::F64)
-        BatchableSoA = false;
-      break;
-    }
-    default:
-      // Control flow, memory, or thread-state traffic: lanes could
-      // diverge or collide in the shared shadow tables.
-      BatchableLockstep = false;
-      BatchableSoA = false;
-      break;
-    }
-  }
-  BatchableSoA = BatchableSoA && BatchableLockstep;
   // One shadow state serves every run: runOnInput resets it in place, so
   // its value pool and memory-table buckets are reused run over run.
   Shadow = std::make_unique<ShadowState>(Arena, Sets, Prog.numTemps(),
@@ -151,7 +85,6 @@ void Herbgrind::reset() {
   Ops.clear();
   Spots.clear();
   LastOutputs.clear();
-  LaneSuspects.clear();
   TotalSteps = 0;
   ShadowOps = 0;
   Skipped = 0;
@@ -243,255 +176,10 @@ void Herbgrind::runOnInput(const std::vector<double> &Inputs) {
   LastOutputs = std::move(State.Outputs);
 }
 
-//===----------------------------------------------------------------------===//
-// Sample-batched execution
-//===----------------------------------------------------------------------===//
-
 void Herbgrind::runOnBatch(const std::vector<double> *Inputs,
-                           size_t NumLanes) {
-  LaneSuspects.assign(NumLanes, 0);
-  if (NumLanes == 0)
-    return;
-  if (NumLanes == 1 || !BatchableLockstep) {
-    // Sequential fallback: the batched API's semantics *is* this loop.
-    for (size_t L = 0; L < NumLanes; ++L) {
-      runOnInput(Inputs[L]);
-      LaneSuspects[L] = RunSuspect;
-    }
-    return;
-  }
-  if (Cfg.PredicateOnly && BatchableSoA)
-    runPredicateBatchSoA(Inputs, NumLanes);
-  else
-    runBatchLockstep(Inputs, NumLanes);
-}
-
-void Herbgrind::runBatchLockstep(const std::vector<double> *Inputs,
-                                 size_t NumLanes) {
-  // One concrete machine per lane; one shared shadow state with a temp
-  // table per lane. The program is straight-line (lockstepBatchable), so
-  // every lane executes the identical statement sequence and each record
-  // sees its lanes in ascending order -- the same per-record event
-  // sequence as sequential runs, which is what keeps reports
-  // byte-identical.
-  std::vector<MachineState> States;
-  States.reserve(NumLanes);
-  for (size_t L = 0; L < NumLanes; ++L)
-    States.emplace_back(Prog, Inputs[L]);
-  Shadow->reset();
-  Shadow->beginBatch(static_cast<unsigned>(NumLanes));
-  RunSuspect = false;
-
-  const bool Profiled = opprof::enabled();
-  bool Running = true;
-  while (Running && States[0].Steps < Cfg.MaxSteps) {
-    uint32_t PC = States[0].PC;
-    const Statement &S = Prog.stmt(PC);
-    if (Cfg.UseTypeAnalysis && Skippable[PC]) {
-      Skipped += NumLanes;
-      for (size_t L = 0; L < NumLanes; ++L)
-        Running = stepConcrete(Prog, States[L]);
-      continue;
-    }
-    if (!Cfg.PredicateOnly && BatchFastOp[PC] && !Profiled) {
-      // The amortized path: one record lookup, one batched real kernel.
-      // While the profiler samples, fall through to the generic per-lane
-      // path instead so cost attribution keeps covering real evaluation.
-      Running = shadowFloatBatchStep(S, PC, States, NumLanes);
-      continue;
-    }
-    for (size_t L = 0; L < NumLanes; ++L) {
-      Shadow->selectLane(static_cast<unsigned>(L));
-      RunSuspect = LaneSuspects[L] != 0;
-      Value Args[3];
-      for (unsigned I = 0; I < S.NumArgs; ++I)
-        Args[I] = States[L].Temps[S.Args[I]];
-      Running = stepConcrete(Prog, States[L]);
-      shadowStep(S, PC, Args, States[L]);
-      LaneSuspects[L] = RunSuspect;
-    }
-  }
-  Shadow->selectLane(0);
-  for (size_t L = 0; L < NumLanes; ++L)
-    TotalSteps += States[L].Steps;
-  RunSuspect = LaneSuspects[NumLanes - 1] != 0;
-  LastOutputs = std::move(States[NumLanes - 1].Outputs);
-}
-
-bool Herbgrind::shadowFloatBatchStep(const Statement &S, uint32_t PC,
-                                     std::vector<MachineState> &States,
-                                     size_t NumLanes) {
-  const unsigned NumArgs = S.NumArgs;
-  // Capture concrete operands, then step every lane concretely (the
-  // destination may alias an operand).
-  BatchArgVals.resize(NumLanes * 3);
-  bool Running = true;
-  for (size_t L = 0; L < NumLanes; ++L) {
-    for (unsigned I = 0; I < NumArgs; ++I)
-      BatchArgVals[L * 3 + I] = States[L].Temps[S.Args[I]];
-    Running = stepConcrete(Prog, States[L]);
-  }
-  ShadowOps += NumLanes;
-
-  OpRecord &Rec = Ops[PC];
-  if (Rec.Executions == 0) {
-    Rec.Op = S.Op;
-    Rec.Loc = S.Loc;
-  }
-
-  // Phase A: lazily shadow the operands of every lane and copy their reals
-  // into one contiguous lane-major workspace.
-  BatchArgSV.resize(NumLanes * 3);
-  BatchReals.resize(NumLanes * 3);
-  BatchResults.resize(NumLanes);
-  for (size_t L = 0; L < NumLanes; ++L) {
-    Shadow->selectLane(static_cast<unsigned>(L));
-    for (unsigned I = 0; I < NumArgs; ++I) {
-      ShadowValue *SV = lazyShadow(S.Args[I], 0, BatchArgVals[L * 3 + I],
-                                   BatchArgVals[L * 3 + I].Ty);
-      BatchArgSV[L * 3 + I] = SV;
-      BatchReals[L * 3 + I] = SV->Real;
-    }
-  }
-
-  // Phase B: the batched real kernel strides over the workspace's inline
-  // limbs, one destination-passing evaluation per lane.
-  evalRealOpIntoBatch(BatchResults.data(), S.Op, BatchReals.data(), 3,
-                      NumArgs, NumLanes);
-
-  // Phase C: per-lane bookkeeping on the already-computed real, lanes
-  // ascending so the record sees the sequential event order.
-  for (size_t L = 0; L < NumLanes; ++L) {
-    Shadow->selectLane(static_cast<unsigned>(L));
-    ShadowValue *Out = shadowScalarOpCoreWithReal(
-        Cfg, *Shadow, Rec, S.Op, PC, &BatchArgSV[L * 3], &BatchArgVals[L * 3],
-        NumArgs, States[L].Temps[S.Dst], std::move(BatchResults[L]));
-    Shadow->setTempLane(S.Dst, 0, Out);
-  }
-  return Running;
-}
-
-void Herbgrind::runPredicateBatchSoA(const std::vector<double> *Inputs,
-                                     size_t NumLanes) {
-  // Tier 0 over a struct-of-arrays state: each temp is a contiguous row of
-  // NumLanes doubles for the concrete value, the signed running-error
-  // estimate, and its noise bound, plus a has-shadow byte. No shadow
-  // values, no pools, no MachineState -- the inner lane loops walk plain
-  // double arrays. Semantics (including which lanes become suspect, the
-  // final lane's outputs, and every stat counter) mirror NumLanes
-  // sequential predicate runs exactly.
-  const size_t NumTemps = Prog.numTemps();
-  SoAConc.assign(NumTemps * NumLanes, 0.0);
-  SoADelta.resize(NumTemps * NumLanes);
-  SoANoise.resize(NumTemps * NumLanes);
-  SoAHas.assign(NumTemps * NumLanes, 0);
-  auto Row = [NumLanes](std::vector<double> &V, uint32_t Temp) {
-    return V.data() + size_t(Temp) * NumLanes;
-  };
-
-  std::vector<Value> Outputs; // final lane's, for lastOutputs()
-  uint64_t Steps = 0;
-  uint32_t PC = 0;
-  bool Running = true;
-  while (Running && Steps < Cfg.MaxSteps) {
-    const Statement &S = Prog.stmt(PC);
-    ++Steps;
-    switch (S.Kind) {
-    case StmtKind::Const: {
-      double *C = Row(SoAConc, S.Dst);
-      uint8_t *H = &SoAHas[size_t(S.Dst) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        C[L] = S.Literal.F64;
-        H[L] = 0; // lazily shadowed at first use, like the scalar path
-      }
-      break;
-    }
-    case StmtKind::Input: {
-      double *C = Row(SoAConc, S.Dst);
-      uint8_t *H = &SoAHas[size_t(S.Dst) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        C[L] = Inputs[L][S.InputIndex];
-        H[L] = 0;
-      }
-      break;
-    }
-    case StmtKind::Copy: {
-      size_t Dst = size_t(S.Dst) * NumLanes;
-      size_t Src = size_t(S.Args[0]) * NumLanes;
-      std::copy_n(&SoAConc[Src], NumLanes, &SoAConc[Dst]);
-      std::copy_n(&SoADelta[Src], NumLanes, &SoADelta[Dst]);
-      std::copy_n(&SoANoise[Src], NumLanes, &SoANoise[Dst]);
-      std::copy_n(&SoAHas[Src], NumLanes, &SoAHas[Dst]);
-      break;
-    }
-    case StmtKind::Op: {
-      ShadowOps += NumLanes;
-      const double *AC[3];
-      const double *AD[3];
-      const double *AN[3];
-      const uint8_t *AH[3];
-      for (unsigned I = 0; I < S.NumArgs; ++I) {
-        AC[I] = Row(SoAConc, S.Args[I]);
-        AD[I] = Row(SoADelta, S.Args[I]);
-        AN[I] = Row(SoANoise, S.Args[I]);
-        AH[I] = &SoAHas[size_t(S.Args[I]) * NumLanes];
-      }
-      double *DC = Row(SoAConc, S.Dst);
-      double *DD = Row(SoADelta, S.Dst);
-      double *DN = Row(SoANoise, S.Dst);
-      uint8_t *DH = &SoAHas[size_t(S.Dst) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        Value ArgV[3];
-        errpredict::PredVal ArgP[3];
-        for (unsigned I = 0; I < S.NumArgs; ++I) {
-          ArgV[I] = Value::ofF64(AC[I][L]);
-          ArgP[I] = AH[I][L] ? errpredict::PredVal{AD[I][L], AN[I][L]}
-                             : errpredict::PredVal{};
-        }
-        // Value-based scalar evaluation: the concrete lane stays
-        // bit-identical to the interpreter's by construction.
-        Value R = evalScalarOp(S.Op, ArgV, S.NumArgs);
-        errpredict::PredOp P =
-            errpredict::predictScalarOp(S.Op, ArgV, ArgP, S.NumArgs, R);
-        DC[L] = R.F64;
-        DD[L] = P.Delta;
-        DN[L] = P.Noise;
-        DH[L] = 1;
-      }
-      break;
-    }
-    case StmtKind::Out: {
-      const double *C = Row(SoAConc, S.Args[0]);
-      const double *D = Row(SoADelta, S.Args[0]);
-      const double *N = Row(SoANoise, S.Args[0]);
-      const uint8_t *H = &SoAHas[size_t(S.Args[0]) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        if (errpredict::outputSuspect(
-                Value::ofF64(C[L]),
-                H[L] ? errpredict::predTotal(D[L], N[L]) : 0.0,
-                Cfg.OutputErrorThreshold))
-          LaneSuspects[L] = 1;
-      }
-      Outputs.push_back(Value::ofF64(C[NumLanes - 1]));
-      break;
-    }
-    case StmtKind::Halt:
-      // Halt is Skippable (control flow), so the scalar loop counts it as
-      // skipped when the type analysis is on; mirror that per lane.
-      if (Cfg.UseTypeAnalysis)
-        Skipped += NumLanes;
-      Running = false;
-      break;
-    default:
-      assert(false && "non-SoA statement in SoA batch");
-      Running = false;
-      break;
-    }
-    ++PC;
-  }
-  TotalSteps += Steps * NumLanes;
-  LastOutputs = std::move(Outputs);
-  RunSuspect = LaneSuspects[NumLanes - 1] != 0;
+                           size_t NumInputs) {
+  for (size_t I = 0; I < NumInputs; ++I)
+    runOnInput(Inputs[I]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -791,28 +479,13 @@ ShadowValue *herbgrind::shadowScalarOpCore(
 
   // [[.]]_R: the op over the reals, destination-passing straight into the
   // value the result shadow will own. The argument reals are copied into a
-  // contiguous array first (evalRealOpInto wants one); the batched path
-  // amortizes exactly this staging across a whole lane workspace.
+  // contiguous array first (evalRealOpInto wants one).
   BigFloat Reals[3];
   for (unsigned I = 0; I < NumArgs; ++I)
     Reals[I] = ArgSV[I]->Real;
   BigFloat RealResult;
   evalRealOpInto(RealResult, Op, Reals, NumArgs);
 
-  ShadowValue *Result = shadowScalarOpCoreWithReal(
-      Cfg, Shadow, Rec, Op, PC, ArgSV, ArgConcrete, NumArgs, ConcreteResult,
-      std::move(RealResult));
-  if (ProfThis)
-    opprof::recordSample(Rec, metrics::nowNanos() - ProfT0,
-                         limballoc::heapAllocs() - ProfHeap0,
-                         limballoc::cacheHits() - ProfHits0);
-  return Result;
-}
-
-ShadowValue *herbgrind::shadowScalarOpCoreWithReal(
-    const AnalysisConfig &Cfg, ShadowState &Shadow, OpRecord &Rec, Opcode Op,
-    uint32_t PC, ShadowValue *const *ArgSV, const Value *ArgConcrete,
-    unsigned NumArgs, const Value &ConcreteResult, BigFloat &&RealResult) {
   const OpInfo &Info = opInfo(Op);
   ValueType ResultTy = Info.ResultTy;
   TraceArena &Arena = Shadow.arena();
@@ -929,7 +602,13 @@ ShadowValue *herbgrind::shadowScalarOpCoreWithReal(
   }
 
   // The result shadow (create consumes the trace reference).
-  return Shadow.create(std::move(RealResult), Trace, Infl, ResultTy);
+  ShadowValue *Result = Shadow.create(std::move(RealResult), Trace, Infl,
+                                      ResultTy);
+  if (ProfThis)
+    opprof::recordSample(Rec, metrics::nowNanos() - ProfT0,
+                         limballoc::heapAllocs() - ProfHeap0,
+                         limballoc::cacheHits() - ProfHits0);
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

@@ -34,20 +34,6 @@ void evalRealOpInto(BigFloat &Dst, Opcode Op, const BigFloat *Args,
 /// Value-returning convenience wrapper around evalRealOpInto.
 BigFloat evalRealOp(Opcode Op, const BigFloat *Args, unsigned NumArgs);
 
-/// Batched destination-passing form: evaluates one opcode over \p NumLanes
-/// independent argument tuples laid out lane-major in one contiguous
-/// workspace -- lane L's arguments are Args[L * ArgStride] ..
-/// Args[L * ArgStride + NumArgs - 1], its result lands in Dst[L]. Because
-/// BigFloat keeps default-precision mantissas inline, the workspace array
-/// IS the scratch: each lane's kernel strides over its own inline limbs
-/// with no per-lane allocation or copying. Dst must not alias Args.
-inline void evalRealOpIntoBatch(BigFloat *Dst, Opcode Op,
-                                const BigFloat *Args, size_t ArgStride,
-                                unsigned NumArgs, size_t NumLanes) {
-  for (size_t L = 0; L < NumLanes; ++L)
-    evalRealOpInto(Dst[L], Op, Args + L * ArgStride, NumArgs);
-}
-
 /// Evaluates a float comparison opcode over reals (IEEE NaN semantics).
 bool evalRealPredicate(Opcode Op, const BigFloat &A, const BigFloat &B);
 

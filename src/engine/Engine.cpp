@@ -121,8 +121,6 @@ Engine::Engine(EngineConfig Config) : Cfg(Config) {
     Cfg.ShardSize = 1;
   if (Cfg.ShardEnd < Cfg.ShardBegin)
     Cfg.ShardEnd = Cfg.ShardBegin;
-  if (Cfg.BatchLanes < 1)
-    Cfg.BatchLanes = 1;
   if (!Cfg.CacheDir.empty()) {
     RC = std::make_unique<ResultCache>(Cfg.CacheDir, configHash(Cfg));
     // True LRU recency only matters when something will prune by it.
@@ -532,10 +530,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 
 /// \name Frontend adapters
 /// How each frontend builds an analyzer for its subject (a compiled
-/// program or a native kernel) and runs one input tuple or a batch of
-/// them through it. Batched runs leave records, verdicts and outputs
-/// byte-identical to the scalar runs; their per-lane tier-0 verdicts land
-/// in \p Suspects (all false in full mode).
+/// program or a native kernel) and runs one input tuple through it.
 /// @{
 static std::unique_ptr<Herbgrind> makeAnalyzer(const Program &P,
                                                const AnalysisConfig &Cfg) {
@@ -552,17 +547,6 @@ static void runOne(Herbgrind &HG, const Program &,
 static void runOne(native::Context &C, const native::Kernel &K,
                    const std::vector<double> &In) {
   C.run(K, In);
-}
-static void runBatch(Herbgrind &HG, const Program &,
-                     const std::vector<double> *Tuples, size_t N,
-                     std::vector<uint8_t> &Suspects) {
-  HG.runOnBatch(Tuples, N);
-  Suspects = HG.laneSuspects();
-}
-static void runBatch(native::Context &C, const native::Kernel &K,
-                     const std::vector<double> *Tuples, size_t N,
-                     std::vector<uint8_t> &Suspects) {
-  C.runBatch(K, Tuples, N, &Suspects);
 }
 /// @}
 
@@ -582,19 +566,13 @@ static void runBatch(native::Context &C, const native::Kernel &K,
 /// RunId makes a recycled address harmless even if worker threads ever
 /// outlive a run. There is one such cache per analyzer type.
 ///
-/// One chunk loop runs every stage. A chunk is one runOnInput /
-/// Context::run call when Lanes <= 1 -- exactly the scalar loop -- and
-/// one batch of up to Lanes runs otherwise. Tier 0, when the stage has
-/// it, leads each chunk, and its verdicts are read in lane order: Verdict
-/// stops at the first suspect run, Escalate replays each suspect run
-/// under the full shadow, so run accounting and the full analyzer's
-/// escalation sequence match the scalar loop's at every lane count. A
-/// batch may execute lanes past Verdict's first suspect one, so Tier0Ops
-/// is informational and may exceed the scalar count.
+/// One loop runs every stage, one input tuple per step. Tier 0, when the
+/// stage has it, leads each step: Verdict stops at the first suspect run,
+/// Escalate replays each suspect run under the full shadow.
 template <typename Subject>
 static ShardOutcome
-analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, unsigned Lanes,
-             Stage St, uint64_t RunId,
+analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, Stage St,
+             uint64_t RunId,
              const std::vector<std::vector<double>> &Inputs, size_t Begin,
              size_t End) {
   using Analyzer = typename decltype(makeAnalyzer(Sub, Cfg))::element_type;
@@ -626,28 +604,19 @@ analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, unsigned Lanes,
 
   ShardOutcome Out;
   const uint64_t Ops0 = Tier0 ? Tier0->stats().ShadowOpsExecuted : 0;
-  std::vector<uint8_t> Suspects;
-  for (size_t I = Begin; I < End && !Out.Suspect; I += Lanes) {
-    size_t N = std::min<size_t>(Lanes, End - I);
-    if (Lanes > 1) {
-      runBatch(Lead, Sub, &Inputs[I], N, Suspects);
-    } else {
-      runOne(Lead, Sub, Inputs[I]);
-      Suspects.assign(1, Lead.lastRunSuspect());
-    }
+  for (size_t I = Begin; I < End; ++I) {
+    runOne(Lead, Sub, Inputs[I]);
     if (!Tier0)
       continue;
-    for (size_t L = 0; L < N; ++L) {
-      ++Out.Tier0Runs;
-      if (!Suspects[L])
-        continue;
-      if (St == Stage::Verdict) {
-        Out.Suspect = true; // One suspect run settles the shard's verdict.
-        break;
-      }
-      runOne(*Full, Sub, Inputs[I + L]);
-      ++Out.EscalatedRuns;
+    ++Out.Tier0Runs;
+    if (!Tier0->lastRunSuspect())
+      continue;
+    if (St == Stage::Verdict) {
+      Out.Suspect = true; // One suspect run settles the shard's verdict.
+      break;
     }
+    runOne(*Full, Sub, Inputs[I]);
+    ++Out.EscalatedRuns;
   }
   if (Tier0)
     Out.Tier0Ops = Tier0->stats().ShadowOpsExecuted - Ops0;
@@ -660,18 +629,17 @@ analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, unsigned Lanes,
 /// Herbgrind instances over the compiled program.
 static SweepSource coreSource(const fpcore::Core &C,
                               fpcore::ProgramCache &Cache,
-                              const AnalysisConfig &ACfg, unsigned Lanes) {
+                              const AnalysisConfig &ACfg) {
   SweepSource Src;
   Src.Name = C.Name;
   for (const fpcore::VarRange &VR : fpcore::sampleRanges(C))
     Src.Ranges.push_back({VR.Lo, VR.Hi});
   Src.MakeIdentity = [&C] { return C.print(); };
-  Src.Analyze = [&C, &Cache, &ACfg, Lanes](
+  Src.Analyze = [&C, &Cache, &ACfg](
                     Stage St, uint64_t RunId,
                     const std::vector<std::vector<double>> &Inputs,
                     size_t Begin, size_t End) {
-    return analyzeStage(Cache.get(C), ACfg, Lanes, St, RunId, Inputs, Begin,
-                        End);
+    return analyzeStage(Cache.get(C), ACfg, St, RunId, Inputs, Begin, End);
   };
   return Src;
 }
@@ -681,17 +649,17 @@ static SweepSource coreSource(const fpcore::Core &C,
 /// content-hashed op identities are what keep this mergeable and
 /// cacheable exactly like the interpreter path.
 static SweepSource kernelSource(const native::Kernel &K,
-                                const AnalysisConfig &ACfg, unsigned Lanes) {
+                                const AnalysisConfig &ACfg) {
   SweepSource Src;
   Src.Name = K.Name;
   for (const native::Kernel::InputRange &R : K.Inputs)
     Src.Ranges.push_back({R.Lo, R.Hi});
   Src.MakeIdentity = [&K] { return K.identity(); };
-  Src.Analyze = [&K, &ACfg, Lanes](
+  Src.Analyze = [&K, &ACfg](
                     Stage St, uint64_t RunId,
                     const std::vector<std::vector<double>> &Inputs,
                     size_t Begin, size_t End) {
-    return analyzeStage(K, ACfg, Lanes, St, RunId, Inputs, Begin, End);
+    return analyzeStage(K, ACfg, St, RunId, Inputs, Begin, End);
   };
   return Src;
 }
@@ -710,9 +678,9 @@ BatchResult Engine::run(const std::vector<fpcore::Core> &Cores,
   std::vector<SweepSource> Sources;
   Sources.reserve(Cores.size() + Kernels.size());
   for (const fpcore::Core &C : Cores)
-    Sources.push_back(coreSource(C, Cache, Cfg.Analysis, Cfg.BatchLanes));
+    Sources.push_back(coreSource(C, Cache, Cfg.Analysis));
   for (const native::Kernel &K : Kernels)
-    Sources.push_back(kernelSource(K, Cfg.Analysis, Cfg.BatchLanes));
+    Sources.push_back(kernelSource(K, Cfg.Analysis));
   BatchResult Out = runSweepImpl(Cfg, RC.get(), Sources);
   Out.Stats.CacheHits = Cache.hits() - CacheHits0;
   Out.Stats.CacheMisses = Cache.misses() - CacheMisses0;

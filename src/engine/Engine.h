@@ -133,12 +133,9 @@ struct EngineConfig {
   /// full sweep's report.
   size_t ShardBegin = 0;
   size_t ShardEnd = std::numeric_limits<size_t>::max();
-  /// Sample points each batched analyzer call processes at once (the SoA
-  /// hot path; docs/ARCHITECTURE.md, "Batched evaluation"). 1 runs the
-  /// scalar point-at-a-time loops unchanged. Purely a scheduling knob --
-  /// reports are byte-identical at every lane count, so like Jobs it is
-  /// deliberately absent from the config hash and batched sweeps share
-  /// scalar sweeps' caches.
+  /// Ignored: every sample runs through the scalar shadow path. The field
+  /// remains only because the benchmark harness (perfbench/) still sets
+  /// it, and run-ledger entries still record it.
   unsigned BatchLanes = 1;
   /// Wire encoding for documents this sweep WRITES (cache stores and
   /// emitted shards): JSON or compact HGB binary. Readers always sniff,

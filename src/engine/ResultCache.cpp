@@ -36,10 +36,9 @@ std::string herbgrind::engine::configHash(const EngineConfig &Cfg) {
   const AnalysisConfig &A = Cfg.Analysis;
   // A canonical description of everything that can change a shard's
   // records. Doubles print shortest-round-trip, so distinct values never
-  // collapse. Jobs / BatchLanes / cache and emit directories / shard-range
-  // selection are deliberately absent: they affect scheduling, not values
-  // (batched execution is byte-identical to scalar, so batched and scalar
-  // sweeps warm each other's caches).
+  // collapse. Jobs / cache and emit directories / shard-range selection
+  // are deliberately absent: they affect scheduling, not values.
+  // BatchLanes is absent too: the engine ignores it.
   std::string Canon = format(
       "herbgrind-wire-v%d|samples=%d|shardSize=%d|seed=%llu|Tl=%s|Tm=%s|"
       "prec=%zu|maxDepth=%u|equivDepth=%u|wrapLibm=%d|comp=%d|ranges=%d|"

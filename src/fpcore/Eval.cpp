@@ -9,7 +9,6 @@
 #include "real/RealMath.h"
 #include "support/FloatBits.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -23,11 +22,10 @@ using namespace herbgrind::fpcore;
 static bool evalBoolDouble(const Expr &E, const DoubleEnv &Env,
                            uint64_t MaxLoopIters);
 
-/// Applies operator \p N to \p Arity pre-evaluated operand values. The
-/// one dispatch shared by evalDouble and evalDoubleBatch, so the scalar
-/// and batched paths cannot drift apart numerically. Every operator
-/// consumes each operand exactly once in argument order, so strict
-/// pre-evaluation matches the recursive evaluation bit for bit.
+/// Applies operator \p N to \p Arity operand values that evalDouble has
+/// already evaluated. Every operator consumes each operand exactly once in
+/// argument order, so evaluating the operands first gives the same bits
+/// as evaluating them where they are used.
 static double applyDoubleOp(const std::string &N, const double *V,
                             size_t Arity) {
   if (N == "+" && Arity >= 2) {
@@ -202,54 +200,6 @@ double fpcore::evalDouble(const Expr &E, const DoubleEnv &Env,
   for (size_t I = 0; I < Arity; ++I)
     V[I] = evalDouble(*E.Args[I], Env, MaxLoopIters);
   return applyDoubleOp(E.Name, V, Arity);
-}
-
-void fpcore::evalDoubleBatch(const Expr &E, const DoubleEnv *Envs,
-                             size_t NumLanes, double *Out,
-                             uint64_t MaxLoopIters) {
-  if (NumLanes == 0)
-    return;
-  switch (E.K) {
-  case Expr::Kind::Num:
-  case Expr::Kind::Const: {
-    // Lane-invariant leaves (no variable reads): evaluate once against
-    // the first environment and broadcast.
-    std::fill_n(Out, NumLanes, evalDouble(E, Envs[0], MaxLoopIters));
-    return;
-  }
-  case Expr::Kind::Var:
-    for (size_t L = 0; L < NumLanes; ++L) {
-      auto It = Envs[L].find(E.Name);
-      assert(It != Envs[L].end() && "unbound variable");
-      Out[L] = It->second;
-    }
-    return;
-  case Expr::Kind::If:
-  case Expr::Kind::Let:
-  case Expr::Kind::While:
-    // Control flow and bindings can diverge per lane; run the whole
-    // subtree scalar per lane (bit-identical by construction -- it is
-    // exactly the code path evalDouble takes).
-    for (size_t L = 0; L < NumLanes; ++L)
-      Out[L] = evalDouble(E, Envs[L], MaxLoopIters);
-    return;
-  case Expr::Kind::Op:
-    break;
-  }
-
-  // One contiguous argument matrix per Op node -- argument I's lanes at
-  // Scratch[I * NumLanes ..] -- then one gather + dispatch per lane.
-  size_t Arity = E.Args.size();
-  std::vector<double> Scratch(Arity * NumLanes);
-  for (size_t I = 0; I < Arity; ++I)
-    evalDoubleBatch(*E.Args[I], Envs, NumLanes, Scratch.data() + I * NumLanes,
-                    MaxLoopIters);
-  std::vector<double> V(Arity);
-  for (size_t L = 0; L < NumLanes; ++L) {
-    for (size_t I = 0; I < Arity; ++I)
-      V[I] = Scratch[I * NumLanes + L];
-    Out[L] = applyDoubleOp(E.Name, V.data(), Arity);
-  }
 }
 
 static bool evalBoolDouble(const Expr &E, const DoubleEnv &Env,

@@ -1,29 +1,27 @@
-//===- tests/test_batched.cpp - Sample-batched evaluation -----------------===//
+//===- tests/test_batched.cpp - The kept batch entry points ---------------===//
 //
 // Part of herbgrind-cpp. MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 //
-// The batched hot path's contract (docs/ARCHITECTURE.md, "Batched
-// evaluation"): processing N sample points per analyzer call is purely a
-// scheduling change. (1) Herbgrind::runOnBatch leaves records, verdicts,
-// and outputs byte-for-byte equal to N sequential runOnInput calls, in
-// full and predicate-only mode alike; (2) engine sweeps render identical
-// JSON at every --batch value, across jobs counts, tiers, frontends, and
-// non-divisor batch/shard remainders; (3) fpcore::evalDoubleBatch is
-// bitwise equal to evalDouble, including the If/Let/While scalar
-// fallbacks.
+// Every sample runs through the one scalar shadow path. Two batch-shaped
+// names remain for existing callers, and the engine still accepts
+// EngineConfig::BatchLanes; this file checks that they promise nothing
+// more than the scalar loop. (1) Herbgrind::runOnBatch and
+// native::Context::runBatch leave records, verdicts, and outputs equal
+// to N sequential runOnInput / run calls; (2) engine sweeps render
+// identical JSON, and identical tier accounting, at every BatchLanes
+// value across jobs counts, tiers, frontends, and non-divisor
+// shard remainders.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DiffHarness.h"
-#include "fpcore/Eval.h"
 #include "herbgrind/Herbgrind.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 
 using namespace herbgrind;
@@ -86,7 +84,7 @@ TEST(Batched, FullShadowMatchesScalarOnCorpus) {
         ASSERT_EQ(WantBits, GotBits) << C.Name;
       }
       // The cost mirror: a batch executes exactly the scalar loop's
-      // shadow ops, just grouped (and its step ceiling per lane).
+      // shadow ops.
       ASSERT_EQ(Scalar.stats().ShadowOpsExecuted,
                 Batched.stats().ShadowOpsExecuted)
           << C.Name << " lanes=" << Lanes;
@@ -94,46 +92,8 @@ TEST(Batched, FullShadowMatchesScalarOnCorpus) {
   }
 }
 
-/// Predicate-only mode takes the SoA fast path on straight-line F64
-/// programs; per-lane verdicts must equal each input's scalar verdict.
-TEST(Batched, PredicateSoAVerdictsMatchScalar) {
-  AnalysisConfig Cfg;
-  Cfg.PredicateOnly = true;
-  size_t SoACovered = 0;
-  for (const fpcore::Core &C : fpcore::compilableCorpus()) {
-    Program P = fpcore::compile(C);
-    std::vector<std::vector<double>> Inputs = sampleInputs(C, 10, 0xfeed);
-    Herbgrind Scalar(P, Cfg);
-    std::vector<uint8_t> Want;
-    for (const std::vector<double> &In : Inputs) {
-      Scalar.runOnInput(In);
-      Want.push_back(Scalar.lastRunSuspect() ? 1 : 0);
-    }
-    Herbgrind Batched(P, Cfg);
-    // Loop benchmarks are not lockstep-batchable (runOnBatch falls back
-    // to the sequential path for them); straight-line F64 ones take the
-    // SoA fast path, and both must produce identical verdicts.
-    if (Batched.soaBatchable()) {
-      EXPECT_TRUE(Batched.lockstepBatchable()) << C.Name;
-      ++SoACovered;
-    }
-    for (size_t I = 0; I < Inputs.size(); I += 3) {
-      size_t N = std::min<size_t>(3, Inputs.size() - I);
-      Batched.runOnBatch(&Inputs[I], N);
-      ASSERT_EQ(Batched.laneSuspects().size(), N) << C.Name;
-      for (size_t L = 0; L < N; ++L)
-        ASSERT_EQ(Want[I + L] != 0, Batched.laneSuspects()[L] != 0)
-            << C.Name << " lane " << L;
-    }
-    ASSERT_EQ(reportOf(Scalar), reportOf(Batched)) << C.Name;
-  }
-  // The corpus is straight-line F64 throughout; if nothing took the SoA
-  // path this test stopped covering the tentpole.
-  EXPECT_GT(SoACovered, 0u);
-}
-
 /// Native kernels: Context::runBatch must accumulate the records N
-/// run() calls would, with matching per-lane tier-0 verdicts.
+/// run() calls would, and end on the same tier-0 verdict.
 TEST(Batched, NativeRunBatchMatchesScalar) {
   for (bool Predicate : {false, true}) {
     AnalysisConfig Cfg;
@@ -148,20 +108,13 @@ TEST(Batched, NativeRunBatchMatchesScalar) {
         Inputs.push_back(std::move(In));
       }
       native::Context Scalar(Cfg);
-      std::vector<uint8_t> Want;
-      for (const std::vector<double> &In : Inputs) {
+      for (const std::vector<double> &In : Inputs)
         Scalar.run(K, In);
-        Want.push_back(Scalar.lastRunSuspect() ? 1 : 0);
-      }
       native::Context Batched(Cfg);
-      std::vector<uint8_t> Suspects;
-      for (size_t I = 0; I < Inputs.size(); I += 4) {
-        size_t N = std::min<size_t>(4, Inputs.size() - I);
-        Batched.runBatch(K, &Inputs[I], N, &Suspects);
-        ASSERT_EQ(Suspects.size(), N);
-        for (size_t L = 0; L < N; ++L)
-          ASSERT_EQ(Want[I + L] != 0, Suspects[L] != 0) << K.Name;
-      }
+      for (size_t I = 0; I < Inputs.size(); I += 4)
+        Batched.runBatch(K, &Inputs[I],
+                         std::min<size_t>(4, Inputs.size() - I));
+      ASSERT_EQ(Scalar.lastRunSuspect(), Batched.lastRunSuspect()) << K.Name;
       ASSERT_EQ(buildReport(Scalar.snapshot()).renderJson(),
                 buildReport(Batched.snapshot()).renderJson())
           << K.Name << (Predicate ? " predicate" : " full");
@@ -170,7 +123,7 @@ TEST(Batched, NativeRunBatchMatchesScalar) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine sweeps: --batch is invisible in the report bytes
+// Engine sweeps: BatchLanes is invisible in the report bytes
 //===----------------------------------------------------------------------===//
 
 TEST(Batched, EngineSweepByteIdenticalAcrossLanesJobsTiers) {
@@ -197,9 +150,10 @@ TEST(Batched, EngineSweepByteIdenticalAcrossLanesJobsTiers) {
         ASSERT_EQ(WantJson, Got.renderJson()) << Where;
         if (Jobs != 1)
           continue;
-        // Lanes must not change the tier accounting either. Tier0Ops may:
-        // a batch can execute lanes past the first suspect one.
+        // Lanes must not change the tier accounting either, down to the
+        // tier-0 op count.
         EXPECT_EQ(Want.Stats.Tier0Runs, Got.Stats.Tier0Runs) << Where;
+        EXPECT_EQ(Want.Stats.Tier0Ops, Got.Stats.Tier0Ops) << Where;
         EXPECT_EQ(Want.Stats.EscalatedRuns, Got.Stats.EscalatedRuns) << Where;
         EXPECT_EQ(Want.Stats.ConfirmedBenchmarks,
                   Got.Stats.ConfirmedBenchmarks)
@@ -207,57 +161,6 @@ TEST(Batched, EngineSweepByteIdenticalAcrossLanesJobsTiers) {
       }
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// evalDoubleBatch: bitwise equality with evalDouble
-//===----------------------------------------------------------------------===//
-
-void checkEvalBatch(const std::string &Text, unsigned NumVars,
-                    uint64_t Seed) {
-  fpcore::ParseResult P = fpcore::parse(Text);
-  ASSERT_TRUE(P.Ok) << P.Error << " in " << Text;
-  Rng R(Seed);
-  const size_t Lanes = 7;
-  std::vector<fpcore::DoubleEnv> Envs(Lanes);
-  for (fpcore::DoubleEnv &Env : Envs)
-    for (unsigned V = 0; V < NumVars; ++V)
-      Env[format("v%u", V)] = R.betweenOrdinals(-100.0, 100.0);
-  double Out[Lanes];
-  fpcore::evalDoubleBatch(*P.Value.Body, Envs.data(), Lanes, Out);
-  for (size_t L = 0; L < Lanes; ++L) {
-    double Want = fpcore::evalDouble(*P.Value.Body, Envs[L]);
-    // Bitwise comparison: NaNs must match as NaNs, -0.0 as -0.0.
-    uint64_t WantBits, GotBits;
-    std::memcpy(&WantBits, &Want, sizeof WantBits);
-    std::memcpy(&GotBits, &Out[L], sizeof GotBits);
-    ASSERT_EQ(WantBits, GotBits) << Text << " lane " << L;
-  }
-}
-
-TEST(Batched, EvalDoubleBatchBitwiseEqual) {
-  // Straight arithmetic (the batched path proper), n-ary folds,
-  // constants, and every scalar-fallback node kind.
-  checkEvalBatch("(FPCore (v0 v1) (- (+ v0 1) v1))", 2, 1);
-  checkEvalBatch("(FPCore (v0 v1 v2) (+ v0 v1 v2 (* v0 v1 v2)))", 3, 2);
-  checkEvalBatch("(FPCore (v0) (* (sqrt (fabs v0)) (sin (/ PI v0))))", 1, 3);
-  checkEvalBatch("(FPCore (v0) (fma v0 E (log (fabs v0))))", 1, 4);
-  checkEvalBatch("(FPCore (v0) (if (< v0 0) (- v0) (sqrt v0)))", 1, 5);
-  checkEvalBatch("(FPCore (v0 v1) (let ([s (+ v0 v1)] [d (- v0 v1)]) "
-                 "(* s d)))",
-                 2, 6);
-  checkEvalBatch("(FPCore (v0) (while (< i 3) ([i 0 (+ i 1)] "
-                 "[acc v0 (* acc acc)]) acc))",
-                 1, 7);
-  // Division poles and domain edges: lanes straddling them must not
-  // contaminate each other.
-  checkEvalBatch("(FPCore (v0) (/ 1 (- v0 v0)))", 1, 8);
-  checkEvalBatch("(FPCore (v0) (log v0))", 1, 9);
-  // Many lanes with a non-trivial expression, exercising per-node
-  // scratch reuse across a deeper tree.
-  checkEvalBatch("(FPCore (v0 v1) (hypot (atan2 v0 v1) "
-                 "(pow (fabs v0) (copysign 0.5 v1))))",
-                 2, 10);
 }
 
 } // namespace
