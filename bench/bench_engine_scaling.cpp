@@ -248,7 +248,7 @@ int main(int Argc, char **Argv) {
                                    const char *Label) {
     LedgerEntry E = makeLedgerEntry(SecCfg, Stats, Label);
     std::string Path, Err;
-    if (!ledgerAppend(LedgerDir, E, WireEncoding::Json, Path, Err)) {
+    if (!ledgerAppend(LedgerDir, E, Path, Err)) {
       std::fprintf(stderr, "FAIL: ledger append (%s): %s\n", Label,
                    Err.c_str());
       return false;

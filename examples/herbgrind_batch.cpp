@@ -11,11 +11,12 @@
 // Persistence and distribution (REPORT_SCHEMA.md documents the formats):
 //   --cache-dir DIR     reuse shard results across runs; a repeated sweep
 //                       analyzes only new or invalidated shards
-//   --emit-shard DIR    also write every shard result as a wire document
+//   --emit-shard DIR    also write every shard result as an HGB document
 //   --shard-range LO:HI run only per-benchmark shard indices [LO, HI)
-//   --merge-shards      fold shard documents (files or directories of
-//                       them) into the report a single full sweep of the
-//                       same configuration would have produced
+//   --merge-shards      fold shard documents (files, or directories of
+//                       them such as emit and cache directories) into the
+//                       report a single full sweep of the same
+//                       configuration would have produced
 //   --improve           run the batch improver over every merged root
 //                       cause (works after a sweep and on merged shard
 //                       documents; outcomes land in the report's
@@ -24,7 +25,6 @@
 // Usage:
 //   herbgrind_batch [--jobs N] [--samples N] [--shard N] [--seed S]
 //                   [--cache-dir D] [--emit-shard D] [--shard-range LO:HI]
-//                   [--wire-format json|binary]
 //                   [--improve] [--improve-samples N]
 //                   [--name BENCH]... [file.fpcore]... [--json] [--out F]
 //   herbgrind_batch --merge-shards [--improve] [--json] [--out F] PATH...
@@ -96,16 +96,13 @@ static int usage(const char *Prog) {
       "  --cache-gc        GC mode: prune --cache-dir to an explicitly\n"
       "                    given --cache-max-bytes and exit (no analysis;\n"
       "                    an explicit 0 empties the cache)\n"
-      "  --emit-shard DIR  also write each shard result as a wire-format\n"
-      "                    document (for --merge-shards on another machine)\n"
-      "  --wire-format F   encoding for documents this sweep writes (cache\n"
-      "                    entries, emitted shards): json (default) or\n"
-      "                    binary (HGB, the compact format). Readers sniff,\n"
-      "                    so either setting consumes either format\n"
+      "  --emit-shard DIR  also write each shard result as an HGB document\n"
+      "                    (for --merge-shards on another machine)\n"
       "  --shard-range LO:HI  run only per-benchmark shard indices\n"
       "                    [LO, HI) of the full layout\n"
       "  --merge-shards    merge mode: remaining paths are shard documents\n"
-      "                    (or directories of *.json) to fold into a report\n"
+      "                    (or directories of them: emit and cache dirs)\n"
+      "                    to fold into a report\n"
       "  --improve         run the batch improver over every merged root\n"
       "                    cause; outcomes are appended to the report (and\n"
       "                    cached in --cache-dir when one is configured)\n"
@@ -139,9 +136,9 @@ static int usage(const char *Prog) {
       "  hgb2json FILE [--out F]  rewrite an HGB document (any family) as\n"
       "                    the exact JSON bytes the JSON backend emits\n"
       "  json2hgb FILE [--out F]  rewrite a JSON document as HGB\n"
-      "  telemetry-merge PATH... [--out F] [--wire-format json|binary]\n"
+      "  telemetry-merge PATH... [--out F]\n"
       "                    fold telemetry documents (files, or directories\n"
-      "                    of telemetry-*.json/.hgb sidecars) into one;\n"
+      "                    of telemetry-* sidecars) into one JSON document;\n"
       "                    counters sum, timers fold, profiles re-rank\n"
       "  ledger list DIR   print every ledger entry, oldest first\n"
       "  ledger show DIR N print entry N (chronological index) as JSON\n"
@@ -386,18 +383,14 @@ static int writeTelemetrySidecar(const EngineConfig &Cfg,
     return 0;
   TelemetryDoc Doc = buildTelemetryDoc(&Result);
   stampTelemetryMeta(Doc);
-  const bool Bin = Cfg.WireFormat == WireEncoding::Binary;
   std::string RangeEnd =
       Cfg.ShardEnd == std::numeric_limits<size_t>::max()
           ? std::string("end")
           : format("%zu", Cfg.ShardEnd);
-  std::string Path =
-      Cfg.EmitShardDir +
-      format("/telemetry-r%zu-%s.%s", Cfg.ShardBegin, RangeEnd.c_str(),
-             Bin ? "hgb" : "json");
-  std::string Data =
-      Bin ? renderTelemetryBinary(Doc) : renderTelemetryJson(Doc) + "\n";
-  if (!writeFileAtomic(Path, Data)) {
+  std::string Path = Cfg.EmitShardDir + format("/telemetry-r%zu-%s.json",
+                                               Cfg.ShardBegin,
+                                               RangeEnd.c_str());
+  if (!writeFileAtomic(Path, renderTelemetryJson(Doc) + "\n")) {
     std::fprintf(stderr, "error: cannot write telemetry sidecar %s\n",
                  Path.c_str());
     return 1;
@@ -468,9 +461,10 @@ static bool isTelemetrySidecarName(const std::string &Path) {
 /// whose *.json / *.hgb entries (sorted, for reproducible error messages)
 /// are taken. Telemetry sidecars living next to emitted shards are routed
 /// to \p TelemetryPaths (when given; otherwise skipped in directories) so
-/// they never reach the shard parser. Iteration uses the error_code API
-/// throughout -- a directory that turns unreadable mid-walk is a
-/// diagnostic, not a terminate().
+/// they never reach the shard parser. Improve-cache entries are skipped,
+/// so a result-cache directory that an --improve run also used still
+/// merges. Iteration uses the error_code API throughout -- a directory
+/// that turns unreadable mid-walk is a diagnostic, not a terminate().
 static bool collectShardPaths(const std::vector<std::string> &Args,
                               std::vector<std::string> &Paths,
                               std::vector<std::string> *TelemetryPaths =
@@ -483,7 +477,8 @@ static bool collectShardPaths(const std::vector<std::string> &Args,
       fs::directory_iterator It(Arg, Ec), End;
       for (; !Ec && It != End; It.increment(Ec)) {
         const fs::path &P = It->path();
-        if (P.extension() != ".json" && P.extension() != ".hgb")
+        if ((P.extension() != ".json" && P.extension() != ".hgb") ||
+            P.stem().extension() == ".improve")
           continue;
         if (isTelemetrySidecarName(P.string()))
           Sidecars.push_back(P.string());
@@ -513,7 +508,6 @@ static int runMergeShards(const std::vector<std::string> &Args, bool Json,
                           const std::string &OutFile, bool Improve,
                           const improve::BatchImproveConfig &BCfg,
                           const std::string &CacheDir, uint64_t CacheMaxBytes,
-                          WireEncoding WireFormat,
                           std::vector<std::string> &SidecarPaths) {
   if (Args.empty()) {
     std::fprintf(stderr,
@@ -559,7 +553,6 @@ static int runMergeShards(const std::vector<std::string> &Args, bool Json,
     if (!CacheDir.empty()) {
       Cache = std::make_unique<ResultCache>(CacheDir, DocsHash);
       Cache->setTouchOnHit(CacheMaxBytes > 0);
-      Cache->setWireEncoding(WireFormat);
     }
     runImprovePass(Result, BCfg, Cache.get());
     enforceCacheCap(Cache.get(), CacheMaxBytes, nullptr);
@@ -733,30 +726,16 @@ static int convertMain(bool ToJson, int Argc, char **Argv) {
 
 /// The `telemetry-merge` subcommand: fold telemetry documents -- files in
 /// either encoding, or directories scanned for telemetry sidecars -- into
-/// one document. The output is byte-deterministic (no host/timestamp
+/// one JSON document. The output is byte-deterministic (no host/timestamp
 /// stamp; mergeTelemetry clears provenance), so merging the same inputs
-/// anywhere yields identical bytes, and a JSON-sidecar merge equals the
-/// same shards' HGB-sidecar merge exactly.
+/// anywhere, in either encoding, yields identical bytes.
 static int telemetryMergeMain(int Argc, char **Argv) {
   std::vector<std::string> Args;
   std::string OutFile;
-  WireEncoding Enc = WireEncoding::Json;
   for (int I = 2; I < Argc; ++I) {
     const char *Arg = Argv[I];
     if (std::strcmp(Arg, "--out") == 0 && I + 1 < Argc) {
       OutFile = Argv[++I];
-    } else if (std::strcmp(Arg, "--wire-format") == 0 && I + 1 < Argc) {
-      const char *V = Argv[++I];
-      if (std::strcmp(V, "json") == 0)
-        Enc = WireEncoding::Json;
-      else if (std::strcmp(V, "binary") == 0)
-        Enc = WireEncoding::Binary;
-      else {
-        std::fprintf(stderr,
-                     "error: --wire-format wants json or binary; got '%s'\n",
-                     V);
-        return 2;
-      }
     } else if (Arg[0] == '-') {
       return usage(Argv[0]);
     } else {
@@ -800,10 +779,7 @@ static int telemetryMergeMain(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  std::string Out = Enc == WireEncoding::Binary
-                        ? renderTelemetryBinary(Merged)
-                        : renderTelemetryJson(Merged) + "\n";
-  int Rc = emitConverted(Out, OutFile);
+  int Rc = emitConverted(renderTelemetryJson(Merged) + "\n", OutFile);
   if (Rc == 0)
     std::fprintf(stderr, "merged %llu telemetry documents\n",
                  static_cast<unsigned long long>(Merged.Meta.MergedDocs));
@@ -1066,28 +1042,17 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      unsigned long long Lo = 0, Hi = 0;
-      if (std::sscanf(V, "%llu:%llu", &Lo, &Hi) != 2 || Hi < Lo) {
-        std::fprintf(stderr,
-                     "error: --shard-range wants LO:HI with LO <= HI\n");
+      // Exactly one ':' between two whole numbers, each through the same
+      // strict parser as every other numeric flag.
+      const char *Colon = std::strchr(V, ':');
+      if (!Colon || std::strchr(Colon + 1, ':')) {
+        std::fprintf(stderr, "error: %s wants LO:HI; got '%s'\n", Arg, V);
         return 2;
       }
-      Cfg.ShardBegin = static_cast<size_t>(Lo);
-      Cfg.ShardEnd = static_cast<size_t>(Hi);
-    } else if (std::strcmp(Arg, "--wire-format") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (std::strcmp(V, "json") == 0)
-        Cfg.WireFormat = WireEncoding::Json;
-      else if (std::strcmp(V, "binary") == 0)
-        Cfg.WireFormat = WireEncoding::Binary;
-      else {
-        std::fprintf(stderr,
-                     "error: --wire-format wants json or binary; got '%s'\n",
-                     V);
+      std::string Lo(V, Colon);
+      if (!parseNumber(Arg, Lo.c_str(), Cfg.ShardBegin, size_t(0)) ||
+          !parseNumber(Arg, Colon + 1, Cfg.ShardEnd, Cfg.ShardBegin))
         return 2;
-      }
     } else if (std::strcmp(Arg, "--merge-shards") == 0) {
       MergeShards = true;
     } else if (std::strcmp(Arg, "--improve") == 0) {
@@ -1225,8 +1190,7 @@ int main(int Argc, char **Argv) {
   if (MergeShards) {
     std::vector<std::string> Sidecars;
     int Rc = runMergeShards(MergeArgs, Json, OutFile, Improve, BCfg,
-                            Cfg.CacheDir, Cfg.CacheMaxBytes, Cfg.WireFormat,
-                            Sidecars);
+                            Cfg.CacheDir, Cfg.CacheMaxBytes, Sidecars);
     // Merged shard documents carry no profiler fields (nothing executed
     // here), so the telemetry covers the merge/improve work itself --
     // plus any telemetry sidecars found next to the shards, folded in so
@@ -1310,8 +1274,7 @@ int main(int Argc, char **Argv) {
   if (!LedgerDir.empty()) {
     LedgerEntry Entry = makeLedgerEntry(Eng.config(), Result.Stats, "sweep");
     std::string LedgerPath, LedgerErr;
-    if (!ledgerAppend(LedgerDir, Entry, Cfg.WireFormat, LedgerPath,
-                      LedgerErr)) {
+    if (!ledgerAppend(LedgerDir, Entry, LedgerPath, LedgerErr)) {
       std::fprintf(stderr, "error: %s\n", LedgerErr.c_str());
       return 1;
     }

@@ -78,7 +78,7 @@ struct Report {
   /// Deterministic JSON rendering (machine-readable batch output; no
   /// timings or other nondeterminism, so equal analyses render to equal
   /// bytes). The format is specified field-by-field in
-  /// docs/REPORT_SCHEMA.md and read back by parseReportJson
+  /// docs/REPORT_SCHEMA.md and read back by parseReportDoc
   /// (analysis/Serialize.h): parse(renderJson()) re-renders to the same
   /// bytes.
   std::string renderJson() const;

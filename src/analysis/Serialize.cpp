@@ -124,12 +124,6 @@ static bool decodeSourceLoc(wire::Decoder &D, SourceLoc &Out) {
   return D.endObject();
 }
 
-std::string herbgrind::renderSourceLocJson(const SourceLoc &Loc) {
-  wire::JsonEncoder E;
-  encodeSourceLoc(E, Loc);
-  return E.take();
-}
-
 //===----------------------------------------------------------------------===//
 // Running statistics
 //===----------------------------------------------------------------------===//
@@ -329,12 +323,6 @@ static std::unique_ptr<SymExpr> decodeSymExpr(wire::Decoder &D) {
   if (!D.endObject())
     return nullptr;
   return Node;
-}
-
-std::string herbgrind::renderSymExprJson(const SymExpr &E) {
-  wire::JsonEncoder Enc;
-  encodeSymExpr(Enc, E);
-  return Enc.take();
 }
 
 //===----------------------------------------------------------------------===//
@@ -560,93 +548,147 @@ bool herbgrind::parseAnalysisResultJson(const JsonValue &V, AnalysisResult &Out,
 }
 
 //===----------------------------------------------------------------------===//
-// Envelopes: JSON {"format","version"} keys, HGB header fields
+// The envelope codec: what every document family shares
 //===----------------------------------------------------------------------===//
 
-/// Writes the JSON document envelope. The binary backend never calls
-/// this: the HGB header already carries family + major + minor, and
-/// duplicating them as body fields would tax every small document.
-static void encodeJsonEnvelope(wire::JsonEncoder &E, const char *Fmt,
-                               int Major, int Minor) {
+namespace {
+
+/// One document family's envelope. A family supplies this and its body
+/// traversal; renderDoc and parseDoc own everything else: the JSON
+/// {"format","version"} keys, the HGB header check, and the structural
+/// errors.
+struct DocKind {
+  /// JSON "format" tag and the family's name in errors. Null for the bare
+  /// report, whose JSON form is its body object alone.
+  const char *Format;
+  wire::Family Family; ///< HGB header family.
+  int Major, Minor;    ///< Version written; readers accept any minor of Major.
+  const char *Ctx;     ///< Prefix of structural errors ("shard", ...).
+};
+
+constexpr DocKind ShardKind{"herbgrind-shard", wire::Family::Shard,
+                            WireFormatMajor, WireFormatMinor, "shard"};
+constexpr DocKind ImproveKind{"herbgrind-improve", wire::Family::Improve,
+                              WireFormatMajor, WireFormatMinor, "improve"};
+constexpr DocKind ReportKind{nullptr, wire::Family::Report, WireFormatMajor,
+                             WireFormatMinor, "report"};
+constexpr DocKind BatchKind{"herbgrind-report", wire::Family::BatchReport,
+                            WireFormatMajor, WireFormatMinor, "batch report"};
+constexpr DocKind TelemetryKind{"herbgrind-telemetry",
+                                wire::Family::Telemetry, TelemetryFormatMajor,
+                                TelemetryFormatMinor, "telemetry"};
+constexpr DocKind LedgerKind{"herbgrind-ledger", wire::Family::Ledger,
+                             LedgerFormatMajor, LedgerFormatMinor, "ledger"};
+
+} // namespace
+
+/// Renders one document; \p Body writes the family's fields. JSON wraps
+/// them in the {"format","version"} envelope. HGB writes no envelope
+/// fields: its header already carries family, major and minor, and
+/// repeating them would tax every small document.
+template <typename BodyFn>
+static std::string renderDoc(const DocKind &K, WireEncoding Enc, BodyFn Body) {
+  if (Enc == WireEncoding::Binary) {
+    wire::BinaryEncoder E(K.Family, K.Major, K.Minor);
+    Body(E);
+    return E.take();
+  }
+  wire::JsonEncoder E;
+  if (!K.Format) {
+    Body(E);
+    return E.take();
+  }
+  E.beginObject();
   E.key("format");
-  E.str(Fmt);
+  E.str(K.Format);
   E.key("version");
   E.beginObject();
   E.key("major");
-  E.i64(Major);
+  E.i64(K.Major);
   E.key("minor");
-  E.i64(Minor);
+  E.i64(K.Minor);
   E.endObject();
+  Body(E);
+  E.endObject();
+  return E.take();
 }
 
-/// Checks a JSON document's {"format","version"} envelope: the tag must
-/// match and the major version must equal \p ExpectedMajor (the report
-/// wire format and the telemetry document version independently). Minor
-/// versions are additive, so any minor of a known major is accepted --
-/// including a missing "minor" from a hypothetical older writer.
-static bool decodeJsonEnvelope(wire::JsonDecoder &D, const char *Fmt,
-                               int ExpectedMajor, int *MinorOut = nullptr) {
+/// Checks a JSON document's {"format","version"} envelope against \p K
+/// and reads the document's own minor version (a missing "minor", from a
+/// hypothetical older writer, reads as 0). Minor versions are additive,
+/// so any minor of the known major is accepted.
+static bool decodeJsonEnvelope(wire::JsonDecoder &D, const DocKind &K,
+                               int &Minor) {
   std::string Tag;
-  if (!D.key("format") || !D.str(Tag) || Tag != Fmt)
-    return D.failOver(
-        format("document is not a %s file (bad or missing 'format')", Fmt));
+  if (!D.key("format") || !D.str(Tag) || Tag != K.Format)
+    return D.failOver(format(
+        "document is not a %s file (bad or missing 'format')", K.Format));
   if (!D.key("version") || !D.beginObject())
     return D.failOver("missing 'version' object");
   int64_t Major = 0;
   if (!D.key("major") || !D.i64(Major))
     return D.failOver("missing 'version.major'");
-  if (Major != ExpectedMajor)
+  if (Major != K.Major)
     return D.failOver(format("unsupported %s major version %lld (this "
                              "reader understands %d)",
-                             Fmt, static_cast<long long>(Major),
-                             ExpectedMajor));
-  // Callers that decode minor-gated optional fields need the document's
-  // own minor; a missing "minor" (hypothetical older writer) reads as 0.
-  if (MinorOut) {
-    bool HasMinor = false;
-    int64_t Minor = 0;
-    if (!D.present("minor", HasMinor))
-      return false;
-    if (HasMinor && (!D.key("minor") || !D.i64(Minor)))
-      return false;
-    *MinorOut = static_cast<int>(Minor);
-  }
+                             K.Format, static_cast<long long>(Major),
+                             K.Major));
+  bool HasMinor = false;
+  int64_t DocMinor = 0;
+  if (!D.present("minor", HasMinor) ||
+      (HasMinor && (!D.key("minor") || !D.i64(DocMinor))))
+    return false;
+  Minor = static_cast<int>(DocMinor);
   return D.endObject();
 }
 
-/// The binary counterpart: validates the already-parsed HGB header
-/// against the expected family and major version.
-static bool checkBinaryHeader(wire::BinaryDecoder &D, wire::Family F,
-                              const char *Fmt, int ExpectedMajor,
-                              std::string &Err) {
-  if (!D.ok()) {
-    Err = D.error();
+/// Parses one document in either encoding, sniffed from the first byte.
+/// \p Body reads the family's fields given the document's own minor
+/// version, which minor-gated fields (telemetry's meta block) need. A
+/// wrong family or format tag, an unknown major, trailing HGB bytes and a
+/// JSON value that is not an object all fail with \p K's name in the
+/// message.
+template <typename BodyFn>
+static bool parseDoc(const DocKind &K, const std::string &Text,
+                     std::string &Err, BodyFn Body) {
+  if (wire::isBinary(Text)) {
+    const char *Name = K.Format ? K.Format : K.Ctx;
+    wire::BinaryDecoder D(Text);
+    if (!D.ok())
+      Err = D.error();
+    else if (D.family() != K.Family)
+      Err = format("document is not a %s file (HGB family '%s')", Name,
+                   wire::familyName(D.family()));
+    else if (D.major() != K.Major)
+      Err = format("unsupported %s major version %d (this reader "
+                   "understands %d)",
+                   Name, D.major(), K.Major);
+    else if (!Body(D, D.minor()))
+      Err = D.error();
+    else if (!D.atEnd())
+      Err = format("%s: trailing bytes after HGB document", K.Ctx);
+    else
+      return true;
     return false;
   }
-  if (D.family() != F) {
-    Err = format("document is not a %s file (HGB family '%s')", Fmt,
-                 wire::familyName(D.family()));
-    return false;
-  }
-  if (D.major() != ExpectedMajor) {
-    Err = format("unsupported %s major version %d (this reader "
-                 "understands %d)",
-                 Fmt, D.major(), ExpectedMajor);
-    return false;
-  }
-  return true;
-}
-
-/// Wraps parseJson with the uniform offset-bearing error message.
-static bool parseJsonText(const std::string &Text, JsonParseResult &R,
-                          std::string &Err) {
-  R = parseJson(Text);
+  JsonParseResult R = parseJson(Text);
   if (!R.Ok) {
     Err = format("JSON parse error at offset %zu: %s", R.ErrorOffset,
                  R.Error.c_str());
     return false;
   }
-  return true;
+  if (!R.Value.isObject()) {
+    Err = format("%s document is not an object", K.Ctx);
+    return false;
+  }
+  wire::JsonDecoder D(R.Value);
+  int Minor = K.Minor;
+  if (K.Format ? D.beginObject() && decodeJsonEnvelope(D, K, Minor) &&
+                     Body(D, Minor) && D.endObject()
+               : Body(D, Minor))
+    return true;
+  Err = D.error();
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -689,24 +731,26 @@ static bool decodeShardBody(wire::Decoder &D, ShardDoc &Out) {
   return D.key("result") && decodeAnalysisResult(D, Out.Result);
 }
 
+static std::string renderShardAs(WireEncoding Enc,
+                                 const std::string &ConfigHash,
+                                 const std::string &Benchmark,
+                                 uint64_t BenchIndex, uint64_t ShardIndex,
+                                 uint64_t RunBegin, uint64_t RunEnd,
+                                 const AnalysisResult &Result) {
+  return renderDoc(ShardKind, Enc, [&](wire::Encoder &E) {
+    encodeShardBody(E, ConfigHash, Benchmark, BenchIndex, ShardIndex,
+                    RunBegin, RunEnd, Result);
+  });
+}
+
 std::string herbgrind::renderShardJson(const std::string &ConfigHash,
                                        const std::string &Benchmark,
                                        uint64_t BenchIndex,
                                        uint64_t ShardIndex, uint64_t RunBegin,
                                        uint64_t RunEnd,
                                        const AnalysisResult &Result) {
-  wire::JsonEncoder E;
-  E.beginObject();
-  encodeJsonEnvelope(E, "herbgrind-shard", WireFormatMajor, WireFormatMinor);
-  encodeShardBody(E, ConfigHash, Benchmark, BenchIndex, ShardIndex, RunBegin,
-                  RunEnd, Result);
-  E.endObject();
-  return E.take();
-}
-
-std::string herbgrind::renderShardJson(const ShardDoc &Doc) {
-  return renderShardJson(Doc.ConfigHash, Doc.Benchmark, Doc.BenchIndex,
-                         Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd, Doc.Result);
+  return renderShardAs(WireEncoding::Json, ConfigHash, Benchmark, BenchIndex,
+                       ShardIndex, RunBegin, RunEnd, Result);
 }
 
 std::string herbgrind::renderShardBinary(const std::string &ConfigHash,
@@ -715,63 +759,28 @@ std::string herbgrind::renderShardBinary(const std::string &ConfigHash,
                                          uint64_t ShardIndex,
                                          uint64_t RunBegin, uint64_t RunEnd,
                                          const AnalysisResult &Result) {
-  wire::BinaryEncoder E(wire::Family::Shard, WireFormatMajor, WireFormatMinor);
-  encodeShardBody(E, ConfigHash, Benchmark, BenchIndex, ShardIndex, RunBegin,
-                  RunEnd, Result);
-  return E.take();
-}
-
-std::string herbgrind::renderShardBinary(const ShardDoc &Doc) {
-  return renderShardBinary(Doc.ConfigHash, Doc.Benchmark, Doc.BenchIndex,
-                           Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd,
-                           Doc.Result);
+  return renderShardAs(WireEncoding::Binary, ConfigHash, Benchmark,
+                       BenchIndex, ShardIndex, RunBegin, RunEnd, Result);
 }
 
 std::string herbgrind::renderShard(const ShardDoc &Doc, WireEncoding Enc) {
-  return Enc == WireEncoding::Binary ? renderShardBinary(Doc)
-                                     : renderShardJson(Doc);
+  return renderShardAs(Enc, Doc.ConfigHash, Doc.Benchmark, Doc.BenchIndex,
+                       Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd, Doc.Result);
 }
 
-bool herbgrind::parseShardJson(const std::string &Text, ShardDoc &Out,
-                               std::string &Err) {
-  JsonParseResult R;
-  if (!parseJsonText(Text, R, Err))
-    return false;
-  if (!R.Value.isObject()) {
-    Err = "shard document is not an object";
-    return false;
-  }
-  wire::JsonDecoder D(R.Value);
-  if (!D.beginObject() ||
-      !decodeJsonEnvelope(D, "herbgrind-shard", WireFormatMajor) ||
-      !decodeShardBody(D, Out) || !D.endObject()) {
-    Err = D.error();
-    return false;
-  }
-  return true;
+std::string herbgrind::renderShardJson(const ShardDoc &Doc) {
+  return renderShard(Doc, WireEncoding::Json);
 }
 
-static bool parseShardBinary(const std::string &Text, ShardDoc &Out,
-                             std::string &Err) {
-  wire::BinaryDecoder D(Text);
-  if (!checkBinaryHeader(D, wire::Family::Shard, "herbgrind-shard",
-                         WireFormatMajor, Err))
-    return false;
-  if (!decodeShardBody(D, Out)) {
-    Err = D.error();
-    return false;
-  }
-  if (!D.atEnd()) {
-    Err = "shard: trailing bytes after HGB document";
-    return false;
-  }
-  return true;
+std::string herbgrind::renderShardBinary(const ShardDoc &Doc) {
+  return renderShard(Doc, WireEncoding::Binary);
 }
 
 bool herbgrind::parseShard(const std::string &Text, ShardDoc &Out,
                            std::string &Err) {
-  return wire::isBinary(Text) ? parseShardBinary(Text, Out, Err)
-                              : parseShardJson(Text, Out, Err);
+  return parseDoc(ShardKind, Text, Err, [&](wire::Decoder &D, int) {
+    return decodeShardBody(D, Out);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -803,17 +812,6 @@ static bool decodeImproveOutcome(wire::Decoder &D, ImproveRecord &Out) {
          D.boolean(Out.Improved);
 }
 
-std::string herbgrind::renderImproveOutcomeJson(const ImproveRecord &R) {
-  wire::JsonEncoder E;
-  E.beginObject();
-  encodeImproveOutcome(E, R);
-  E.endObject();
-  std::string S = E.take();
-  // Callers splice the fragment into their own object, so strip the
-  // braces the encoder needs for key bookkeeping.
-  return S.substr(1, S.size() - 2);
-}
-
 static void encodeImproveDocBody(wire::Encoder &E, const ImproveDoc &Doc) {
   E.key("configHash");
   E.str(Doc.ConfigHash);
@@ -839,68 +837,25 @@ static bool decodeImproveDocBody(wire::Decoder &D, ImproveDoc &Out) {
          decodeImproveOutcome(D, Out.Record) && D.endObject();
 }
 
+std::string herbgrind::renderImproveDoc(const ImproveDoc &Doc,
+                                        WireEncoding Enc) {
+  return renderDoc(ImproveKind, Enc,
+                   [&](wire::Encoder &E) { encodeImproveDocBody(E, Doc); });
+}
+
 std::string herbgrind::renderImproveDocJson(const ImproveDoc &Doc) {
-  wire::JsonEncoder E;
-  E.beginObject();
-  encodeJsonEnvelope(E, "herbgrind-improve", WireFormatMajor, WireFormatMinor);
-  encodeImproveDocBody(E, Doc);
-  E.endObject();
-  return E.take();
+  return renderImproveDoc(Doc, WireEncoding::Json);
 }
 
 std::string herbgrind::renderImproveDocBinary(const ImproveDoc &Doc) {
-  wire::BinaryEncoder E(wire::Family::Improve, WireFormatMajor,
-                        WireFormatMinor);
-  encodeImproveDocBody(E, Doc);
-  return E.take();
-}
-
-std::string herbgrind::renderImproveDoc(const ImproveDoc &Doc,
-                                        WireEncoding Enc) {
-  return Enc == WireEncoding::Binary ? renderImproveDocBinary(Doc)
-                                     : renderImproveDocJson(Doc);
-}
-
-bool herbgrind::parseImproveDocJson(const std::string &Text, ImproveDoc &Out,
-                                    std::string &Err) {
-  JsonParseResult R;
-  if (!parseJsonText(Text, R, Err))
-    return false;
-  if (!R.Value.isObject()) {
-    Err = "improve document is not an object";
-    return false;
-  }
-  wire::JsonDecoder D(R.Value);
-  if (!D.beginObject() ||
-      !decodeJsonEnvelope(D, "herbgrind-improve", WireFormatMajor) ||
-      !decodeImproveDocBody(D, Out) || !D.endObject()) {
-    Err = D.error();
-    return false;
-  }
-  return true;
-}
-
-static bool parseImproveDocBinary(const std::string &Text, ImproveDoc &Out,
-                                  std::string &Err) {
-  wire::BinaryDecoder D(Text);
-  if (!checkBinaryHeader(D, wire::Family::Improve, "herbgrind-improve",
-                         WireFormatMajor, Err))
-    return false;
-  if (!decodeImproveDocBody(D, Out)) {
-    Err = D.error();
-    return false;
-  }
-  if (!D.atEnd()) {
-    Err = "improve: trailing bytes after HGB document";
-    return false;
-  }
-  return true;
+  return renderImproveDoc(Doc, WireEncoding::Binary);
 }
 
 bool herbgrind::parseImproveDoc(const std::string &Text, ImproveDoc &Out,
                                 std::string &Err) {
-  return wire::isBinary(Text) ? parseImproveDocBinary(Text, Out, Err)
-                              : parseImproveDocJson(Text, Out, Err);
+  return parseDoc(ImproveKind, Text, Err, [&](wire::Decoder &D, int) {
+    return decodeImproveDocBody(D, Out);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1048,53 +1003,20 @@ static bool decodeReportBody(wire::Decoder &D, Report &Out) {
 // Defined here rather than in Report.cpp so the schema exists exactly
 // once, in the traversal above.
 std::string Report::renderJson() const {
-  wire::JsonEncoder E;
-  encodeReportBody(E, *this);
-  return E.take();
-}
-
-bool herbgrind::parseReport(const JsonValue &V, Report &Out,
-                            std::string &Err) {
-  wire::JsonDecoder D(V);
-  if (!decodeReportBody(D, Out)) {
-    Err = D.error();
-    return false;
-  }
-  return true;
-}
-
-bool herbgrind::parseReportJson(const std::string &Text, Report &Out,
-                                std::string &Err) {
-  JsonParseResult R;
-  if (!parseJsonText(Text, R, Err))
-    return false;
-  return parseReport(R.Value, Out, Err);
+  return renderDoc(ReportKind, WireEncoding::Json,
+                   [&](wire::Encoder &E) { encodeReportBody(E, *this); });
 }
 
 std::string herbgrind::renderReportBinary(const Report &R) {
-  wire::BinaryEncoder E(wire::Family::Report, WireFormatMajor,
-                        WireFormatMinor);
-  encodeReportBody(E, R);
-  return E.take();
+  return renderDoc(ReportKind, WireEncoding::Binary,
+                   [&](wire::Encoder &E) { encodeReportBody(E, R); });
 }
 
 bool herbgrind::parseReportDoc(const std::string &Text, Report &Out,
                                std::string &Err) {
-  if (!wire::isBinary(Text))
-    return parseReportJson(Text, Out, Err);
-  wire::BinaryDecoder D(Text);
-  if (!checkBinaryHeader(D, wire::Family::Report, "report", WireFormatMajor,
-                         Err))
-    return false;
-  if (!decodeReportBody(D, Out)) {
-    Err = D.error();
-    return false;
-  }
-  if (!D.atEnd()) {
-    Err = "report: trailing bytes after HGB document";
-    return false;
-  }
-  return true;
+  return parseDoc(ReportKind, Text, Err, [&](wire::Decoder &D, int) {
+    return decodeReportBody(D, Out);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1139,22 +1061,11 @@ static bool decodeBatchBody(wire::Decoder &D, BatchReportDoc &Out) {
   return D.endArray();
 }
 
-std::string herbgrind::renderBatchReportJson(
-    const std::vector<BatchReportEntryRef> &Entries) {
-  wire::JsonEncoder E;
-  E.beginObject();
-  encodeJsonEnvelope(E, "herbgrind-report", WireFormatMajor, WireFormatMinor);
-  encodeBatchBody(E, Entries);
-  E.endObject();
-  return E.take();
-}
-
-std::string herbgrind::renderBatchReportBinary(
-    const std::vector<BatchReportEntryRef> &Entries) {
-  wire::BinaryEncoder E(wire::Family::BatchReport, WireFormatMajor,
-                        WireFormatMinor);
-  encodeBatchBody(E, Entries);
-  return E.take();
+static std::string
+renderBatchReport(WireEncoding Enc,
+                  const std::vector<BatchReportEntryRef> &Entries) {
+  return renderDoc(BatchKind, Enc,
+                   [&](wire::Encoder &E) { encodeBatchBody(E, Entries); });
 }
 
 static std::vector<BatchReportEntryRef>
@@ -1166,50 +1077,29 @@ batchRefs(const BatchReportDoc &Doc) {
   return Entries;
 }
 
+std::string herbgrind::renderBatchReportJson(
+    const std::vector<BatchReportEntryRef> &Entries) {
+  return renderBatchReport(WireEncoding::Json, Entries);
+}
+
+std::string herbgrind::renderBatchReportBinary(
+    const std::vector<BatchReportEntryRef> &Entries) {
+  return renderBatchReport(WireEncoding::Binary, Entries);
+}
+
 std::string herbgrind::renderBatchReportJson(const BatchReportDoc &Doc) {
-  return renderBatchReportJson(batchRefs(Doc));
+  return renderBatchReport(WireEncoding::Json, batchRefs(Doc));
 }
 
 std::string herbgrind::renderBatchReportBinary(const BatchReportDoc &Doc) {
-  return renderBatchReportBinary(batchRefs(Doc));
-}
-
-bool herbgrind::parseBatchReportJson(const std::string &Text,
-                                     BatchReportDoc &Out, std::string &Err) {
-  JsonParseResult R;
-  if (!parseJsonText(Text, R, Err))
-    return false;
-  if (!R.Value.isObject()) {
-    Err = "batch report document is not an object";
-    return false;
-  }
-  wire::JsonDecoder D(R.Value);
-  if (!D.beginObject() ||
-      !decodeJsonEnvelope(D, "herbgrind-report", WireFormatMajor) ||
-      !decodeBatchBody(D, Out) || !D.endObject()) {
-    Err = D.error();
-    return false;
-  }
-  return true;
+  return renderBatchReport(WireEncoding::Binary, batchRefs(Doc));
 }
 
 bool herbgrind::parseBatchReport(const std::string &Text, BatchReportDoc &Out,
                                  std::string &Err) {
-  if (!wire::isBinary(Text))
-    return parseBatchReportJson(Text, Out, Err);
-  wire::BinaryDecoder D(Text);
-  if (!checkBinaryHeader(D, wire::Family::BatchReport, "herbgrind-report",
-                         WireFormatMajor, Err))
-    return false;
-  if (!decodeBatchBody(D, Out)) {
-    Err = D.error();
-    return false;
-  }
-  if (!D.atEnd()) {
-    Err = "batch report: trailing bytes after HGB document";
-    return false;
-  }
-  return true;
+  return parseDoc(BatchKind, Text, Err, [&](wire::Decoder &D, int) {
+    return decodeBatchBody(D, Out);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1414,61 +1304,25 @@ static bool decodeTelemetryBody(wire::Decoder &D, TelemetryDoc &Out,
   return D.endArray() && D.endObject();
 }
 
+static std::string renderTelemetry(const TelemetryDoc &Doc,
+                                   WireEncoding Enc) {
+  return renderDoc(TelemetryKind, Enc,
+                   [&](wire::Encoder &E) { encodeTelemetryBody(E, Doc); });
+}
+
 std::string herbgrind::renderTelemetryJson(const TelemetryDoc &Doc) {
-  wire::JsonEncoder E;
-  E.beginObject();
-  encodeJsonEnvelope(E, "herbgrind-telemetry", TelemetryFormatMajor,
-                     TelemetryFormatMinor);
-  encodeTelemetryBody(E, Doc);
-  E.endObject();
-  return E.take();
+  return renderTelemetry(Doc, WireEncoding::Json);
 }
 
 std::string herbgrind::renderTelemetryBinary(const TelemetryDoc &Doc) {
-  wire::BinaryEncoder E(wire::Family::Telemetry, TelemetryFormatMajor,
-                        TelemetryFormatMinor);
-  encodeTelemetryBody(E, Doc);
-  return E.take();
-}
-
-bool herbgrind::parseTelemetryJson(const std::string &Text, TelemetryDoc &Out,
-                                   std::string &Err) {
-  JsonParseResult R;
-  if (!parseJsonText(Text, R, Err))
-    return false;
-  if (!R.Value.isObject()) {
-    Err = "telemetry document is not an object";
-    return false;
-  }
-  wire::JsonDecoder D(R.Value);
-  int DocMinor = 0;
-  if (!D.beginObject() ||
-      !decodeJsonEnvelope(D, "herbgrind-telemetry", TelemetryFormatMajor,
-                          &DocMinor) ||
-      !decodeTelemetryBody(D, Out, DocMinor) || !D.endObject()) {
-    Err = D.error();
-    return false;
-  }
-  return true;
+  return renderTelemetry(Doc, WireEncoding::Binary);
 }
 
 bool herbgrind::parseTelemetry(const std::string &Text, TelemetryDoc &Out,
                                std::string &Err) {
-  if (!wire::isBinary(Text))
-    return parseTelemetryJson(Text, Out, Err);
-  wire::BinaryDecoder D(Text);
-  if (!checkBinaryHeader(D, wire::Family::Telemetry, "herbgrind-telemetry",
-                         TelemetryFormatMajor, Err))
-    return false;
-  if (!decodeTelemetryBody(D, Out, D.minor())) {
-    Err = D.error();
-    return false;
-  }
-  if (!D.atEnd()) {
-    Err = "telemetry: trailing bytes after HGB document";
-    return false;
-  }
-  return true;
+  return parseDoc(TelemetryKind, Text, Err, [&](wire::Decoder &D, int Minor) {
+    return decodeTelemetryBody(D, Out, Minor);
+  });
 }
 
 void TelemetryDoc::mergeFrom(const TelemetryDoc &Other) {
@@ -1625,59 +1479,22 @@ static bool decodeLedgerBody(wire::Decoder &D, LedgerEntry &Out) {
   return decodeMetricsSnapshot(D, Out.Metrics);
 }
 
+static std::string renderLedger(const LedgerEntry &L, WireEncoding Enc) {
+  return renderDoc(LedgerKind, Enc,
+                   [&](wire::Encoder &E) { encodeLedgerBody(E, L); });
+}
+
 std::string herbgrind::renderLedgerEntryJson(const LedgerEntry &E) {
-  wire::JsonEncoder Enc;
-  Enc.beginObject();
-  encodeJsonEnvelope(Enc, "herbgrind-ledger", LedgerFormatMajor,
-                     LedgerFormatMinor);
-  encodeLedgerBody(Enc, E);
-  Enc.endObject();
-  return Enc.take();
+  return renderLedger(E, WireEncoding::Json);
 }
 
 std::string herbgrind::renderLedgerEntryBinary(const LedgerEntry &E) {
-  wire::BinaryEncoder Enc(wire::Family::Ledger, LedgerFormatMajor,
-                          LedgerFormatMinor);
-  encodeLedgerBody(Enc, E);
-  return Enc.take();
-}
-
-std::string herbgrind::renderLedgerEntry(const LedgerEntry &E,
-                                         WireEncoding Enc) {
-  return Enc == WireEncoding::Binary ? renderLedgerEntryBinary(E)
-                                     : renderLedgerEntryJson(E);
+  return renderLedger(E, WireEncoding::Binary);
 }
 
 bool herbgrind::parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
                                  std::string &Err) {
-  if (!wire::isBinary(Text)) {
-    JsonParseResult R;
-    if (!parseJsonText(Text, R, Err))
-      return false;
-    if (!R.Value.isObject()) {
-      Err = "ledger document is not an object";
-      return false;
-    }
-    wire::JsonDecoder D(R.Value);
-    if (!D.beginObject() ||
-        !decodeJsonEnvelope(D, "herbgrind-ledger", LedgerFormatMajor) ||
-        !decodeLedgerBody(D, Out) || !D.endObject()) {
-      Err = D.error();
-      return false;
-    }
-    return true;
-  }
-  wire::BinaryDecoder D(Text);
-  if (!checkBinaryHeader(D, wire::Family::Ledger, "herbgrind-ledger",
-                         LedgerFormatMajor, Err))
-    return false;
-  if (!decodeLedgerBody(D, Out)) {
-    Err = D.error();
-    return false;
-  }
-  if (!D.atEnd()) {
-    Err = "ledger: trailing bytes after HGB document";
-    return false;
-  }
-  return true;
+  return parseDoc(LedgerKind, Text, Err, [&](wire::Decoder &D, int) {
+    return decodeLedgerBody(D, Out);
+  });
 }

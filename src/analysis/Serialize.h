@@ -29,9 +29,11 @@
 /// The formats are versioned (see REPORT_SCHEMA.md). Readers accept any
 /// minor version of a known major version and reject everything else --
 /// a major bump means fields changed meaning, and a silently misread
-/// cache entry would corrupt a merged report. The `parseX` functions
-/// without a Json/Binary suffix sniff the format from the first byte
-/// ('{' = JSON, 0x89 = HGB) and accept either.
+/// cache entry would corrupt a merged report. Every `parseX` function
+/// sniffs the format from the first byte ('{' = JSON, 0x89 = HGB) and
+/// accepts either. One envelope codec in Serialize.cpp writes and checks
+/// the JSON {"format","version"} keys and the HGB header for every
+/// family.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,26 +60,19 @@ constexpr int WireFormatMajor = 1;
 /// (ImproveRecord) and the "herbgrind-improve" cache document.
 constexpr int WireFormatMinor = 1;
 
-/// Which wire backend a writer uses. Readers never need to be told --
-/// they sniff. Deliberately NOT part of the engine config hash: both
-/// encodings carry bit-identical values, so JSON-cached and HGB-cached
-/// sweeps share (and warm) the same cache identity.
+/// Which wire backend a render uses. Readers never need to be told --
+/// they sniff. Who reads a document decides its encoding: the engine
+/// writes per-shard documents (cache entries, emitted shards) as HGB,
+/// since only herbgrind reads those back, and per-sweep documents
+/// (reports, telemetry, ledger entries) as JSON, for people and scripts.
 enum class WireEncoding {
-  Json,   ///< Human-readable, byte-stable text (the default).
+  Json,   ///< Human-readable, byte-stable text.
   Binary, ///< HGB: compact length-prefixed binary (support/WireBinary.h).
 };
 
 /// Spot kind name used in wire documents and text reports ("Output",
 /// "Compare", "Conversion").
 const char *spotKindName(SpotKind K);
-
-/// Renders a source location as {"file":...,"line":...,"func":...}.
-std::string renderSourceLocJson(const SourceLoc &Loc);
-
-/// Renders a symbolic expression tree: operation nodes are
-/// {"op":<mnemonic>,"site":<pc>,"kids":[...]}, leaves {"const":<v>} or
-/// {"var":<idx>}.
-std::string renderSymExprJson(const SymExpr &E);
 
 /// Renders one analysis snapshot -- the value the engine shards and
 /// merges -- as the wire format's "result" object.
@@ -124,25 +119,15 @@ std::string renderShardBinary(const std::string &ConfigHash,
 /// Renders a shard document in the requested encoding.
 std::string renderShard(const ShardDoc &Doc, WireEncoding Enc);
 
-/// Parses a JSON shard document. Rejects wrong "format" tags and unknown
-/// major versions.
-bool parseShardJson(const std::string &Text, ShardDoc &Out, std::string &Err);
-
 /// Parses a shard document in either format (sniffed from the first
-/// byte). Truncated or corrupt input of either kind fails cleanly.
+/// byte). Rejects wrong families and unknown major versions; truncated or
+/// corrupt input of either kind fails cleanly.
 bool parseShard(const std::string &Text, ShardDoc &Out, std::string &Err);
-
-/// Renders an ImproveRecord's outcome fields (everything but the pc,
-/// which is positional identity and rendered by the container): the
-/// shared body of the report "improvements" section and the improve
-/// cache document.
-std::string renderImproveOutcomeJson(const ImproveRecord &R);
 
 /// One cached batch-improver outcome: the record plus the identities
 /// that validate a cache hit (the producing sweep's config hash, the
 /// improver-config hash, and the exact expression/sampling-spec text the
-/// improver ran on). Stored by engine::ResultCache as
-/// `<key>.improve.json` or `<key>.improve.hgb`.
+/// improver ran on). Stored by engine::ResultCache as `<key>.improve.hgb`.
 struct ImproveDoc {
   std::string ConfigHash;   ///< engine::configHash() of the sweep.
   std::string ImproveHash;  ///< improve::improveConfigHash() of the pass.
@@ -162,28 +147,18 @@ std::string renderImproveDocBinary(const ImproveDoc &Doc);
 /// Renders an improve-cache document in the requested encoding.
 std::string renderImproveDoc(const ImproveDoc &Doc, WireEncoding Enc);
 
-/// Parses a JSON improve-cache document. Rejects wrong "format" tags and
-/// unknown major versions.
-bool parseImproveDocJson(const std::string &Text, ImproveDoc &Out,
-                         std::string &Err);
-
 /// Parses an improve-cache document in either format (sniffed).
 bool parseImproveDoc(const std::string &Text, ImproveDoc &Out,
                      std::string &Err);
 
-/// Parses a presentation-level report object ({"spots":[...]}, the value
-/// of a batch document's per-benchmark "report" field). Round trip:
-/// parseReport(render(r)) re-renders to the same bytes. The
-/// "improvements" section is optional (absent in pre-1.1 documents).
-bool parseReport(const JsonValue &V, Report &Out, std::string &Err);
-
-/// Convenience wrapper: parses JSON text into a Report.
-bool parseReportJson(const std::string &Text, Report &Out, std::string &Err);
-
-/// HGB render of a bare presentation-level report (family tag "report").
+/// HGB render of a bare presentation-level report (family tag "report");
+/// Report::renderJson() is the JSON render, a {"spots":[...]} object with
+/// no envelope.
 std::string renderReportBinary(const Report &R);
 
-/// Parses a bare report in either format (sniffed).
+/// Parses a bare report in either format (sniffed). Round trip:
+/// parseReportDoc(render(r)) re-renders to the same bytes. The
+/// "improvements" section is optional (absent in pre-1.1 documents).
 bool parseReportDoc(const std::string &Text, Report &Out, std::string &Err);
 
 /// A parsed batch report document (what `herbgrind_batch --json` and
@@ -216,12 +191,9 @@ std::string renderBatchReportBinary(const std::vector<BatchReportEntryRef> &E);
 std::string renderBatchReportJson(const BatchReportDoc &Doc);
 std::string renderBatchReportBinary(const BatchReportDoc &Doc);
 
-/// Parses a full JSON batch report document, checking its versioned
-/// envelope (format "herbgrind-report"; unknown majors are rejected).
-bool parseBatchReportJson(const std::string &Text, BatchReportDoc &Out,
-                          std::string &Err);
-
-/// Parses a batch report document in either format (sniffed).
+/// Parses a batch report document in either format (sniffed), checking
+/// its versioned envelope (format "herbgrind-report"; unknown majors are
+/// rejected).
 bool parseBatchReport(const std::string &Text, BatchReportDoc &Out,
                       std::string &Err);
 
@@ -274,13 +246,9 @@ std::string renderTelemetryJson(const TelemetryDoc &Doc);
 /// HGB render of the telemetry document.
 std::string renderTelemetryBinary(const TelemetryDoc &Doc);
 
-/// Parses a JSON telemetry document. Rejects wrong "format" tags and
-/// unknown major versions. Round trip: parse(render(d)) re-renders
-/// byte-identically.
-bool parseTelemetryJson(const std::string &Text, TelemetryDoc &Out,
-                        std::string &Err);
-
-/// Parses a telemetry document in either format (sniffed).
+/// Parses a telemetry document in either format (sniffed). Rejects wrong
+/// families and unknown major versions. Round trip: parse(render(d))
+/// re-renders byte-identically.
 bool parseTelemetry(const std::string &Text, TelemetryDoc &Out,
                     std::string &Err);
 
@@ -314,7 +282,9 @@ struct LedgerEntry {
   std::string Label;       ///< Free-form: "sweep", a bench section, ...
   // Configuration.
   std::string ConfigHash;  ///< engine::configHash() of the sweep.
-  std::string WireFormat;  ///< "json" or "binary".
+  std::string WireFormat;  ///< Encoding of the shard documents the sweep
+                           ///< wrote: "binary" (entries from before
+                           ///< shards were always HGB may say "json").
   std::string Tier;        ///< "full", "confirm", or "fast".
   uint64_t Jobs = 0;
   uint64_t Samples = 0;
@@ -344,7 +314,6 @@ struct LedgerEntry {
 /// parse(render(e)) re-renders byte-identically in either format.
 std::string renderLedgerEntryJson(const LedgerEntry &E);
 std::string renderLedgerEntryBinary(const LedgerEntry &E);
-std::string renderLedgerEntry(const LedgerEntry &E, WireEncoding Enc);
 
 /// Parses a ledger entry in either format (sniffed). Rejects wrong
 /// format tags and unknown major versions.

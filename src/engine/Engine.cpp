@@ -125,7 +125,6 @@ Engine::Engine(EngineConfig Config) : Cfg(Config) {
     RC = std::make_unique<ResultCache>(Cfg.CacheDir, configHash(Cfg));
     // True LRU recency only matters when something will prune by it.
     RC->setTouchOnHit(Cfg.CacheMaxBytes > 0);
-    RC->setWireEncoding(Cfg.WireFormat);
   }
 }
 
@@ -404,18 +403,14 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         MShardsDone.add(1);
         MRuns.add(Sh.End - Sh.Begin);
         if (!Cfg.EmitShardDir.empty()) {
-          const bool Bin = Cfg.WireFormat == WireEncoding::Binary;
-          std::string Name = format(Bin ? "shard-b%05llu-s%05llu.hgb"
-                                        : "shard-b%05llu-s%05llu.json",
+          std::string Name = format("shard-b%05llu-s%05llu.hgb",
                                     static_cast<unsigned long long>(Sh.Bench),
                                     static_cast<unsigned long long>(Sh.Index));
-          std::string Doc =
-              Bin ? renderShardBinary(CfgHash, Sources[Sh.Bench].Name,
-                                      Sh.Bench, Sh.Index, Sh.Begin, Sh.End,
-                                      O.Records)
-                  : renderShardJson(CfgHash, Sources[Sh.Bench].Name, Sh.Bench,
-                                    Sh.Index, Sh.Begin, Sh.End, O.Records);
-          if (!writeFileAtomic(Cfg.EmitShardDir + "/" + Name, Doc))
+          if (!writeFileAtomic(Cfg.EmitShardDir + "/" + Name,
+                               renderShardBinary(CfgHash,
+                                                 Sources[Sh.Bench].Name,
+                                                 Sh.Bench, Sh.Index, Sh.Begin,
+                                                 Sh.End, O.Records)))
             ++EmitFailed;
         }
 

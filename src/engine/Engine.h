@@ -21,7 +21,7 @@
 /// rather than the total shard count.
 ///
 /// Results are durable values. With a cache directory configured, every
-/// shard's records persist as a wire-format document keyed by FPCore
+/// shard's records persist as an HGB shard document keyed by FPCore
 /// identity + sampling seed + sample range + config hash, and a repeated
 /// sweep analyzes only new or invalidated shards (see ResultCache.h).
 /// With an emit directory configured, the same documents are written for
@@ -122,9 +122,10 @@ struct EngineConfig {
   /// Never part of the config hash: pruning changes what is cached, not
   /// what any shard's records contain.
   uint64_t CacheMaxBytes = 0;
-  /// When non-empty, every shard's result is also written here as a wire
-  /// format document (shard-b<bench>-s<shard>.json) for off-machine
-  /// merging with mergeShards / `herbgrind_batch --merge-shards`.
+  /// When non-empty, every shard's result is also written here as an HGB
+  /// shard document (shard-b<bench>-s<shard>.hgb) for off-machine merging
+  /// with mergeShards / `herbgrind_batch --merge-shards`; `hgb2json`
+  /// renders one for a person.
   std::string EmitShardDir;
   /// Half-open per-benchmark shard-index range to execute; the default
   /// covers every shard. Shard boundaries are laid out over the full
@@ -137,12 +138,6 @@ struct EngineConfig {
   /// remains only because the benchmark harness (perfbench/) still sets
   /// it, and run-ledger entries still record it.
   unsigned BatchLanes = 1;
-  /// Wire encoding for documents this sweep WRITES (cache stores and
-  /// emitted shards): JSON or compact HGB binary. Readers always sniff,
-  /// so a sweep consumes either format regardless. Deliberately absent
-  /// from the config hash -- both encodings carry bit-identical records,
-  /// so JSON-cached and binary-cached sweeps warm each other.
-  WireEncoding WireFormat = WireEncoding::Json;
 };
 
 /// One benchmark's merged outcome.

@@ -115,20 +115,7 @@ ResultCache::ResultCache(std::string Directory, std::string ConfigHash)
   // sweep still runs correctly.
 }
 
-static const char *shardSuffix(WireEncoding E) {
-  return E == WireEncoding::Binary ? ".shard.hgb" : ".shard.json";
-}
-
-static const char *improveSuffix(WireEncoding E) {
-  return E == WireEncoding::Binary ? ".improve.hgb" : ".improve.json";
-}
-
-static WireEncoding otherEncoding(WireEncoding E) {
-  return E == WireEncoding::Binary ? WireEncoding::Json
-                                   : WireEncoding::Binary;
-}
-
-std::string ResultCache::entryBase(const ShardKey &Key) const {
+std::string ResultCache::entryPath(const ShardKey &Key) const {
   uint64_t H = fnv1a64(Hash);
   H = fnv1a64(Key.CoreIdentity, H);
   H = fnv1a64(format("|seed=%llu|bench=%llu|shard=%llu|range=%llu:%llu",
@@ -138,57 +125,41 @@ std::string ResultCache::entryBase(const ShardKey &Key) const {
                      static_cast<unsigned long long>(Key.RunBegin),
                      static_cast<unsigned long long>(Key.RunEnd)),
               H);
-  return Dir + "/" + format("%016llx", static_cast<unsigned long long>(H));
-}
-
-std::string ResultCache::entryPath(const ShardKey &Key) const {
-  return entryBase(Key) + shardSuffix(Enc);
+  return Dir + "/" +
+         format("%016llx.shard.hgb", static_cast<unsigned long long>(H));
 }
 
 bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out) {
-  // The configured encoding's file first, then the other's: both carry
-  // bit-identical records under the same key (WireFormat is absent from
-  // the config hash), so a JSON-warmed cache satisfies a binary sweep
-  // and vice versa. parseShard sniffs content, so a mislabeled file
-  // still reads.
-  const std::string Base = entryBase(Key);
-  for (WireEncoding E : {Enc, otherEncoding(Enc)}) {
-    std::string Path = Base + shardSuffix(E);
-    std::string Text;
-    if (!readFile(Path, Text))
-      continue;
-    ShardDoc Doc;
-    std::string Err;
-    if (!parseShard(Text, Doc, Err) || Doc.ConfigHash != Hash ||
-        Doc.ShardIndex != Key.ShardIndex || Doc.RunBegin != Key.RunBegin ||
-        Doc.RunEnd != Key.RunEnd)
-      // Corrupt or foreign entry: treat as absent; a fresh store will
-      // overwrite it.
-      continue;
-    Out = std::move(Doc.Result);
-    ++Hits;
-    if (TouchOnHit) {
-      // Refresh the entry so LRU-by-mtime pruning (gcCacheDir) keeps hot
-      // shards.
-      std::error_code Ec;
-      std::filesystem::last_write_time(
-          Path, std::filesystem::file_time_type::clock::now(), Ec);
-    }
-    return true;
+  const std::string Path = entryPath(Key);
+  std::string Text;
+  ShardDoc Doc;
+  std::string Err;
+  // A missing, corrupt or foreign entry is absent; a fresh store will
+  // overwrite it.
+  if (!readFile(Path, Text) || !parseShard(Text, Doc, Err) ||
+      Doc.ConfigHash != Hash || Doc.ShardIndex != Key.ShardIndex ||
+      Doc.RunBegin != Key.RunBegin || Doc.RunEnd != Key.RunEnd) {
+    ++Misses;
+    return false;
   }
-  ++Misses;
-  return false;
+  Out = std::move(Doc.Result);
+  ++Hits;
+  if (TouchOnHit) {
+    // Refresh the entry so LRU-by-mtime pruning (gcCacheDir) keeps hot
+    // shards.
+    std::error_code Ec;
+    std::filesystem::last_write_time(
+        Path, std::filesystem::file_time_type::clock::now(), Ec);
+  }
+  return true;
 }
 
 void ResultCache::store(const ShardKey &Key, const std::string &BenchName,
                         const AnalysisResult &Result) {
-  std::string Text =
-      Enc == WireEncoding::Binary
-          ? renderShardBinary(Hash, BenchName, Key.BenchIndex, Key.ShardIndex,
-                              Key.RunBegin, Key.RunEnd, Result)
-          : renderShardJson(Hash, BenchName, Key.BenchIndex, Key.ShardIndex,
-                            Key.RunBegin, Key.RunEnd, Result);
-  if (!writeFileAtomic(entryPath(Key), Text))
+  if (!writeFileAtomic(entryPath(Key),
+                       renderShardBinary(Hash, BenchName, Key.BenchIndex,
+                                         Key.ShardIndex, Key.RunBegin,
+                                         Key.RunEnd, Result)))
     ++StoreFailures;
 }
 
@@ -196,47 +167,39 @@ void ResultCache::store(const ShardKey &Key, const std::string &BenchName,
 // Improver outcomes
 //===----------------------------------------------------------------------===//
 
-std::string ResultCache::improveEntryBase(const ImproveKey &Key) const {
+std::string ResultCache::improveEntryPath(const ImproveKey &Key) const {
   uint64_t H = fnv1a64(Hash);
   H = fnv1a64(Key.ImproveHash, H);
   H = fnv1a64("|expr=", H);
   H = fnv1a64(Key.ExprIdentity, H);
   H = fnv1a64("|specs=", H);
   H = fnv1a64(Key.SpecIdentity, H);
-  return Dir + "/" + format("%016llx", static_cast<unsigned long long>(H));
-}
-
-std::string ResultCache::improveEntryPath(const ImproveKey &Key) const {
-  return improveEntryBase(Key) + improveSuffix(Enc);
+  return Dir + "/" +
+         format("%016llx.improve.hgb", static_cast<unsigned long long>(H));
 }
 
 bool ResultCache::lookupImprove(const ImproveKey &Key, ImproveRecord &Out) {
-  const std::string Base = improveEntryBase(Key);
-  for (WireEncoding E : {Enc, otherEncoding(Enc)}) {
-    std::string Path = Base + improveSuffix(E);
-    std::string Text;
-    if (!readFile(Path, Text))
-      continue;
-    ImproveDoc Doc;
-    std::string Err;
-    // Full identity validation, not just the filename hash: a colliding
-    // or foreign entry must read as absent, never as a wrong outcome.
-    if (!parseImproveDoc(Text, Doc, Err) || Doc.ConfigHash != Hash ||
-        Doc.ImproveHash != Key.ImproveHash ||
-        Doc.ExprIdentity != Key.ExprIdentity ||
-        Doc.SpecIdentity != Key.SpecIdentity)
-      continue;
-    Out = std::move(Doc.Record);
-    ++Hits;
-    if (TouchOnHit) {
-      std::error_code Ec;
-      std::filesystem::last_write_time(
-          Path, std::filesystem::file_time_type::clock::now(), Ec);
-    }
-    return true;
+  const std::string Path = improveEntryPath(Key);
+  std::string Text;
+  ImproveDoc Doc;
+  std::string Err;
+  // Full identity validation, not just the filename hash: a colliding or
+  // foreign entry must read as absent, never as a wrong outcome.
+  if (!readFile(Path, Text) || !parseImproveDoc(Text, Doc, Err) ||
+      Doc.ConfigHash != Hash || Doc.ImproveHash != Key.ImproveHash ||
+      Doc.ExprIdentity != Key.ExprIdentity ||
+      Doc.SpecIdentity != Key.SpecIdentity) {
+    ++Misses;
+    return false;
   }
-  ++Misses;
-  return false;
+  Out = std::move(Doc.Record);
+  ++Hits;
+  if (TouchOnHit) {
+    std::error_code Ec;
+    std::filesystem::last_write_time(
+        Path, std::filesystem::file_time_type::clock::now(), Ec);
+  }
+  return true;
 }
 
 void ResultCache::storeImprove(const ImproveKey &Key,
@@ -247,8 +210,7 @@ void ResultCache::storeImprove(const ImproveKey &Key,
   Doc.ExprIdentity = Key.ExprIdentity;
   Doc.SpecIdentity = Key.SpecIdentity;
   Doc.Record = Rec;
-  if (!writeFileAtomic(improveEntryPath(Key),
-                       renderImproveDoc(Doc, Enc)))
+  if (!writeFileAtomic(improveEntryPath(Key), renderImproveDocBinary(Doc)))
     ++StoreFailures;
 }
 
@@ -272,8 +234,9 @@ bool herbgrind::engine::gcCacheDir(const std::string &Dir, uint64_t MaxBytes,
                  Ec.message().c_str());
     return false;
   }
-  // Every entry kind the cache writes -- both document families in both
-  // wire encodings -- is subject to the cap.
+  // Every entry kind the cache writes is subject to the cap. Lookups no
+  // longer open the JSON entries older versions wrote, but they still
+  // count and prune, so a capped directory of them drains.
   const std::string Suffixes[] = {".shard.json", ".shard.hgb",
                                   ".improve.json", ".improve.hgb"};
   auto IsEntry = [&](const std::string &Name) {

@@ -6,10 +6,13 @@
 ///
 /// \file
 /// The persistent shard-result cache: per-(benchmark, seed, sample-range,
-/// config) `AnalysisResult`s stored as shard wire-format documents in a
-/// cache directory, so a repeated sweep analyzes only new or invalidated
-/// shards and merges cached + fresh results through the same in-order
-/// deterministic fold.
+/// config) `AnalysisResult`s stored as HGB shard documents
+/// (`<key>.shard.hgb`) in a cache directory, so a repeated sweep analyzes
+/// only new or invalidated shards and merges cached + fresh results
+/// through the same in-order deterministic fold. Entries are always HGB:
+/// only herbgrind reads them back, and `hgb2json` renders any entry for a
+/// person. A directory of entries is also a set of mergeable shard
+/// documents (`--merge-shards DIR`).
 ///
 /// Keying mirrors `fpcore::ProgramCache`: a benchmark is identified by its
 /// printed FPCore text (canonical for parsed cores), combined with the
@@ -18,7 +21,10 @@
 /// format's major version, so a format bump invalidates stale entries).
 /// Entries are validated on read -- a corrupt, truncated, or foreign file
 /// is a miss, never an error -- and written atomically (temp file +
-/// rename), so concurrent sweeps sharing a directory are safe.
+/// rename), so concurrent sweeps sharing a directory are safe. JSON
+/// entries written before the cache became HGB-only (`.shard.json`,
+/// `.improve.json`) are never opened: they read as misses, the next sweep
+/// rebuilds them as HGB, and GC still prunes them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +67,9 @@ struct CacheGcStats {
   uint64_t PrunedBytes = 0;   ///< Bytes reclaimed by this pass.
 };
 
-/// Prunes a cache directory's entries (`*.shard.json` / `*.shard.hgb`
-/// shard results and `*.improve.json` / `*.improve.hgb` improver
-/// outcomes) down to at most
+/// Prunes a cache directory's entries (`*.shard.hgb` shard results and
+/// `*.improve.hgb` improver outcomes, plus legacy `*.shard.json` /
+/// `*.improve.json` ones) down to at most
 /// \p MaxBytes, deleting least-recently-used entries first (mtime order;
 /// caches with touch-on-hit enabled refresh entries on lookup, so hot
 /// shards survive). MaxBytes 0 empties the cache. Tolerates concurrent writers: entries that vanish
@@ -94,10 +100,7 @@ public:
   /// Looks a shard up; on a hit fills \p Out with a result that folds
   /// byte-identically to a fresh analysis. Any validation failure
   /// (missing file, parse error, version or config-hash mismatch, wrong
-  /// sample range) is a miss. Both the JSON and the HGB entry file are
-  /// consulted (format sniffed from content, whatever the extension
-  /// claims), so sweeps configured for different encodings warm each
-  /// other.
+  /// sample range) is a miss. Opens one file, entryPath(Key).
   bool lookup(const ShardKey &Key, AnalysisResult &Out);
 
   /// Persists a freshly analyzed shard. IO failures are counted but
@@ -106,9 +109,8 @@ public:
   void store(const ShardKey &Key, const std::string &BenchName,
              const AnalysisResult &Result);
 
-  /// The entry file a store() would write for a key under the configured
-  /// encoding (deterministic; exposed for tests and debugging). lookup()
-  /// additionally consults the other encoding's file.
+  /// The entry file store() writes and lookup() reads for a key
+  /// (deterministic; exposed for tests and debugging).
   std::string entryPath(const ShardKey &Key) const;
 
   /// Identity of one batch-improver outcome: the exact expression and
@@ -150,12 +152,6 @@ public:
   /// FIFO-by-store-time, which is still a correct pruning order.
   void setTouchOnHit(bool Enabled) { TouchOnHit = Enabled; }
 
-  /// Selects the encoding store()/storeImprove() write (JSON by
-  /// default). Purely a writer-side knob: lookups sniff and accept
-  /// either format regardless.
-  void setWireEncoding(WireEncoding E) { Enc = E; }
-  WireEncoding wireEncoding() const { return Enc; }
-
   const std::string &directory() const { return Dir; }
   const std::string &configHash() const { return Hash; }
   uint64_t hits() const { return Hits.load(); }
@@ -163,14 +159,9 @@ public:
   uint64_t storeFailures() const { return StoreFailures.load(); }
 
 private:
-  /// The suffix-free entry paths the per-encoding files hang off.
-  std::string entryBase(const ShardKey &Key) const;
-  std::string improveEntryBase(const ImproveKey &Key) const;
-
   std::string Dir;
   std::string Hash;
   bool TouchOnHit = false;
-  WireEncoding Enc = WireEncoding::Json;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> StoreFailures{0};

@@ -67,7 +67,7 @@ LedgerEntry herbgrind::engine::makeLedgerEntry(const EngineConfig &Cfg,
   E.Timestamp = isoTimestampUtc(E.TimestampNanos / 1000000000ull);
   E.Label = Label;
   E.ConfigHash = configHash(Cfg);
-  E.WireFormat = Cfg.WireFormat == WireEncoding::Binary ? "binary" : "json";
+  E.WireFormat = "binary"; // every shard document a sweep writes is HGB
   E.Tier = tierModeName(Cfg.Tier);
   E.Jobs = Cfg.Jobs;
   E.Samples = static_cast<uint64_t>(Cfg.SamplesPerBenchmark);
@@ -93,8 +93,7 @@ LedgerEntry herbgrind::engine::makeLedgerEntry(const EngineConfig &Cfg,
 
 bool herbgrind::engine::ledgerAppend(const std::string &Dir,
                                      const LedgerEntry &Entry,
-                                     WireEncoding Enc, std::string &PathOut,
-                                     std::string &Err) {
+                                     std::string &PathOut, std::string &Err) {
   std::error_code EC;
   fs::create_directories(Dir, EC);
   if (EC) {
@@ -110,14 +109,10 @@ bool herbgrind::engine::ledgerAppend(const std::string &Dir,
   // Wall-clock ns + pid keeps concurrent sweeps on a shared directory
   // from colliding without any locking.
   std::string Name =
-      format("entry-%llu-%lu.%s",
-             static_cast<unsigned long long>(Entry.TimestampNanos), Pid,
-             Enc == WireEncoding::Binary ? "hgb" : "json");
+      format("entry-%llu-%lu.json",
+             static_cast<unsigned long long>(Entry.TimestampNanos), Pid);
   std::string Path = (fs::path(Dir) / Name).string();
-  std::string Data = renderLedgerEntry(Entry, Enc);
-  if (Enc == WireEncoding::Json)
-    Data += '\n';
-  if (!writeFileAtomic(Path, Data)) {
+  if (!writeFileAtomic(Path, renderLedgerEntryJson(Entry) + "\n")) {
     Err = format("cannot write ledger entry '%s'", Path.c_str());
     return false;
   }

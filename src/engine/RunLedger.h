@@ -15,10 +15,10 @@
 /// (wall time, cache hit rate, escalation fraction, steady-state heap
 /// allocs) against a chosen baseline entry with configurable thresholds.
 ///
-/// Entries are one file each (`entry-<wallclock ns>-<pid>.json|.hgb`),
+/// Entries are one JSON file each (`entry-<wallclock ns>-<pid>.json`),
 /// written atomically, so concurrent sweeps on a shared directory never
 /// interleave and "append" needs no locking. Readers sniff the encoding
-/// per entry; a directory can mix JSON and HGB freely.
+/// per entry, so `.hgb` entries (older writers, `json2hgb`) still list.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,10 +52,10 @@ LedgerEntry makeLedgerEntry(const EngineConfig &Cfg, const EngineStats &Stats,
                             const std::string &Label);
 
 /// Appends \p Entry to the ledger directory \p Dir (created if missing)
-/// as one atomically-written file in \p Enc. On success \p PathOut names
-/// the entry file.
+/// as one atomically-written JSON file. On success \p PathOut names the
+/// entry file.
 bool ledgerAppend(const std::string &Dir, const LedgerEntry &Entry,
-                  WireEncoding Enc, std::string &PathOut, std::string &Err);
+                  std::string &PathOut, std::string &Err);
 
 /// Loads every entry in \p Dir, oldest first (by recorded wall-clock
 /// timestamp, then filename). \p Paths parallels \p Out. An unparseable

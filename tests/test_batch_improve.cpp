@@ -151,7 +151,7 @@ TEST(BatchImprove, MergedShardDocumentsImproveByteIdenticallyToLiveSweep) {
       std::string Text, Err;
       ASSERT_TRUE(readFile(Entry.path().string(), Text));
       ShardDoc Doc;
-      ASSERT_TRUE(parseShardJson(Text, Doc, Err)) << Err;
+      ASSERT_TRUE(parseShard(Text, Doc, Err)) << Err;
       Docs.push_back(std::move(Doc));
     }
   ASSERT_EQ(Docs.size(), Cores.size() * 2);

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 using namespace herbgrind;
 using namespace herbgrind::engine;
@@ -281,7 +282,7 @@ TEST(Serialize, ShardDocRoundTrips) {
 
   ShardDoc Back;
   std::string Err;
-  ASSERT_TRUE(parseShardJson(Json, Back, Err)) << Err;
+  ASSERT_TRUE(parseShard(Json, Back, Err)) << Err;
   EXPECT_EQ(Back.ConfigHash, Doc.ConfigHash);
   EXPECT_EQ(Back.Benchmark, Doc.Benchmark);
   EXPECT_EQ(Back.BenchIndex, 3u);
@@ -306,7 +307,7 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
                                            WireFormatMajor + 1));
   ShardDoc Out;
   std::string Err;
-  EXPECT_FALSE(parseShardJson(Bumped, Out, Err));
+  EXPECT_FALSE(parseShard(Bumped, Out, Err));
   EXPECT_NE(Err.find("major version"), std::string::npos) << Err;
 
   // A newer *minor* version of the same major still parses.
@@ -317,15 +318,15 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
   MinorBump.replace(At, Needle.size(),
                     format("\"minor\":%d", WireFormatMinor + 3));
   ShardDoc Out2;
-  EXPECT_TRUE(parseShardJson(MinorBump, Out2, Err)) << Err;
+  EXPECT_TRUE(parseShard(MinorBump, Out2, Err)) << Err;
 
   // Wrong format tag, invalid JSON, wrong shapes.
   ShardDoc Out3;
-  EXPECT_FALSE(parseShardJson("{\"format\":\"something-else\","
-                              "\"version\":{\"major\":1}}",
-                              Out3, Err));
-  EXPECT_FALSE(parseShardJson("not json", Out3, Err));
-  EXPECT_FALSE(parseShardJson("[]", Out3, Err));
+  EXPECT_FALSE(parseShard("{\"format\":\"something-else\","
+                          "\"version\":{\"major\":1}}",
+                          Out3, Err));
+  EXPECT_FALSE(parseShard("not json", Out3, Err));
+  EXPECT_FALSE(parseShard("[]", Out3, Err));
 
   // Inverted run ranges and negative counters must not wrap through
   // strtoull into huge u64s.
@@ -335,7 +336,7 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
   ASSERT_NE(At, std::string::npos);
   Inverted.replace(At, Needle.size(), "\"runBegin\":3,\"runEnd\":1");
   ShardDoc Out4;
-  EXPECT_FALSE(parseShardJson(Inverted, Out4, Err));
+  EXPECT_FALSE(parseShard(Inverted, Out4, Err));
   EXPECT_NE(Err.find("precedes"), std::string::npos) << Err;
 
   std::string Negative = Json;
@@ -343,7 +344,7 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
   ASSERT_NE(At, std::string::npos);
   Negative.replace(At, Needle.size(), "\"runBegin\":0,\"runEnd\":-1");
   ShardDoc Out5;
-  EXPECT_FALSE(parseShardJson(Negative, Out5, Err));
+  EXPECT_FALSE(parseShard(Negative, Out5, Err));
 }
 
 //===----------------------------------------------------------------------===//
@@ -364,7 +365,7 @@ TEST(Serialize, ReportRoundTripsByteIdentically) {
   std::string Json = Rep.renderJson();
   Report Back;
   std::string Err;
-  ASSERT_TRUE(parseReportJson(Json, Back, Err)) << Err;
+  ASSERT_TRUE(parseReportDoc(Json, Back, Err)) << Err;
   EXPECT_EQ(Back.renderJson(), Json);
   // The parsed report also renders the same human-readable text.
   EXPECT_EQ(Back.render(), Rep.render());
@@ -381,7 +382,7 @@ TEST(Serialize, BatchReportDocumentRoundTrips) {
 
   BatchReportDoc Doc;
   std::string Err;
-  ASSERT_TRUE(parseBatchReportJson(Json, Doc, Err)) << Err;
+  ASSERT_TRUE(parseBatchReport(Json, Doc, Err)) << Err;
   ASSERT_EQ(Doc.Benchmarks.size(), Cores.size());
   for (size_t I = 0; I < Doc.Benchmarks.size(); ++I) {
     EXPECT_EQ(Doc.Benchmarks[I].Name, Result.Benchmarks[I].Name);
@@ -397,7 +398,7 @@ TEST(Serialize, BatchReportDocumentRoundTrips) {
   Bumped.replace(Bumped.find(Needle), Needle.size(),
                  format("\"major\":%d", WireFormatMajor + 1));
   BatchReportDoc Doc2;
-  EXPECT_FALSE(parseBatchReportJson(Bumped, Doc2, Err));
+  EXPECT_FALSE(parseBatchReport(Bumped, Doc2, Err));
 }
 
 TEST(Serialize, ImproveRecordsRoundTripByteIdentically) {
@@ -431,7 +432,7 @@ TEST(Serialize, ImproveRecordsRoundTripByteIdentically) {
   EXPECT_NE(Json.find("\"improvements\":["), std::string::npos);
   Report Back;
   std::string Err;
-  ASSERT_TRUE(parseReportJson(Json, Back, Err)) << Err;
+  ASSERT_TRUE(parseReportDoc(Json, Back, Err)) << Err;
   ASSERT_EQ(Back.Improvements.size(), 2u);
   EXPECT_EQ(Back.Improvements[0].Rewritten, "1");
   EXPECT_TRUE(Back.Improvements[0].Improved);
@@ -452,7 +453,7 @@ TEST(Serialize, PreImprovementsMinorVersionsAreAccepted) {
       WireFormatMajor);
   BatchReportDoc Out;
   std::string Err;
-  ASSERT_TRUE(parseBatchReportJson(Doc, Out, Err)) << Err;
+  ASSERT_TRUE(parseBatchReport(Doc, Out, Err)) << Err;
   ASSERT_EQ(Out.Benchmarks.size(), 1u);
   EXPECT_TRUE(Out.Benchmarks[0].Rep.Improvements.empty());
   EXPECT_EQ(Out.Benchmarks[0].Rep.renderJson(), "{\"spots\":[]}");
@@ -474,20 +475,115 @@ TEST(Serialize, ImproveDocRoundTripsAndRejectsForeignEnvelopes) {
   std::string Json = renderImproveDocJson(Doc);
   ImproveDoc Back;
   std::string Err;
-  ASSERT_TRUE(parseImproveDocJson(Json, Back, Err)) << Err;
+  ASSERT_TRUE(parseImproveDoc(Json, Back, Err)) << Err;
   EXPECT_EQ(renderImproveDocJson(Back), Json);
   EXPECT_EQ(Back.Record.Rewritten, Doc.Record.Rewritten);
   EXPECT_EQ(Back.Record.ErrorBefore, Doc.Record.ErrorBefore);
 
   // Wrong format tag and unknown major are both rejected.
   ImproveDoc Out;
-  EXPECT_FALSE(parseImproveDocJson(
+  EXPECT_FALSE(parseImproveDoc(
       renderShardJson("h", "b", 0, 0, 0, 1, AnalysisResult{}), Out, Err));
   std::string Bumped = Json;
   std::string Needle = format("\"major\":%d", WireFormatMajor);
   Bumped.replace(Bumped.find(Needle), Needle.size(),
                  format("\"major\":%d", WireFormatMajor + 1));
-  EXPECT_FALSE(parseImproveDocJson(Bumped, Out, Err));
+  EXPECT_FALSE(parseImproveDoc(Bumped, Out, Err));
+}
+
+TEST(Serialize, EveryEnvelopedFamilyRejectsForeignDocuments) {
+  // One small document per family, with the family's format tag, error
+  // context and sniffing parser. The shared envelope codec must reject
+  // each kind of foreign document with the family's own error.
+  struct Family {
+    const char *Format, *Ctx;
+    int Major;
+    std::string Bin, Json;
+    std::function<bool(const std::string &, std::string &)> Parse;
+  };
+  ShardDoc Shard;
+  Shard.ConfigHash = "h";
+  Shard.RunEnd = 1;
+  ImproveDoc Improve;
+  Improve.ConfigHash = "h";
+  BatchReportDoc Batch;
+  Batch.Benchmarks.emplace_back();
+  Batch.Benchmarks.back().Name = "b";
+  TelemetryDoc Telemetry;
+  LedgerEntry Ledger;
+  Ledger.Host = "h";
+  const std::vector<Family> Families = {
+      {"herbgrind-shard", "shard", WireFormatMajor, renderShardBinary(Shard),
+       renderShardJson(Shard),
+       [](const std::string &T, std::string &E) {
+         ShardDoc D;
+         return parseShard(T, D, E);
+       }},
+      {"herbgrind-improve", "improve", WireFormatMajor,
+       renderImproveDocBinary(Improve), renderImproveDocJson(Improve),
+       [](const std::string &T, std::string &E) {
+         ImproveDoc D;
+         return parseImproveDoc(T, D, E);
+       }},
+      {"herbgrind-report", "batch report", WireFormatMajor,
+       renderBatchReportBinary(Batch), renderBatchReportJson(Batch),
+       [](const std::string &T, std::string &E) {
+         BatchReportDoc D;
+         return parseBatchReport(T, D, E);
+       }},
+      {"herbgrind-telemetry", "telemetry", TelemetryFormatMajor,
+       renderTelemetryBinary(Telemetry), renderTelemetryJson(Telemetry),
+       [](const std::string &T, std::string &E) {
+         TelemetryDoc D;
+         return parseTelemetry(T, D, E);
+       }},
+      {"herbgrind-ledger", "ledger", LedgerFormatMajor,
+       renderLedgerEntryBinary(Ledger), renderLedgerEntryJson(Ledger),
+       [](const std::string &T, std::string &E) {
+         LedgerEntry D;
+         return parseLedgerEntry(T, D, E);
+       }},
+  };
+  for (size_t I = 0; I < Families.size(); ++I) {
+    const Family &F = Families[I];
+    const Family &Other = Families[(I + 1) % Families.size()];
+    SCOPED_TRACE(F.Format);
+    std::string Err;
+    ASSERT_TRUE(F.Parse(F.Bin, Err)) << Err;
+    ASSERT_TRUE(F.Parse(F.Json, Err)) << Err;
+    // HGB header: magic, family, major and minor varints, codec byte. A
+    // raw body (codec 0) lets a trailing byte reach the envelope check.
+    ASSERT_EQ(F.Bin[7], 0) << "body stored compressed";
+    auto Rejects = [&](const std::string &Doc, const std::string &Want) {
+      std::string Why;
+      EXPECT_FALSE(F.Parse(Doc, Why));
+      EXPECT_NE(Why.find(Want), std::string::npos) << Why;
+    };
+    const std::string Foreign = format("not a %s file", F.Format);
+    const std::string Unsupported =
+        format("unsupported %s major version %d", F.Format, F.Major + 1);
+
+    Rejects(F.Bin + "x", std::string(F.Ctx) + ": trailing bytes");
+    std::string OtherHeader = F.Bin;
+    OtherHeader[4] = Other.Bin[4];
+    Rejects(OtherHeader, Foreign);
+    std::string BinBump = F.Bin;
+    BinBump[5] = static_cast<char>(F.Major + 1);
+    Rejects(BinBump, Unsupported);
+
+    std::string JsonBump = F.Json;
+    std::string Needle = format("\"major\":%d", F.Major);
+    JsonBump.replace(JsonBump.find(Needle), Needle.size(),
+                     format("\"major\":%d", F.Major + 1));
+    Rejects(JsonBump, Unsupported);
+    std::string OtherTag = F.Json;
+    Needle = format("\"format\":\"%s\"", F.Format);
+    OtherTag.replace(OtherTag.find(Needle), Needle.size(),
+                     format("\"format\":\"%s\"", Other.Format));
+    Rejects(OtherTag, Foreign);
+    Rejects("[" + F.Json + "]",
+            std::string(F.Ctx) + " document is not an object");
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -520,7 +616,7 @@ TEST(MergeShards, ReproducesTheDirectSweepByteIdentically) {
       std::string Text, Err;
       ASSERT_TRUE(readFile(Entry.path().string(), Text));
       ShardDoc Doc;
-      ASSERT_TRUE(parseShardJson(Text, Doc, Err)) << Err;
+      ASSERT_TRUE(parseShard(Text, Doc, Err)) << Err;
       Docs.push_back(std::move(Doc));
     }
   ASSERT_EQ(Docs.size(), 5u * 3u); // ceil(7/3) = 3 shards per benchmark
@@ -814,7 +910,7 @@ TEST(Serialize, TelemetryDocumentRoundTripsAndKeepsItsOwnVersion) {
 
   TelemetryDoc Back;
   std::string Err;
-  ASSERT_TRUE(parseTelemetryJson(Json, Back, Err)) << Err;
+  ASSERT_TRUE(parseTelemetry(Json, Back, Err)) << Err;
   EXPECT_EQ(renderTelemetryJson(Back), Json);
   ASSERT_EQ(Back.Profile.size(), 1u);
   EXPECT_EQ(Back.Profile[0].Op, Opcode::SqrtF64);
@@ -831,14 +927,14 @@ TEST(Serialize, TelemetryDocumentRoundTripsAndKeepsItsOwnVersion) {
   Bumped.replace(At, Needle.size(),
                  format("\"major\":%d", TelemetryFormatMajor + 2));
   TelemetryDoc Out;
-  EXPECT_FALSE(parseTelemetryJson(Bumped, Out, Err));
+  EXPECT_FALSE(parseTelemetry(Bumped, Out, Err));
   EXPECT_NE(Err.find("major version"), std::string::npos) << Err;
 
   // The report parsers refuse a telemetry document and vice versa: the
   // format tags keep the two families apart even at the same version.
   ShardDoc Foreign;
-  EXPECT_FALSE(parseShardJson(Json, Foreign, Err));
-  EXPECT_FALSE(parseTelemetryJson(
+  EXPECT_FALSE(parseShard(Json, Foreign, Err));
+  EXPECT_FALSE(parseTelemetry(
       "{\"format\":\"herbgrind-shard\",\"version\":{\"major\":1,"
       "\"minor\":0}}",
       Out, Err));

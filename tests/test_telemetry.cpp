@@ -443,7 +443,7 @@ TEST_F(TelemetryTest, TelemetryDocRoundTripsByteIdentically) {
   std::string Json = renderTelemetryJson(Doc);
   TelemetryDoc Back;
   std::string Err;
-  ASSERT_TRUE(parseTelemetryJson(Json, Back, Err)) << Err;
+  ASSERT_TRUE(parseTelemetry(Json, Back, Err)) << Err;
   EXPECT_EQ(Back.Metrics.counterValue("test.doc_counter"), 42u);
   const metrics::GaugeSample *GS = Back.Metrics.findGauge("test.doc_gauge");
   ASSERT_NE(GS, nullptr);
@@ -476,7 +476,7 @@ TEST_F(TelemetryTest, TelemetryDocRejectsUnknownMajorAndGarbage) {
                  format("\"major\":%d", TelemetryFormatMajor + 1));
   TelemetryDoc Out;
   std::string Err;
-  EXPECT_FALSE(parseTelemetryJson(Bumped, Out, Err));
+  EXPECT_FALSE(parseTelemetry(Bumped, Out, Err));
   EXPECT_NE(Err.find("major version"), std::string::npos) << Err;
 
   // A newer minor of the same major still parses.
@@ -486,12 +486,12 @@ TEST_F(TelemetryTest, TelemetryDocRejectsUnknownMajorAndGarbage) {
   ASSERT_NE(At, std::string::npos);
   MinorBump.replace(At, Needle.size(),
                     format("\"minor\":%d", TelemetryFormatMinor + 5));
-  EXPECT_TRUE(parseTelemetryJson(MinorBump, Out, Err)) << Err;
+  EXPECT_TRUE(parseTelemetry(MinorBump, Out, Err)) << Err;
 
-  EXPECT_FALSE(parseTelemetryJson("not json", Out, Err));
-  EXPECT_FALSE(parseTelemetryJson("[]", Out, Err));
+  EXPECT_FALSE(parseTelemetry("not json", Out, Err));
+  EXPECT_FALSE(parseTelemetry("[]", Out, Err));
   // A report document is not a telemetry document.
-  EXPECT_FALSE(parseTelemetryJson(
+  EXPECT_FALSE(parseTelemetry(
       "{\"format\":\"herbgrind-batch\",\"version\":{\"major\":1,\"minor\":0}}",
       Out, Err));
 }
@@ -989,10 +989,12 @@ TEST_F(TelemetryTest, LedgerAppendListsChronologicallyAndMixesFormats) {
   E2.Label = "earlier";
 
   std::string Path, Err;
-  ASSERT_TRUE(ledgerAppend(Dir.Path, E1, WireEncoding::Json, Path, Err))
-      << Err;
-  ASSERT_TRUE(ledgerAppend(Dir.Path, E2, WireEncoding::Binary, Path, Err))
-      << Err;
+  ASSERT_TRUE(ledgerAppend(Dir.Path, E1, Path, Err)) << Err;
+  EXPECT_EQ(std::filesystem::path(Path).extension(), ".json");
+  // An HGB entry (from an older writer, or converted by json2hgb) lists
+  // alongside the JSON ones.
+  std::ofstream(Dir.Path + "/entry-1000-1.hgb", std::ios::binary)
+      << renderLedgerEntryBinary(E2);
 
   std::vector<LedgerEntry> Entries;
   std::vector<std::string> Paths;

@@ -170,7 +170,7 @@ TEST(TieredDiff, ConfirmEmittedShardsMergeToFullReport) {
     std::string Text, Err;
     ASSERT_TRUE(readFile(P, Text)) << P;
     ShardDoc Doc;
-    ASSERT_TRUE(parseShardJson(Text, Doc, Err)) << P << ": " << Err;
+    ASSERT_TRUE(parseShard(Text, Doc, Err)) << P << ": " << Err;
     Docs.push_back(std::move(Doc));
   }
   ASSERT_EQ(Docs.size(), Swept.Stats.Shards);

@@ -10,9 +10,10 @@
 // cannot drift; (2) the sniffing parsers accept either format; (3) every
 // truncation or corruption of a binary document fails cleanly (the
 // caches treat that as a miss); (4) the decoder bounds nesting depth like
-// the JSON parser; (5) a binary-cached sweep and a JSON-cached sweep warm
-// each other and produce byte-identical reports; (6) mixed-format shard
-// sets merge byte-identically to a direct sweep; (7) randomized report
+// the JSON parser; (5) the result cache writes HGB entries only, reads a
+// JSON entry from an older writer as a miss, and still prunes it; (6)
+// mixed-format shard sets merge byte-identically to a direct sweep; (7)
+// randomized report
 // documents with NaN / infinities / subnormals / -0.0 round-trip in both
 // formats.
 //
@@ -318,72 +319,87 @@ TEST(WireBinary, DecoderBoundsNestingDepth) {
 // The result cache across formats
 //===----------------------------------------------------------------------===//
 
-TEST(WireBinary, BinaryAndJsonCachedSweepsWarmEachOther) {
-  TempDir Dir("xformat-cache");
+TEST(WireBinary, LegacyJsonCacheEntriesAreMisses) {
+  TempDir Dir("legacy-cache");
   std::vector<fpcore::Core> Cores = smallCorpusSubset(4);
-
   EngineConfig Cfg;
   Cfg.Jobs = 2;
   Cfg.SamplesPerBenchmark = 4;
   Cfg.ShardSize = 2;
   Cfg.CacheDir = Dir.Path;
-  Cfg.WireFormat = WireEncoding::Binary;
+  BatchResult First = Engine(Cfg).run(Cores);
+  ASSERT_GT(First.Stats.AnalyzedShards, 0u);
+
+  // Replace every entry with its JSON twin at the .shard.json path, as a
+  // cache written before entries were always HGB holds them.
+  const std::string Hgb = ".shard.hgb";
+  uint64_t Legacy = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path)) {
+    std::string Path = E.path().string();
+    ASSERT_GT(Path.size(), Hgb.size());
+    std::string Base = Path.substr(0, Path.size() - Hgb.size());
+    ASSERT_EQ(Base + Hgb, Path) << "not an HGB shard entry";
+    ShardDoc Doc;
+    std::string Err;
+    ASSERT_TRUE(parseShard(slurp(Path), Doc, Err)) << Path << ": " << Err;
+    spew(Base + ".shard.json", renderShardJson(Doc));
+    std::filesystem::remove(Path);
+    ++Legacy;
+  }
+  ASSERT_EQ(Legacy, First.Stats.Shards);
+
+  // Lookups never open the JSON entries: every shard is analyzed again,
+  // the report keeps its bytes, and the rebuilt entries are HGB.
+  BatchResult Second = Engine(Cfg).run(Cores);
+  EXPECT_EQ(Second.Stats.CachedShards, 0u);
+  EXPECT_EQ(Second.Stats.AnalyzedShards, Second.Stats.Shards);
+  EXPECT_EQ(Second.renderJson(), First.renderJson());
+  uint64_t Rebuilt = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    Rebuilt += E.path().extension() == ".hgb";
+  EXPECT_EQ(Rebuilt, Legacy);
+
+  // GC still counts and prunes the legacy entries.
+  CacheGcStats Stats;
+  std::string Err;
+  ASSERT_TRUE(gcCacheDir(Dir.Path, 0, Stats, Err)) << Err;
+  EXPECT_EQ(Stats.Entries, 2 * Legacy);
+  EXPECT_EQ(Stats.PrunedEntries, Stats.Entries);
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    ADD_FAILURE() << "entry survived a zero-byte cap: " << E.path();
+}
+
+TEST(WireBinary, TruncatedCacheEntriesAreMisses) {
+  std::vector<fpcore::Core> Cores = smallCorpusSubset(3);
+  TempDir Dir("trunc-hgb");
+  EngineConfig Cfg;
+  Cfg.Jobs = 2;
+  Cfg.SamplesPerBenchmark = 4;
+  Cfg.ShardSize = 2;
+  Cfg.CacheDir = Dir.Path;
 
   Engine Cold(Cfg);
   BatchResult First = Cold.run(Cores);
   EXPECT_GT(First.Stats.AnalyzedShards, 0u);
-  EXPECT_EQ(First.Stats.CachedShards, 0u);
 
-  // Entries landed as .hgb.
-  bool SawHgb = false;
-  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
-    SawHgb |= E.path().extension() == ".hgb";
-  EXPECT_TRUE(SawHgb);
-
-  // A JSON-configured sweep over the same cache analyzes nothing: the
-  // wire format is not part of the cache identity and lookups sniff.
-  Cfg.WireFormat = WireEncoding::Json;
-  Engine Warm(Cfg);
-  BatchResult Second = Warm.run(Cores);
-  EXPECT_EQ(Second.Stats.AnalyzedShards, 0u);
-  EXPECT_EQ(Second.Stats.CachedShards, Second.Stats.Shards);
-  EXPECT_EQ(Second.renderJson(), First.renderJson());
-}
-
-TEST(WireBinary, TruncatedCacheEntriesAreMissesForBothFormats) {
-  std::vector<fpcore::Core> Cores = smallCorpusSubset(3);
-  for (WireEncoding Enc : {WireEncoding::Json, WireEncoding::Binary}) {
-    TempDir Dir(Enc == WireEncoding::Json ? "trunc-json" : "trunc-hgb");
-    EngineConfig Cfg;
-    Cfg.Jobs = 2;
-    Cfg.SamplesPerBenchmark = 4;
-    Cfg.ShardSize = 2;
-    Cfg.CacheDir = Dir.Path;
-    Cfg.WireFormat = Enc;
-
-    Engine Cold(Cfg);
-    BatchResult First = Cold.run(Cores);
-    EXPECT_GT(First.Stats.AnalyzedShards, 0u);
-
-    // Chop every entry in half: atomic stores can never produce this,
-    // but a full disk or a copied cache can.
-    for (const auto &E : std::filesystem::directory_iterator(Dir.Path)) {
-      std::string Text = slurp(E.path().string());
-      spew(E.path().string(), Text.substr(0, Text.size() / 2));
-    }
-
-    Engine Damaged(Cfg);
-    BatchResult Second = Damaged.run(Cores);
-    EXPECT_EQ(Second.Stats.CachedShards, 0u);
-    EXPECT_EQ(Second.Stats.AnalyzedShards, Second.Stats.Shards);
-    EXPECT_EQ(Second.renderJson(), First.renderJson());
-
-    // The re-analysis overwrote the damage: a third run is fully warm.
-    Engine Healed(Cfg);
-    BatchResult Third = Healed.run(Cores);
-    EXPECT_EQ(Third.Stats.AnalyzedShards, 0u);
-    EXPECT_EQ(Third.renderJson(), First.renderJson());
+  // Chop every entry in half: atomic stores can never produce this, but
+  // a full disk or a copied cache can.
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path)) {
+    std::string Text = slurp(E.path().string());
+    spew(E.path().string(), Text.substr(0, Text.size() / 2));
   }
+
+  Engine Damaged(Cfg);
+  BatchResult Second = Damaged.run(Cores);
+  EXPECT_EQ(Second.Stats.CachedShards, 0u);
+  EXPECT_EQ(Second.Stats.AnalyzedShards, Second.Stats.Shards);
+  EXPECT_EQ(Second.renderJson(), First.renderJson());
+
+  // The re-analysis overwrote the damage: a third run is fully warm.
+  Engine Healed(Cfg);
+  BatchResult Third = Healed.run(Cores);
+  EXPECT_EQ(Third.Stats.AnalyzedShards, 0u);
+  EXPECT_EQ(Third.renderJson(), First.renderJson());
 }
 
 TEST(WireBinary, GcPrunesBinaryEntries) {
@@ -393,7 +409,6 @@ TEST(WireBinary, GcPrunesBinaryEntries) {
   Cfg.SamplesPerBenchmark = 4;
   Cfg.ShardSize = 2;
   Cfg.CacheDir = Dir.Path;
-  Cfg.WireFormat = WireEncoding::Binary;
   Engine Eng(Cfg);
   Eng.run(smallCorpusSubset(3));
 
@@ -423,8 +438,8 @@ TEST(WireBinary, MixedFormatShardSetMergesByteIdentically) {
   Engine Direct(EmitCfg);
   BatchResult Reference = Direct.run(Cores);
 
-  // Re-encode every other emitted document as HGB, then merge the mixed
-  // set: same report bytes as the direct sweep.
+  // Convert every other emitted HGB document to JSON, then merge the
+  // mixed set: same report bytes as the direct sweep.
   std::vector<std::string> Paths;
   for (const auto &E : std::filesystem::directory_iterator(Emit.Path))
     Paths.push_back(E.path().string());
@@ -435,12 +450,13 @@ TEST(WireBinary, MixedFormatShardSetMergesByteIdentically) {
   std::string Err;
   for (size_t I = 0; I < Paths.size(); ++I) {
     std::string Text = slurp(Paths[I]);
+    ASSERT_TRUE(wire::isBinary(Text)) << Paths[I];
     ShardDoc Doc;
     ASSERT_TRUE(parseShard(Text, Doc, Err)) << Paths[I] << ": " << Err;
     if (I % 2 == 1) {
-      std::string Bin = renderShardBinary(Doc);
+      std::string Json = renderShardJson(Doc);
       ShardDoc Again;
-      ASSERT_TRUE(parseShard(Bin, Again, Err)) << Err;
+      ASSERT_TRUE(parseShard(Json, Again, Err)) << Err;
       Docs.push_back(std::move(Again));
     } else {
       Docs.push_back(std::move(Doc));
@@ -532,7 +548,7 @@ TEST(WireBinary, RandomizedReportsRoundTripInBothFormats) {
 
     Report FromJson, FromBin;
     std::string Err;
-    ASSERT_TRUE(parseReportJson(Json, FromJson, Err))
+    ASSERT_TRUE(parseReportDoc(Json, FromJson, Err))
         << "iter " << Iter << ": " << Err;
     ASSERT_TRUE(parseReportDoc(Bin, FromBin, Err))
         << "iter " << Iter << ": " << Err;
