@@ -9,29 +9,14 @@
 // perturbs comparisons.
 //
 // Persistence and distribution (REPORT_SCHEMA.md documents the formats):
-//   --cache-dir DIR     reuse shard results across runs; a repeated sweep
-//                       analyzes only new or invalidated shards
-//   --emit-shard DIR    also write every shard result as an HGB document
-//   --shard-range LO:HI run only per-benchmark shard indices [LO, HI)
-//   --merge-shards      fold shard documents (files, or directories of
-//                       them such as emit and cache directories) into the
-//                       report a single full sweep of the same
-//                       configuration would have produced
-//   --improve           run the batch improver over every merged root
-//                       cause (works after a sweep and on merged shard
-//                       documents; outcomes land in the report's
-//                       "improvements" section and in the result cache)
+// a result cache reuses shard results across runs, and shard documents
+// emitted by disjoint --shard-range slices merge into the report one full
+// sweep would have produced. Subcommands convert wire documents between
+// encodings, merge telemetry documents and browse the run ledger.
 //
-// Usage:
-//   herbgrind_batch [--jobs N] [--samples N] [--shard N] [--seed S]
-//                   [--cache-dir D] [--emit-shard D] [--shard-range LO:HI]
-//                   [--improve] [--improve-samples N]
-//                   [--name BENCH]... [file.fpcore]... [--json] [--out F]
-//   herbgrind_batch --merge-shards [--improve] [--json] [--out F] PATH...
-//   herbgrind_batch hgb2json FILE [--out F]   # HGB document -> exact JSON
-//   herbgrind_batch json2hgb FILE [--out F]   # JSON document -> HGB
-//   herbgrind_batch --list
-//   herbgrind_batch --selftest [engine options]   # jobs-invariance check
+// Every command reads argv with one parse loop (parseArgs) against its
+// own table of flags, and usage() prints those same tables, so the usage
+// text (`herbgrind_batch --help`) is the flag reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +29,8 @@
 #include "native/Kernel.h"
 #include "support/Events.h"
 #include "support/Format.h"
-#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
-#include "support/WireBinary.h"
 
 #include <algorithm>
 #include <cctype>
@@ -58,6 +41,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -70,87 +54,6 @@
 using namespace herbgrind;
 using namespace herbgrind::engine;
 using namespace herbgrind::fpcore;
-
-static int usage(const char *Prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] [file.fpcore]...\n"
-      "  --jobs N          worker threads (default: hardware concurrency)\n"
-      "  --samples N       sampled inputs per benchmark (default 64)\n"
-      "  --shard N         inputs per shard (default 16)\n"
-      "  --seed S          base sampling seed (default 0xcafe)\n"
-      "  --tier MODE       shadowing tier: full (default; every run under\n"
-      "                    the 256-bit shadow), confirm (tier-0 error\n"
-      "                    predicates sweep first, suspect benchmarks\n"
-      "                    replay in full -- report bytes identical to\n"
-      "                    full), fast (per-run escalation; root causes a\n"
-      "                    subset of full's, counters differ)\n"
-      "  --name BENCH      analyze one corpus benchmark (repeatable)\n"
-      "  --native          also sweep the bundled native-frontend demo\n"
-      "                    kernels (real C++ code instrumented through\n"
-      "                    native::Real); alone, sweep only those\n"
-      "  --cache-dir DIR   persistent shard-result cache: repeated sweeps\n"
-      "                    analyze only new or invalidated shards\n"
-      "  --cache-max-bytes N  prune the cache to N bytes after the sweep\n"
-      "                    (LRU by mtime; 0 = unbounded, the default)\n"
-      "  --cache-gc        GC mode: prune --cache-dir to an explicitly\n"
-      "                    given --cache-max-bytes and exit (no analysis;\n"
-      "                    an explicit 0 empties the cache)\n"
-      "  --emit-shard DIR  also write each shard result as an HGB document\n"
-      "                    (for --merge-shards on another machine)\n"
-      "  --shard-range LO:HI  run only per-benchmark shard indices\n"
-      "                    [LO, HI) of the full layout\n"
-      "  --merge-shards    merge mode: remaining paths are shard documents\n"
-      "                    (or directories of them: emit and cache dirs)\n"
-      "                    to fold into a report\n"
-      "  --improve         run the batch improver over every merged root\n"
-      "                    cause; outcomes are appended to the report (and\n"
-      "                    cached in --cache-dir when one is configured)\n"
-      "  --improve-samples N  sampled points per improver run (default "
-      "256)\n"
-      "  --json            emit a JSON report instead of text\n"
-      "  --out FILE        write the report to FILE instead of stdout\n"
-      "  --report-out FILE same as --out (service-shaped callers)\n"
-      "  --metrics-out FILE  write the sweep's telemetry document (merged\n"
-      "                    metrics + hot-op profile) as versioned JSON;\n"
-      "                    never affects report bytes (docs/TELEMETRY.md)\n"
-      "  --trace-out FILE  write spans as Chrome trace-event JSON (load in\n"
-      "                    Perfetto / chrome://tracing)\n"
-      "  --profile-ops     attribute shadow-op wall time and limb traffic\n"
-      "                    to (site, opcode) identities; prints a ranked\n"
-      "                    cost table to stderr\n"
-      "  --profile-period N  measure every Nth shadow op (default 1)\n"
-      "  --progress        print a heartbeat line to stderr during sweeps\n"
-      "  --progress-every S  heartbeat interval in seconds (implies\n"
-      "                    --progress; fractional values allowed)\n"
-      "  --events-out FILE stream lifecycle events (sweep begin/end, shard\n"
-      "                    queued/cache-hit/analyzed/escalated/reduced,\n"
-      "                    improve records) as NDJSON; '-' = stdout\n"
-      "  --ledger-dir DIR  append one run-ledger entry (config hash, stats,\n"
-      "                    merged metrics) after the sweep; browse with the\n"
-      "                    ledger subcommand\n"
-      "  --list            list corpus benchmark names\n"
-      "  --selftest        verify --jobs N output matches --jobs 1, then "
-      "exit\n"
-      "Subcommands (first argument):\n"
-      "  hgb2json FILE [--out F]  rewrite an HGB document (any family) as\n"
-      "                    the exact JSON bytes the JSON backend emits\n"
-      "  json2hgb FILE [--out F]  rewrite a JSON document as HGB\n"
-      "  telemetry-merge PATH... [--out F]\n"
-      "                    fold telemetry documents (files, or directories\n"
-      "                    of telemetry-* sidecars) into one JSON document;\n"
-      "                    counters sum, timers fold, profiles re-rank\n"
-      "  ledger list DIR   print every ledger entry, oldest first\n"
-      "  ledger show DIR N print entry N (chronological index) as JSON\n"
-      "  ledger compare DIR [BASE CUR] [--wall-frac F] [--cache-hit-drop F]\n"
-      "                    [--escalation-rise F] [--heap-frac F]\n"
-      "                    [--heap-slack N]  judge entry CUR against BASE\n"
-      "                    (default: latest against previous); exits 1 when\n"
-      "                    a regression threshold is crossed\n"
-      "With no files and no --name, the whole bundled corpus is analyzed.\n",
-      Prog);
-  return 2;
-}
 
 /// The one parser behind every numeric flag. The whole of \p V must be a
 /// number in [Lo, Hi]: no sign, no leading space, no trailing text, so
@@ -196,21 +99,312 @@ static bool parseNumber(const char *Flag, const char *V, T &Out, T Lo,
   return Ok;
 }
 
-/// Writes the rendered report to --out (or stdout); shared by the run and
-/// merge modes.
-static int emitRendered(const std::string &Rendered,
-                        const std::string &OutFile) {
-  if (OutFile.empty()) {
-    std::fputs(Rendered.c_str(), stdout);
-    return 0;
+/// Everything a command line sets. Each command reads the fields its own
+/// flag table writes, plus its positionals.
+struct Options {
+  EngineConfig Cfg;
+  improve::BatchImproveConfig BCfg;
+  LedgerThresholds Thresholds;
+  bool Json = false, SelfTest = false, MergeShards = false, CacheGc = false;
+  bool List = false, CacheMaxSet = false, Improve = false, Native = false;
+  bool ProfileOps = false, Progress = false;
+  double ProgressEvery = 1.0;
+  uint32_t ProfilePeriod = 1;
+  std::string OutFile, MetricsOut, TraceOut, EventsOut, LedgerDir;
+  /// Positional arguments and --name values, in command-line order: the
+  /// order of the benchmarks in a report.
+  struct Arg {
+    std::string Text;
+    bool IsName = false; ///< A --name value rather than a path.
+  };
+  std::vector<Arg> Args;
+};
+
+/// Stores a flag's value (null for a switch). On a bad value it prints an
+/// error naming \p Flag and returns false, and the command exits 2.
+using Setter = std::function<bool(const char *Flag, const char *V)>;
+
+/// One entry of a command's flag table: the parse loop matches Name and
+/// calls Set; usage() prints Name, Value and Help.
+struct Flag {
+  const char *Name;
+  const char *Value; ///< Placeholder of the value in usage; null: a switch.
+  Setter Set;
+  const char *Help; ///< Usage text, wrapped by usage().
+};
+
+static Setter on(bool &B) {
+  return [&B](const char *, const char *) {
+    B = true;
+    return true;
+  };
+}
+
+static Setter text(std::string &S) {
+  return [&S](const char *, const char *V) {
+    S = V;
+    return true;
+  };
+}
+
+/// A number of at least \p Lo, read by parseNumber.
+template <typename T> static Setter number(T &Out, T Lo, int Base = 10) {
+  return [&Out, Lo, Base](const char *F, const char *V) {
+    return parseNumber(F, V, Out, Lo, std::numeric_limits<T>::max(), Base);
+  };
+}
+
+/// The sweep's flags, shared by --merge-shards, --selftest, --list and
+/// --cache-gc runs.
+static std::vector<Flag> sweepFlags(Options &O) {
+  return {
+      {"--jobs", "N", number(O.Cfg.Jobs, 0u), // 0 = auto
+       "worker threads (default: hardware concurrency)"},
+      {"--samples", "N", number(O.Cfg.SamplesPerBenchmark, 0),
+       "sampled inputs per benchmark (default 64)"},
+      {"--shard", "N", number(O.Cfg.ShardSize, 0),
+       "inputs per shard (default 16)"},
+      {"--seed", "S", number(O.Cfg.Seed, uint64_t(0), /*Base=*/0),
+       "base sampling seed (default 0xcafe)"},
+      {"--tier", "MODE",
+       [&O](const char *F, const char *V) {
+         if (parseTierMode(V, O.Cfg.Tier))
+           return true;
+         std::fprintf(stderr,
+                      "error: %s wants full, confirm, or fast; got '%s'\n", F,
+                      V);
+         return false;
+       },
+       "shadowing tier: full (default; every run under the 256-bit shadow), "
+       "confirm (tier-0 error predicates sweep first, suspect benchmarks "
+       "replay in full -- report bytes identical to full), fast (per-run "
+       "escalation; root causes a subset of full's, counters differ)"},
+      {"--name", "BENCH",
+       [&O](const char *, const char *V) {
+         O.Args.push_back({V, /*IsName=*/true});
+         return true;
+       },
+       "analyze one corpus benchmark (repeatable)"},
+      {"--native", nullptr, on(O.Native),
+       "also sweep the bundled native-frontend demo kernels (real C++ code "
+       "instrumented through native::Real); alone, sweep only those"},
+      {"--cache-dir", "DIR", text(O.Cfg.CacheDir),
+       "persistent shard-result cache: repeated sweeps analyze only new or "
+       "invalidated shards"},
+      {"--cache-max-bytes", "N",
+       [&O](const char *F, const char *V) {
+         // "1G" must not become a 1-byte cap the GC prunes everything to,
+         // "-1" must not wrap to an unbounded one, and "010" means ten.
+         if (!parseNumber(F, V, O.Cfg.CacheMaxBytes, uint64_t(0)))
+           return false;
+         O.CacheMaxSet = true;
+         return true;
+       },
+       "prune the cache to N bytes after the sweep (LRU by mtime; 0 = "
+       "unbounded, the default)"},
+      {"--cache-gc", nullptr, on(O.CacheGc),
+       "GC mode: prune --cache-dir to an explicitly given --cache-max-bytes "
+       "and exit (no analysis; an explicit 0 empties the cache)"},
+      {"--emit-shard", "DIR", text(O.Cfg.EmitShardDir),
+       "also write each shard result as an HGB document (for --merge-shards "
+       "on another machine)"},
+      {"--shard-range", "LO:HI",
+       [&O](const char *F, const char *V) {
+         // Exactly one ':' between two whole numbers, each through the
+         // same strict parser as every other numeric flag.
+         const char *Colon = std::strchr(V, ':');
+         if (!Colon || std::strchr(Colon + 1, ':')) {
+           std::fprintf(stderr, "error: %s wants LO:HI; got '%s'\n", F, V);
+           return false;
+         }
+         std::string Lo(V, Colon);
+         return parseNumber(F, Lo.c_str(), O.Cfg.ShardBegin, size_t(0)) &&
+                parseNumber(F, Colon + 1, O.Cfg.ShardEnd, O.Cfg.ShardBegin);
+       },
+       "run only per-benchmark shard indices [LO, HI) of the full layout"},
+      {"--merge-shards", nullptr, on(O.MergeShards),
+       "merge mode: the paths are shard documents (or directories of them: "
+       "emit and cache dirs) to fold into a report"},
+      {"--improve", nullptr, on(O.Improve),
+       "run the batch improver over every merged root cause; outcomes are "
+       "appended to the report (and cached in --cache-dir when one is "
+       "configured)"},
+      {"--improve-samples", "N", number(O.BCfg.Improve.SampleCount, 1),
+       "sampled points per improver run (default 256)"},
+      {"--json", nullptr, on(O.Json), "emit a JSON report instead of text"},
+      {"--out", "FILE", text(O.OutFile),
+       "write the report to FILE instead of stdout"},
+      {"--metrics-out", "FILE", text(O.MetricsOut),
+       "write the sweep's telemetry document (merged metrics + hot-op "
+       "profile) as versioned JSON; never affects report bytes "
+       "(docs/TELEMETRY.md)"},
+      {"--trace-out", "FILE", text(O.TraceOut),
+       "write spans as Chrome trace-event JSON (load in Perfetto / "
+       "chrome://tracing)"},
+      {"--profile-ops", nullptr, on(O.ProfileOps),
+       "attribute shadow-op wall time and limb traffic to (site, opcode) "
+       "identities; prints a ranked cost table to stderr"},
+      {"--profile-period", "N", number(O.ProfilePeriod, uint32_t(1)),
+       "measure every Nth shadow op (default 1)"},
+      {"--progress", nullptr, on(O.Progress),
+       "print a heartbeat line to stderr during sweeps"},
+      {"--progress-every", "S",
+       [&O](const char *F, const char *V) {
+         if (!parseNumber(F, V, O.ProgressEvery, 0.0))
+           return false;
+         if (O.ProgressEvery == 0.0) {
+           std::fprintf(stderr,
+                        "error: --progress-every must be > 0 seconds\n");
+           return false;
+         }
+         O.Progress = true;
+         return true;
+       },
+       "heartbeat interval in seconds (implies --progress; fractional values "
+       "allowed)"},
+      {"--events-out", "FILE", text(O.EventsOut),
+       "stream lifecycle events (sweep begin/end, shard queued/cache-hit/"
+       "analyzed/escalated/reduced, improve records) as NDJSON; '-' = "
+       "stdout, which needs the report in --out unless --selftest"},
+      {"--ledger-dir", "DIR", text(O.LedgerDir),
+       "append one run-ledger entry (config hash, stats, merged metrics) "
+       "after the sweep; browse with the ledger subcommand"},
+      {"--list", nullptr, on(O.List), "list corpus benchmark names"},
+      {"--selftest", nullptr, on(O.SelfTest),
+       "verify --jobs N output matches --jobs 1, then exit"},
+  };
+}
+
+/// hgb2json, json2hgb and telemetry-merge.
+static std::vector<Flag> outFlags(Options &O) {
+  return {{"--out", "FILE", text(O.OutFile),
+           "write the output to FILE instead of stdout"}};
+}
+
+/// `ledger compare`'s regression thresholds; `ledger list` and `ledger
+/// show` take no flag.
+static std::vector<Flag> compareFlags(Options &O) {
+  LedgerThresholds &T = O.Thresholds;
+  return {
+      {"--wall-frac", "F", number(T.WallFrac, 0.0),
+       "wall time may grow by F (default 0.25)"},
+      {"--cache-hit-drop", "F", number(T.CacheHitDrop, 0.0),
+       "cache hit rate may drop by F (default 0.10)"},
+      {"--escalation-rise", "F", number(T.EscalationRise, 0.0),
+       "escalated-run fraction may rise by F (default 0.10)"},
+      {"--heap-frac", "F", number(T.HeapFrac, 0.0),
+       "heap allocations may grow by F (default 0.10) ..."},
+      {"--heap-slack", "N", number(T.HeapSlack, uint64_t(0)),
+       "... plus N allocations (default 256)"},
+  };
+}
+
+/// Prints one usage row: \p Label at \p Indent, then \p Help wrapped at
+/// word boundaries into lines that start at column 20 (a long label gets
+/// a line of its own).
+static void printRow(size_t Indent, const std::string &Label,
+                     const char *Help) {
+  const std::string Margin = "\n" + std::string(20, ' ');
+  std::string Row = std::string(Indent, ' ') + Label, Line;
+  Row += Row.size() > 22   ? Margin
+         : Row.size() < 18 ? std::string(20 - Row.size(), ' ')
+                           : std::string(2, ' ');
+  std::istringstream Words(Help);
+  for (std::string W; Words >> W; Line += W) {
+    if (!Line.empty() && Line.size() + W.size() >= 56) {
+      Row += Line + Margin;
+      Line.clear();
+    } else if (!Line.empty()) {
+      Line += ' ';
+    }
   }
-  std::ofstream Out(OutFile, std::ios::binary);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write %s\n", OutFile.c_str());
-    return 1;
+  std::fprintf(stderr, "%s%s\n", Row.c_str(), Line.c_str());
+}
+
+static void printFlags(size_t Indent, const std::vector<Flag> &Flags) {
+  for (const Flag &F : Flags)
+    printRow(Indent, F.Value ? std::string(F.Name) + " " + F.Value : F.Name,
+             F.Help);
+}
+
+static int usage(const char *Prog) {
+  Options Unused; // the tables' setters write here; none is called
+  std::fprintf(stderr,
+               "usage: %s [options] [--name BENCH]... [file.fpcore]...\n"
+               "       %s --merge-shards [options] PATH...\n"
+               "       %s hgb2json|json2hgb FILE [--out FILE]\n"
+               "       %s telemetry-merge PATH... [--out FILE]\n"
+               "       %s ledger list|show|compare DIR [N]... [options]\n"
+               "Flags and paths may come in any order.\n"
+               "Options:\n",
+               Prog, Prog, Prog, Prog, Prog);
+  printFlags(2, sweepFlags(Unused));
+  std::fputs("Subcommands (first argument):\n", stderr);
+  printRow(2, "hgb2json FILE",
+           "rewrite an HGB document (any family) as the exact JSON bytes the "
+           "JSON backend emits");
+  printRow(2, "json2hgb FILE", "rewrite a JSON document as HGB");
+  printRow(2, "telemetry-merge PATH...",
+           "fold telemetry documents (files, or directories of telemetry-* "
+           "sidecars) into one JSON document; counters sum, timers fold, "
+           "profiles re-rank");
+  printFlags(4, outFlags(Unused));
+  printRow(2, "ledger list DIR", "print every ledger entry, oldest first");
+  printRow(2, "ledger show DIR N",
+           "print entry N (chronological index) as JSON");
+  printRow(2, "ledger compare DIR [BASE CUR]",
+           "judge entry CUR against BASE (default: latest against previous); "
+           "exits 1 when a regression threshold is crossed");
+  printFlags(4, compareFlags(Unused));
+  std::fputs("With no files and no --name, the whole bundled corpus is "
+             "analyzed.\n",
+             stderr);
+  return 2;
+}
+
+/// The one parse loop, shared by every command: reads argv[First..]
+/// against \p Flags. An argument not starting with '-' is a positional,
+/// appended to O.Args; the caller acts on positionals only after the
+/// whole line has parsed. Returns 0, or 2 after printing usage (unknown
+/// flag, missing value) or a setter's error (bad value).
+static int parseArgs(int Argc, char **Argv, int First,
+                     const std::vector<Flag> &Flags, Options &O) {
+  for (int I = First; I < Argc; ++I) {
+    const char *Arg = Argv[I];
+    if (Arg[0] != '-') {
+      O.Args.push_back({Arg, /*IsName=*/false});
+      continue;
+    }
+    auto F = std::find_if(Flags.begin(), Flags.end(), [&](const Flag &F) {
+      return std::strcmp(F.Name, Arg) == 0;
+    });
+    if (F == Flags.end() || (F->Value && I + 1 >= Argc))
+      return usage(Argv[0]);
+    if (!F->Set(F->Name, F->Value ? Argv[++I] : nullptr))
+      return 2;
   }
-  Out << Rendered;
   return 0;
+}
+
+/// The one writer for every document the CLI outputs: \p Data goes to
+/// \p Path, or to stdout when \p Path is empty (through fwrite: HGB
+/// documents hold NUL bytes). The stream is flushed and checked, so a
+/// document lost to a full disk or a bad path exits 1 instead of 0.
+static int writeOutput(const std::string &Path, const std::string &Data) {
+  bool Ok;
+  if (Path.empty()) {
+    Ok = std::fwrite(Data.data(), 1, Data.size(), stdout) == Data.size() &&
+         std::fflush(stdout) == 0;
+  } else {
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write(Data.data(), static_cast<std::streamsize>(Data.size()));
+    Out.close();
+    Ok = !Out.fail();
+  }
+  if (!Ok)
+    std::fprintf(stderr, "error: cannot write %s\n",
+                 Path.empty() ? "to stdout" : Path.c_str());
+  return Ok ? 0 : 1;
 }
 
 /// The `--progress` heartbeat: a helper thread that samples the metrics
@@ -224,12 +418,9 @@ static int emitRendered(const std::string &Rendered,
 /// reports is always the completed state.
 class ProgressHeartbeat {
 public:
-  /// Must be called before start(). Fractional seconds are honored.
-  void setInterval(double Seconds) {
+  /// Fractional seconds are honored.
+  void start(double Seconds) {
     IntervalMs = std::max<int64_t>(1, static_cast<int64_t>(Seconds * 1000.0));
-  }
-
-  void start() {
     Started = true;
     T = std::thread([this] {
       std::unique_lock<std::mutex> Lock(M);
@@ -285,18 +476,6 @@ private:
   int64_t IntervalMs = 1000;
 };
 
-/// Writes \p Text to \p Path; diagnoses (but does not abort on) failure.
-static int writeTextFile(const std::string &Path, const std::string &Text) {
-  std::ofstream Out(Path, std::ios::binary);
-  if (Out)
-    Out << Text;
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-    return 1;
-  }
-  return 0;
-}
-
 /// Assembles this process's telemetry document: the current metrics
 /// snapshot plus the op profile accumulated in \p Result's records (when
 /// a sweep result is at hand).
@@ -326,43 +505,39 @@ static void stampTelemetryMeta(TelemetryDoc &Doc) {
 /// Emits the post-run telemetry outputs: stops tracing and writes the
 /// Chrome trace (--trace-out), assembles the telemetry document
 /// (--metrics-out), and prints the ranked hot-op table (--profile-ops).
-/// When \p SidecarPaths is given (merge mode), those telemetry sidecars
-/// are folded into this process's document first, so the written doc
-/// reproduces the emitting sweeps' totals. Returns nonzero if any
-/// requested file failed to write or any sidecar failed to parse.
-static int emitTelemetry(const std::string &MetricsOut,
-                         const std::string &TraceOut, bool ProfileOps,
-                         const BatchResult *Result,
-                         const std::vector<std::string> *SidecarPaths =
-                             nullptr) {
+/// In merge mode the telemetry sidecars \p SidecarPaths are folded into
+/// this process's document first, so the written doc reproduces the
+/// emitting sweeps' totals. Returns nonzero if any requested file failed
+/// to write or any sidecar failed to parse.
+static int emitTelemetry(const Options &O, const BatchResult *Result,
+                         const std::vector<std::string> &SidecarPaths = {}) {
   int Rc = 0;
-  if (!TraceOut.empty()) {
+  if (!O.TraceOut.empty()) {
     trace::stop();
-    Rc |= writeTextFile(TraceOut, trace::renderChromeTrace());
+    Rc |= writeOutput(O.TraceOut, trace::renderChromeTrace());
   }
-  if (MetricsOut.empty() && !ProfileOps)
+  if (O.MetricsOut.empty() && !O.ProfileOps)
     return Rc;
   TelemetryDoc Doc = buildTelemetryDoc(Result);
-  if (SidecarPaths)
-    for (const std::string &Path : *SidecarPaths) {
-      std::string Text, Err;
-      TelemetryDoc SDoc;
-      if (!readFile(Path, Text)) {
-        std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-        Rc = 1;
-        continue;
-      }
-      if (!parseTelemetry(Text, SDoc, Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
-        Rc = 1;
-        continue;
-      }
-      Doc.mergeFrom(SDoc);
+  for (const std::string &Path : SidecarPaths) {
+    std::string Text, Err;
+    TelemetryDoc SDoc;
+    if (!readFile(Path, Text)) {
+      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+      Rc = 1;
+      continue;
     }
+    if (!parseTelemetry(Text, SDoc, Err)) {
+      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
+      Rc = 1;
+      continue;
+    }
+    Doc.mergeFrom(SDoc);
+  }
   stampTelemetryMeta(Doc);
-  if (!MetricsOut.empty())
-    Rc |= writeTextFile(MetricsOut, renderTelemetryJson(Doc) + "\n");
-  if (ProfileOps)
+  if (!O.MetricsOut.empty())
+    Rc |= writeOutput(O.MetricsOut, renderTelemetryJson(Doc) + "\n");
+  if (O.ProfileOps)
     std::fputs(
         opprof::renderOpProfileTable(Doc.Profile, 10, Doc.ProfileTotalNanos)
             .c_str(),
@@ -398,35 +573,17 @@ static int writeTelemetrySidecar(const EngineConfig &Cfg,
   return 0;
 }
 
-/// Re-enforces a configured --cache-max-bytes after an improve pass
-/// stored fresh entries (any engine-side GC ran before they existed): a
-/// capped directory never ends an --improve run over its bound. Folds GC
-/// statistics into \p Stats when given, otherwise warns on failure.
-static void enforceCacheCap(ResultCache *Cache, uint64_t MaxBytes,
-                            EngineStats *Stats) {
-  if (!Cache || MaxBytes == 0)
-    return;
-  CacheGcStats Gc;
-  std::string GcErr;
-  if (Cache->gc(MaxBytes, Gc, GcErr)) {
-    if (Stats) {
-      Stats->CachePrunedEntries += Gc.PrunedEntries;
-      Stats->CachePrunedBytes += Gc.PrunedBytes;
-    }
-  } else if (Stats && Stats->CacheGcError.empty()) {
-    Stats->CacheGcError = std::move(GcErr);
-  } else if (!Stats) {
-    std::fprintf(stderr, "warning: cache GC failed (cap not enforced): %s\n",
-                 GcErr.c_str());
-  }
-}
-
 /// Runs the batch improver over a sweep's (or merge's) result, attaching
 /// outcomes to the per-benchmark reports. Statistics go to stderr so the
-/// report stream stays byte-comparable.
+/// report stream stays byte-comparable. Then re-enforces a configured
+/// --cache-max-bytes (\p MaxBytes): the pass stored fresh entries after
+/// any engine-side GC ran, and a capped directory never ends an --improve
+/// run over its bound. A GC failure is recorded in \p Stats when given
+/// (so a sweep warns about the first one only), otherwise it warns.
 static void runImprovePass(BatchResult &Result,
                            const improve::BatchImproveConfig &BCfg,
-                           ResultCache *Cache) {
+                           ResultCache *Cache, uint64_t MaxBytes = 0,
+                           EngineStats *Stats = nullptr) {
   improve::BatchImproveStats S = improve::batchImprove(Result, BCfg, Cache);
   std::fprintf(stderr,
                "improver: %llu root causes across %llu benchmarks "
@@ -438,9 +595,23 @@ static void runImprovePass(BatchResult &Result,
                static_cast<unsigned long long>(S.Improved), S.WallSeconds,
                static_cast<unsigned long long>(S.AnalyzedRecords),
                static_cast<unsigned long long>(S.CachedRecords));
+  if (!Cache || MaxBytes == 0)
+    return;
+  CacheGcStats Gc;
+  std::string GcErr;
+  if (Cache->gc(MaxBytes, Gc, GcErr))
+    return;
+  if (!Stats)
+    std::fprintf(stderr, "warning: cache GC failed (cap not enforced): %s\n",
+                 GcErr.c_str());
+  else if (Stats->CacheGcError.empty())
+    Stats->CacheGcError = std::move(GcErr);
 }
 
-static std::string renderText(const BatchResult &Result) {
+/// The report as the sweep and merge modes write it.
+static std::string renderReport(const BatchResult &Result, bool Json) {
+  if (Json)
+    return Result.renderJson() + "\n";
   std::string Rendered;
   for (const BenchmarkResult &BR : Result.Benchmarks) {
     Rendered += "=== " + BR.Name + " ===\n";
@@ -450,25 +621,18 @@ static std::string renderText(const BatchResult &Result) {
   return Rendered;
 }
 
-/// Whether a path names a telemetry sidecar (by basename convention:
-/// writeTelemetrySidecar emits "telemetry-r<lo>-<hi>.<ext>").
-static bool isTelemetrySidecarName(const std::string &Path) {
-  std::string Name = std::filesystem::path(Path).filename().string();
-  return Name.rfind("telemetry", 0) == 0;
-}
-
 /// Collects shard-document paths: each argument is a file, or a directory
 /// whose *.json / *.hgb entries (sorted, for reproducible error messages)
-/// are taken. Telemetry sidecars living next to emitted shards are routed
-/// to \p TelemetryPaths (when given; otherwise skipped in directories) so
-/// they never reach the shard parser. Improve-cache entries are skipped,
-/// so a result-cache directory that an --improve run also used still
-/// merges. Iteration uses the error_code API throughout -- a directory
-/// that turns unreadable mid-walk is a diagnostic, not a terminate().
+/// are taken. Telemetry sidecars living next to emitted shards (named
+/// "telemetry-r<lo>-<hi>.<ext>" by writeTelemetrySidecar) are routed to
+/// \p TelemetryPaths so they never reach the shard parser. Improve-cache
+/// entries are skipped, so a result-cache directory that an --improve run
+/// also used still merges. Iteration uses the error_code API throughout --
+/// a directory that turns unreadable mid-walk is a diagnostic, not a
+/// terminate().
 static bool collectShardPaths(const std::vector<std::string> &Args,
                               std::vector<std::string> &Paths,
-                              std::vector<std::string> *TelemetryPaths =
-                                  nullptr) {
+                              std::vector<std::string> &TelemetryPaths) {
   namespace fs = std::filesystem;
   for (const std::string &Arg : Args) {
     std::error_code Ec;
@@ -480,7 +644,7 @@ static bool collectShardPaths(const std::vector<std::string> &Args,
         if ((P.extension() != ".json" && P.extension() != ".hgb") ||
             P.stem().extension() == ".improve")
           continue;
-        if (isTelemetrySidecarName(P.string()))
+        if (P.filename().string().rfind("telemetry", 0) == 0)
           Sidecars.push_back(P.string());
         else
           Entries.push_back(P.string());
@@ -491,12 +655,10 @@ static bool collectShardPaths(const std::vector<std::string> &Args,
         return false;
       }
       std::sort(Entries.begin(), Entries.end());
+      std::sort(Sidecars.begin(), Sidecars.end());
       Paths.insert(Paths.end(), Entries.begin(), Entries.end());
-      if (TelemetryPaths) {
-        std::sort(Sidecars.begin(), Sidecars.end());
-        TelemetryPaths->insert(TelemetryPaths->end(), Sidecars.begin(),
-                               Sidecars.end());
-      }
+      TelemetryPaths.insert(TelemetryPaths.end(), Sidecars.begin(),
+                            Sidecars.end());
     } else {
       Paths.push_back(Arg);
     }
@@ -504,10 +666,8 @@ static bool collectShardPaths(const std::vector<std::string> &Args,
   return true;
 }
 
-static int runMergeShards(const std::vector<std::string> &Args, bool Json,
-                          const std::string &OutFile, bool Improve,
-                          const improve::BatchImproveConfig &BCfg,
-                          const std::string &CacheDir, uint64_t CacheMaxBytes,
+static int runMergeShards(const std::vector<std::string> &Args,
+                          const Options &O,
                           std::vector<std::string> &SidecarPaths) {
   if (Args.empty()) {
     std::fprintf(stderr,
@@ -515,7 +675,7 @@ static int runMergeShards(const std::vector<std::string> &Args, bool Json,
     return 2;
   }
   std::vector<std::string> Paths;
-  if (!collectShardPaths(Args, Paths, &SidecarPaths))
+  if (!collectShardPaths(Args, Paths, SidecarPaths))
     return 1;
 
   std::vector<ShardDoc> Docs;
@@ -548,19 +708,16 @@ static int runMergeShards(const std::vector<std::string> &Args, bool Json,
   if (!Warnings.empty())
     std::fprintf(stderr, "warning: %s", Warnings.c_str());
 
-  if (Improve) {
+  if (O.Improve) {
     std::unique_ptr<ResultCache> Cache;
-    if (!CacheDir.empty()) {
-      Cache = std::make_unique<ResultCache>(CacheDir, DocsHash);
-      Cache->setTouchOnHit(CacheMaxBytes > 0);
+    if (!O.Cfg.CacheDir.empty()) {
+      Cache = std::make_unique<ResultCache>(O.Cfg.CacheDir, DocsHash);
+      Cache->setTouchOnHit(O.Cfg.CacheMaxBytes > 0);
     }
-    runImprovePass(Result, BCfg, Cache.get());
-    enforceCacheCap(Cache.get(), CacheMaxBytes, nullptr);
+    runImprovePass(Result, O.BCfg, Cache.get(), O.Cfg.CacheMaxBytes);
   }
 
-  std::string Rendered =
-      Json ? Result.renderJson() + "\n" : renderText(Result);
-  int Rc = emitRendered(Rendered, OutFile);
+  int Rc = writeOutput(O.OutFile, renderReport(Result, O.Json));
   if (Rc == 0)
     std::fprintf(stderr,
                  "merged %llu shards (%llu runs) across %llu benchmarks\n",
@@ -570,158 +727,30 @@ static int runMergeShards(const std::vector<std::string> &Args, bool Json,
   return Rc;
 }
 
-/// Writes conversion output; stdout goes through fwrite because HGB
-/// documents contain NUL bytes.
-static int emitConverted(const std::string &Data, const std::string &OutFile) {
-  if (OutFile.empty()) {
-    if (std::fwrite(Data.data(), 1, Data.size(), stdout) != Data.size()) {
-      std::fprintf(stderr, "error: cannot write to stdout\n");
-      return 1;
-    }
-    return 0;
+/// The `hgb2json` / `json2hgb` subcommands: rewrite one wire document, any
+/// family, in the other encoding (convertWireDoc). Conversion is lossless
+/// both ways, so hgb2json(json2hgb(doc)) == doc.
+static int convertMain(WireEncoding To, int Argc, char **Argv) {
+  Options O;
+  if (int Rc = parseArgs(Argc, Argv, 2, outFlags(O), O))
+    return Rc;
+  if (O.Args.empty()) {
+    std::fprintf(stderr, "error: %s needs an input file\n", Argv[1]);
+    return 2;
   }
-  return writeTextFile(OutFile, Data);
-}
-
-/// The `hgb2json` / `json2hgb` subcommands: rewrite one wire document in
-/// the other encoding, any family. Family detection is the same rule the
-/// sniffing parsers use -- the HGB header carries a family tag; a JSON
-/// document carries its family in the envelope's "format" key (a bare
-/// {"spots":...} object is a presentation-level report). Conversion is
-/// lossless both ways: hgb2json emits the exact bytes the JSON backend
-/// would have, so hgb2json(json2hgb(doc)) == doc.
-static int runConvert(bool ToJson, const std::string &InFile,
-                      const std::string &OutFile) {
-  const char *Cmd = ToJson ? "hgb2json" : "json2hgb";
-  std::string Text;
+  if (O.Args.size() > 1)
+    return usage(Argv[0]);
+  const std::string &InFile = O.Args[0].Text;
+  std::string Text, Out, Err;
   if (!readFile(InFile, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", InFile.c_str());
     return 1;
   }
-  if (wire::isBinary(Text) != ToJson) {
-    std::fprintf(stderr, "error: %s: %s expects %s input\n", InFile.c_str(),
-                 Cmd, ToJson ? "an HGB" : "a JSON");
-    return 1;
-  }
-
-  // Determine the family without fully decoding the document.
-  wire::Family Fam;
-  if (ToJson) {
-    int Major, Minor;
-    if (!wire::sniffBinary(Text, Fam, Major, Minor)) {
-      std::fprintf(stderr, "error: %s: malformed HGB header\n",
-                   InFile.c_str());
-      return 1;
-    }
-  } else {
-    JsonParseResult R = parseJson(Text);
-    if (!R.Ok) {
-      std::fprintf(stderr, "error: %s: JSON parse error at offset %zu: %s\n",
-                   InFile.c_str(), R.ErrorOffset, R.Error.c_str());
-      return 1;
-    }
-    const JsonValue *Format = R.Value.field("format");
-    std::string Tag = Format && Format->isString() ? Format->Str : "";
-    if (Tag == "herbgrind-shard")
-      Fam = wire::Family::Shard;
-    else if (Tag == "herbgrind-improve")
-      Fam = wire::Family::Improve;
-    else if (Tag == "herbgrind-report")
-      Fam = wire::Family::BatchReport;
-    else if (Tag == "herbgrind-telemetry")
-      Fam = wire::Family::Telemetry;
-    else if (Tag == "herbgrind-ledger")
-      Fam = wire::Family::Ledger;
-    else if (Tag.empty() && R.Value.field("spots"))
-      Fam = wire::Family::Report;
-    else {
-      std::fprintf(stderr,
-                   "error: %s: not a herbgrind wire document "
-                   "(unrecognized \"format\": \"%s\")\n",
-                   InFile.c_str(), Tag.c_str());
-      return 1;
-    }
-  }
-
-  // Decode with the family's sniffing parser, re-render in the target
-  // encoding. Trailing newlines mirror what the CLI itself writes: report
-  // and telemetry documents end with one, cache/shard documents do not.
-  std::string Out, Err;
-  switch (Fam) {
-  case wire::Family::Shard: {
-    ShardDoc Doc;
-    if (!parseShard(Text, Doc, Err))
-      break;
-    Out = renderShard(Doc, ToJson ? WireEncoding::Json : WireEncoding::Binary);
-    break;
-  }
-  case wire::Family::Improve: {
-    ImproveDoc Doc;
-    if (!parseImproveDoc(Text, Doc, Err))
-      break;
-    Out = renderImproveDoc(Doc,
-                           ToJson ? WireEncoding::Json : WireEncoding::Binary);
-    break;
-  }
-  case wire::Family::Report: {
-    Report R;
-    if (!parseReportDoc(Text, R, Err))
-      break;
-    Out = ToJson ? R.renderJson() + "\n" : renderReportBinary(R);
-    break;
-  }
-  case wire::Family::BatchReport: {
-    BatchReportDoc Doc;
-    if (!parseBatchReport(Text, Doc, Err))
-      break;
-    Out = ToJson ? renderBatchReportJson(Doc) + "\n"
-                 : renderBatchReportBinary(Doc);
-    break;
-  }
-  case wire::Family::Telemetry: {
-    TelemetryDoc Doc;
-    if (!parseTelemetry(Text, Doc, Err))
-      break;
-    Out = ToJson ? renderTelemetryJson(Doc) + "\n"
-                 : renderTelemetryBinary(Doc);
-    break;
-  }
-  case wire::Family::Ledger: {
-    LedgerEntry E;
-    if (!parseLedgerEntry(Text, E, Err))
-      break;
-    Out = ToJson ? renderLedgerEntryJson(E) + "\n" : renderLedgerEntryBinary(E);
-    break;
-  }
-  }
-  if (!Err.empty()) {
+  if (!convertWireDoc(Text, To, Out, Err)) {
     std::fprintf(stderr, "error: %s: %s\n", InFile.c_str(), Err.c_str());
     return 1;
   }
-  return emitConverted(Out, OutFile);
-}
-
-/// Parses the argument tail of a conversion subcommand: one input file
-/// plus an optional --out.
-static int convertMain(bool ToJson, int Argc, char **Argv) {
-  std::string InFile, OutFile;
-  for (int I = 2; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    if (std::strcmp(Arg, "--out") == 0 && I + 1 < Argc) {
-      OutFile = Argv[++I];
-    } else if (Arg[0] == '-') {
-      return usage(Argv[0]);
-    } else if (InFile.empty()) {
-      InFile = Arg;
-    } else {
-      return usage(Argv[0]);
-    }
-  }
-  if (InFile.empty()) {
-    std::fprintf(stderr, "error: %s needs an input file\n", Argv[1]);
-    return 2;
-  }
-  return runConvert(ToJson, InFile, OutFile);
+  return writeOutput(O.OutFile, Out);
 }
 
 /// The `telemetry-merge` subcommand: fold telemetry documents -- files in
@@ -730,19 +759,10 @@ static int convertMain(bool ToJson, int Argc, char **Argv) {
 /// stamp; mergeTelemetry clears provenance), so merging the same inputs
 /// anywhere, in either encoding, yields identical bytes.
 static int telemetryMergeMain(int Argc, char **Argv) {
-  std::vector<std::string> Args;
-  std::string OutFile;
-  for (int I = 2; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    if (std::strcmp(Arg, "--out") == 0 && I + 1 < Argc) {
-      OutFile = Argv[++I];
-    } else if (Arg[0] == '-') {
-      return usage(Argv[0]);
-    } else {
-      Args.push_back(Arg);
-    }
-  }
-  if (Args.empty()) {
+  Options O;
+  if (int Rc = parseArgs(Argc, Argv, 2, outFlags(O), O))
+    return Rc;
+  if (O.Args.empty()) {
     std::fprintf(stderr,
                  "error: telemetry-merge needs telemetry files or "
                  "directories\n");
@@ -751,20 +771,20 @@ static int telemetryMergeMain(int Argc, char **Argv) {
   // Expand directories to their telemetry sidecars; explicit file
   // arguments are taken as-is.
   std::vector<std::string> Paths;
-  for (const std::string &Arg : Args) {
+  for (const Options::Arg &A : O.Args) {
     std::error_code Ec;
-    if (std::filesystem::is_directory(Arg, Ec)) {
+    if (std::filesystem::is_directory(A.Text, Ec)) {
       std::vector<std::string> Ignored, Sidecars;
-      if (!collectShardPaths({Arg}, Ignored, &Sidecars))
+      if (!collectShardPaths({A.Text}, Ignored, Sidecars))
         return 1;
       if (Sidecars.empty()) {
         std::fprintf(stderr, "error: no telemetry sidecars in %s\n",
-                     Arg.c_str());
+                     A.Text.c_str());
         return 1;
       }
       Paths.insert(Paths.end(), Sidecars.begin(), Sidecars.end());
     } else {
-      Paths.push_back(Arg);
+      Paths.push_back(A.Text);
     }
   }
   std::vector<std::string> Texts(Paths.size());
@@ -779,66 +799,49 @@ static int telemetryMergeMain(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  int Rc = emitConverted(renderTelemetryJson(Merged) + "\n", OutFile);
+  int Rc = writeOutput(O.OutFile, renderTelemetryJson(Merged) + "\n");
   if (Rc == 0)
     std::fprintf(stderr, "merged %llu telemetry documents\n",
                  static_cast<unsigned long long>(Merged.Meta.MergedDocs));
   return Rc;
 }
 
-/// Renders one ledger list row.
-static void printLedgerRow(size_t Index, const LedgerEntry &E) {
-  std::printf("%3zu  %s  %-12s  %-8s  %4s/%-7s  %6llu shards  %8llu runs  "
-              "%8.2fs  %.12s\n",
-              Index, E.Timestamp.c_str(), E.Host.c_str(), E.Label.c_str(),
-              E.WireFormat.c_str(), E.Tier.c_str(),
-              static_cast<unsigned long long>(E.Shards),
-              static_cast<unsigned long long>(E.Runs), E.WallSeconds,
-              E.ConfigHash.c_str());
-}
-
 /// The `ledger` subcommand: list | show | compare over a --ledger-dir
 /// directory. Entries are addressed by their chronological index as
-/// printed by `ledger list`.
+/// printed by `ledger list`. The verb and its arguments are checked before
+/// the directory is read.
 static int ledgerMain(int Argc, char **Argv) {
-  if (Argc < 4)
+  std::string Verb = Argc > 2 ? Argv[2] : "";
+  if (Verb.empty())
     return usage(Argv[0]);
-  std::string Verb = Argv[2];
-  std::string Dir = Argv[3];
-  LedgerThresholds Thresholds;
-  std::vector<size_t> Indices;
-  for (int I = 4; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    auto Next = [&](auto &Out, auto Lo) {
-      if (I + 1 >= Argc) {
-        usage(Argv[0]);
-        return false;
-      }
-      return parseNumber(Arg, Argv[++I], Out, Lo);
-    };
-    if (std::strcmp(Arg, "--wall-frac") == 0) {
-      if (!Next(Thresholds.WallFrac, 0.0))
-        return 2;
-    } else if (std::strcmp(Arg, "--cache-hit-drop") == 0) {
-      if (!Next(Thresholds.CacheHitDrop, 0.0))
-        return 2;
-    } else if (std::strcmp(Arg, "--escalation-rise") == 0) {
-      if (!Next(Thresholds.EscalationRise, 0.0))
-        return 2;
-    } else if (std::strcmp(Arg, "--heap-frac") == 0) {
-      if (!Next(Thresholds.HeapFrac, 0.0))
-        return 2;
-    } else if (std::strcmp(Arg, "--heap-slack") == 0) {
-      if (!Next(Thresholds.HeapSlack, uint64_t(0)))
-        return 2;
-    } else if (std::isdigit(static_cast<unsigned char>(Arg[0]))) {
-      size_t Index = 0;
-      if (!parseNumber("ledger index", Arg, Index, size_t(0)))
-        return 2;
-      Indices.push_back(Index);
-    } else {
-      return usage(Argv[0]);
-    }
+  if (Verb != "list" && Verb != "show" && Verb != "compare") {
+    std::fprintf(stderr, "error: unknown ledger verb '%s' (want list, show, "
+                         "or compare)\n",
+                 Verb.c_str());
+    return 2;
+  }
+  Options O;
+  if (int Rc = parseArgs(Argc, Argv, 3,
+                         Verb == "compare" ? compareFlags(O)
+                                           : std::vector<Flag>(),
+                         O))
+    return Rc;
+  if (O.Args.empty())
+    return usage(Argv[0]);
+  const std::string &Dir = O.Args[0].Text;
+  std::vector<size_t> Indices(O.Args.size() - 1);
+  for (size_t I = 0; I < Indices.size(); ++I)
+    if (!parseNumber("ledger index", O.Args[I + 1].Text.c_str(), Indices[I],
+                     size_t(0)))
+      return 2;
+  const char *Wants = Verb == "list"   ? "no index"
+                      : Verb == "show" ? "exactly one index"
+                                       : "two indices (or a ledger with at "
+                                         "least two entries)";
+  size_t N = Indices.size();
+  if (Verb == "list" ? N != 0 : Verb == "show" ? N != 1 : N != 0 && N != 2) {
+    std::fprintf(stderr, "error: ledger %s wants %s\n", Verb.c_str(), Wants);
+    return 2;
   }
 
   std::vector<LedgerEntry> Entries;
@@ -850,8 +853,16 @@ static int ledgerMain(int Argc, char **Argv) {
   }
 
   if (Verb == "list") {
-    for (size_t I = 0; I < Entries.size(); ++I)
-      printLedgerRow(I, Entries[I]);
+    for (size_t I = 0; I < Entries.size(); ++I) {
+      const LedgerEntry &E = Entries[I];
+      std::printf("%3zu  %s  %-12s  %-8s  %4s/%-7s  %6llu shards  %8llu runs  "
+                  "%8.2fs  %.12s\n",
+                  I, E.Timestamp.c_str(), E.Host.c_str(), E.Label.c_str(),
+                  E.WireFormat.c_str(), E.Tier.c_str(),
+                  static_cast<unsigned long long>(E.Shards),
+                  static_cast<unsigned long long>(E.Runs), E.WallSeconds,
+                  E.ConfigHash.c_str());
+    }
     std::fprintf(stderr, "%zu ledger entries in %s\n", Entries.size(),
                  Dir.c_str());
     return 0;
@@ -864,69 +875,58 @@ static int ledgerMain(int Argc, char **Argv) {
     return false;
   };
   if (Verb == "show") {
-    if (Indices.size() != 1) {
-      std::fprintf(stderr, "error: ledger show wants exactly one index\n");
-      return 2;
-    }
     if (!CheckIndex(Indices[0]))
       return 1;
-    std::printf("%s\n", renderLedgerEntryJson(Entries[Indices[0]]).c_str());
-    return 0;
+    return writeOutput("", renderLedgerEntryJson(Entries[Indices[0]]) + "\n");
   }
-  if (Verb == "compare") {
-    // Default: the latest entry against its predecessor.
-    if (Indices.empty() && Entries.size() >= 2)
-      Indices = {Entries.size() - 2, Entries.size() - 1};
-    if (Indices.size() != 2) {
-      std::fprintf(stderr,
-                   "error: ledger compare wants two indices (or a ledger "
-                   "with at least two entries)\n");
+  // compare. Default: the latest entry against its predecessor.
+  if (Indices.empty()) {
+    if (Entries.size() < 2) {
+      std::fprintf(stderr, "error: ledger compare wants %s\n", Wants);
       return 2;
     }
-    if (!CheckIndex(Indices[0]) || !CheckIndex(Indices[1]))
-      return 1;
-    const LedgerEntry &Base = Entries[Indices[0]];
-    const LedgerEntry &Cur = Entries[Indices[1]];
-    if (Base.ConfigHash != Cur.ConfigHash)
-      std::fprintf(stderr,
-                   "warning: comparing different configurations "
-                   "(%.12s vs %.12s)\n",
-                   Base.ConfigHash.c_str(), Cur.ConfigHash.c_str());
-    std::vector<LedgerRegression> Regressions =
-        ledgerCompare(Base, Cur, Thresholds);
-    std::fprintf(stderr,
-                 "compare: baseline #%zu (%s, %.2fs) vs current #%zu "
-                 "(%s, %.2fs)\n",
-                 Indices[0], Base.Timestamp.c_str(), Base.WallSeconds,
-                 Indices[1], Cur.Timestamp.c_str(), Cur.WallSeconds);
-    for (const LedgerRegression &R : Regressions)
-      std::fprintf(stderr,
-                   "REGRESSION: %s: baseline %.6g -> current %.6g "
-                   "(limit %.6g)\n",
-                   R.Metric.c_str(), R.Baseline, R.Current, R.Limit);
-    if (Regressions.empty()) {
-      std::fprintf(stderr, "no regressions\n");
-      return 0;
-    }
-    return 1;
+    Indices = {Entries.size() - 2, Entries.size() - 1};
   }
-  std::fprintf(stderr, "error: unknown ledger verb '%s' (want list, show, "
-                       "or compare)\n",
-               Verb.c_str());
-  return 2;
+  if (!CheckIndex(Indices[0]) || !CheckIndex(Indices[1]))
+    return 1;
+  const LedgerEntry &Base = Entries[Indices[0]];
+  const LedgerEntry &Cur = Entries[Indices[1]];
+  if (Base.ConfigHash != Cur.ConfigHash)
+    std::fprintf(stderr,
+                 "warning: comparing different configurations "
+                 "(%.12s vs %.12s)\n",
+                 Base.ConfigHash.c_str(), Cur.ConfigHash.c_str());
+  std::vector<LedgerRegression> Regressions =
+      ledgerCompare(Base, Cur, O.Thresholds);
+  std::fprintf(stderr,
+               "compare: baseline #%zu (%s, %.2fs) vs current #%zu "
+               "(%s, %.2fs)\n",
+               Indices[0], Base.Timestamp.c_str(), Base.WallSeconds,
+               Indices[1], Cur.Timestamp.c_str(), Cur.WallSeconds);
+  for (const LedgerRegression &R : Regressions)
+    std::fprintf(stderr,
+                 "REGRESSION: %s: baseline %.6g -> current %.6g "
+                 "(limit %.6g)\n",
+                 R.Metric.c_str(), R.Baseline, R.Current, R.Limit);
+  if (Regressions.empty()) {
+    std::fprintf(stderr, "no regressions\n");
+    return 0;
+  }
+  return 1;
 }
 
 /// `--cache-gc`: a standalone LRU pruning pass over a cache directory.
 /// The cap must be explicit: in sweep mode an absent --cache-max-bytes
 /// means "unbounded", and silently turning that default into "delete
 /// everything" here would be a trap.
-static int runCacheGc(const std::string &CacheDir, uint64_t MaxBytes,
-                      bool MaxBytesSet) {
+static int runCacheGc(const Options &O) {
+  const std::string &CacheDir = O.Cfg.CacheDir;
+  const uint64_t MaxBytes = O.Cfg.CacheMaxBytes;
   if (CacheDir.empty()) {
     std::fprintf(stderr, "error: --cache-gc needs --cache-dir\n");
     return 2;
   }
-  if (!MaxBytesSet) {
+  if (!O.CacheMaxSet) {
     std::fprintf(stderr,
                  "error: --cache-gc needs an explicit --cache-max-bytes "
                  "(0 empties the cache)\n");
@@ -950,229 +950,75 @@ static int runCacheGc(const std::string &CacheDir, uint64_t MaxBytes,
   return 0;
 }
 
-int main(int Argc, char **Argv) {
-  // Conversion subcommands dispatch on the first argument so their
-  // argument tails never collide with sweep options.
-  if (Argc > 1 && std::strcmp(Argv[1], "hgb2json") == 0)
-    return convertMain(/*ToJson=*/true, Argc, Argv);
-  if (Argc > 1 && std::strcmp(Argv[1], "json2hgb") == 0)
-    return convertMain(/*ToJson=*/false, Argc, Argv);
-  if (Argc > 1 && std::strcmp(Argv[1], "telemetry-merge") == 0)
-    return telemetryMergeMain(Argc, Argv);
-  if (Argc > 1 && std::strcmp(Argv[1], "ledger") == 0)
-    return ledgerMain(Argc, Argv);
+/// A sweep, or one of the modes that share its flags: --list, --cache-gc,
+/// --merge-shards and --selftest.
+static int sweepMain(int Argc, char **Argv) {
+  Options O;
+  if (int Rc = parseArgs(Argc, Argv, 1, sweepFlags(O), O))
+    return Rc;
+  if (O.List) {
+    for (const Core &C : corpus())
+      std::printf("%s\n", C.Name.c_str());
+    return 0;
+  }
+  if (O.CacheGc)
+    return runCacheGc(O);
+  // NDJSON lines on stdout would land before and inside the report, which
+  // every mode but --selftest (merge mode wins over it) writes there.
+  if (O.EventsOut == "-" && O.OutFile.empty() &&
+      (O.MergeShards || !O.SelfTest)) {
+    std::fprintf(stderr, "error: --events-out - shares stdout with the "
+                         "report; give the report --out FILE\n");
+    return 2;
+  }
+  O.BCfg.Jobs = O.Cfg.Jobs;
 
-  EngineConfig Cfg;
-  bool Json = false, SelfTest = false, MergeShards = false, CacheGc = false;
-  bool CacheMaxSet = false, Improve = false, Native = false;
-  bool ProfileOps = false, Progress = false;
-  double ProgressEvery = 1.0;
-  uint32_t ProfilePeriod = 1;
-  improve::BatchImproveConfig BCfg;
-  std::string OutFile, MetricsOut, TraceOut, EventsOut, LedgerDir;
   std::vector<Core> Cores;
   std::vector<std::string> MergeArgs;
-
-  for (int I = 1; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    auto NextValue = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : nullptr;
-    };
-    if (std::strcmp(Arg, "--list") == 0) {
+  for (const Options::Arg &A : O.Args) {
+    if (A.IsName) {
+      size_t Before = Cores.size();
       for (const Core &C : corpus())
-        std::printf("%s\n", C.Name.c_str());
-      return 0;
-    } else if (std::strcmp(Arg, "--jobs") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, Cfg.Jobs, 0u)) // 0 = auto
-        return 2;
-    } else if (std::strcmp(Arg, "--samples") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, Cfg.SamplesPerBenchmark, 0))
-        return 2;
-    } else if (std::strcmp(Arg, "--shard") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, Cfg.ShardSize, 0))
-        return 2;
-    } else if (std::strcmp(Arg, "--seed") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, Cfg.Seed, uint64_t(0),
-                       std::numeric_limits<uint64_t>::max(), /*Base=*/0))
-        return 2;
-    } else if (std::strcmp(Arg, "--tier") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseTierMode(V, Cfg.Tier)) {
-        std::fprintf(stderr,
-                     "error: --tier wants full, confirm, or fast; got '%s'\n",
-                     V);
-        return 2;
-      }
-    } else if (std::strcmp(Arg, "--cache-dir") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      Cfg.CacheDir = V;
-    } else if (std::strcmp(Arg, "--cache-max-bytes") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      // "1G" must not become a 1-byte cap the GC prunes everything to,
-      // "-1" must not wrap to an unbounded one, and "010" means ten.
-      if (!parseNumber(Arg, V, Cfg.CacheMaxBytes, uint64_t(0)))
-        return 2;
-      CacheMaxSet = true;
-    } else if (std::strcmp(Arg, "--cache-gc") == 0) {
-      CacheGc = true;
-    } else if (std::strcmp(Arg, "--emit-shard") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      Cfg.EmitShardDir = V;
-    } else if (std::strcmp(Arg, "--shard-range") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      // Exactly one ':' between two whole numbers, each through the same
-      // strict parser as every other numeric flag.
-      const char *Colon = std::strchr(V, ':');
-      if (!Colon || std::strchr(Colon + 1, ':')) {
-        std::fprintf(stderr, "error: %s wants LO:HI; got '%s'\n", Arg, V);
-        return 2;
-      }
-      std::string Lo(V, Colon);
-      if (!parseNumber(Arg, Lo.c_str(), Cfg.ShardBegin, size_t(0)) ||
-          !parseNumber(Arg, Colon + 1, Cfg.ShardEnd, Cfg.ShardBegin))
-        return 2;
-    } else if (std::strcmp(Arg, "--merge-shards") == 0) {
-      MergeShards = true;
-    } else if (std::strcmp(Arg, "--improve") == 0) {
-      Improve = true;
-    } else if (std::strcmp(Arg, "--improve-samples") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, BCfg.Improve.SampleCount, 1))
-        return 2;
-    } else if (std::strcmp(Arg, "--name") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      bool Found = false;
-      for (const Core &C : corpus())
-        if (C.Name == V) {
+        if (C.Name == A.Text)
           Cores.push_back(C.clone());
-          Found = true;
-        }
-      if (!Found) {
+      if (Cores.size() == Before) {
         std::fprintf(stderr, "error: no corpus benchmark named '%s' "
                              "(try --list)\n",
-                     V);
+                     A.Text.c_str());
         return 1;
       }
-    } else if (std::strcmp(Arg, "--native") == 0) {
-      Native = true;
-    } else if (std::strcmp(Arg, "--json") == 0) {
-      Json = true;
-    } else if (std::strcmp(Arg, "--selftest") == 0) {
-      SelfTest = true;
-    } else if (std::strcmp(Arg, "--out") == 0 ||
-               std::strcmp(Arg, "--report-out") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      OutFile = V;
-    } else if (std::strcmp(Arg, "--metrics-out") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      MetricsOut = V;
-    } else if (std::strcmp(Arg, "--trace-out") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      TraceOut = V;
-    } else if (std::strcmp(Arg, "--profile-ops") == 0) {
-      ProfileOps = true;
-    } else if (std::strcmp(Arg, "--profile-period") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, ProfilePeriod, uint32_t(1)))
-        return 2;
-    } else if (std::strcmp(Arg, "--progress") == 0) {
-      Progress = true;
-    } else if (std::strcmp(Arg, "--progress-every") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      if (!parseNumber(Arg, V, ProgressEvery, 0.0))
-        return 2;
-      if (ProgressEvery == 0.0) {
-        std::fprintf(stderr, "error: --progress-every must be > 0 seconds\n");
-        return 2;
-      }
-      Progress = true;
-    } else if (std::strcmp(Arg, "--events-out") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      EventsOut = V;
-    } else if (std::strcmp(Arg, "--ledger-dir") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      LedgerDir = V;
-    } else if (Arg[0] == '-') {
-      return usage(Argv[0]);
-    } else if (MergeShards) {
-      MergeArgs.push_back(Arg);
+    } else if (O.MergeShards) {
+      MergeArgs.push_back(A.Text);
     } else {
-      std::ifstream In(Arg);
-      if (!In) {
-        std::fprintf(stderr, "error: cannot open %s\n", Arg);
+      std::string Text, WhyNot;
+      if (!readFile(A.Text, Text)) {
+        std::fprintf(stderr, "error: cannot open %s\n", A.Text.c_str());
         return 1;
       }
-      std::stringstream Buf;
-      Buf << In.rdbuf();
-      ParseResult R = parse(Buf.str());
+      ParseResult R = parse(Text);
       if (!R.Ok) {
-        std::fprintf(stderr, "error: %s: parse failed: %s\n", Arg,
+        std::fprintf(stderr, "error: %s: parse failed: %s\n", A.Text.c_str(),
                      R.Error.c_str());
         return 1;
       }
-      std::string WhyNot;
       if (!isCompilable(R.Value, &WhyNot)) {
-        std::fprintf(stderr, "error: %s: %s\n", Arg, WhyNot.c_str());
+        std::fprintf(stderr, "error: %s: %s\n", A.Text.c_str(),
+                     WhyNot.c_str());
         return 1;
       }
       Cores.push_back(std::move(R.Value));
     }
   }
 
-  BCfg.Jobs = Cfg.Jobs;
-
-  if (CacheGc)
-    return runCacheGc(Cfg.CacheDir, Cfg.CacheMaxBytes, CacheMaxSet);
-
   // Arm telemetry before any work runs. All of it observes from the side:
   // the report stream is byte-identical with every flag on or off.
-  if (!TraceOut.empty())
+  if (!O.TraceOut.empty())
     trace::start();
-  if (ProfileOps)
-    opprof::enable(ProfilePeriod);
-  if (!EventsOut.empty()) {
+  if (O.ProfileOps)
+    opprof::enable(O.ProfilePeriod);
+  if (!O.EventsOut.empty()) {
     std::string Err;
-    if (!events::start(EventsOut, Err)) {
+    if (!events::start(O.EventsOut, Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
@@ -1183,34 +1029,31 @@ int main(int Argc, char **Argv) {
     ~EventsCloser() { events::stop(); }
   } CloseEvents;
   ProgressHeartbeat Heartbeat;
-  Heartbeat.setInterval(ProgressEvery);
-  if (Progress)
-    Heartbeat.start();
+  if (O.Progress)
+    Heartbeat.start(O.ProgressEvery);
 
-  if (MergeShards) {
+  if (O.MergeShards) {
     std::vector<std::string> Sidecars;
-    int Rc = runMergeShards(MergeArgs, Json, OutFile, Improve, BCfg,
-                            Cfg.CacheDir, Cfg.CacheMaxBytes, Sidecars);
+    int Rc = runMergeShards(MergeArgs, O, Sidecars);
     // Merged shard documents carry no profiler fields (nothing executed
     // here), so the telemetry covers the merge/improve work itself --
     // plus any telemetry sidecars found next to the shards, folded in so
     // --metrics-out reproduces the emitting sweeps' totals.
-    int TRc = emitTelemetry(MetricsOut, TraceOut, ProfileOps, nullptr,
-                            &Sidecars);
+    int TRc = emitTelemetry(O, nullptr, Sidecars);
     return Rc != 0 ? Rc : TRc;
   }
 
   // --native adds the demo kernels; with no other selection it sweeps
   // only those. Otherwise an empty selection means the whole corpus.
   std::vector<herbgrind::native::Kernel> Kernels;
-  if (Native)
+  if (O.Native)
     Kernels = herbgrind::native::demoKernels();
-  if (Cores.empty() && !Native)
+  if (Cores.empty() && !O.Native)
     Cores = compilableCorpus();
 
-  Engine Eng(Cfg);
+  Engine Eng(O.Cfg);
 
-  if (SelfTest) {
+  if (O.SelfTest) {
     // The headline determinism property: a multi-worker run must be
     // byte-identical to a single-worker run of the same configuration
     // (and, when a cache directory is shared, to a warm-cache rerun).
@@ -1219,15 +1062,14 @@ int main(int Argc, char **Argv) {
     OneCfg.Jobs = 1;
     Engine One(OneCfg);
     BatchResult Single = One.run(Cores, Kernels);
-    if (Improve) {
+    if (O.Improve) {
       // The improver is part of the determinism contract too: its
       // outcomes must not depend on the worker count either. The
       // single-worker leg deliberately bypasses the cache -- otherwise
       // it would read back the entries the multi-worker leg just
       // stored and compare the cache with itself.
-      runImprovePass(Multi, BCfg, Eng.resultCache());
-      enforceCacheCap(Eng.resultCache(), Cfg.CacheMaxBytes, nullptr);
-      improve::BatchImproveConfig OneBCfg = BCfg;
+      runImprovePass(Multi, O.BCfg, Eng.resultCache(), O.Cfg.CacheMaxBytes);
+      improve::BatchImproveConfig OneBCfg = O.BCfg;
       OneBCfg.Jobs = 1;
       runImprovePass(Single, OneBCfg, nullptr);
     }
@@ -1247,14 +1089,13 @@ int main(int Argc, char **Argv) {
                  Eng.config().Jobs,
                  static_cast<unsigned long long>(Multi.Stats.AnalyzedShards),
                  static_cast<unsigned long long>(Multi.Stats.CachedShards));
-    return emitTelemetry(MetricsOut, TraceOut, ProfileOps, &Multi);
+    return emitTelemetry(O, &Multi);
   }
 
   BatchResult Result = Eng.run(Cores, Kernels);
-  if (Improve) {
-    runImprovePass(Result, BCfg, Eng.resultCache());
-    enforceCacheCap(Eng.resultCache(), Cfg.CacheMaxBytes, &Result.Stats);
-  }
+  if (O.Improve)
+    runImprovePass(Result, O.BCfg, Eng.resultCache(), O.Cfg.CacheMaxBytes,
+                   &Result.Stats);
   if (!Result.Stats.CacheGcError.empty())
     std::fprintf(stderr, "warning: cache GC failed (cap not enforced): %s\n",
                  Result.Stats.CacheGcError.c_str());
@@ -1263,28 +1104,25 @@ int main(int Argc, char **Argv) {
                  "error: failed to write %llu shard document(s) to %s; "
                  "the emitted set is incomplete\n",
                  static_cast<unsigned long long>(Result.Stats.EmitFailures),
-                 Cfg.EmitShardDir.c_str());
+                 O.Cfg.EmitShardDir.c_str());
     return 1;
   }
   // The work is done: join the heartbeat now so its final line lands
   // before the summary statistics.
   Heartbeat.stop();
-  if (writeTelemetrySidecar(Cfg, Result) != 0)
+  if (writeTelemetrySidecar(O.Cfg, Result) != 0)
     return 1;
-  if (!LedgerDir.empty()) {
+  if (!O.LedgerDir.empty()) {
     LedgerEntry Entry = makeLedgerEntry(Eng.config(), Result.Stats, "sweep");
     std::string LedgerPath, LedgerErr;
-    if (!ledgerAppend(LedgerDir, Entry, LedgerPath, LedgerErr)) {
+    if (!ledgerAppend(O.LedgerDir, Entry, LedgerPath, LedgerErr)) {
       std::fprintf(stderr, "error: %s\n", LedgerErr.c_str());
       return 1;
     }
     std::fprintf(stderr, "ledger: appended %s\n", LedgerPath.c_str());
   }
 
-  std::string Rendered =
-      Json ? Result.renderJson() + "\n" : renderText(Result);
-  int Rc = emitRendered(Rendered, OutFile);
-  if (Rc != 0)
+  if (int Rc = writeOutput(O.OutFile, renderReport(Result, O.Json)))
     return Rc;
 
   std::fprintf(stderr,
@@ -1312,16 +1150,35 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(Result.Stats.PoolTasks),
       static_cast<unsigned long long>(Result.Stats.PoolSteals),
       static_cast<unsigned long long>(Result.Stats.PoolMaxQueueDepth));
-  if (Cfg.Tier != TierMode::Full)
+  if (O.Cfg.Tier != TierMode::Full)
     std::fprintf(
         stderr,
         "tier: %s; %llu tier-0 runs (%llu ops), %llu escalated runs, "
         "%llu/%llu benchmarks confirmed\n",
-        tierModeName(Cfg.Tier),
+        tierModeName(O.Cfg.Tier),
         static_cast<unsigned long long>(Result.Stats.Tier0Runs),
         static_cast<unsigned long long>(Result.Stats.Tier0Ops),
         static_cast<unsigned long long>(Result.Stats.EscalatedRuns),
         static_cast<unsigned long long>(Result.Stats.ConfirmedBenchmarks),
         static_cast<unsigned long long>(Result.Stats.Benchmarks));
-  return emitTelemetry(MetricsOut, TraceOut, ProfileOps, &Result);
+  return emitTelemetry(O, &Result);
+}
+
+int main(int Argc, char **Argv) {
+  // Subcommands dispatch on the first argument so their argument tails
+  // never collide with sweep options.
+  std::string Cmd = Argc > 1 ? Argv[1] : "";
+  int Rc = Cmd == "hgb2json" ? convertMain(WireEncoding::Json, Argc, Argv)
+           : Cmd == "json2hgb"
+               ? convertMain(WireEncoding::Binary, Argc, Argv)
+           : Cmd == "telemetry-merge" ? telemetryMergeMain(Argc, Argv)
+           : Cmd == "ledger"          ? ledgerMain(Argc, Argv)
+                                      : sweepMain(Argc, Argv);
+  // What went out through printf (--list, ledger list, an event stream on
+  // stdout) is checked here: output that never arrived is a failure.
+  if (Rc == 0 && (std::fflush(stdout) != 0 || std::ferror(stdout))) {
+    std::fprintf(stderr, "error: cannot write to stdout\n");
+    return 1;
+  }
+  return Rc;
 }

@@ -837,8 +837,8 @@ static bool decodeImproveDocBody(wire::Decoder &D, ImproveDoc &Out) {
          decodeImproveOutcome(D, Out.Record) && D.endObject();
 }
 
-std::string herbgrind::renderImproveDoc(const ImproveDoc &Doc,
-                                        WireEncoding Enc) {
+static std::string renderImproveDoc(const ImproveDoc &Doc,
+                                    WireEncoding Enc) {
   return renderDoc(ImproveKind, Enc,
                    [&](wire::Encoder &E) { encodeImproveDocBody(E, Doc); });
 }
@@ -1497,4 +1497,82 @@ bool herbgrind::parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
   return parseDoc(LedgerKind, Text, Err, [&](wire::Decoder &D, int) {
     return decodeLedgerBody(D, Out);
   });
+}
+
+//===----------------------------------------------------------------------===//
+// Conversion between the encodings
+//===----------------------------------------------------------------------===//
+
+bool herbgrind::convertWireDoc(const std::string &Text, WireEncoding To,
+                               std::string &Out, std::string &Err) {
+  const bool ToJson = To == WireEncoding::Json;
+  if (wire::isBinary(Text) != ToJson) {
+    Err = ToJson ? "hgb2json expects an HGB input"
+                 : "json2hgb expects a JSON input";
+    return false;
+  }
+  wire::Family Fam{};
+  if (ToJson) {
+    wire::BinaryDecoder D(Text);
+    if (!D.ok()) {
+      Err = "malformed HGB header";
+      return false;
+    }
+    Fam = D.family();
+  } else {
+    JsonParseResult R = parseJson(Text);
+    if (!R.Ok) {
+      Err = format("JSON parse error at offset %zu: %s", R.ErrorOffset,
+                   R.Error.c_str());
+      return false;
+    }
+    const JsonValue *Tag = R.Value.field("format");
+    std::string Name = Tag && Tag->isString() ? Tag->Str : "";
+    const DocKind *Kind = nullptr;
+    for (const DocKind *K : {&ShardKind, &ImproveKind, &ReportKind,
+                             &BatchKind, &TelemetryKind, &LedgerKind})
+      if (K->Format ? Name == K->Format
+                    : Name.empty() && R.Value.field("spots"))
+        Kind = K;
+    if (!Kind) {
+      Err = format("not a herbgrind wire document (unrecognized \"format\": "
+                   "\"%s\")",
+                   Name.c_str());
+      return false;
+    }
+    Fam = Kind->Family;
+  }
+
+  // Per-sweep documents end with the newline the CLI writes after them;
+  // per-shard documents (cache entries, emitted shards) have none.
+  const char *Newline =
+      ToJson && Fam != wire::Family::Shard && Fam != wire::Family::Improve
+          ? "\n"
+          : "";
+  auto Via = [&](auto Doc, auto Parse, auto Render) {
+    if (!Parse(Text, Doc, Err))
+      return false;
+    Out = Render(Doc, To) + Newline;
+    return true;
+  };
+  switch (Fam) {
+  case wire::Family::Shard:
+    return Via(ShardDoc(), parseShard, renderShard);
+  case wire::Family::Improve:
+    return Via(ImproveDoc(), parseImproveDoc, renderImproveDoc);
+  case wire::Family::Report:
+    return Via(Report(), parseReportDoc, [](const Report &R, WireEncoding E) {
+      return E == WireEncoding::Json ? R.renderJson() : renderReportBinary(R);
+    });
+  case wire::Family::BatchReport:
+    return Via(BatchReportDoc(), parseBatchReport,
+               [](const BatchReportDoc &D, WireEncoding E) {
+                 return renderBatchReport(E, batchRefs(D));
+               });
+  case wire::Family::Telemetry:
+    return Via(TelemetryDoc(), parseTelemetry, renderTelemetry);
+  case wire::Family::Ledger:
+    return Via(LedgerEntry(), parseLedgerEntry, renderLedger);
+  }
+  return false;
 }

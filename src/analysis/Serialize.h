@@ -144,9 +144,6 @@ std::string renderImproveDocJson(const ImproveDoc &Doc);
 /// HGB render of the improve-cache document.
 std::string renderImproveDocBinary(const ImproveDoc &Doc);
 
-/// Renders an improve-cache document in the requested encoding.
-std::string renderImproveDoc(const ImproveDoc &Doc, WireEncoding Enc);
-
 /// Parses an improve-cache document in either format (sniffed).
 bool parseImproveDoc(const std::string &Text, ImproveDoc &Out,
                      std::string &Err);
@@ -319,6 +316,15 @@ std::string renderLedgerEntryBinary(const LedgerEntry &E);
 /// format tags and unknown major versions.
 bool parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
                       std::string &Err);
+
+/// Rewrites one wire document of any family in encoding \p To (what
+/// `herbgrind_batch hgb2json` / `json2hgb` do). The family comes from the
+/// HGB header or the JSON "format" tag; a JSON object with no tag and a
+/// "spots" field is a bare report. Lossless both ways: JSON output is the
+/// JSON backend's exact bytes plus the newline the CLI writes after
+/// per-sweep documents (none after shard and improve documents).
+bool convertWireDoc(const std::string &Text, WireEncoding To,
+                    std::string &Out, std::string &Err);
 
 } // namespace herbgrind
 

@@ -190,17 +190,6 @@ bool herbgrind::wire::isBinary(const std::string &Data) {
          std::memcmp(Data.data(), HgbMagic, sizeof(HgbMagic)) == 0;
 }
 
-bool herbgrind::wire::sniffBinary(const std::string &Data, Family &F,
-                                  int &Major, int &Minor) {
-  BinaryDecoder D(Data);
-  if (!D.ok())
-    return false;
-  F = D.family();
-  Major = D.major();
-  Minor = D.minor();
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // BinaryEncoder
 //===----------------------------------------------------------------------===//

@@ -62,10 +62,6 @@ constexpr unsigned char HgbMagic[4] = {0x89, 'H', 'G', 'B'};
 /// True if \p Data starts with the HGB magic.
 bool isBinary(const std::string &Data);
 
-/// Reads the family tag from an HGB header without decoding the body.
-/// Returns false if the header is malformed or truncated.
-bool sniffBinary(const std::string &Data, Family &F, int &Major, int &Minor);
-
 //===----------------------------------------------------------------------===//
 // BinaryEncoder
 //===----------------------------------------------------------------------===//

@@ -15,7 +15,7 @@
 // mixed-format shard sets merge byte-identically to a direct sweep; (7)
 // randomized report
 // documents with NaN / infinities / subnormals / -0.0 round-trip in both
-// formats.
+// formats; (8) convertWireDoc rewrites every family in either direction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -148,12 +148,11 @@ TEST(WireBinary, ShardDocumentRoundTripsAndCrossRenders) {
 
 TEST(WireBinary, SniffedHeaderCarriesFamilyAndVersion) {
   std::string Bin = renderShardBinary(sampleShard());
-  wire::Family F;
-  int Major, Minor;
-  ASSERT_TRUE(wire::sniffBinary(Bin, F, Major, Minor));
-  EXPECT_EQ(F, wire::Family::Shard);
-  EXPECT_EQ(Major, WireFormatMajor);
-  EXPECT_EQ(Minor, WireFormatMinor);
+  wire::BinaryDecoder D(Bin);
+  ASSERT_TRUE(D.ok()) << D.error();
+  EXPECT_EQ(D.family(), wire::Family::Shard);
+  EXPECT_EQ(D.major(), WireFormatMajor);
+  EXPECT_EQ(D.minor(), WireFormatMinor);
 }
 
 TEST(WireBinary, ImproveDocumentRoundTripsAndCrossRenders) {
@@ -210,11 +209,10 @@ TEST(WireBinary, BatchReportAndTelemetryRoundTripCorpusWide) {
   ASSERT_TRUE(parseTelemetry(TelBin, TelBack, Err)) << Err;
   EXPECT_EQ(renderTelemetryJson(TelBack), TelJson);
   EXPECT_EQ(renderTelemetryBinary(TelBack), TelBin);
-  wire::Family F;
-  int Major, Minor;
-  ASSERT_TRUE(wire::sniffBinary(TelBin, F, Major, Minor));
-  EXPECT_EQ(F, wire::Family::Telemetry);
-  EXPECT_EQ(Major, TelemetryFormatMajor);
+  wire::BinaryDecoder D(TelBin);
+  ASSERT_TRUE(D.ok()) << D.error();
+  EXPECT_EQ(D.family(), wire::Family::Telemetry);
+  EXPECT_EQ(D.major(), TelemetryFormatMajor);
 }
 
 TEST(WireBinary, BareReportRoundTripsAndCrossRenders) {
@@ -232,6 +230,55 @@ TEST(WireBinary, BareReportRoundTripsAndCrossRenders) {
   Report Back2;
   ASSERT_TRUE(parseReportDoc(Json, Back2, Err)) << Err;
   EXPECT_EQ(renderReportBinary(Back2), Bin);
+}
+
+TEST(WireBinary, ConvertWireDocRewritesEveryFamily) {
+  ShardDoc Shard = sampleShard();
+  ImproveDoc Imp;
+  Imp.ConfigHash = "00ff00ff00ff00ff";
+  Imp.ExprIdentity = Imp.Record.Original = "(- (+ x0 1) x0)";
+  Imp.Record.Rewritten = "1";
+  Imp.Record.Improved = true;
+  Report Rep = buildReport(Shard.Result);
+  BatchReportDoc Batch;
+  Batch.Benchmarks.push_back({"cancellation", 1, 4, Rep});
+  TelemetryDoc Tel;
+  Tel.Metrics = metrics::snapshot();
+  LedgerEntry Led;
+  Led.Host = "host";
+  Led.Tier = "full";
+  Led.WallSeconds = 0.25;
+  Led.Metrics = Tel.Metrics;
+
+  // Per-sweep documents carry the CLI's trailing newline as JSON;
+  // per-shard documents do not.
+  const std::pair<std::string, std::string> Docs[] = {
+      {renderShardJson(Shard), renderShardBinary(Shard)},
+      {renderImproveDocJson(Imp), renderImproveDocBinary(Imp)},
+      {Rep.renderJson() + "\n", renderReportBinary(Rep)},
+      {renderBatchReportJson(Batch) + "\n", renderBatchReportBinary(Batch)},
+      {renderTelemetryJson(Tel) + "\n", renderTelemetryBinary(Tel)},
+      {renderLedgerEntryJson(Led) + "\n", renderLedgerEntryBinary(Led)},
+  };
+  std::string Out, Err;
+  for (const auto &[Json, Bin] : Docs) {
+    ASSERT_TRUE(convertWireDoc(Json, WireEncoding::Binary, Out, Err)) << Err;
+    EXPECT_EQ(Out, Bin);
+    ASSERT_TRUE(convertWireDoc(Bin, WireEncoding::Json, Out, Err)) << Err;
+    EXPECT_EQ(Out, Json);
+  }
+
+  EXPECT_FALSE(convertWireDoc("{\"format\":\"herbgrind-nope\"}",
+                              WireEncoding::Binary, Out, Err));
+  EXPECT_EQ(Err, "not a herbgrind wire document (unrecognized \"format\": "
+                 "\"herbgrind-nope\")");
+  std::string Truncated(reinterpret_cast<const char *>(wire::HgbMagic), 4);
+  EXPECT_FALSE(convertWireDoc(Truncated, WireEncoding::Json, Out, Err));
+  EXPECT_EQ(Err, "malformed HGB header");
+  EXPECT_FALSE(convertWireDoc(Docs[0].first, WireEncoding::Json, Out, Err));
+  EXPECT_EQ(Err, "hgb2json expects an HGB input");
+  EXPECT_FALSE(convertWireDoc(Docs[0].second, WireEncoding::Binary, Out, Err));
+  EXPECT_EQ(Err, "json2hgb expects a JSON input");
 }
 
 //===----------------------------------------------------------------------===//
