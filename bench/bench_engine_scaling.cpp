@@ -11,9 +11,11 @@
 //
 // The run also probes the allocation-free shadow hot path: a steady-state
 // single-benchmark analysis is timed against the uninstrumented
-// interpreter (the Table 1 "Herbgrind overhead" shape) while the
-// per-thread limb allocator's counters verify that shadowed operations
-// perform zero heap allocations.
+// interpreter (the Table 1 "Herbgrind overhead" shape) while a counting
+// replacement of the global operator new / new[] (defined in this file,
+// so it sees limb blocks, containers and everything else) verifies that
+// shadowed operations perform zero heap allocations. The loop programs and
+// the native quadratic kernel are held to the same count.
 //
 // Everything is recorded to a machine-readable JSON file (default
 // BENCH_engine.json, or --json-out FILE) so the perf trajectory is
@@ -46,12 +48,48 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
+
+//===----------------------------------------------------------------------===//
+// Heap allocation counting
+//===----------------------------------------------------------------------===//
+
+// The operator new / new[] calls this thread has made. Per thread, so the
+// parallel sweeps' workers share no counter; the steady-state probes run on
+// the main thread and read it around their measured passes. Only the two
+// throwing forms of operator new (and the deletes that match them) are
+// replaced: the default new[], nothrow, sized and array forms all forward
+// to these. The sized delete is defined only because -Wextra's
+// -Wsized-deallocation asks for it beside the unsized one.
+static thread_local uint64_t HeapAllocCount = 0;
+
+static void *countedAlloc(std::size_t Size, std::size_t Align) {
+  ++HeapAllocCount;
+  if (Size == 0)
+    Size = 1;
+  void *P = Align <= alignof(std::max_align_t)
+                ? std::malloc(Size)
+                : std::aligned_alloc(Align, (Size + Align - 1) / Align * Align);
+  if (!P)
+    throw std::bad_alloc();
+  return P;
+}
+
+void *operator new(std::size_t N) { return countedAlloc(N, 0); }
+void *operator new(std::size_t N, std::align_val_t A) {
+  return countedAlloc(N, static_cast<std::size_t>(A));
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
 
 using namespace herbgrind;
 using namespace herbgrind::bench;
@@ -59,25 +97,43 @@ using namespace herbgrind::engine;
 
 namespace {
 
-/// Steady-state shadow hot path probe: analyze one transcendental-free
-/// corpus benchmark repeatedly with one reused Herbgrind instance, and
-/// count limb-cache heap allocations once the caches are warm.
+/// Steady-state shadow hot path probe: analyze each straight-line corpus
+/// benchmark repeatedly with one reused Herbgrind instance, and count
+/// every heap allocation once the caches are warm. The loop programs run
+/// the same way, untimed and with fewer samples, so their trace churn is
+/// held to the same zero.
 struct HotPathProbe {
   double NativeSeconds = 0.0;
   double HerbgrindSeconds = 0.0;
   uint64_t ShadowOps = 0;
   uint64_t SteadyHeapAllocs = 0;
   uint64_t SteadyCacheHits = 0;
+  uint64_t LoopShadowOps = 0;
+  uint64_t LoopHeapAllocs = 0;
   bool Ok = false;
 };
 
 HotPathProbe runHotPathProbe() {
   HotPathProbe Probe;
   const int Samples = 64;
+  const int LoopSamples = 8;
   for (const fpcore::Core &C : fpcore::corpus()) {
-    if (!isStraightLine(*C.Body) || !fpcore::isCompilable(C))
+    if (!fpcore::isCompilable(C))
       continue;
     Program P = fpcore::compile(C);
+    if (!isStraightLine(*C.Body)) {
+      std::vector<std::vector<double>> Inputs = sampleInputs(C, LoopSamples);
+      Herbgrind HG(P);
+      for (const auto &In : Inputs)
+        HG.runOnInput(In);
+      uint64_t Ops0 = HG.stats().ShadowOpsExecuted;
+      uint64_t Allocs0 = HeapAllocCount;
+      for (const auto &In : Inputs)
+        HG.runOnInput(In);
+      Probe.LoopHeapAllocs += HeapAllocCount - Allocs0;
+      Probe.LoopShadowOps += HG.stats().ShadowOpsExecuted - Ops0;
+      continue;
+    }
     std::vector<std::vector<double>> Inputs = sampleInputs(C, Samples);
 
     // Warm the native baseline the same way the instrumented run is
@@ -97,15 +153,16 @@ HotPathProbe runHotPathProbe() {
       HG.runOnInput(In);
     uint64_t Ops0 = HG.stats().ShadowOpsExecuted;
     limballoc::resetCounters();
+    uint64_t Allocs0 = HeapAllocCount;
     Probe.HerbgrindSeconds += timeIt([&] {
       for (const auto &In : Inputs)
         HG.runOnInput(In);
     });
-    Probe.SteadyHeapAllocs += limballoc::heapAllocs();
+    Probe.SteadyHeapAllocs += HeapAllocCount - Allocs0;
     Probe.SteadyCacheHits += limballoc::cacheHits();
     Probe.ShadowOps += HG.stats().ShadowOpsExecuted - Ops0;
   }
-  Probe.Ok = Probe.ShadowOps > 0;
+  Probe.Ok = Probe.ShadowOps > 0 && Probe.LoopShadowOps > 0;
   return Probe;
 }
 
@@ -120,6 +177,7 @@ struct NativeProbe {
   double InterpSeconds = 0.0;
   double HerbgrindSeconds = 0.0;
   uint64_t ShadowOps = 0;
+  uint64_t SteadyHeapAllocs = 0; ///< During the timed native::Real runs.
 };
 
 NativeProbe runNativeProbe() {
@@ -169,11 +227,13 @@ NativeProbe runNativeProbe() {
   for (const auto &In : Inputs) // warm-up: pools, caches, site table
     NativeOnce(In);
   uint64_t Ops0 = Ctx.stats().ShadowOpsExecuted;
+  uint64_t Allocs0 = HeapAllocCount;
   Probe.NativeSeconds = timeIt([&] {
     for (int Rep = 0; Rep < Reps; ++Rep)
       for (const auto &In : Inputs)
         NativeOnce(In);
   });
+  Probe.SteadyHeapAllocs = HeapAllocCount - Allocs0;
   Probe.ShadowOps = Ctx.stats().ShadowOpsExecuted - Ops0;
 
   // The same math as hand-built IR, uninstrumented and instrumented.
@@ -356,12 +416,15 @@ int main(int Argc, char **Argv) {
   std::printf("\nshadow hot path (steady state, straight-line corpus):\n"
               "  native %.3fs, herbgrind %.3fs (%.1fx overhead); "
               "%llu shadow ops, %llu heap allocs (%.6f/op), "
-              "%llu limb-cache hits\n",
+              "%llu limb-cache hits; loop programs: %llu shadow ops, "
+              "%llu heap allocs\n",
               Probe.NativeSeconds, Probe.HerbgrindSeconds, Overhead,
               static_cast<unsigned long long>(Probe.ShadowOps),
               static_cast<unsigned long long>(Probe.SteadyHeapAllocs),
               AllocsPerOp,
-              static_cast<unsigned long long>(Probe.SteadyCacheHits));
+              static_cast<unsigned long long>(Probe.SteadyCacheHits),
+              static_cast<unsigned long long>(Probe.LoopShadowOps),
+              static_cast<unsigned long long>(Probe.LoopHeapAllocs));
 
   // Native-frontend overhead: the operator-overloading path against the
   // hardware floor and against the interpreter it bypasses.
@@ -370,13 +433,15 @@ int main(int Argc, char **Argv) {
   std::printf("\nnative frontend (quadratic kernel, steady state):\n"
               "  raw double %.3fs, native::Real %.3fs (%.1fx), "
               "interpreter %.3fs (%.1fx), instrumented interpreter %.3fs "
-              "(%.1fx); %llu shadow ops (%.0f ns/op native)\n",
+              "(%.1fx); %llu shadow ops (%.0f ns/op native), %llu heap "
+              "allocs\n",
               NP.RawSeconds, NP.NativeSeconds,
               Over(NP.NativeSeconds, NP.RawSeconds), NP.InterpSeconds,
               Over(NP.InterpSeconds, NP.RawSeconds), NP.HerbgrindSeconds,
               Over(NP.HerbgrindSeconds, NP.RawSeconds),
               static_cast<unsigned long long>(NP.ShadowOps),
-              NP.ShadowOps ? 1e9 * NP.NativeSeconds / NP.ShadowOps : 0.0);
+              NP.ShadowOps ? 1e9 * NP.NativeSeconds / NP.ShadowOps : 0.0,
+              static_cast<unsigned long long>(NP.SteadyHeapAllocs));
 
   // Op-profiler probe: sweep the bundled quadratic native kernel with
   // sampling at period 1 and rank where the shadow time goes. At period 1
@@ -660,12 +725,14 @@ int main(int Argc, char **Argv) {
       "\"hot_path\":{\"native_s\":%s,\"herbgrind_s\":%s,"
       "\"overhead_factor\":%s,\"shadow_ops\":%llu,"
       "\"steady_heap_allocs\":%llu,\"allocs_per_op\":%s,"
-      "\"limb_cache_hits\":%llu},"
+      "\"limb_cache_hits\":%llu,\"loop_shadow_ops\":%llu,"
+      "\"loop_heap_allocs\":%llu},"
       "\"improve\":{\"jobs\":%u,\"wall_s\":%s,\"candidates\":%llu,"
       "\"significant\":%llu,\"improved\":%llu,\"records_per_s\":%s},"
       "\"native\":{\"raw_s\":%s,\"native_s\":%s,\"interp_s\":%s,"
       "\"herbgrind_s\":%s,\"shadow_ops\":%llu,\"native_overhead\":%s,"
-      "\"interp_overhead\":%s,\"herbgrind_overhead\":%s},"
+      "\"interp_overhead\":%s,\"herbgrind_overhead\":%s,"
+      "\"native_heap_allocs\":%llu},"
       "\"profile\":%s,"
       "\"telemetry_merge\":%s,"
       "\"tiered\":%s,"
@@ -679,7 +746,9 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(Probe.SteadyHeapAllocs),
       formatDoubleShortest(AllocsPerOp).c_str(),
       static_cast<unsigned long long>(Probe.SteadyCacheHits),
-      BCfg.Jobs, formatDoubleShortest(IStats.WallSeconds).c_str(),
+      static_cast<unsigned long long>(Probe.LoopShadowOps),
+      static_cast<unsigned long long>(Probe.LoopHeapAllocs), BCfg.Jobs,
+      formatDoubleShortest(IStats.WallSeconds).c_str(),
       static_cast<unsigned long long>(IStats.Candidates),
       static_cast<unsigned long long>(IStats.Significant),
       static_cast<unsigned long long>(IStats.Improved),
@@ -692,6 +761,7 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.NativeSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.InterpSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
+      static_cast<unsigned long long>(NP.SteadyHeapAllocs),
       ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
       WireSectionJson.c_str(), CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
@@ -703,20 +773,23 @@ int main(int Argc, char **Argv) {
   }
 
   // The zero-allocation acceptance gate: a steady-state shadowed op must
-  // not reach the heap at the default 256-bit precision. A probe that
-  // measured nothing is itself a failure -- otherwise a corpus change
-  // could silently turn the gate vacuous.
-  if (!Probe.Ok) {
-    std::fprintf(stderr, "FAIL: hot-path probe matched no straight-line "
-                         "benchmarks; the zero-allocation gate measured "
-                         "nothing\n");
+  // not reach the heap at the default 256-bit precision, on either
+  // frontend. A probe that measured nothing is itself a failure --
+  // otherwise a corpus change could silently turn the gate vacuous.
+  if (!Probe.Ok || NP.ShadowOps == 0) {
+    std::fprintf(stderr, "FAIL: a hot-path probe ran no shadow ops; the "
+                         "zero-allocation gate measured nothing\n");
     return 1;
   }
-  if (Probe.SteadyHeapAllocs != 0) {
+  if (Probe.SteadyHeapAllocs != 0 || Probe.LoopHeapAllocs != 0 ||
+      NP.SteadyHeapAllocs != 0) {
     std::fprintf(stderr,
-                 "FAIL: %llu heap allocations in steady-state shadow "
-                 "execution (expected 0)\n",
-                 static_cast<unsigned long long>(Probe.SteadyHeapAllocs));
+                 "FAIL: heap allocations in steady-state shadow execution "
+                 "(expected 0): %llu straight-line, %llu loop, %llu "
+                 "native\n",
+                 static_cast<unsigned long long>(Probe.SteadyHeapAllocs),
+                 static_cast<unsigned long long>(Probe.LoopHeapAllocs),
+                 static_cast<unsigned long long>(NP.SteadyHeapAllocs));
     return 1;
   }
   // The profiler acceptance gate: the ranked rows must account for at

@@ -950,6 +950,9 @@ static int runCacheGc(const Options &O) {
   return 0;
 }
 
+static int runSweep(const Options &O, std::vector<Core> &Cores,
+                    const std::vector<std::string> &MergeArgs);
+
 /// A sweep, or one of the modes that share its flags: --list, --cache-gc,
 /// --merge-shards and --selftest.
 static int sweepMain(int Argc, char **Argv) {
@@ -1016,18 +1019,28 @@ static int sweepMain(int Argc, char **Argv) {
     trace::start();
   if (O.ProfileOps)
     opprof::enable(O.ProfilePeriod);
-  if (!O.EventsOut.empty()) {
-    std::string Err;
-    if (!events::start(O.EventsOut, Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 1;
-    }
+  if (O.EventsOut.empty())
+    return runSweep(O, Cores, MergeArgs);
+  std::string Err;
+  if (!events::start(O.EventsOut, Err)) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
+    return 1;
   }
-  // Close the event stream on every exit path, so the last line a
-  // consumer sees is a complete one.
-  struct EventsCloser {
-    ~EventsCloser() { events::stop(); }
-  } CloseEvents;
+  int Rc = runSweep(O, Cores, MergeArgs);
+  // Stop the stream on every exit path, so the last line a consumer sees
+  // is a complete one, and fail the run if any event was lost.
+  if (!events::stop()) {
+    std::fprintf(stderr, "error: cannot write events file '%s'\n",
+                 O.EventsOut.c_str());
+    return Rc != 0 ? Rc : 1;
+  }
+  return Rc;
+}
+
+/// The work of a sweep (or merge, or selftest) once its inputs are read
+/// and its telemetry is armed.
+static int runSweep(const Options &O, std::vector<Core> &Cores,
+                    const std::vector<std::string> &MergeArgs) {
   ProgressHeartbeat Heartbeat;
   if (O.Progress)
     Heartbeat.start(O.ProgressEvery);

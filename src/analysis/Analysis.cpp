@@ -64,7 +64,7 @@ Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
     : Prog(Config.WrapLibraryCalls ? P : lowerLibraryCalls(P)),
       Cfg(Config),
       Arena(Config.MaxExprDepth, Config.EquivDepth, Config.UsePools),
-      TempTypes(inferTempTypes(Prog)) {
+      Machine(Prog, {}), TempTypes(inferTempTypes(Prog)) {
   assert(Prog.validate().empty() && "invalid program");
   Skippable.reserve(Prog.size());
   for (const Statement &S : Prog.statements())
@@ -110,6 +110,18 @@ static double concreteAsDouble(const Value &V) {
   return V.Ty == ValueType::F32 ? static_cast<double>(V.F32) : V.F64;
 }
 
+/// A real rounded to the float type \p Ty.
+static Value roundReal(const BigFloat &R, ValueType Ty) {
+  return Ty == ValueType::F32 ? Value::ofF32(R.toFloat())
+                              : Value::ofF64(R.toDouble());
+}
+
+/// Bits of error between two floats, both read as type \p Ty.
+static double bitsOfErrorAs(ValueType Ty, const Value &A, const Value &B) {
+  return Ty == ValueType::F32 ? bitsOfErrorFloat(A.F32, B.F32)
+                              : bitsOfErrorDouble(A.F64, B.F64);
+}
+
 ShadowValue *Herbgrind::lazyShadow(uint32_t Temp, unsigned Lane,
                                    const Value &Concrete, ValueType Ty) {
   ShadowValue *SV = Shadow->tempLane(Temp, Lane);
@@ -136,9 +148,7 @@ double herbgrind::shadowValueErrorBits(const ShadowValue *SV,
     return Concrete.Ty == ValueType::F32 ? 32.0 : 64.0;
   if (!SV)
     return 0.0;
-  if (SV->Ty == ValueType::F32)
-    return bitsOfErrorFloat(Concrete.F32, SV->Real.toFloat());
-  return bitsOfErrorDouble(Concrete.F64, SV->Real.toDouble());
+  return bitsOfErrorAs(SV->Ty, Concrete, roundReal(SV->Real, SV->Ty));
 }
 
 
@@ -147,7 +157,8 @@ double herbgrind::shadowValueErrorBits(const ShadowValue *SV,
 //===----------------------------------------------------------------------===//
 
 void Herbgrind::runOnInput(const std::vector<double> &Inputs) {
-  MachineState State(Prog, Inputs);
+  MachineState &State = Machine;
+  State.restart(Inputs);
   // Shadow state is per-run: concrete memory starts fresh, so stale shadow
   // cells from a previous run would be wrong. Resetting in place (instead
   // of rebuilding) keeps the value pool's slabs and the memory table's
@@ -173,7 +184,9 @@ void Herbgrind::runOnInput(const std::vector<double> &Inputs) {
     shadowStep(S, PC, Args, State);
   }
   TotalSteps += State.Steps;
-  LastOutputs = std::move(State.Outputs);
+  // Swap rather than move: both vectors keep their capacity, and the next
+  // restart clears the machine's.
+  LastOutputs.swap(State.Outputs);
 }
 
 void Herbgrind::runOnBatch(const std::vector<double> *Inputs,
@@ -492,19 +505,14 @@ ShadowValue *herbgrind::shadowScalarOpCore(
   InfluenceSets &Sets = Shadow.sets();
 
   // Local error (Section 4.2): the error the op would produce even on
-  // exactly-computed inputs: E( F(f_R(v)), f_F(F(v)) ).
+  // exactly-computed inputs: E( F(f_R(v)), f_F(F(v)) ). The result is
+  // rounded once; the compensation check below reuses it.
   Value RoundedArgs[3];
-  for (unsigned I = 0; I < NumArgs; ++I) {
-    if (ArgConcrete[I].Ty == ValueType::F32)
-      RoundedArgs[I] = Value::ofF32(ArgSV[I]->Real.toFloat());
-    else
-      RoundedArgs[I] = Value::ofF64(ArgSV[I]->Real.toDouble());
-  }
+  for (unsigned I = 0; I < NumArgs; ++I)
+    RoundedArgs[I] = roundReal(ArgSV[I]->Real, ArgConcrete[I].Ty);
+  Value RoundedResult = roundReal(RealResult, ResultTy);
   Value FloatOnExact = evalScalarOp(Op, RoundedArgs, NumArgs);
-  double LocalErr =
-      ResultTy == ValueType::F32
-          ? bitsOfErrorFloat(FloatOnExact.F32, RealResult.toFloat())
-          : bitsOfErrorDouble(FloatOnExact.F64, RealResult.toDouble());
+  double LocalErr = bitsOfErrorAs(ResultTy, FloatOnExact, RoundedResult);
   // An operation that *creates* a NaN from non-NaN inputs has maximal
   // local error (the paper reports NaNs as maximal error); mere NaN
   // propagation stays neutral so one bad op does not flag its whole
@@ -537,11 +545,7 @@ ShadowValue *herbgrind::shadowScalarOpCore(
                               : ArgSV[Pass]->Real;
       if (ArgSV[Pass]->Real.isNaN() || !BigFloat::eq(RealResult, PassReal))
         continue;
-      double OutErr = ResultTy == ValueType::F32
-                          ? bitsOfErrorFloat(ConcreteResult.F32,
-                                             RealResult.toFloat())
-                          : bitsOfErrorDouble(ConcreteResult.F64,
-                                              RealResult.toDouble());
+      double OutErr = bitsOfErrorAs(ResultTy, ConcreteResult, RoundedResult);
       double ArgErr = shadowValueErrorBits(ArgSV[Pass], ArgConcrete[Pass]);
       if (OutErr <= ArgErr) {
         Infl = ArgSV[Pass]->Influences;
@@ -567,20 +571,20 @@ ShadowValue *herbgrind::shadowScalarOpCore(
   // Incremental record update (Section 6 "Incrementalization").
   ++Rec.Executions;
   Rec.LocalError.add(LocalErr);
-  std::vector<VarBinding> Bindings;
-  std::vector<Promotion> Promotions;
+  AntiUnifyScratch &Round = Shadow.antiUnifyScratch();
+  std::vector<VarBinding> &Bindings = Round.Bindings;
+  Bindings.clear();
   if (!Rec.Expr) {
     Rec.Expr = symbolize(Arena, Trace);
   } else {
-    Rec.Expr = antiUnify(Arena, Rec.Expr.get(), Trace, Rec.NextVarIdx,
-                         Bindings, &Promotions);
+    antiUnify(Arena, *Rec.Expr, Trace, Rec.NextVarIdx, Round);
     // A promoted constant held its value on every earlier round; credit
     // that history to the new variable before folding this round's
     // binding, so a variable's summary is exactly the multiset of values
     // its position took. That property is what makes per-shard summaries
     // merge losslessly (Executions already counts this round; Flagged
     // does not yet).
-    for (const Promotion &Pr : Promotions) {
+    for (const Promotion &Pr : Round.Promotions) {
       Rec.TotalInputs.addRepeated(Pr.Idx, Pr.OldValue, Rec.Executions - 1);
       Rec.ProblematicInputs.addRepeated(Pr.Idx, Pr.OldValue, Rec.Flagged);
       // The worst flagged round (if any) predates this promotion, so the

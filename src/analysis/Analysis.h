@@ -297,6 +297,7 @@ private:
   TraceArena Arena;
   InfluenceSets Sets;
   std::unique_ptr<ShadowState> Shadow;
+  MachineState Machine; ///< The concrete machine, restarted every run.
   std::vector<ValueType> TempTypes;
   std::vector<bool> Skippable;
   std::map<uint32_t, OpRecord> Ops;

@@ -18,6 +18,7 @@
 #include "ir/Memory.h"
 #include "ir/Program.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace herbgrind {
@@ -37,6 +38,20 @@ struct MachineState {
                         size_t ThreadStateBytes = 1024)
       : Temps(P.numTemps()), ThreadState(ThreadStateBytes, 0),
         Inputs(std::move(ProgramInputs)) {}
+
+  /// Returns the state to the start of a run on \p ProgramInputs, as if
+  /// freshly constructed, keeping the vectors' capacity so a state reused
+  /// run over run does not allocate them again.
+  void restart(const std::vector<double> &ProgramInputs) {
+    std::fill(Temps.begin(), Temps.end(), Value());
+    std::fill(ThreadState.begin(), ThreadState.end(), 0);
+    Memory.clear();
+    CallStack.clear();
+    Inputs.assign(ProgramInputs.begin(), ProgramInputs.end());
+    Outputs.clear();
+    PC = 0;
+    Steps = 0;
+  }
 };
 
 /// Executes a single statement's concrete semantics, updating PC. Returns

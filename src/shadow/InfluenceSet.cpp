@@ -13,18 +13,21 @@ using namespace herbgrind;
 
 InfluenceSets::InfluenceSets() { Empty = intern(InflSet()); }
 
-const InflSet *InfluenceSets::intern(InflSet Set) {
+const InflSet *InfluenceSets::intern(const InflSet &Set) {
   auto It = Interned.find(Set);
   if (It != Interned.end())
     return It->second.get();
   auto Owned = std::make_unique<InflSet>(Set);
   const InflSet *Ptr = Owned.get();
-  Interned.emplace(std::move(Set), std::move(Owned));
+  Interned.emplace(Set, std::move(Owned));
   return Ptr;
 }
 
 const InflSet *InfluenceSets::singleton(uint32_t PC) {
-  return intern(InflSet{PC});
+  // A reused one-element key: looking up a set already interned (every
+  // flagged op after its first) allocates nothing.
+  Probe.assign(1, PC);
+  return intern(Probe);
 }
 
 const InflSet *InfluenceSets::unionOf(const InflSet *A, const InflSet *B) {
@@ -44,7 +47,7 @@ const InflSet *InfluenceSets::unionOf(const InflSet *A, const InflSet *B) {
   Merged.reserve(A->size() + B->size());
   std::set_union(A->begin(), A->end(), B->begin(), B->end(),
                  std::back_inserter(Merged));
-  const InflSet *Result = intern(std::move(Merged));
+  const InflSet *Result = intern(Merged);
   UnionCache.emplace(Key, Result);
   return Result;
 }

@@ -50,7 +50,7 @@ public:
   size_t cachedUnions() const { return UnionCache.size(); }
 
 private:
-  const InflSet *intern(InflSet Set);
+  const InflSet *intern(const InflSet &Set);
 
   struct VecHash {
     size_t operator()(const InflSet &V) const {
@@ -73,6 +73,7 @@ private:
                      const InflSet *, PtrPairHash>
       UnionCache;
   const InflSet *Empty;
+  InflSet Probe; ///< singleton()'s reused lookup key.
 };
 
 } // namespace herbgrind

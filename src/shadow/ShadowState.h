@@ -30,6 +30,7 @@
 #include "real/BigFloat.h"
 #include "shadow/InfluenceSet.h"
 #include "support/Pool.h"
+#include "trace/SymExpr.h"
 #include "trace/TraceNode.h"
 
 #include <array>
@@ -75,8 +76,9 @@ public:
   /// engine's per-run cycle within a shard) re-allocates no shadow-value
   /// storage. Note the scope: the map/unordered_map *node* allocations of
   /// shadow memory and thread state are still freed here and re-made by
-  /// the next run's stores; the zero-allocation invariant the benches
-  /// gate covers shadow values and arithmetic scratch, not these cells.
+  /// the next run's stores. The benches' zero-allocation gate runs
+  /// programs that keep their floats in temporaries, so it does not cover
+  /// these cells.
   void reset();
 
   /// Creates a shadow value; takes ownership of one reference to \p Trace.
@@ -127,6 +129,10 @@ public:
   TraceArena &arena() { return Arena; }
   InfluenceSets &sets() { return Sets; }
 
+  /// The anti-unification scratch of record updates, reused op over op so
+  /// a shadowed op does not allocate its tables or outputs.
+  AntiUnifyScratch &antiUnifyScratch() { return AntiUnify; }
+
 private:
   struct Cell {
     ShadowValue *SV = nullptr;
@@ -143,6 +149,7 @@ private:
   std::vector<std::array<ShadowValue *, 4>> Temps;
   std::map<int64_t, Cell> ThreadState; ///< ordered: range scans
   std::unordered_map<uint64_t, Cell> Memory;
+  AntiUnifyScratch AntiUnify;
 };
 
 } // namespace herbgrind

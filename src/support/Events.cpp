@@ -18,9 +18,11 @@ using namespace herbgrind;
 namespace {
 
 std::atomic<bool> Enabled{false};
-std::mutex SinkMutex; ///< Guards Sink/OwnsSink and serializes writes.
+std::mutex SinkMutex; ///< Guards Sink/OwnsSink/WriteFailed and
+                      ///< serializes writes.
 FILE *Sink = nullptr;
 bool OwnsSink = false;
+bool WriteFailed = false; ///< Some write or flush of this stream failed.
 std::atomic<uint64_t> Seq{0};
 
 } // namespace
@@ -42,21 +44,23 @@ bool herbgrind::events::start(const std::string &Path, std::string &Err) {
     }
     OwnsSink = true;
   }
+  WriteFailed = false;
   Seq.store(0, std::memory_order_relaxed);
   Enabled.store(true, std::memory_order_release);
   return true;
 }
 
-void herbgrind::events::stop() {
+bool herbgrind::events::stop() {
   Enabled.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> Lock(SinkMutex);
   if (!Sink)
-    return;
-  std::fflush(Sink);
-  if (OwnsSink)
-    std::fclose(Sink);
+    return true;
+  bool Ok = !WriteFailed && std::fflush(Sink) == 0 && !std::ferror(Sink);
+  if (OwnsSink && std::fclose(Sink) != 0)
+    Ok = false;
   Sink = nullptr;
   OwnsSink = false;
+  return Ok;
 }
 
 bool herbgrind::events::enabled() {
@@ -82,6 +86,7 @@ void herbgrind::events::emit(const char *Type, const std::string &FieldsJson) {
   }
   Line += "}\n";
   // One fwrite per line: concurrent emitters never interleave.
-  std::fwrite(Line.data(), 1, Line.size(), Sink);
-  std::fflush(Sink);
+  if (std::fwrite(Line.data(), 1, Line.size(), Sink) != Line.size() ||
+      std::fflush(Sink) != 0)
+    WriteFailed = true;
 }

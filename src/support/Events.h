@@ -43,8 +43,12 @@ namespace events {
 /// cannot be opened.
 bool start(const std::string &Path, std::string &Err);
 
-/// Stops streaming and closes the sink (flushes first). Idempotent.
-void stop();
+/// Stops streaming and closes the sink (flushes first). Returns false when
+/// any write, flush or close of this stream failed -- a lost event is
+/// sticky until the stream stops -- so the caller can fail the run instead
+/// of exiting 0 with events missing. Idempotent: with no stream open it
+/// returns true.
+bool stop();
 
 /// Whether events are currently being streamed.
 bool enabled();

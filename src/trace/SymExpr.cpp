@@ -153,75 +153,72 @@ struct PairKeyHash {
   }
 };
 
-/// Shared state of one anti-unification round.
+/// One in-place anti-unification round: a pre-order walk of the
+/// expression against the trace, with the scratch's reused tables standing
+/// in for per-round maps.
 struct Generalizer {
   TraceArena &Arena;
   uint32_t &NextVarIdx;
-  std::vector<VarBinding> &Bindings;
-  std::vector<Promotion> *Promotions;
-  std::unordered_map<PairKey, uint32_t, PairKeyHash> VarForPair;
-  std::unordered_set<uint32_t> ReusedThisRound;
+  AntiUnifyScratch &Round;
 
-  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T) {
-    PairKey Key{symFingerprint(S, Arena.equivDepth()),
-                Arena.fingerprint(T)};
-    auto It = VarForPair.find(Key);
-    uint32_t Idx;
-    if (It != VarForPair.end()) {
-      Idx = It->second;
-    } else {
+  /// Overwrites \p E with the variable of its (expression class, trace
+  /// class) pair. E's subtree is still as the previous round left it:
+  /// the walk has changed only nodes it visited, and none of them lies
+  /// below E, so fingerprints and indices read the old expression.
+  void makeVariable(SymExpr &E, TraceNode *T) {
+    bool Inserted;
+    uint32_t &Slot =
+        Round.VarForPair.slot(symFingerprint(&E, Arena.equivDepth()),
+                              Arena.fingerprint(T), Inserted);
+    if (Inserted) {
       // Keep the old variable index alive when this is the first concrete
       // class paired with it this round, so summaries stay attached.
-      if (S->Kind == SymExpr::SEKind::Var &&
-          !ReusedThisRound.count(S->VarIdx)) {
-        Idx = S->VarIdx;
-      } else {
-        Idx = NextVarIdx++;
-      }
-      ReusedThisRound.insert(Idx);
-      VarForPair.emplace(Key, Idx);
-      Bindings.push_back({Idx, T->Value});
+      bool Kept = E.Kind == SymExpr::SEKind::Var &&
+                  Round.Claimed.insert(E.VarIdx, 0);
+      Slot = Kept ? E.VarIdx : NextVarIdx++;
+      if (!Kept)
+        Round.Claimed.insert(Slot, 0);
+      Round.Bindings.push_back({Slot, T->Value});
       // A constant held this value on every earlier round; report the
       // promotion so summaries can credit that history to the variable.
-      if (Promotions && S->Kind == SymExpr::SEKind::Const)
-        Promotions->push_back({Idx, S->ConstVal});
+      if (E.Kind == SymExpr::SEKind::Const)
+        Round.Promotions.push_back({Slot, E.ConstVal});
     }
-    return SymExpr::makeVar(Idx);
+    uint32_t Idx = Slot;
+    E.Kind = SymExpr::SEKind::Var;
+    E.Op = Opcode::AddF64;
+    E.ConstVal = 0.0;
+    E.VarIdx = Idx;
+    E.Site = UINT32_MAX;
+    E.Kids.clear();
   }
 
-  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T) {
-    if (S->Kind == SymExpr::SEKind::Op &&
-        T->Kind == TraceNode::TNKind::Op && S->Op == T->Op &&
-        S->Kids.size() == T->NumKids) {
-      auto E = SymExpr::makeOp(S->Op, T->Site);
+  void gen(SymExpr &E, TraceNode *T) {
+    if (E.Kind == SymExpr::SEKind::Op && T->Kind == TraceNode::TNKind::Op &&
+        E.Op == T->Op && E.Kids.size() == T->NumKids) {
+      E.Site = T->Site;
       for (unsigned I = 0; I < T->NumKids; ++I)
-        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I]));
-      return E;
+        gen(*E.Kids[I], T->Kids[I]);
+      return;
     }
-    if (S->Kind == SymExpr::SEKind::Const &&
+    if (E.Kind == SymExpr::SEKind::Const &&
         T->Kind == TraceNode::TNKind::Leaf &&
-        bitsOfDouble(S->ConstVal) == bitsOfDouble(T->Value))
-      return SymExpr::makeConst(S->ConstVal);
-    if (S->Kind == SymExpr::SEKind::Var &&
-        T->Kind == TraceNode::TNKind::Leaf) {
-      // Plain variable-versus-leaf: the common fast path.
-      return makeVariable(S, T);
-    }
-    return makeVariable(S, T);
+        bitsOfDouble(E.ConstVal) == bitsOfDouble(T->Value))
+      return;
+    makeVariable(E, T);
   }
 };
 
 } // namespace
 
-std::unique_ptr<SymExpr>
-herbgrind::antiUnify(TraceArena &Arena, const SymExpr *Expr, TraceNode *Trace,
-                     uint32_t &NextVarIdx, std::vector<VarBinding> &Bindings,
-                     std::vector<Promotion> *Promotions) {
-  Bindings.clear();
-  if (Promotions)
-    Promotions->clear();
-  Generalizer G{Arena, NextVarIdx, Bindings, Promotions, {}, {}};
-  return G.gen(Expr, Trace);
+void herbgrind::antiUnify(TraceArena &Arena, SymExpr &Expr, TraceNode *Trace,
+                          uint32_t &NextVarIdx, AntiUnifyScratch &Round) {
+  Round.Bindings.clear();
+  Round.Promotions.clear();
+  Round.VarForPair.clear();
+  Round.Claimed.clear();
+  Generalizer G{Arena, NextVarIdx, Round};
+  G.gen(Expr, Trace);
 }
 
 //===----------------------------------------------------------------------===//

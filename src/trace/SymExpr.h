@@ -18,6 +18,7 @@
 #ifndef HERBGRIND_TRACE_SYMEXPR_H
 #define HERBGRIND_TRACE_SYMEXPR_H
 
+#include "support/StampedTable.h"
 #include "trace/TraceNode.h"
 
 #include <memory>
@@ -27,7 +28,7 @@
 namespace herbgrind {
 
 /// A symbolic expression tree. Plain owned trees (no sharing): one lives on
-/// each operation record and is rebuilt by generalization.
+/// each operation record and is generalized in place.
 struct SymExpr {
   enum class SEKind : uint8_t { Op, Const, Var };
 
@@ -80,17 +81,31 @@ struct Promotion {
 /// become variables once a later execution disagrees with them.
 std::unique_ptr<SymExpr> symbolize(TraceArena &Arena, TraceNode *Trace);
 
-/// Incremental anti-unification: most specific generalization of the
-/// accumulated \p Expr and a new concrete \p Trace. \p Bindings receives
-/// the (variable, concrete value) pairs of this round. Variable indices
-/// are kept stable where possible so input summaries can accumulate
-/// across rounds; \p NextVarIdx persists on the operation record. When
-/// \p Promotions is non-null it receives the constant leaves this round
-/// turned into variables (see Promotion).
-std::unique_ptr<SymExpr> antiUnify(TraceArena &Arena, const SymExpr *Expr,
-                                   TraceNode *Trace, uint32_t &NextVarIdx,
-                                   std::vector<VarBinding> &Bindings,
-                                   std::vector<Promotion> *Promotions = nullptr);
+/// Everything one anti-unification round keeps besides the expression: its
+/// output and its lookup tables. Each round clears and refills it, so one
+/// instance reused round after round (each analyzer's ShadowState holds
+/// one) reaches the heap only when a round outgrows every earlier one.
+struct AntiUnifyScratch {
+  std::vector<VarBinding> Bindings;  ///< The round's (variable, value) pairs.
+  std::vector<Promotion> Promotions; ///< Constants the round made variables.
+  StampedTable VarForPair; ///< (expression class, trace class) -> variable.
+  StampedTable Claimed;    ///< Variable indices claimed this round.
+};
+
+/// Incremental anti-unification (Section 6 "Incrementalization"): turns
+/// the accumulated \p Expr, in place, into the most specific
+/// generalization of itself and a new concrete \p Trace. The walk visits
+/// \p Expr in pre-order against the trace: a node that still matches is
+/// kept (an op node takes the trace's site), and a node that must
+/// generalize is overwritten as a variable, so a round on a converged
+/// expression keeps every node and allocates nothing. \p Round.Bindings
+/// receives the (variable, concrete value) pairs of this round and
+/// \p Round.Promotions the constant leaves it turned into variables (see
+/// Promotion). Variable indices are kept stable where possible so input
+/// summaries can accumulate across rounds; \p NextVarIdx persists on the
+/// operation record.
+void antiUnify(TraceArena &Arena, SymExpr &Expr, TraceNode *Trace,
+               uint32_t &NextVarIdx, AntiUnifyScratch &Round);
 
 //===----------------------------------------------------------------------===//
 // Merging two accumulated symbolic expressions (the batch engine)

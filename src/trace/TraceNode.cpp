@@ -122,25 +122,27 @@ void TraceArena::retain(TraceNode *N) {
 
 void TraceArena::release(TraceNode *N) {
   assert(N && "releasing null");
-  // Iterative release to keep deep chains off the C++ stack.
-  std::vector<TraceNode *> Work;
-  Work.push_back(N);
-  while (!Work.empty()) {
-    TraceNode *Cur = Work.back();
-    Work.pop_back();
-    // A dead node's trimmed copy loses its owner reference next. Following
-    // it here, rather than pushing it, keeps one push site, which lets the
-    // compiler hold Work in registers.
-    while (Cur) {
-      assert(Cur->RefCount > 0 && "double release");
-      if (--Cur->RefCount > 0)
+  // Iterative release to keep deep chains off the C++ stack. The work
+  // stack is the arena's, so a release allocates nothing once it has grown;
+  // a release that only drops a reference pushes nothing.
+  std::vector<TraceNode *> &Work = ReleaseWork;
+  for (;;) {
+    // A dead node's trimmed copy loses its owner reference next; follow it
+    // here rather than pushing it.
+    while (N) {
+      assert(N->RefCount > 0 && "double release");
+      if (--N->RefCount > 0)
         break;
-      for (unsigned I = 0; I < Cur->NumKids; ++I)
-        Work.push_back(Cur->Kids[I]);
-      TraceNode *Trimmed = Cur->Trimmed;
-      NodePool.destroy(Cur);
-      Cur = Trimmed;
+      for (unsigned I = 0; I < N->NumKids; ++I)
+        Work.push_back(N->Kids[I]);
+      TraceNode *Trimmed = N->Trimmed;
+      NodePool.destroy(N);
+      N = Trimmed;
     }
+    if (Work.empty())
+      return;
+    N = Work.back();
+    Work.pop_back();
   }
 }
 

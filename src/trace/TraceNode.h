@@ -64,7 +64,9 @@ static_assert(sizeof(TraceNode) <= 64, "a trace node fits one cache line");
 /// construction with per-node memoized trimming, and bounded-depth
 /// fingerprints for the anti-unification equivalence classes (Section 6.1).
 /// A released node frees its trimmed copy too, so live nodes are bounded by
-/// the live values' traces, not by the history that built them.
+/// the live values' traces, not by the history that built them. Release
+/// keeps its work stack on the arena, so it allocates nothing once the
+/// stack has grown.
 class TraceArena {
 public:
   /// \p MaxDepth bounds trace depth (Fig 5c/d sweep knob); \p EquivDepth
@@ -120,6 +122,7 @@ private:
   Pool<TraceNode> NodePool;
   uint32_t MaxDepth;
   uint32_t EquivDepth;
+  std::vector<TraceNode *> ReleaseWork; ///< release()'s work stack.
 };
 
 } // namespace herbgrind

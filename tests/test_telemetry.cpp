@@ -1127,3 +1127,20 @@ TEST_F(TelemetryTest, EventStreamWritesParseableLifecycleNdjson) {
   events::stop();
   events::emit("ignored");
 }
+
+TEST_F(TelemetryTest, EventStreamReportsLostWrites) {
+  // /dev/full accepts the open and fails every flush: stop() must report
+  // the lost events instead of closing as if they were written.
+  std::string Err;
+  ASSERT_TRUE(events::start("/dev/full", Err)) << Err;
+  events::emit("sweep.begin", "\"bench\":0");
+  events::emit("sweep.end");
+  EXPECT_FALSE(events::stop());
+  // The failure belongs to that stream: stopping again reports nothing,
+  // and the next stream starts clean.
+  EXPECT_TRUE(events::stop());
+  TempDir Dir("events-after-full");
+  ASSERT_TRUE(events::start(Dir.Path + "/events.ndjson", Err)) << Err;
+  events::emit("sweep.begin");
+  EXPECT_TRUE(events::stop());
+}

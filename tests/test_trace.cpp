@@ -4,14 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FloatBits.h"
 #include "trace/SymExpr.h"
 #include "trace/TraceNode.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
+#include <random>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace herbgrind;
 
@@ -249,7 +254,8 @@ namespace {
 struct AUFixture : ::testing::Test {
   TraceArena A{64, 5};
   uint32_t NextVar = 0;
-  std::vector<VarBinding> Bindings;
+  AntiUnifyScratch Round;
+  std::vector<VarBinding> &Bindings = Round.Bindings;
 
   /// trace of (x + 1) for a given x value.
   TraceNode *addOne(double X) {
@@ -276,14 +282,14 @@ TEST_F(AUFixture, VaryingLeafBecomesVariableConstantStays) {
   TraceNode *T1 = addOne(2.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = addOne(3.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Round);
   EXPECT_EQ(E->fpcoreBody(), "(+ x 1)");
   ASSERT_EQ(Bindings.size(), 1u);
   EXPECT_EQ(Bindings[0].Idx, 0u);
   EXPECT_EQ(Bindings[0].Value, 3.0);
   // Third round: variable stays stable.
   TraceNode *T3 = addOne(5.0);
-  E = antiUnify(A, E.get(), T3, NextVar, Bindings);
+  antiUnify(A, *E, T3, NextVar, Round);
   EXPECT_EQ(E->fpcoreBody(), "(+ x 1)");
   ASSERT_EQ(Bindings.size(), 1u);
   EXPECT_EQ(Bindings[0].Value, 5.0);
@@ -304,7 +310,7 @@ TEST_F(AUFixture, EquivalentSubtreesShareOneVariable) {
   TraceNode *T1 = Square(2.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = Square(3.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Round);
   EXPECT_EQ(E->fpcoreBody(), "(* x x)");
   EXPECT_EQ(E->numVars(), 1u);
   A.release(T1);
@@ -324,7 +330,7 @@ TEST_F(AUFixture, IndependentLeavesGetDistinctVariables) {
   TraceNode *T1 = Mul(2.0, 7.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = Mul(3.0, 8.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Round);
   EXPECT_EQ(E->fpcoreBody(), "(* x y)");
   EXPECT_EQ(E->numVars(), 2u);
   A.release(T1);
@@ -341,7 +347,7 @@ TEST_F(AUFixture, StructuralMismatchGeneralizesToVariable) {
   TraceNode *One = A.leaf(1.0);
   TraceNode *AddKids[2] = {Sq, One};
   TraceNode *T2 = A.node(Opcode::AddF64, 11, 4.0, AddKids, 2);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Round);
   EXPECT_EQ(E->fpcoreBody(), "(+ x 1)");
   // The variable bound the sqrt subtree's VALUE this round.
   ASSERT_EQ(Bindings.size(), 1u);
@@ -357,7 +363,7 @@ TEST_F(AUFixture, DifferentOpsCollapseToVariable) {
   TraceNode *L2 = A.leaf(1.0);
   TraceNode *Kids[2] = {L1, L2};
   TraceNode *T2 = A.node(Opcode::SubF64, 11, 1.0, Kids, 2);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Round);
   EXPECT_EQ(E->Kind, SymExpr::SEKind::Var);
   for (TraceNode *N : {T1, L1, L2, T2})
     A.release(N);
@@ -378,10 +384,10 @@ TEST_F(AUFixture, SplitVariablesWhenValuesDiverge) {
   TraceNode *T1 = Mul(2.0, 2.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = Mul(3.0, 3.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Round);
   EXPECT_EQ(E->numVars(), 1u);
   TraceNode *T3 = Mul(4.0, 5.0);
-  E = antiUnify(A, E.get(), T3, NextVar, Bindings);
+  antiUnify(A, *E, T3, NextVar, Round);
   EXPECT_EQ(E->numVars(), 2u);
   EXPECT_EQ(E->Kids[0]->Kind, SymExpr::SEKind::Var);
   EXPECT_EQ(E->Kids[1]->Kind, SymExpr::SEKind::Var);
@@ -394,13 +400,293 @@ TEST_F(AUFixture, GeneralizationIsIdempotentOnRepeatedTraces) {
   TraceNode *T1 = addOne(2.0);
   auto E1 = symbolize(A, T1);
   TraceNode *T2 = addOne(3.0);
-  auto E2 = antiUnify(A, E1.get(), T2, NextVar, Bindings);
-  std::string Stable = E2->fpcoreBody();
+  antiUnify(A, *E1, T2, NextVar, Round);
+  std::string Stable = E1->fpcoreBody();
   for (int I = 0; I < 5; ++I) {
     TraceNode *T = addOne(3.0);
-    E2 = antiUnify(A, E2.get(), T, NextVar, Bindings);
-    EXPECT_EQ(E2->fpcoreBody(), Stable);
+    antiUnify(A, *E1, T, NextVar, Round);
+    EXPECT_EQ(E1->fpcoreBody(), Stable);
     A.release(T);
+  }
+  A.release(T1);
+  A.release(T2);
+}
+
+//===----------------------------------------------------------------------===//
+// In-place generalization against the rebuilding oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The rebuilding anti-unification that antiUnify replaced, kept verbatim
+/// as the oracle: each round builds a fresh expression from the old one
+/// and the trace, with per-round hash maps.
+namespace oracle {
+
+uint64_t symFingerprint(const SymExpr *E, uint32_t DepthLeft) {
+  auto Mix = [](uint64_t H, uint64_t X) {
+    H ^= X + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
+    return H;
+  };
+  switch (E->Kind) {
+  case SymExpr::SEKind::Var:
+    return Mix(0x7a1, E->VarIdx);
+  case SymExpr::SEKind::Const:
+    return Mix(0xc0, bitsOfDouble(E->ConstVal));
+  case SymExpr::SEKind::Op: {
+    uint64_t H = Mix(0x09, static_cast<uint64_t>(E->Op));
+    if (DepthLeft == 0)
+      return H;
+    for (const auto &Kid : E->Kids)
+      H = Mix(H, symFingerprint(Kid.get(), DepthLeft - 1));
+    return H;
+  }
+  }
+  return 0;
+}
+
+struct PairKey {
+  uint64_t SymFP, ConcFP;
+  bool operator==(const PairKey &O) const {
+    return SymFP == O.SymFP && ConcFP == O.ConcFP;
+  }
+};
+struct PairKeyHash {
+  size_t operator()(const PairKey &K) const {
+    return K.SymFP * 0x9e3779b97f4a7c15ULL ^ K.ConcFP;
+  }
+};
+
+struct Generalizer {
+  TraceArena &Arena;
+  uint32_t &NextVarIdx;
+  std::vector<VarBinding> &Bindings;
+  std::vector<Promotion> *Promotions;
+  std::unordered_map<PairKey, uint32_t, PairKeyHash> VarForPair;
+  std::unordered_set<uint32_t> ReusedThisRound;
+
+  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T) {
+    PairKey Key{symFingerprint(S, Arena.equivDepth()), Arena.fingerprint(T)};
+    auto It = VarForPair.find(Key);
+    uint32_t Idx;
+    if (It != VarForPair.end()) {
+      Idx = It->second;
+    } else {
+      if (S->Kind == SymExpr::SEKind::Var &&
+          !ReusedThisRound.count(S->VarIdx)) {
+        Idx = S->VarIdx;
+      } else {
+        Idx = NextVarIdx++;
+      }
+      ReusedThisRound.insert(Idx);
+      VarForPair.emplace(Key, Idx);
+      Bindings.push_back({Idx, T->Value});
+      if (Promotions && S->Kind == SymExpr::SEKind::Const)
+        Promotions->push_back({Idx, S->ConstVal});
+    }
+    return SymExpr::makeVar(Idx);
+  }
+
+  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T) {
+    if (S->Kind == SymExpr::SEKind::Op &&
+        T->Kind == TraceNode::TNKind::Op && S->Op == T->Op &&
+        S->Kids.size() == T->NumKids) {
+      auto E = SymExpr::makeOp(S->Op, T->Site);
+      for (unsigned I = 0; I < T->NumKids; ++I)
+        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I]));
+      return E;
+    }
+    if (S->Kind == SymExpr::SEKind::Const &&
+        T->Kind == TraceNode::TNKind::Leaf &&
+        bitsOfDouble(S->ConstVal) == bitsOfDouble(T->Value))
+      return SymExpr::makeConst(S->ConstVal);
+    return makeVariable(S, T);
+  }
+};
+
+std::unique_ptr<SymExpr> antiUnify(TraceArena &Arena, const SymExpr *Expr,
+                                   TraceNode *Trace, uint32_t &NextVarIdx,
+                                   std::vector<VarBinding> &Bindings,
+                                   std::vector<Promotion> *Promotions) {
+  Bindings.clear();
+  if (Promotions)
+    Promotions->clear();
+  Generalizer G{Arena, NextVarIdx, Bindings, Promotions, {}, {}};
+  return G.gen(Expr, Trace);
+}
+
+} // namespace oracle
+
+/// Random traces for one operation site. The shape seed fixes the
+/// structure (and the leaves that stay constant), so rounds that reuse it
+/// agree structurally; the value generator draws the other leaves and the
+/// op sites from a small pool, so leaf values and whole subtrees repeat.
+/// A quarter of binary ops share one kid (x*x).
+class RandomTraces {
+public:
+  RandomTraces(TraceArena &A, uint64_t ValueSeed) : A(A), Vals(ValueSeed) {}
+
+  TraceNode *make(uint64_t ShapeSeed) {
+    std::mt19937_64 Shape(ShapeSeed);
+    return build(Shape, 6);
+  }
+
+private:
+  double pick(uint64_t R) {
+    static const double Pool[] = {0.5, 1.0, 2.0, 3.0, -0.0,
+                                  std::numeric_limits<double>::quiet_NaN()};
+    return Pool[R % (sizeof(Pool) / sizeof(Pool[0]))];
+  }
+
+  TraceNode *build(std::mt19937_64 &Shape, int Depth) {
+    if (Depth == 0 || Shape() % 4 == 0)
+      return A.leaf(Shape() % 2 ? pick(Shape()) : pick(Vals()));
+    static const Opcode Binary[] = {Opcode::AddF64, Opcode::SubF64,
+                                    Opcode::MulF64, Opcode::DivF64};
+    unsigned Arity = 1 + Shape() % 2;
+    Opcode Op = Arity == 1 ? (Shape() % 2 ? Opcode::SqrtF64 : Opcode::NegF64)
+                           : Binary[Shape() % 4];
+    TraceNode *Kids[2];
+    Kids[0] = build(Shape, Depth - 1);
+    if (Arity == 2) {
+      if (Shape() % 4 == 0) {
+        Kids[1] = Kids[0];
+        A.retain(Kids[1]);
+      } else {
+        Kids[1] = build(Shape, Depth - 1);
+      }
+    }
+    double Value = 2 * Kids[0]->Value + (Arity == 2 ? Kids[1]->Value : 0.0);
+    uint32_t Site = 100 + static_cast<uint32_t>(Vals() % 3);
+    TraceNode *N = A.node(Op, Site, Value, Kids, Arity);
+    for (unsigned I = 0; I < Arity; ++I)
+      A.release(Kids[I]);
+    return N;
+  }
+
+  TraceArena &A;
+  std::mt19937_64 Vals;
+};
+
+/// Node-by-node equality, sites included.
+void expectSameTree(const SymExpr &Got, const SymExpr &Want) {
+  ASSERT_EQ(Got.Kind, Want.Kind);
+  EXPECT_EQ(Got.Site, Want.Site);
+  switch (Got.Kind) {
+  case SymExpr::SEKind::Var:
+    EXPECT_EQ(Got.VarIdx, Want.VarIdx);
+    break;
+  case SymExpr::SEKind::Const:
+    EXPECT_EQ(bitsOfDouble(Got.ConstVal), bitsOfDouble(Want.ConstVal));
+    break;
+  case SymExpr::SEKind::Op:
+    EXPECT_EQ(Got.Op, Want.Op);
+    break;
+  }
+  ASSERT_EQ(Got.Kids.size(), Want.Kids.size());
+  for (size_t I = 0; I < Got.Kids.size(); ++I)
+    expectSameTree(*Got.Kids[I], *Want.Kids[I]);
+}
+
+void collectNodes(const SymExpr &E, std::vector<const SymExpr *> &Out) {
+  Out.push_back(&E);
+  for (const auto &Kid : E.Kids)
+    collectNodes(*Kid, Out);
+}
+
+} // namespace
+
+TEST(AntiUnifyInPlace, MatchesRebuildingOracleOnRandomTraces) {
+  for (uint32_t MaxDepth : {4u, 24u}) {
+    TraceArena A(MaxDepth, 5);
+    RandomTraces Gen(A, 0x5eed0000 + MaxDepth);
+    std::mt19937_64 Pick(0xd1ff + MaxDepth);
+    // One scratch serves every site, as one analyzer's does.
+    AntiUnifyScratch InPlaceRound;
+    const std::vector<VarBinding> &BindInPlace = InPlaceRound.Bindings;
+    const std::vector<Promotion> &PromInPlace = InPlaceRound.Promotions;
+    for (int Site = 0; Site < 150; ++Site) {
+      SCOPED_TRACE("max depth " + std::to_string(MaxDepth) + ", site " +
+                   std::to_string(Site));
+      // Most rounds reuse the site's shape; the rest draw from three
+      // others, so structural mismatches recur too.
+      uint64_t Base = Pick();
+      auto NextShape = [&] {
+        return Pick() % 8 < 6 ? Base : Base + 1 + Pick() % 3;
+      };
+      TraceNode *T0 = Gen.make(NextShape());
+      std::unique_ptr<SymExpr> InPlace = symbolize(A, T0);
+      std::unique_ptr<SymExpr> Oracle = symbolize(A, T0);
+      A.release(T0);
+      uint32_t NextInPlace = 0, NextOracle = 0;
+      std::vector<VarBinding> BindOracle;
+      std::vector<Promotion> PromOracle;
+      for (int Round = 1; Round < 30; ++Round) {
+        TraceNode *T = Gen.make(NextShape());
+        antiUnify(A, *InPlace, T, NextInPlace, InPlaceRound);
+        Oracle = oracle::antiUnify(A, Oracle.get(), T, NextOracle, BindOracle,
+                                   &PromOracle);
+        A.release(T);
+        ASSERT_EQ(InPlace->fpcoreBody(), Oracle->fpcoreBody())
+            << "round " << Round;
+        expectSameTree(*InPlace, *Oracle);
+        ASSERT_EQ(NextInPlace, NextOracle) << "round " << Round;
+        ASSERT_EQ(BindInPlace.size(), BindOracle.size()) << "round " << Round;
+        for (size_t I = 0; I < BindInPlace.size(); ++I) {
+          EXPECT_EQ(BindInPlace[I].Idx, BindOracle[I].Idx);
+          EXPECT_EQ(bitsOfDouble(BindInPlace[I].Value),
+                    bitsOfDouble(BindOracle[I].Value));
+        }
+        ASSERT_EQ(PromInPlace.size(), PromOracle.size()) << "round " << Round;
+        for (size_t I = 0; I < PromInPlace.size(); ++I) {
+          EXPECT_EQ(PromInPlace[I].Idx, PromOracle[I].Idx);
+          EXPECT_EQ(bitsOfDouble(PromInPlace[I].OldValue),
+                    bitsOfDouble(PromOracle[I].OldValue));
+        }
+        if (HasFatalFailure())
+          return;
+      }
+    }
+    EXPECT_EQ(A.liveNodes(), 0u);
+  }
+}
+
+TEST_F(AUFixture, ConvergedRoundKeepsEveryNode) {
+  // (x + 1) * sqrt(x): after the first disagreement the expression has
+  // converged, and a later round must update it without replacing any
+  // node.
+  auto Make = [&](double X) {
+    TraceNode *L = A.leaf(X);
+    TraceNode *One = A.leaf(1.0);
+    TraceNode *AddKids[2] = {L, One};
+    TraceNode *Add = A.node(Opcode::AddF64, 1, X + 1, AddKids, 2);
+    TraceNode *SqKids[1] = {L};
+    TraceNode *Sq = A.node(Opcode::SqrtF64, 2, std::sqrt(X), SqKids, 1);
+    TraceNode *MulKids[2] = {Add, Sq};
+    TraceNode *Mul =
+        A.node(Opcode::MulF64, 3, (X + 1) * std::sqrt(X), MulKids, 2);
+    for (TraceNode *N : {L, One, Add, Sq})
+      A.release(N);
+    return Mul;
+  };
+  TraceNode *T1 = Make(2.0);
+  auto E = symbolize(A, T1);
+  TraceNode *T2 = Make(3.0);
+  antiUnify(A, *E, T2, NextVar, Round);
+  ASSERT_EQ(E->fpcoreBody(), "(* (+ x 1) (sqrt x))");
+  std::vector<const SymExpr *> Before;
+  collectNodes(*E, Before);
+  for (double X : {5.0, 7.0, 11.0}) {
+    TraceNode *T = Make(X);
+    antiUnify(A, *E, T, NextVar, Round);
+    A.release(T);
+    std::vector<const SymExpr *> After;
+    collectNodes(*E, After);
+    EXPECT_EQ(After, Before);
+    EXPECT_EQ(E->fpcoreBody(), "(* (+ x 1) (sqrt x))");
+    ASSERT_EQ(Bindings.size(), 1u);
+    EXPECT_EQ(Bindings[0].Value, X);
+    EXPECT_EQ(NextVar, 1u);
   }
   A.release(T1);
   A.release(T2);
