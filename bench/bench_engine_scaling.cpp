@@ -509,8 +509,8 @@ int main(int Argc, char **Argv) {
   MergeDoc.Metrics = SweepSnap;
   MergeDoc.Profile = ProfRows;
   MergeDoc.ProfileTotalNanos = ProfTotalNs;
-  const std::string MergeJson = renderTelemetryJson(MergeDoc);
-  const std::string MergeBin = renderTelemetryBinary(MergeDoc);
+  const std::string MergeJson = renderTelemetry(MergeDoc, WireEncoding::Json);
+  const std::string MergeBin = renderTelemetry(MergeDoc, WireEncoding::Binary);
   const int MergeReps = 50;
   bool MergeOk = true;
   double MergeS = timeIt([&] {
@@ -671,8 +671,10 @@ int main(int Argc, char **Argv) {
   BatchReportDoc WireDoc;
   std::string WireErr;
   bool WireRoundTrip = parseBatchReport(WireBin, WireDoc, WireErr) &&
-                       renderBatchReportJson(WireDoc) == WireJson &&
-                       renderBatchReportBinary(WireDoc) == WireBin;
+                       renderBatchReport(WireDoc, WireEncoding::Json) ==
+                           WireJson &&
+                       renderBatchReport(WireDoc, WireEncoding::Binary) ==
+                           WireBin;
   double DecJsonS = timeIt([&] {
     for (int I = 0; I < WireReps; ++I) {
       BatchReportDoc D;

@@ -536,7 +536,8 @@ static int emitTelemetry(const Options &O, const BatchResult *Result,
   }
   stampTelemetryMeta(Doc);
   if (!O.MetricsOut.empty())
-    Rc |= writeOutput(O.MetricsOut, renderTelemetryJson(Doc) + "\n");
+    Rc |= writeOutput(O.MetricsOut,
+                      renderTelemetry(Doc, WireEncoding::Json) + "\n");
   if (O.ProfileOps)
     std::fputs(
         opprof::renderOpProfileTable(Doc.Profile, 10, Doc.ProfileTotalNanos)
@@ -565,7 +566,8 @@ static int writeTelemetrySidecar(const EngineConfig &Cfg,
   std::string Path = Cfg.EmitShardDir + format("/telemetry-r%zu-%s.json",
                                                Cfg.ShardBegin,
                                                RangeEnd.c_str());
-  if (!writeFileAtomic(Path, renderTelemetryJson(Doc) + "\n")) {
+  if (!writeFileAtomic(Path,
+                       renderTelemetry(Doc, WireEncoding::Json) + "\n")) {
     std::fprintf(stderr, "error: cannot write telemetry sidecar %s\n",
                  Path.c_str());
     return 1;
@@ -799,7 +801,8 @@ static int telemetryMergeMain(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  int Rc = writeOutput(O.OutFile, renderTelemetryJson(Merged) + "\n");
+  int Rc = writeOutput(O.OutFile,
+                       renderTelemetry(Merged, WireEncoding::Json) + "\n");
   if (Rc == 0)
     std::fprintf(stderr, "merged %llu telemetry documents\n",
                  static_cast<unsigned long long>(Merged.Meta.MergedDocs));
@@ -877,7 +880,8 @@ static int ledgerMain(int Argc, char **Argv) {
   if (Verb == "show") {
     if (!CheckIndex(Indices[0]))
       return 1;
-    return writeOutput("", renderLedgerEntryJson(Entries[Indices[0]]) + "\n");
+    return writeOutput(
+        "", renderLedgerEntry(Entries[Indices[0]], WireEncoding::Json) + "\n");
   }
   // compare. Default: the latest entry against its predecessor.
   if (Indices.empty()) {

@@ -4,27 +4,29 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every document family below is ONE schema traversal, written against the
-// abstract wire::Encoder/wire::Decoder interface. The JSON backend
-// reproduces the historical hand-rendered bytes exactly; the HGB binary
-// backend reads/writes the same traversal positionally. Field order in the
-// encode functions IS the wire format -- both the JSON byte layout and the
-// binary field sequence -- so changing it is a format change.
+// Every schema element below is written once, as a traversal
+// `xferX(IO &X, Ref<IO, T> V)` compiled for exactly two codecs:
+// wire::Encoder renders through it and wire::Decoder parses through it, so
+// the field order written is the field order read. That order IS the wire
+// format -- both the JSON byte layout and the HGB binary field sequence --
+// so changing it is a format change. Checks only a reader needs (enum
+// names, duplicate pcs, run ranges, bucket counts, [lo, hi] pairs, the
+// telemetry minor) sit under `if constexpr (IO::Reads)`.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Serialize.h"
 
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/Wire.h"
 #include "support/WireBinary.h"
 
-#include <cassert>
-
 using namespace herbgrind;
+using wire::Ref;
 
 //===----------------------------------------------------------------------===//
-// Small enum/value helpers shared by render and parse
+// Helpers shared by the traversals
 //===----------------------------------------------------------------------===//
 
 const char *herbgrind::spotKindName(SpotKind K) {
@@ -39,16 +41,6 @@ const char *herbgrind::spotKindName(SpotKind K) {
   return "?";
 }
 
-static bool parseSpotKind(const std::string &Name, SpotKind &Out) {
-  for (SpotKind K :
-       {SpotKind::Output, SpotKind::Comparison, SpotKind::Conversion})
-    if (Name == spotKindName(K)) {
-      Out = K;
-      return true;
-    }
-  return false;
-}
-
 static const char *rangeModeName(RangeMode M) {
   switch (M) {
   case RangeMode::Off:
@@ -61,92 +53,133 @@ static const char *rangeModeName(RangeMode M) {
   return "?";
 }
 
-static bool parseRangeMode(const std::string &Name, RangeMode &Out) {
-  for (RangeMode M : {RangeMode::Off, RangeMode::Single, RangeMode::SignSplit})
-    if (Name == rangeModeName(M)) {
-      Out = M;
-      return true;
-    }
-  return false;
-}
+/// An opcode's IR mnemonic (the unique "add.f64"-style name).
+static const char *opcodeName(Opcode Op) { return opInfo(Op).Name; }
 
-/// Opcode from its IR mnemonic (the unique "add.f64"-style name).
-static bool parseOpcode(const std::string &Name, Opcode &Out) {
-  for (unsigned I = 0; I < static_cast<unsigned>(Opcode::NumOpcodes); ++I) {
-    Opcode Op = static_cast<Opcode>(I);
-    if (Name == opInfo(Op).Name) {
-      Out = Op;
-      return true;
-    }
-  }
-  return false;
-}
+static constexpr unsigned NumOpcodes =
+    static_cast<unsigned>(Opcode::NumOpcodes);
 
 namespace {
 
-/// Names the decoder's schema context ("op record", "loc", ...) for the
-/// dynamic extent of one decode function, restoring the caller's on exit
-/// so nested decodes don't mislabel the fields that follow them.
-struct ScopedCtx {
-  wire::Decoder &D;
-  const char *Saved;
-  ScopedCtx(wire::Decoder &Dec, const char *C) : D(Dec), Saved(Dec.context()) {
-    D.setContext(C);
+/// Names a decoder's schema context ("op record", "loc", ...) for the
+/// dynamic extent of one traversal, restoring the caller's on exit so
+/// nested traversals don't mislabel the fields that follow them. Encoders
+/// report no errors, so it does nothing for them.
+template <class IO> struct ScopedCtx {
+  IO &X;
+  const char *Saved = nullptr;
+  ScopedCtx(IO &Codec, const char *C) : X(Codec) {
+    if constexpr (IO::Reads) {
+      Saved = X.context();
+      X.setContext(C);
+    }
   }
-  ~ScopedCtx() { D.setContext(Saved); }
+  ~ScopedCtx() {
+    if constexpr (IO::Reads)
+      X.setContext(Saved);
+  }
 };
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// Source locations
-//===----------------------------------------------------------------------===//
-
-static void encodeSourceLoc(wire::Encoder &E, const SourceLoc &Loc) {
-  E.beginObject();
-  E.key("file");
-  E.str(Loc.File);
-  E.key("line");
-  E.i64(Loc.Line);
-  E.key("func");
-  E.str(Loc.Function);
-  E.endObject();
-}
-
-static bool decodeSourceLoc(wire::Decoder &D, SourceLoc &Out) {
-  ScopedCtx C(D, "loc");
-  int64_t Line = 0;
-  if (!D.beginObject() || !D.key("file") || !D.str(Out.File) ||
-      !D.key("line") || !D.i64(Line) || !D.key("func") ||
-      !D.str(Out.Function))
+/// An enum carried by its name: \p Name of each of its \p Count values. A
+/// name that matches none fails the decode with "<Unknown> '<name>'".
+template <class IO, class E>
+static bool xferEnum(IO &X, Ref<IO, E> V, unsigned Count,
+                     const char *(*Name)(E), const char *Unknown) {
+  std::string S;
+  if constexpr (!IO::Reads)
+    S = Name(V);
+  if (!X.str(S))
     return false;
-  Out.Line = static_cast<int>(Line);
-  return D.endObject();
+  if constexpr (IO::Reads) {
+    for (unsigned I = 0; I < Count; ++I)
+      if (S == Name(static_cast<E>(I))) {
+        V = static_cast<E>(I);
+        return true;
+      }
+    return X.failOver(format("%s '%s'", Unknown, S.c_str()));
+  }
+  return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Running statistics
-//===----------------------------------------------------------------------===//
-
-static void encodeStat(wire::Encoder &E, const RunningStat &S) {
-  E.beginObject();
-  E.key("count");
-  E.u64(S.count());
-  E.key("sum");
-  E.dbl(S.sum());
-  E.key("max");
-  E.dbl(S.max());
-  E.endObject();
-}
-
-static bool decodeStat(wire::Decoder &D, RunningStat &Out) {
-  ScopedCtx C(D, "stat");
-  uint64_t Count = 0;
-  double Sum = 0, Max = 0;
-  if (!D.beginObject() || !D.key("count") || !D.u64(Count) || !D.key("sum") ||
-      !D.dbl(Sum) || !D.key("max") || !D.dbl(Max) || !D.endObject())
+/// An array of \p V's elements, each through \p Elem. A decoder appends
+/// each element as it reads it, so a hostile count fails at the first
+/// missing element instead of allocating up front.
+template <class IO, class C, class Fn>
+static bool xferArray(IO &X, C &V, Fn Elem) {
+  uint64_t N = V.size();
+  if (!X.beginArray(N))
     return false;
-  Out = RunningStat::fromParts(Count, Sum, Max);
+  if constexpr (IO::Reads) {
+    for (uint64_t I = 0; I < N; ++I) {
+      typename C::value_type E{};
+      if (!X.element() || !Elem(E))
+        return false;
+      V.insert(V.end(), std::move(E));
+    }
+  } else {
+    for (const auto &E : V)
+      if (!X.element() || !Elem(E))
+        return false;
+  }
+  return X.endArray();
+}
+
+/// A result's pc-keyed record map, as an array of records that carry
+/// their own pc (\p Elem transfers both). A decoder rejects a pc it has
+/// already read.
+template <class IO, class Map, class Fn>
+static bool xferRecords(IO &X, Map &M, const char *What, Fn Elem) {
+  uint64_t N = M.size();
+  if (!X.beginArray(N))
+    return false;
+  if constexpr (IO::Reads) {
+    for (uint64_t I = 0; I < N; ++I) {
+      uint32_t PC = 0;
+      typename Map::mapped_type Rec;
+      if (!X.element() || !Elem(PC, Rec))
+        return false;
+      if (!M.emplace(PC, std::move(Rec)).second)
+        return X.failOver(
+            format("result: duplicate %s record for pc %u", What, PC));
+    }
+  } else {
+    for (const auto &[PC, Rec] : M)
+      if (!X.element() || !Elem(PC, Rec))
+        return false;
+  }
+  return X.endArray();
+}
+
+//===----------------------------------------------------------------------===//
+// Source locations and running statistics
+//===----------------------------------------------------------------------===//
+
+template <class IO>
+static bool xferSourceLoc(IO &X, Ref<IO, SourceLoc> V) {
+  ScopedCtx C(X, "loc");
+  int64_t Line = V.Line;
+  if (!X.beginObject() || !X.key("file") || !X.str(V.File) ||
+      !X.key("line") || !X.i64(Line) || !X.key("func") ||
+      !X.str(V.Function))
+    return false;
+  if constexpr (IO::Reads)
+    V.Line = static_cast<int>(Line);
+  return X.endObject();
+}
+
+template <class IO>
+static bool xferStat(IO &X, Ref<IO, RunningStat> V) {
+  ScopedCtx C(X, "stat");
+  uint64_t Count = V.count();
+  double Sum = V.sum(), Max = V.max();
+  if (!X.beginObject() || !X.key("count") || !X.u64(Count) ||
+      !X.key("sum") || !X.dbl(Sum) || !X.key("max") || !X.dbl(Max) ||
+      !X.endObject())
+    return false;
+  if constexpr (IO::Reads)
+    V = RunningStat::fromParts(Count, Sum, Max);
   return true;
 }
 
@@ -154,85 +187,39 @@ static bool decodeStat(wire::Decoder &D, RunningStat &Out) {
 // Input summaries
 //===----------------------------------------------------------------------===//
 
-static void encodeVarSummary(wire::Encoder &E, const VarSummary &S) {
-  E.beginObject();
-  E.key("count");
-  E.u64(S.Count);
-  E.key("sawNaN");
-  E.boolean(S.SawNaN);
-  E.key("sawZero");
-  E.boolean(S.SawZero);
-  E.key("example");
-  E.dbl(S.Example);
-  auto Range = [&](const char *Key, bool Has, double Lo, double Hi) {
-    E.present(Has);
-    if (!Has)
-      return;
-    E.key(Key);
-    E.beginArray(2);
-    E.dbl(Lo);
-    E.dbl(Hi);
-    E.endArray();
-  };
-  Range("range", S.HasRange, S.Lo, S.Hi);
-  Range("neg", S.HasNeg, S.NegLo, S.NegHi);
-  Range("pos", S.HasPos, S.PosLo, S.PosHi);
-  E.endObject();
-}
-
-static bool decodeVarSummary(wire::Decoder &D, VarSummary &Out) {
-  ScopedCtx C(D, "varSummary");
-  if (!D.beginObject() || !D.key("count") || !D.u64(Out.Count) ||
-      !D.key("sawNaN") || !D.boolean(Out.SawNaN) || !D.key("sawZero") ||
-      !D.boolean(Out.SawZero) || !D.key("example") || !D.dbl(Out.Example))
-    return false;
-  auto Range = [&](const char *Key, bool &Has, double &Lo, double &Hi) {
-    if (!D.present(Key, Has))
+template <class IO>
+static bool xferVarSummary(IO &X, Ref<IO, VarSummary> V) {
+  ScopedCtx C(X, "varSummary");
+  // Each populated range is a [lo, hi] pair whose presence is its flag.
+  auto Range = [&](const char *Key, auto &Has, auto &Lo, auto &Hi) {
+    if (!X.present(Key, Has))
       return false;
     if (!Has)
-      return true; // absent range: the flag stays false
-    uint64_t N = 0;
-    if (!D.key(Key) || !D.beginArray(N))
+      return true;
+    uint64_t N = 2;
+    if (!X.key(Key) || !X.beginArray(N))
       return false;
-    if (N != 2)
-      return D.failOver(
-          format("varSummary: field '%s' not a [lo, hi] number pair", Key));
-    return D.element() && D.dbl(Lo) && D.element() && D.dbl(Hi) &&
-           D.endArray();
+    if constexpr (IO::Reads) {
+      if (N != 2)
+        return X.failOver(format(
+            "varSummary: field '%s' not a [lo, hi] number pair", Key));
+    }
+    return X.element() && X.dbl(Lo) && X.element() && X.dbl(Hi) &&
+           X.endArray();
   };
-  return Range("range", Out.HasRange, Out.Lo, Out.Hi) &&
-         Range("neg", Out.HasNeg, Out.NegLo, Out.NegHi) &&
-         Range("pos", Out.HasPos, Out.PosLo, Out.PosHi) && D.endObject();
+  return X.beginObject() && X.key("count") && X.u64(V.Count) &&
+         X.key("sawNaN") && X.boolean(V.SawNaN) && X.key("sawZero") &&
+         X.boolean(V.SawZero) && X.key("example") && X.dbl(V.Example) &&
+         Range("range", V.HasRange, V.Lo, V.Hi) &&
+         Range("neg", V.HasNeg, V.NegLo, V.NegHi) &&
+         Range("pos", V.HasPos, V.PosLo, V.PosHi) && X.endObject();
 }
 
-// Defined here rather than in InputSummary.cpp so the schema exists
-// exactly once, in the traversal above.
-std::string VarSummary::renderJson() const {
-  wire::JsonEncoder E;
-  encodeVarSummary(E, *this);
-  return E.take();
-}
-
-static void encodeInputs(wire::Encoder &E, const InputCharacteristics &C) {
-  E.beginArray(C.Vars.size());
-  for (const VarSummary &V : C.Vars)
-    encodeVarSummary(E, V);
-  E.endArray();
-}
-
-static bool decodeInputs(wire::Decoder &D, InputCharacteristics &Out) {
-  ScopedCtx C(D, "inputs");
-  uint64_t N = 0;
-  if (!D.beginArray(N))
-    return false;
-  Out.Vars.clear();
-  for (uint64_t I = 0; I < N; ++I) {
-    VarSummary V;
-    if (!D.element() || !decodeVarSummary(D, V))
-      return false;
-    Out.Vars.push_back(std::move(V));
-  }
-  return D.endArray();
+template <class IO>
+static bool xferInputs(IO &X, Ref<IO, InputCharacteristics> V) {
+  ScopedCtx C(X, "inputs");
+  return xferArray(X, V.Vars,
+                   [&](auto &S) { return xferVarSummary<IO>(X, S); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -241,310 +228,365 @@ static bool decodeInputs(wire::Decoder &D, InputCharacteristics &Out) {
 
 static const char *const SymExprKeys[] = {"const", "var"};
 
-static void encodeSymExpr(wire::Encoder &E, const SymExpr &Ex) {
-  E.beginObject();
-  switch (Ex.Kind) {
-  case SymExpr::SEKind::Const:
-    E.variantTag(0);
-    E.key("const");
-    E.dbl(Ex.ConstVal);
-    break;
-  case SymExpr::SEKind::Var:
-    E.variantTag(1);
-    E.key("var");
-    E.u32(Ex.VarIdx);
-    break;
-  case SymExpr::SEKind::Op:
-    E.variantTag(2);
-    E.key("op");
-    E.str(opInfo(Ex.Op).Name);
-    E.key("site");
-    E.u32(Ex.Site);
-    E.key("kids");
-    E.beginArray(Ex.Kids.size());
-    for (const auto &Kid : Ex.Kids)
-      encodeSymExpr(E, *Kid);
-    E.endArray();
-    break;
-  }
-  E.endObject();
+template <class IO>
+static bool xferSymExpr(IO &X, Ref<IO, SymExpr> V);
+
+/// An owned expression node; a decoder allocates it first.
+template <class IO>
+static bool xferExprPtr(IO &X, Ref<IO, std::unique_ptr<SymExpr>> P) {
+  if constexpr (IO::Reads)
+    P = std::make_unique<SymExpr>();
+  return xferSymExpr<IO>(X, *P);
 }
 
-static std::unique_ptr<SymExpr> decodeSymExpr(wire::Decoder &D) {
-  ScopedCtx C(D, "expr");
-  if (!D.beginObject())
-    return nullptr;
-  unsigned Tag = 0;
-  if (!D.variant(SymExprKeys, 2, Tag))
-    return nullptr;
-  std::unique_ptr<SymExpr> Node;
-  switch (Tag) {
-  case 0: {
-    double V = 0;
-    if (!D.key("const") || !D.dbl(V))
-      return nullptr;
-    Node = SymExpr::makeConst(V);
+template <class IO>
+static bool xferSymExpr(IO &X, Ref<IO, SymExpr> V) {
+  using K = SymExpr::SEKind;
+  ScopedCtx C(X, "expr");
+  // Variant tags follow SymExprKeys; an op node is the default branch.
+  unsigned Tag = V.Kind == K::Const ? 0 : V.Kind == K::Var ? 1 : 2;
+  if (!X.beginObject() || !X.variant(SymExprKeys, 2, Tag))
+    return false;
+  if constexpr (IO::Reads)
+    V.Kind = Tag == 0 ? K::Const : Tag == 1 ? K::Var : K::Op;
+  bool Ok;
+  switch (V.Kind) {
+  case K::Const:
+    Ok = X.key("const") && X.dbl(V.ConstVal);
+    break;
+  case K::Var:
+    Ok = X.key("var") && X.u32(V.VarIdx);
+    break;
+  default:
+    Ok = X.key("op") &&
+         xferEnum<IO>(X, V.Op, NumOpcodes, opcodeName,
+                      "expr: unknown opcode") &&
+         X.key("site") && X.u32(V.Site) && X.key("kids") &&
+         xferArray(X, V.Kids,
+                   [&](auto &Kid) { return xferExprPtr<IO>(X, Kid); });
     break;
   }
-  case 1: {
-    uint32_t Idx = 0;
-    if (!D.key("var") || !D.u32(Idx))
-      return nullptr;
-    Node = SymExpr::makeVar(Idx);
-    break;
-  }
-  default: {
-    std::string OpName;
-    uint32_t Site = 0;
-    if (!D.key("op") || !D.str(OpName) || !D.key("site") || !D.u32(Site))
-      return nullptr;
-    Opcode Op;
-    if (!parseOpcode(OpName, Op)) {
-      D.failOver(format("expr: unknown opcode '%s'", OpName.c_str()));
-      return nullptr;
-    }
-    Node = SymExpr::makeOp(Op, Site);
-    uint64_t N = 0;
-    if (!D.key("kids") || !D.beginArray(N))
-      return nullptr;
-    for (uint64_t I = 0; I < N; ++I) {
-      if (!D.element())
-        return nullptr;
-      std::unique_ptr<SymExpr> Kid = decodeSymExpr(D);
-      if (!Kid)
-        return nullptr;
-      Node->Kids.push_back(std::move(Kid));
-    }
-    if (!D.endArray())
-      return nullptr;
-    break;
-  }
-  }
-  if (!D.endObject())
-    return nullptr;
-  return Node;
+  return Ok && X.endObject();
 }
 
 //===----------------------------------------------------------------------===//
 // Operation and spot records
 //===----------------------------------------------------------------------===//
 
-static void encodeOpRecord(wire::Encoder &E, uint32_t PC, const OpRecord &Rec) {
-  E.beginObject();
-  E.key("pc");
-  E.u32(PC);
-  E.key("op");
-  E.str(opInfo(Rec.Op).Name);
-  E.key("loc");
-  encodeSourceLoc(E, Rec.Loc);
-  E.key("executions");
-  E.u64(Rec.Executions);
-  E.key("flagged");
-  E.u64(Rec.Flagged);
-  E.key("compensations");
-  E.u64(Rec.CompensationsDetected);
-  E.key("localError");
-  encodeStat(E, Rec.LocalError);
-  E.key("maxFlaggedLocalError");
-  E.dbl(Rec.MaxFlaggedLocalError);
-  E.key("nextVarIdx");
-  E.u32(Rec.NextVarIdx);
-  E.present(Rec.Expr != nullptr);
-  if (Rec.Expr) {
-    E.key("expr");
-    encodeSymExpr(E, *Rec.Expr);
-  }
-  E.key("totalInputs");
-  encodeInputs(E, Rec.TotalInputs);
-  E.key("problematicInputs");
-  encodeInputs(E, Rec.ProblematicInputs);
-  E.key("exampleProblematic");
-  E.beginArray(Rec.ExampleProblematic.size());
-  for (const VarBinding &B : Rec.ExampleProblematic) {
-    E.beginObject();
-    E.key("var");
-    E.u32(B.Idx);
-    E.key("value");
-    E.dbl(B.Value);
-    E.endObject();
-  }
-  E.endArray();
-  E.endObject();
+template <class IO>
+static bool xferOpRecord(IO &X, Ref<IO, uint32_t> PC, Ref<IO, OpRecord> V) {
+  ScopedCtx C(X, "op record");
+  if (!X.beginObject() || !X.key("pc") || !X.u32(PC) || !X.key("op") ||
+      !xferEnum<IO>(X, V.Op, NumOpcodes, opcodeName,
+                    "op record: unknown opcode") ||
+      !X.key("loc") || !xferSourceLoc<IO>(X, V.Loc) ||
+      !X.key("executions") || !X.u64(V.Executions) || !X.key("flagged") ||
+      !X.u64(V.Flagged) || !X.key("compensations") ||
+      !X.u64(V.CompensationsDetected) || !X.key("localError") ||
+      !xferStat<IO>(X, V.LocalError) || !X.key("maxFlaggedLocalError") ||
+      !X.dbl(V.MaxFlaggedLocalError) || !X.key("nextVarIdx") ||
+      !X.u32(V.NextVarIdx))
+    return false;
+  bool HasExpr = V.Expr != nullptr;
+  if (!X.present("expr", HasExpr) ||
+      (HasExpr && (!X.key("expr") || !xferExprPtr<IO>(X, V.Expr))))
+    return false;
+  return X.key("totalInputs") && xferInputs<IO>(X, V.TotalInputs) &&
+         X.key("problematicInputs") &&
+         xferInputs<IO>(X, V.ProblematicInputs) &&
+         X.key("exampleProblematic") &&
+         xferArray(X, V.ExampleProblematic,
+                   [&](auto &B) {
+                     ScopedCtx BC(X, "example binding");
+                     return X.beginObject() && X.key("var") &&
+                            X.u32(B.Idx) && X.key("value") &&
+                            X.dbl(B.Value) && X.endObject();
+                   }) &&
+         X.endObject();
 }
 
-static bool decodeOpRecord(wire::Decoder &D, uint32_t &PC, OpRecord &Rec) {
-  ScopedCtx C(D, "op record");
-  std::string OpName;
-  if (!D.beginObject() || !D.key("pc") || !D.u32(PC) || !D.key("op") ||
-      !D.str(OpName))
-    return false;
-  if (!parseOpcode(OpName, Rec.Op))
-    return D.failOver(
-        format("op record: unknown opcode '%s'", OpName.c_str()));
-  if (!D.key("loc") || !decodeSourceLoc(D, Rec.Loc))
-    return false;
-  if (!D.key("executions") || !D.u64(Rec.Executions) || !D.key("flagged") ||
-      !D.u64(Rec.Flagged) || !D.key("compensations") ||
-      !D.u64(Rec.CompensationsDetected))
-    return false;
-  if (!D.key("localError") || !decodeStat(D, Rec.LocalError))
-    return false;
-  if (!D.key("maxFlaggedLocalError") || !D.dbl(Rec.MaxFlaggedLocalError) ||
-      !D.key("nextVarIdx") || !D.u32(Rec.NextVarIdx))
-    return false;
-  bool HasExpr = false;
-  if (!D.present("expr", HasExpr))
-    return false;
-  if (HasExpr) {
-    if (!D.key("expr"))
-      return false;
-    Rec.Expr = decodeSymExpr(D);
-    if (!Rec.Expr)
-      return false;
-  }
-  if (!D.key("totalInputs") || !decodeInputs(D, Rec.TotalInputs) ||
-      !D.key("problematicInputs") || !decodeInputs(D, Rec.ProblematicInputs))
-    return false;
-  uint64_t N = 0;
-  if (!D.key("exampleProblematic") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    ScopedCtx BC(D, "example binding");
-    VarBinding B{0, 0.0};
-    if (!D.element() || !D.beginObject() || !D.key("var") || !D.u32(B.Idx) ||
-        !D.key("value") || !D.dbl(B.Value) || !D.endObject())
-      return false;
-    Rec.ExampleProblematic.push_back(B);
-  }
-  return D.endArray() && D.endObject();
-}
-
-static void encodeSpotRecord(wire::Encoder &E, uint32_t PC,
-                             const SpotRecord &Spot) {
-  E.beginObject();
-  E.key("pc");
-  E.u32(PC);
-  E.key("kind");
-  E.str(spotKindName(Spot.Kind));
-  E.key("loc");
-  encodeSourceLoc(E, Spot.Loc);
-  E.key("executions");
-  E.u64(Spot.Executions);
-  E.key("erroneous");
-  E.u64(Spot.Erroneous);
-  E.key("errorBits");
-  encodeStat(E, Spot.ErrorBits);
-  E.key("influencingOps");
-  E.beginArray(Spot.InfluencingOps.size());
-  for (uint32_t Op : Spot.InfluencingOps)
-    E.u32(Op);
-  E.endArray();
-  E.endObject();
-}
-
-static bool decodeSpotRecord(wire::Decoder &D, uint32_t &PC,
-                             SpotRecord &Spot) {
-  ScopedCtx C(D, "spot record");
-  std::string KindName;
-  if (!D.beginObject() || !D.key("pc") || !D.u32(PC) || !D.key("kind") ||
-      !D.str(KindName))
-    return false;
-  if (!parseSpotKind(KindName, Spot.Kind))
-    return D.failOver(
-        format("spot record: unknown kind '%s'", KindName.c_str()));
-  if (!D.key("loc") || !decodeSourceLoc(D, Spot.Loc))
-    return false;
-  if (!D.key("executions") || !D.u64(Spot.Executions) ||
-      !D.key("erroneous") || !D.u64(Spot.Erroneous))
-    return false;
-  if (!D.key("errorBits") || !decodeStat(D, Spot.ErrorBits))
-    return false;
-  uint64_t N = 0;
-  if (!D.key("influencingOps") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    uint32_t Op = 0;
-    if (!D.element() || !D.u32(Op))
-      return false;
-    Spot.InfluencingOps.insert(Op);
-  }
-  return D.endArray() && D.endObject();
+template <class IO>
+static bool xferSpotRecord(IO &X, Ref<IO, uint32_t> PC,
+                           Ref<IO, SpotRecord> V) {
+  ScopedCtx C(X, "spot record");
+  return X.beginObject() && X.key("pc") && X.u32(PC) && X.key("kind") &&
+         xferEnum<IO>(X, V.Kind, 3, spotKindName,
+                      "spot record: unknown kind") &&
+         X.key("loc") && xferSourceLoc<IO>(X, V.Loc) &&
+         X.key("executions") && X.u64(V.Executions) &&
+         X.key("erroneous") && X.u64(V.Erroneous) && X.key("errorBits") &&
+         xferStat<IO>(X, V.ErrorBits) && X.key("influencingOps") &&
+         xferArray(X, V.InfluencingOps,
+                   [&](auto &Op) { return X.u32(Op); }) &&
+         X.endObject();
 }
 
 //===----------------------------------------------------------------------===//
-// Analysis results
+// Analysis results and shard documents
 //===----------------------------------------------------------------------===//
 
-static void encodeAnalysisResult(wire::Encoder &E, const AnalysisResult &R) {
-  E.beginObject();
-  E.key("ranges");
-  E.str(rangeModeName(R.Ranges));
-  E.key("equivDepth");
-  E.u32(R.EquivDepth);
-  E.key("ops");
-  E.beginArray(R.Ops.size());
-  for (const auto &[PC, Rec] : R.Ops)
-    encodeOpRecord(E, PC, Rec);
-  E.endArray();
-  E.key("spots");
-  E.beginArray(R.Spots.size());
-  for (const auto &[PC, Spot] : R.Spots)
-    encodeSpotRecord(E, PC, Spot);
-  E.endArray();
-  E.endObject();
+template <class IO>
+static bool xferAnalysisResult(IO &X, Ref<IO, AnalysisResult> V) {
+  ScopedCtx C(X, "result");
+  return X.beginObject() && X.key("ranges") &&
+         xferEnum<IO>(X, V.Ranges, 3, rangeModeName,
+                      "result: unknown range mode") &&
+         X.key("equivDepth") && X.u32(V.EquivDepth) && X.key("ops") &&
+         xferRecords(X, V.Ops, "op",
+                     [&](auto &PC, auto &Rec) {
+                       return xferOpRecord<IO>(X, PC, Rec);
+                     }) &&
+         X.key("spots") &&
+         xferRecords(X, V.Spots, "spot",
+                     [&](auto &PC, auto &Rec) {
+                       return xferSpotRecord<IO>(X, PC, Rec);
+                     }) &&
+         X.endObject();
 }
 
-static bool decodeAnalysisResult(wire::Decoder &D, AnalysisResult &Out) {
-  ScopedCtx C(D, "result");
-  std::string RangesName;
-  if (!D.beginObject() || !D.key("ranges") || !D.str(RangesName) ||
-      !D.key("equivDepth") || !D.u32(Out.EquivDepth))
+/// A shard document's body, field by field, so the engine can render
+/// records it does not own as a ShardDoc.
+template <class IO>
+static bool xferShard(IO &X, Ref<IO, std::string> ConfigHash,
+                      Ref<IO, std::string> Benchmark,
+                      Ref<IO, uint64_t> BenchIndex,
+                      Ref<IO, uint64_t> ShardIndex,
+                      Ref<IO, uint64_t> RunBegin, Ref<IO, uint64_t> RunEnd,
+                      Ref<IO, AnalysisResult> Result) {
+  ScopedCtx C(X, "shard");
+  if (!X.key("configHash") || !X.str(ConfigHash) || !X.key("benchmark") ||
+      !X.str(Benchmark) || !X.key("benchIndex") || !X.u64(BenchIndex) ||
+      !X.key("shardIndex") || !X.u64(ShardIndex) || !X.key("runBegin") ||
+      !X.u64(RunBegin) || !X.key("runEnd") || !X.u64(RunEnd))
     return false;
-  if (!parseRangeMode(RangesName, Out.Ranges))
-    return D.failOver(
-        format("result: unknown range mode '%s'", RangesName.c_str()));
-  uint64_t NumOps = 0;
-  if (!D.key("ops") || !D.beginArray(NumOps))
+  if constexpr (IO::Reads) {
+    if (RunEnd < RunBegin)
+      return X.failOver(
+          format("shard: runEnd (%llu) precedes runBegin (%llu)",
+                 static_cast<unsigned long long>(RunEnd),
+                 static_cast<unsigned long long>(RunBegin)));
+  }
+  return X.key("result") && xferAnalysisResult<IO>(X, Result);
+}
+
+//===----------------------------------------------------------------------===//
+// Improver records, reports and batch reports
+//===----------------------------------------------------------------------===//
+
+/// An improver outcome's fields, inside whichever object holds them.
+template <class IO>
+static bool xferImproveOutcome(IO &X, Ref<IO, ImproveRecord> V) {
+  ScopedCtx C(X, "improve record");
+  return X.key("original") && X.str(V.Original) && X.key("rewritten") &&
+         X.str(V.Rewritten) && X.key("errorBefore") &&
+         X.dbl(V.ErrorBefore) && X.key("errorAfter") &&
+         X.dbl(V.ErrorAfter) && X.key("significant") &&
+         X.boolean(V.HadSignificantError) && X.key("improved") &&
+         X.boolean(V.Improved);
+}
+
+template <class IO>
+static bool xferImproveDoc(IO &X, Ref<IO, ImproveDoc> V) {
+  ScopedCtx C(X, "improve");
+  return X.key("configHash") && X.str(V.ConfigHash) &&
+         X.key("improveHash") && X.str(V.ImproveHash) && X.key("expr") &&
+         X.str(V.ExprIdentity) && X.key("specs") && X.str(V.SpecIdentity) &&
+         X.key("record") && X.beginObject() &&
+         xferImproveOutcome<IO>(X, V.Record) && X.endObject();
+}
+
+template <class IO> static bool xferReport(IO &X, Ref<IO, Report> V) {
+  ScopedCtx C(X, "report");
+  auto RootCause = [&](auto &RC) {
+    ScopedCtx CC(X, "root cause");
+    return X.beginObject() && X.key("pc") && X.u32(RC.PC) && X.key("loc") &&
+           xferSourceLoc<IO>(X, RC.Loc) && X.key("fpcore") &&
+           X.str(RC.FPCore) && X.key("body") && X.str(RC.Body) &&
+           X.key("numVars") && X.u32(RC.NumVars) && X.key("opCount") &&
+           X.u32(RC.OpCount) && X.key("flagged") && X.u64(RC.Flagged) &&
+           X.key("maxLocalError") && X.dbl(RC.MaxLocalError) &&
+           X.key("avgLocalError") && X.dbl(RC.AvgLocalError) &&
+           X.key("exampleInput") && X.str(RC.ExampleInput) && X.endObject();
+  };
+  auto Spot = [&](auto &SR) {
+    ScopedCtx SC(X, "report spot");
+    return X.beginObject() && X.key("kind") &&
+           xferEnum<IO>(X, SR.Kind, 3, spotKindName,
+                        "report: unknown spot kind") &&
+           X.key("pc") && X.u32(SR.PC) && X.key("loc") &&
+           xferSourceLoc<IO>(X, SR.Loc) && X.key("executions") &&
+           X.u64(SR.Executions) && X.key("erroneous") &&
+           X.u64(SR.Erroneous) && X.key("maxErrorBits") &&
+           X.dbl(SR.MaxErrorBits) && X.key("rootCauses") &&
+           xferArray(X, SR.RootCauses, RootCause) && X.endObject();
+  };
+  auto Improvement = [&](auto &IR) {
+    return X.beginObject() && X.key("pc") && X.u32(IR.PC) &&
+           xferImproveOutcome<IO>(X, IR) && X.endObject();
+  };
+  // The improvements section is present only when an improver pass ran:
+  // an empty vector renders the exact pre-1.1 bytes, so reports without
+  // improver results stay byte-identical to older writers', and a reader
+  // round-trips absence to absence.
+  bool HasImp = !V.Improvements.empty();
+  if (!X.beginObject() || !X.key("spots") || !xferArray(X, V.Spots, Spot) ||
+      !X.present("improvements", HasImp) ||
+      (HasImp && (!X.key("improvements") ||
+                  !xferArray(X, V.Improvements, Improvement))))
     return false;
-  for (uint64_t I = 0; I < NumOps; ++I) {
-    uint32_t PC = 0;
-    OpRecord Rec;
-    if (!D.element() || !decodeOpRecord(D, PC, Rec))
+  return X.endObject();
+}
+
+/// What a batch report's entries are to each codec: an encoder reads
+/// borrowed entries, a decoder fills owned ones. Both spell their fields
+/// alike.
+template <class IO>
+using BatchEntries =
+    std::conditional_t<IO::Reads, std::vector<BatchReportDoc::Entry>,
+                       const std::vector<BatchReportEntryRef>>;
+
+template <class IO>
+static bool xferBatchReport(IO &X, BatchEntries<IO> &V) {
+  ScopedCtx C(X, "batch report");
+  return X.key("benchmarks") && xferArray(X, V, [&](auto &En) {
+           ScopedCtx BC(X, "benchmark entry");
+           return X.beginObject() && X.key("name") && X.str(En.Name) &&
+                  X.key("shards") && X.u64(En.Shards) && X.key("runs") &&
+                  X.u64(En.Runs) && X.key("report") &&
+                  xferReport<IO>(X, En.Rep) && X.endObject();
+         });
+}
+
+//===----------------------------------------------------------------------===//
+// Telemetry and run-ledger documents
+//===----------------------------------------------------------------------===//
+
+/// The counters/gauges/timers sections, shared verbatim by the telemetry
+/// document and the run-ledger envelope (one schema, two containers).
+template <class IO>
+static bool xferMetrics(IO &X, Ref<IO, metrics::Snapshot> V) {
+  auto Counter = [&](auto &Cs) {
+    ScopedCtx CC(X, "metrics counter");
+    return X.beginObject() && X.key("name") && X.str(Cs.Name) &&
+           X.key("value") && X.u64(Cs.Value) && X.endObject();
+  };
+  auto Gauge = [&](auto &G) {
+    ScopedCtx GC(X, "metrics gauge");
+    return X.beginObject() && X.key("name") && X.str(G.Name) &&
+           X.key("value") && X.i64(G.Value) && X.key("max") &&
+           X.i64(G.Max) && X.endObject();
+  };
+  auto Timer = [&](auto &T) {
+    ScopedCtx TC(X, "metrics timer");
+    uint64_t N = metrics::TimerBuckets;
+    if (!X.beginObject() || !X.key("name") || !X.str(T.Name) ||
+        !X.key("count") || !X.u64(T.Count) || !X.key("sumNs") ||
+        !X.u64(T.SumNanos) || !X.key("maxNs") || !X.u64(T.MaxNanos) ||
+        !X.key("buckets") || !X.beginArray(N))
       return false;
-    if (!Out.Ops.emplace(PC, std::move(Rec)).second)
-      return D.failOver(format("result: duplicate op record for pc %u", PC));
-  }
-  if (!D.endArray())
+    if constexpr (IO::Reads) {
+      if (N != metrics::TimerBuckets)
+        return X.failOver(
+            format("metrics timer '%s': expected %u buckets, got %zu",
+                   T.Name.c_str(), metrics::TimerBuckets,
+                   static_cast<size_t>(N)));
+    }
+    for (auto &B : T.Buckets)
+      if (!X.element() || !X.u64(B))
+        return false;
+    return X.endArray() && X.endObject();
+  };
+  return X.key("counters") && xferArray(X, V.Counters, Counter) &&
+         X.key("gauges") && xferArray(X, V.Gauges, Gauge) &&
+         X.key("timers") && xferArray(X, V.Timers, Timer);
+}
+
+/// \p Minor is a decoded document's own minor version: a minor-0 HGB
+/// document carries no meta presence byte, so the read is gated on it
+/// (the JSON backend resolves presence by name and tolerates either
+/// minor). Encoders always write the current minor.
+template <class IO>
+static bool xferTelemetry(IO &X, Ref<IO, TelemetryDoc> V, int Minor) {
+  ScopedCtx C(X, "telemetry");
+  bool MetaField = true;
+  if constexpr (IO::Reads)
+    MetaField = Minor >= 1;
+  // The 1.1 meta block is optional so a doc parsed from a minor-0 writer
+  // re-renders its exact bytes (absence round-trips to absence).
+  if (MetaField && !X.present("meta", V.HasMeta))
     return false;
-  uint64_t NumSpots = 0;
-  if (!D.key("spots") || !D.beginArray(NumSpots))
-    return false;
-  for (uint64_t I = 0; I < NumSpots; ++I) {
-    uint32_t PC = 0;
-    SpotRecord Spot;
-    if (!D.element() || !decodeSpotRecord(D, PC, Spot))
+  if (MetaField && V.HasMeta) {
+    ScopedCtx MC(X, "telemetry meta");
+    if (!X.key("meta") || !X.beginObject() || !X.key("host") ||
+        !X.str(V.Meta.Host) || !X.key("timestamp") ||
+        !X.str(V.Meta.Timestamp) || !X.key("mergedDocs") ||
+        !X.u64(V.Meta.MergedDocs) || !X.endObject())
       return false;
-    if (!Out.Spots.emplace(PC, std::move(Spot)).second)
-      return D.failOver(
-          format("result: duplicate spot record for pc %u", PC));
   }
-  return D.endArray() && D.endObject();
-}
-
-std::string herbgrind::renderAnalysisResultJson(const AnalysisResult &R) {
-  wire::JsonEncoder E;
-  encodeAnalysisResult(E, R);
-  return E.take();
-}
-
-bool herbgrind::parseAnalysisResultJson(const JsonValue &V, AnalysisResult &Out,
-                                        std::string &Err) {
-  wire::JsonDecoder D(V);
-  if (!decodeAnalysisResult(D, Out)) {
-    Err = D.error();
+  if (!xferMetrics<IO>(X, V.Metrics))
     return false;
-  }
-  return true;
+  ScopedCtx PC(X, "telemetry profile");
+  auto Row = [&](auto &R) {
+    ScopedCtx RC(X, "telemetry profile row");
+    return X.beginObject() && X.key("op") &&
+           xferEnum<IO>(X, R.Op, NumOpcodes, opcodeName,
+                        "telemetry profile row: unknown opcode") &&
+           X.key("loc") && xferSourceLoc<IO>(X, R.Loc) &&
+           X.key("executions") && X.u64(R.Executions) && X.key("samples") &&
+           X.u64(R.Samples) && X.key("ns") && X.u64(R.Nanos) &&
+           X.key("limbAllocs") && X.u64(R.LimbAllocs) &&
+           X.key("limbHits") && X.u64(R.LimbHits) && X.endObject();
+  };
+  return X.key("profile") && X.beginObject() && X.key("totalNs") &&
+         X.u64(V.ProfileTotalNanos) && X.key("ops") &&
+         xferArray(X, V.Profile, Row) && X.endObject();
+}
+
+template <class IO>
+static bool xferLedger(IO &X, Ref<IO, LedgerEntry> V) {
+  ScopedCtx C(X, "ledger");
+  auto Section = [&](const char *Key, const char *Ctx, auto Fields) {
+    ScopedCtx SC(X, Ctx);
+    return X.key(Key) && X.beginObject() && Fields() && X.endObject();
+  };
+  return Section("meta", "ledger meta",
+                 [&] {
+                   return X.key("host") && X.str(V.Host) &&
+                          X.key("timestamp") && X.str(V.Timestamp) &&
+                          X.key("timestampNs") && X.u64(V.TimestampNanos) &&
+                          X.key("label") && X.str(V.Label);
+                 }) &&
+         Section("config", "ledger config",
+                 [&] {
+                   return X.key("hash") && X.str(V.ConfigHash) &&
+                          X.key("wireFormat") && X.str(V.WireFormat) &&
+                          X.key("tier") && X.str(V.Tier) && X.key("jobs") &&
+                          X.u64(V.Jobs) && X.key("samples") &&
+                          X.u64(V.Samples) && X.key("shardSize") &&
+                          X.u64(V.ShardSize) && X.key("batchLanes") &&
+                          X.u64(V.BatchLanes);
+                 }) &&
+         Section("stats", "ledger stats",
+                 [&] {
+                   return X.key("benchmarks") && X.u64(V.Benchmarks) &&
+                          X.key("shards") && X.u64(V.Shards) &&
+                          X.key("runs") && X.u64(V.Runs) &&
+                          X.key("analyzedShards") &&
+                          X.u64(V.AnalyzedShards) &&
+                          X.key("cachedShards") && X.u64(V.CachedShards) &&
+                          X.key("rcacheHits") && X.u64(V.ResultCacheHits) &&
+                          X.key("rcacheMisses") &&
+                          X.u64(V.ResultCacheMisses) &&
+                          X.key("limbHeapAllocs") &&
+                          X.u64(V.LimbHeapAllocs) &&
+                          X.key("limbCacheHits") && X.u64(V.LimbCacheHits) &&
+                          X.key("tier0Runs") && X.u64(V.Tier0Runs) &&
+                          X.key("escalatedRuns") && X.u64(V.EscalatedRuns) &&
+                          X.key("poolTasks") && X.u64(V.PoolTasks) &&
+                          X.key("poolSteals") && X.u64(V.PoolSteals) &&
+                          X.key("wallSeconds") && X.dbl(V.WallSeconds);
+                 }) &&
+         xferMetrics<IO>(X, V.Metrics);
 }
 
 //===----------------------------------------------------------------------===//
@@ -692,638 +734,120 @@ static bool parseDoc(const DocKind &K, const std::string &Text,
 }
 
 //===----------------------------------------------------------------------===//
-// Shard documents
+// Rendering and parsing each family
 //===----------------------------------------------------------------------===//
 
-static void encodeShardBody(wire::Encoder &E, const std::string &ConfigHash,
-                            const std::string &Benchmark, uint64_t BenchIndex,
-                            uint64_t ShardIndex, uint64_t RunBegin,
-                            uint64_t RunEnd, const AnalysisResult &Result) {
-  E.key("configHash");
-  E.str(ConfigHash);
-  E.key("benchmark");
-  E.str(Benchmark);
-  E.key("benchIndex");
-  E.u64(BenchIndex);
-  E.key("shardIndex");
-  E.u64(ShardIndex);
-  E.key("runBegin");
-  E.u64(RunBegin);
-  E.key("runEnd");
-  E.u64(RunEnd);
-  E.key("result");
-  encodeAnalysisResult(E, Result);
-}
-
-static bool decodeShardBody(wire::Decoder &D, ShardDoc &Out) {
-  ScopedCtx C(D, "shard");
-  if (!D.key("configHash") || !D.str(Out.ConfigHash) || !D.key("benchmark") ||
-      !D.str(Out.Benchmark) || !D.key("benchIndex") ||
-      !D.u64(Out.BenchIndex) || !D.key("shardIndex") ||
-      !D.u64(Out.ShardIndex) || !D.key("runBegin") || !D.u64(Out.RunBegin) ||
-      !D.key("runEnd") || !D.u64(Out.RunEnd))
-    return false;
-  if (Out.RunEnd < Out.RunBegin)
-    return D.failOver(
-        format("shard: runEnd (%llu) precedes runBegin (%llu)",
-               static_cast<unsigned long long>(Out.RunEnd),
-               static_cast<unsigned long long>(Out.RunBegin)));
-  return D.key("result") && decodeAnalysisResult(D, Out.Result);
-}
-
-static std::string renderShardAs(WireEncoding Enc,
-                                 const std::string &ConfigHash,
-                                 const std::string &Benchmark,
-                                 uint64_t BenchIndex, uint64_t ShardIndex,
-                                 uint64_t RunBegin, uint64_t RunEnd,
-                                 const AnalysisResult &Result) {
+std::string herbgrind::renderShard(const std::string &ConfigHash,
+                                   const std::string &Benchmark,
+                                   uint64_t BenchIndex, uint64_t ShardIndex,
+                                   uint64_t RunBegin, uint64_t RunEnd,
+                                   const AnalysisResult &Result,
+                                   WireEncoding Enc) {
   return renderDoc(ShardKind, Enc, [&](wire::Encoder &E) {
-    encodeShardBody(E, ConfigHash, Benchmark, BenchIndex, ShardIndex,
-                    RunBegin, RunEnd, Result);
+    return xferShard(E, ConfigHash, Benchmark, BenchIndex, ShardIndex,
+                     RunBegin, RunEnd, Result);
   });
 }
 
-std::string herbgrind::renderShardJson(const std::string &ConfigHash,
-                                       const std::string &Benchmark,
-                                       uint64_t BenchIndex,
-                                       uint64_t ShardIndex, uint64_t RunBegin,
-                                       uint64_t RunEnd,
-                                       const AnalysisResult &Result) {
-  return renderShardAs(WireEncoding::Json, ConfigHash, Benchmark, BenchIndex,
-                       ShardIndex, RunBegin, RunEnd, Result);
-}
-
-std::string herbgrind::renderShardBinary(const std::string &ConfigHash,
-                                         const std::string &Benchmark,
-                                         uint64_t BenchIndex,
-                                         uint64_t ShardIndex,
-                                         uint64_t RunBegin, uint64_t RunEnd,
-                                         const AnalysisResult &Result) {
-  return renderShardAs(WireEncoding::Binary, ConfigHash, Benchmark,
-                       BenchIndex, ShardIndex, RunBegin, RunEnd, Result);
-}
-
 std::string herbgrind::renderShard(const ShardDoc &Doc, WireEncoding Enc) {
-  return renderShardAs(Enc, Doc.ConfigHash, Doc.Benchmark, Doc.BenchIndex,
-                       Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd, Doc.Result);
-}
-
-std::string herbgrind::renderShardJson(const ShardDoc &Doc) {
-  return renderShard(Doc, WireEncoding::Json);
-}
-
-std::string herbgrind::renderShardBinary(const ShardDoc &Doc) {
-  return renderShard(Doc, WireEncoding::Binary);
+  return renderShard(Doc.ConfigHash, Doc.Benchmark, Doc.BenchIndex,
+                     Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd, Doc.Result,
+                     Enc);
 }
 
 bool herbgrind::parseShard(const std::string &Text, ShardDoc &Out,
                            std::string &Err) {
   return parseDoc(ShardKind, Text, Err, [&](wire::Decoder &D, int) {
-    return decodeShardBody(D, Out);
+    return xferShard(D, Out.ConfigHash, Out.Benchmark, Out.BenchIndex,
+                     Out.ShardIndex, Out.RunBegin, Out.RunEnd, Out.Result);
   });
 }
 
-//===----------------------------------------------------------------------===//
-// Improver records and the improve cache document
-//===----------------------------------------------------------------------===//
-
-static void encodeImproveOutcome(wire::Encoder &E, const ImproveRecord &R) {
-  E.key("original");
-  E.str(R.Original);
-  E.key("rewritten");
-  E.str(R.Rewritten);
-  E.key("errorBefore");
-  E.dbl(R.ErrorBefore);
-  E.key("errorAfter");
-  E.dbl(R.ErrorAfter);
-  E.key("significant");
-  E.boolean(R.HadSignificantError);
-  E.key("improved");
-  E.boolean(R.Improved);
-}
-
-static bool decodeImproveOutcome(wire::Decoder &D, ImproveRecord &Out) {
-  ScopedCtx C(D, "improve record");
-  return D.key("original") && D.str(Out.Original) && D.key("rewritten") &&
-         D.str(Out.Rewritten) && D.key("errorBefore") &&
-         D.dbl(Out.ErrorBefore) && D.key("errorAfter") &&
-         D.dbl(Out.ErrorAfter) && D.key("significant") &&
-         D.boolean(Out.HadSignificantError) && D.key("improved") &&
-         D.boolean(Out.Improved);
-}
-
-static void encodeImproveDocBody(wire::Encoder &E, const ImproveDoc &Doc) {
-  E.key("configHash");
-  E.str(Doc.ConfigHash);
-  E.key("improveHash");
-  E.str(Doc.ImproveHash);
-  E.key("expr");
-  E.str(Doc.ExprIdentity);
-  E.key("specs");
-  E.str(Doc.SpecIdentity);
-  E.key("record");
-  E.beginObject();
-  encodeImproveOutcome(E, Doc.Record);
-  E.endObject();
-}
-
-static bool decodeImproveDocBody(wire::Decoder &D, ImproveDoc &Out) {
-  ScopedCtx C(D, "improve");
-  if (!D.key("configHash") || !D.str(Out.ConfigHash) ||
-      !D.key("improveHash") || !D.str(Out.ImproveHash) || !D.key("expr") ||
-      !D.str(Out.ExprIdentity) || !D.key("specs") || !D.str(Out.SpecIdentity))
-    return false;
-  return D.key("record") && D.beginObject() &&
-         decodeImproveOutcome(D, Out.Record) && D.endObject();
-}
-
-static std::string renderImproveDoc(const ImproveDoc &Doc,
-                                    WireEncoding Enc) {
+std::string herbgrind::renderImproveDoc(const ImproveDoc &Doc,
+                                        WireEncoding Enc) {
   return renderDoc(ImproveKind, Enc,
-                   [&](wire::Encoder &E) { encodeImproveDocBody(E, Doc); });
-}
-
-std::string herbgrind::renderImproveDocJson(const ImproveDoc &Doc) {
-  return renderImproveDoc(Doc, WireEncoding::Json);
-}
-
-std::string herbgrind::renderImproveDocBinary(const ImproveDoc &Doc) {
-  return renderImproveDoc(Doc, WireEncoding::Binary);
+                   [&](wire::Encoder &E) { return xferImproveDoc(E, Doc); });
 }
 
 bool herbgrind::parseImproveDoc(const std::string &Text, ImproveDoc &Out,
                                 std::string &Err) {
   return parseDoc(ImproveKind, Text, Err, [&](wire::Decoder &D, int) {
-    return decodeImproveDocBody(D, Out);
+    return xferImproveDoc(D, Out);
   });
 }
 
-//===----------------------------------------------------------------------===//
-// Presentation-level reports
-//===----------------------------------------------------------------------===//
-
-static void encodeReportBody(wire::Encoder &E, const Report &R) {
-  E.beginObject();
-  E.key("spots");
-  E.beginArray(R.Spots.size());
-  for (const SpotReport &SR : R.Spots) {
-    E.beginObject();
-    E.key("kind");
-    E.str(spotKindName(SR.Kind));
-    E.key("pc");
-    E.u32(SR.PC);
-    E.key("loc");
-    encodeSourceLoc(E, SR.Loc);
-    E.key("executions");
-    E.u64(SR.Executions);
-    E.key("erroneous");
-    E.u64(SR.Erroneous);
-    E.key("maxErrorBits");
-    E.dbl(SR.MaxErrorBits);
-    E.key("rootCauses");
-    E.beginArray(SR.RootCauses.size());
-    for (const RootCauseReport &RC : SR.RootCauses) {
-      E.beginObject();
-      E.key("pc");
-      E.u32(RC.PC);
-      E.key("loc");
-      encodeSourceLoc(E, RC.Loc);
-      E.key("fpcore");
-      E.str(RC.FPCore);
-      E.key("body");
-      E.str(RC.Body);
-      E.key("numVars");
-      E.u32(RC.NumVars);
-      E.key("opCount");
-      E.u64(RC.OpCount);
-      E.key("flagged");
-      E.u64(RC.Flagged);
-      E.key("maxLocalError");
-      E.dbl(RC.MaxLocalError);
-      E.key("avgLocalError");
-      E.dbl(RC.AvgLocalError);
-      E.key("exampleInput");
-      E.str(RC.ExampleInput);
-      E.endObject();
-    }
-    E.endArray();
-    E.endObject();
-  }
-  E.endArray();
-  // The improvements section is emitted only when an improver pass ran:
-  // an empty vector renders the exact pre-1.1 bytes, so reports without
-  // improver results stay byte-identical to older writers'.
-  E.present(!R.Improvements.empty());
-  if (!R.Improvements.empty()) {
-    E.key("improvements");
-    E.beginArray(R.Improvements.size());
-    for (const ImproveRecord &IR : R.Improvements) {
-      E.beginObject();
-      E.key("pc");
-      E.u32(IR.PC);
-      encodeImproveOutcome(E, IR);
-      E.endObject();
-    }
-    E.endArray();
-  }
-  E.endObject();
+std::string herbgrind::renderReport(const Report &R, WireEncoding Enc) {
+  return renderDoc(ReportKind, Enc,
+                   [&](wire::Encoder &E) { return xferReport(E, R); });
 }
 
-static bool decodeReportBody(wire::Decoder &D, Report &Out) {
-  ScopedCtx C(D, "report");
-  if (!D.beginObject())
-    return false;
-  uint64_t NumSpots = 0;
-  if (!D.key("spots") || !D.beginArray(NumSpots))
-    return false;
-  for (uint64_t I = 0; I < NumSpots; ++I) {
-    ScopedCtx SC(D, "report spot");
-    SpotReport SR;
-    std::string KindName;
-    if (!D.element() || !D.beginObject() || !D.key("kind") ||
-        !D.str(KindName))
-      return false;
-    if (!parseSpotKind(KindName, SR.Kind))
-      return D.failOver(
-          format("report: unknown spot kind '%s'", KindName.c_str()));
-    if (!D.key("pc") || !D.u32(SR.PC) || !D.key("loc") ||
-        !decodeSourceLoc(D, SR.Loc) || !D.key("executions") ||
-        !D.u64(SR.Executions) || !D.key("erroneous") ||
-        !D.u64(SR.Erroneous) || !D.key("maxErrorBits") ||
-        !D.dbl(SR.MaxErrorBits))
-      return false;
-    uint64_t NumCauses = 0;
-    if (!D.key("rootCauses") || !D.beginArray(NumCauses))
-      return false;
-    for (uint64_t J = 0; J < NumCauses; ++J) {
-      ScopedCtx CC(D, "root cause");
-      RootCauseReport RC;
-      uint64_t OpCount = 0;
-      if (!D.element() || !D.beginObject() || !D.key("pc") || !D.u32(RC.PC) ||
-          !D.key("loc") || !decodeSourceLoc(D, RC.Loc) || !D.key("fpcore") ||
-          !D.str(RC.FPCore) || !D.key("body") || !D.str(RC.Body) ||
-          !D.key("numVars") || !D.u32(RC.NumVars) || !D.key("opCount") ||
-          !D.u64(OpCount) || !D.key("flagged") || !D.u64(RC.Flagged) ||
-          !D.key("maxLocalError") || !D.dbl(RC.MaxLocalError) ||
-          !D.key("avgLocalError") || !D.dbl(RC.AvgLocalError) ||
-          !D.key("exampleInput") || !D.str(RC.ExampleInput) ||
-          !D.endObject())
-        return false;
-      RC.OpCount = static_cast<unsigned>(OpCount);
-      SR.RootCauses.push_back(std::move(RC));
-    }
-    if (!D.endArray() || !D.endObject())
-      return false;
-    Out.Spots.push_back(std::move(SR));
-  }
-  if (!D.endArray())
-    return false;
-  // Optional improvements section (absent from pre-1.1 writers and from
-  // reports no improver pass ran over); absence round-trips to absence.
-  bool HasImp = false;
-  if (!D.present("improvements", HasImp))
-    return false;
-  if (HasImp) {
-    uint64_t N = 0;
-    if (!D.key("improvements") || !D.beginArray(N))
-      return false;
-    for (uint64_t I = 0; I < N; ++I) {
-      ImproveRecord IR;
-      if (!D.element() || !D.beginObject() || !D.key("pc") || !D.u32(IR.PC) ||
-          !decodeImproveOutcome(D, IR) || !D.endObject())
-        return false;
-      Out.Improvements.push_back(std::move(IR));
-    }
-    if (!D.endArray())
-      return false;
-  }
-  return D.endObject();
-}
-
-// Defined here rather than in Report.cpp so the schema exists exactly
-// once, in the traversal above.
+// Defined here rather than in Report.cpp so every render goes through
+// the one traversal above.
 std::string Report::renderJson() const {
-  return renderDoc(ReportKind, WireEncoding::Json,
-                   [&](wire::Encoder &E) { encodeReportBody(E, *this); });
-}
-
-std::string herbgrind::renderReportBinary(const Report &R) {
-  return renderDoc(ReportKind, WireEncoding::Binary,
-                   [&](wire::Encoder &E) { encodeReportBody(E, R); });
+  return renderReport(*this, WireEncoding::Json);
 }
 
 bool herbgrind::parseReportDoc(const std::string &Text, Report &Out,
                                std::string &Err) {
   return parseDoc(ReportKind, Text, Err, [&](wire::Decoder &D, int) {
-    return decodeReportBody(D, Out);
+    return xferReport(D, Out);
   });
 }
 
-//===----------------------------------------------------------------------===//
-// Batch report documents
-//===----------------------------------------------------------------------===//
-
-static void encodeBatchBody(wire::Encoder &E,
-                            const std::vector<BatchReportEntryRef> &Entries) {
-  E.key("benchmarks");
-  E.beginArray(Entries.size());
-  for (const BatchReportEntryRef &En : Entries) {
-    E.beginObject();
-    E.key("name");
-    E.str(*En.Name);
-    E.key("shards");
-    E.u64(En.Shards);
-    E.key("runs");
-    E.u64(En.Runs);
-    E.key("report");
-    encodeReportBody(E, *En.Rep);
-    E.endObject();
-  }
-  E.endArray();
+std::string
+herbgrind::renderBatchReport(const std::vector<BatchReportEntryRef> &Entries,
+                             WireEncoding Enc) {
+  return renderDoc(BatchKind, Enc, [&](wire::Encoder &E) {
+    return xferBatchReport(E, Entries);
+  });
 }
 
-static bool decodeBatchBody(wire::Decoder &D, BatchReportDoc &Out) {
-  ScopedCtx C(D, "batch report");
-  uint64_t N = 0;
-  if (!D.key("benchmarks") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    ScopedCtx BC(D, "benchmark entry");
-    BatchReportDoc::Entry En;
-    if (!D.element() || !D.beginObject() || !D.key("name") ||
-        !D.str(En.Name) || !D.key("shards") || !D.u64(En.Shards) ||
-        !D.key("runs") || !D.u64(En.Runs))
-      return false;
-    if (!D.key("report") || !decodeReportBody(D, En.Rep) || !D.endObject())
-      return false;
-    Out.Benchmarks.push_back(std::move(En));
-  }
-  return D.endArray();
-}
-
-static std::string
-renderBatchReport(WireEncoding Enc,
-                  const std::vector<BatchReportEntryRef> &Entries) {
-  return renderDoc(BatchKind, Enc,
-                   [&](wire::Encoder &E) { encodeBatchBody(E, Entries); });
-}
-
-static std::vector<BatchReportEntryRef>
-batchRefs(const BatchReportDoc &Doc) {
+std::string herbgrind::renderBatchReport(const BatchReportDoc &Doc,
+                                         WireEncoding Enc) {
   std::vector<BatchReportEntryRef> Entries;
   Entries.reserve(Doc.Benchmarks.size());
   for (const BatchReportDoc::Entry &En : Doc.Benchmarks)
-    Entries.push_back({&En.Name, En.Shards, En.Runs, &En.Rep});
-  return Entries;
-}
-
-std::string herbgrind::renderBatchReportJson(
-    const std::vector<BatchReportEntryRef> &Entries) {
-  return renderBatchReport(WireEncoding::Json, Entries);
-}
-
-std::string herbgrind::renderBatchReportBinary(
-    const std::vector<BatchReportEntryRef> &Entries) {
-  return renderBatchReport(WireEncoding::Binary, Entries);
-}
-
-std::string herbgrind::renderBatchReportJson(const BatchReportDoc &Doc) {
-  return renderBatchReport(WireEncoding::Json, batchRefs(Doc));
-}
-
-std::string herbgrind::renderBatchReportBinary(const BatchReportDoc &Doc) {
-  return renderBatchReport(WireEncoding::Binary, batchRefs(Doc));
+    Entries.push_back({En.Name, En.Shards, En.Runs, En.Rep});
+  return renderBatchReport(Entries, Enc);
 }
 
 bool herbgrind::parseBatchReport(const std::string &Text, BatchReportDoc &Out,
                                  std::string &Err) {
   return parseDoc(BatchKind, Text, Err, [&](wire::Decoder &D, int) {
-    return decodeBatchBody(D, Out);
+    return xferBatchReport(D, Out.Benchmarks);
   });
 }
 
-//===----------------------------------------------------------------------===//
-// Telemetry documents
-//===----------------------------------------------------------------------===//
-
-/// The counters/gauges/timers sections, shared verbatim by the telemetry
-/// document and the run-ledger envelope (one schema, two containers).
-static void encodeMetricsSnapshot(wire::Encoder &E,
-                                  const metrics::Snapshot &S) {
-  E.key("counters");
-  E.beginArray(S.Counters.size());
-  for (const metrics::CounterSample &Cs : S.Counters) {
-    E.beginObject();
-    E.key("name");
-    E.str(Cs.Name);
-    E.key("value");
-    E.u64(Cs.Value);
-    E.endObject();
-  }
-  E.endArray();
-  E.key("gauges");
-  E.beginArray(S.Gauges.size());
-  for (const metrics::GaugeSample &G : S.Gauges) {
-    E.beginObject();
-    E.key("name");
-    E.str(G.Name);
-    E.key("value");
-    E.i64(G.Value);
-    E.key("max");
-    E.i64(G.Max);
-    E.endObject();
-  }
-  E.endArray();
-  E.key("timers");
-  E.beginArray(S.Timers.size());
-  for (const metrics::TimerSample &T : S.Timers) {
-    E.beginObject();
-    E.key("name");
-    E.str(T.Name);
-    E.key("count");
-    E.u64(T.Count);
-    E.key("sumNs");
-    E.u64(T.SumNanos);
-    E.key("maxNs");
-    E.u64(T.MaxNanos);
-    E.key("buckets");
-    E.beginArray(metrics::TimerBuckets);
-    for (unsigned B = 0; B < metrics::TimerBuckets; ++B)
-      E.u64(T.Buckets[B]);
-    E.endArray();
-    E.endObject();
-  }
-  E.endArray();
-}
-
-static bool decodeMetricsSnapshot(wire::Decoder &D, metrics::Snapshot &Out) {
-  uint64_t N = 0;
-  if (!D.key("counters") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    ScopedCtx CC(D, "metrics counter");
-    metrics::CounterSample Cs;
-    if (!D.element() || !D.beginObject() || !D.key("name") ||
-        !D.str(Cs.Name) || !D.key("value") || !D.u64(Cs.Value) ||
-        !D.endObject())
-      return false;
-    Out.Counters.push_back(std::move(Cs));
-  }
-  if (!D.endArray())
-    return false;
-  if (!D.key("gauges") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    ScopedCtx GC(D, "metrics gauge");
-    metrics::GaugeSample G;
-    if (!D.element() || !D.beginObject() || !D.key("name") || !D.str(G.Name) ||
-        !D.key("value") || !D.i64(G.Value) || !D.key("max") ||
-        !D.i64(G.Max) || !D.endObject())
-      return false;
-    Out.Gauges.push_back(std::move(G));
-  }
-  if (!D.endArray())
-    return false;
-  if (!D.key("timers") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    ScopedCtx TC(D, "metrics timer");
-    metrics::TimerSample T;
-    if (!D.element() || !D.beginObject() || !D.key("name") || !D.str(T.Name) ||
-        !D.key("count") || !D.u64(T.Count) || !D.key("sumNs") ||
-        !D.u64(T.SumNanos) || !D.key("maxNs") || !D.u64(T.MaxNanos))
-      return false;
-    uint64_t NumBuckets = 0;
-    if (!D.key("buckets") || !D.beginArray(NumBuckets))
-      return false;
-    if (NumBuckets != metrics::TimerBuckets)
-      return D.failOver(
-          format("metrics timer '%s': expected %u buckets, got %zu",
-                 T.Name.c_str(), metrics::TimerBuckets,
-                 static_cast<size_t>(NumBuckets)));
-    for (unsigned B = 0; B < metrics::TimerBuckets; ++B)
-      if (!D.element() || !D.u64(T.Buckets[B]))
-        return false;
-    if (!D.endArray() || !D.endObject())
-      return false;
-    Out.Timers.push_back(std::move(T));
-  }
-  return D.endArray();
-}
-
-static void encodeTelemetryBody(wire::Encoder &E, const TelemetryDoc &Doc) {
-  // The 1.1 meta block is optional so a doc parsed from a minor-0 writer
-  // re-renders its exact bytes (absence round-trips to absence).
-  E.present(Doc.HasMeta);
-  if (Doc.HasMeta) {
-    E.key("meta");
-    E.beginObject();
-    E.key("host");
-    E.str(Doc.Meta.Host);
-    E.key("timestamp");
-    E.str(Doc.Meta.Timestamp);
-    E.key("mergedDocs");
-    E.u64(Doc.Meta.MergedDocs);
-    E.endObject();
-  }
-  encodeMetricsSnapshot(E, Doc.Metrics);
-  E.key("profile");
-  E.beginObject();
-  E.key("totalNs");
-  E.u64(Doc.ProfileTotalNanos);
-  E.key("ops");
-  E.beginArray(Doc.Profile.size());
-  for (const opprof::OpProfileRow &R : Doc.Profile) {
-    E.beginObject();
-    E.key("op");
-    E.str(opInfo(R.Op).Name);
-    E.key("loc");
-    encodeSourceLoc(E, R.Loc);
-    E.key("executions");
-    E.u64(R.Executions);
-    E.key("samples");
-    E.u64(R.Samples);
-    E.key("ns");
-    E.u64(R.Nanos);
-    E.key("limbAllocs");
-    E.u64(R.LimbAllocs);
-    E.key("limbHits");
-    E.u64(R.LimbHits);
-    E.endObject();
-  }
-  E.endArray();
-  E.endObject();
-}
-
-/// \p DocMinor is the document's own minor version: a minor-0 binary doc
-/// carries no meta presence byte, so the read must be version-gated (the
-/// JSON backend resolves presence by name and tolerates either minor).
-static bool decodeTelemetryBody(wire::Decoder &D, TelemetryDoc &Out,
-                                int DocMinor) {
-  ScopedCtx C(D, "telemetry");
-  if (DocMinor >= 1) {
-    if (!D.present("meta", Out.HasMeta))
-      return false;
-    if (Out.HasMeta) {
-      ScopedCtx MC(D, "telemetry meta");
-      if (!D.key("meta") || !D.beginObject() || !D.key("host") ||
-          !D.str(Out.Meta.Host) || !D.key("timestamp") ||
-          !D.str(Out.Meta.Timestamp) || !D.key("mergedDocs") ||
-          !D.u64(Out.Meta.MergedDocs) || !D.endObject())
-        return false;
-    }
-  }
-  if (!decodeMetricsSnapshot(D, Out.Metrics))
-    return false;
-  uint64_t N = 0;
-  ScopedCtx PC(D, "telemetry profile");
-  if (!D.key("profile") || !D.beginObject() || !D.key("totalNs") ||
-      !D.u64(Out.ProfileTotalNanos))
-    return false;
-  if (!D.key("ops") || !D.beginArray(N))
-    return false;
-  for (uint64_t I = 0; I < N; ++I) {
-    ScopedCtx RC(D, "telemetry profile row");
-    opprof::OpProfileRow Row;
-    std::string OpName;
-    if (!D.element() || !D.beginObject() || !D.key("op") || !D.str(OpName))
-      return false;
-    if (!parseOpcode(OpName, Row.Op))
-      return D.failOver(format("telemetry profile row: unknown opcode '%s'",
-                               OpName.c_str()));
-    if (!D.key("loc") || !decodeSourceLoc(D, Row.Loc))
-      return false;
-    if (!D.key("executions") || !D.u64(Row.Executions) ||
-        !D.key("samples") || !D.u64(Row.Samples) || !D.key("ns") ||
-        !D.u64(Row.Nanos) || !D.key("limbAllocs") ||
-        !D.u64(Row.LimbAllocs) || !D.key("limbHits") ||
-        !D.u64(Row.LimbHits) || !D.endObject())
-      return false;
-    Out.Profile.push_back(std::move(Row));
-  }
-  return D.endArray() && D.endObject();
-}
-
-static std::string renderTelemetry(const TelemetryDoc &Doc,
-                                   WireEncoding Enc) {
-  return renderDoc(TelemetryKind, Enc,
-                   [&](wire::Encoder &E) { encodeTelemetryBody(E, Doc); });
-}
-
-std::string herbgrind::renderTelemetryJson(const TelemetryDoc &Doc) {
-  return renderTelemetry(Doc, WireEncoding::Json);
-}
-
-std::string herbgrind::renderTelemetryBinary(const TelemetryDoc &Doc) {
-  return renderTelemetry(Doc, WireEncoding::Binary);
+std::string herbgrind::renderTelemetry(const TelemetryDoc &Doc,
+                                       WireEncoding Enc) {
+  return renderDoc(TelemetryKind, Enc, [&](wire::Encoder &E) {
+    return xferTelemetry(E, Doc, TelemetryFormatMinor);
+  });
 }
 
 bool herbgrind::parseTelemetry(const std::string &Text, TelemetryDoc &Out,
                                std::string &Err) {
   return parseDoc(TelemetryKind, Text, Err, [&](wire::Decoder &D, int Minor) {
-    return decodeTelemetryBody(D, Out, Minor);
+    return xferTelemetry(D, Out, Minor);
   });
 }
+
+std::string herbgrind::renderLedgerEntry(const LedgerEntry &L,
+                                         WireEncoding Enc) {
+  return renderDoc(LedgerKind, Enc,
+                   [&](wire::Encoder &E) { return xferLedger(E, L); });
+}
+
+bool herbgrind::parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
+                                 std::string &Err) {
+  return parseDoc(LedgerKind, Text, Err, [&](wire::Decoder &D, int) {
+    return xferLedger(D, Out);
+  });
+}
+
+//===----------------------------------------------------------------------===//
+// Telemetry merging
+//===----------------------------------------------------------------------===//
 
 void TelemetryDoc::mergeFrom(const TelemetryDoc &Other) {
   // A doc that never passed through a merge counts as one process.
@@ -1372,136 +896,21 @@ bool herbgrind::mergeTelemetry(const std::vector<std::string> &DocTexts,
 }
 
 //===----------------------------------------------------------------------===//
-// Run-ledger documents
-//===----------------------------------------------------------------------===//
-
-static void encodeLedgerBody(wire::Encoder &E, const LedgerEntry &L) {
-  E.key("meta");
-  E.beginObject();
-  E.key("host");
-  E.str(L.Host);
-  E.key("timestamp");
-  E.str(L.Timestamp);
-  E.key("timestampNs");
-  E.u64(L.TimestampNanos);
-  E.key("label");
-  E.str(L.Label);
-  E.endObject();
-  E.key("config");
-  E.beginObject();
-  E.key("hash");
-  E.str(L.ConfigHash);
-  E.key("wireFormat");
-  E.str(L.WireFormat);
-  E.key("tier");
-  E.str(L.Tier);
-  E.key("jobs");
-  E.u64(L.Jobs);
-  E.key("samples");
-  E.u64(L.Samples);
-  E.key("shardSize");
-  E.u64(L.ShardSize);
-  E.key("batchLanes");
-  E.u64(L.BatchLanes);
-  E.endObject();
-  E.key("stats");
-  E.beginObject();
-  E.key("benchmarks");
-  E.u64(L.Benchmarks);
-  E.key("shards");
-  E.u64(L.Shards);
-  E.key("runs");
-  E.u64(L.Runs);
-  E.key("analyzedShards");
-  E.u64(L.AnalyzedShards);
-  E.key("cachedShards");
-  E.u64(L.CachedShards);
-  E.key("rcacheHits");
-  E.u64(L.ResultCacheHits);
-  E.key("rcacheMisses");
-  E.u64(L.ResultCacheMisses);
-  E.key("limbHeapAllocs");
-  E.u64(L.LimbHeapAllocs);
-  E.key("limbCacheHits");
-  E.u64(L.LimbCacheHits);
-  E.key("tier0Runs");
-  E.u64(L.Tier0Runs);
-  E.key("escalatedRuns");
-  E.u64(L.EscalatedRuns);
-  E.key("poolTasks");
-  E.u64(L.PoolTasks);
-  E.key("poolSteals");
-  E.u64(L.PoolSteals);
-  E.key("wallSeconds");
-  E.dbl(L.WallSeconds);
-  E.endObject();
-  encodeMetricsSnapshot(E, L.Metrics);
-}
-
-static bool decodeLedgerBody(wire::Decoder &D, LedgerEntry &Out) {
-  ScopedCtx C(D, "ledger");
-  {
-    ScopedCtx MC(D, "ledger meta");
-    if (!D.key("meta") || !D.beginObject() || !D.key("host") ||
-        !D.str(Out.Host) || !D.key("timestamp") || !D.str(Out.Timestamp) ||
-        !D.key("timestampNs") || !D.u64(Out.TimestampNanos) ||
-        !D.key("label") || !D.str(Out.Label) || !D.endObject())
-      return false;
-  }
-  {
-    ScopedCtx CC(D, "ledger config");
-    if (!D.key("config") || !D.beginObject() || !D.key("hash") ||
-        !D.str(Out.ConfigHash) || !D.key("wireFormat") ||
-        !D.str(Out.WireFormat) || !D.key("tier") || !D.str(Out.Tier) ||
-        !D.key("jobs") || !D.u64(Out.Jobs) || !D.key("samples") ||
-        !D.u64(Out.Samples) || !D.key("shardSize") || !D.u64(Out.ShardSize) ||
-        !D.key("batchLanes") || !D.u64(Out.BatchLanes) || !D.endObject())
-      return false;
-  }
-  {
-    ScopedCtx SC(D, "ledger stats");
-    if (!D.key("stats") || !D.beginObject() || !D.key("benchmarks") ||
-        !D.u64(Out.Benchmarks) || !D.key("shards") || !D.u64(Out.Shards) ||
-        !D.key("runs") || !D.u64(Out.Runs) || !D.key("analyzedShards") ||
-        !D.u64(Out.AnalyzedShards) || !D.key("cachedShards") ||
-        !D.u64(Out.CachedShards) || !D.key("rcacheHits") ||
-        !D.u64(Out.ResultCacheHits) || !D.key("rcacheMisses") ||
-        !D.u64(Out.ResultCacheMisses) || !D.key("limbHeapAllocs") ||
-        !D.u64(Out.LimbHeapAllocs) || !D.key("limbCacheHits") ||
-        !D.u64(Out.LimbCacheHits) || !D.key("tier0Runs") ||
-        !D.u64(Out.Tier0Runs) || !D.key("escalatedRuns") ||
-        !D.u64(Out.EscalatedRuns) || !D.key("poolTasks") ||
-        !D.u64(Out.PoolTasks) || !D.key("poolSteals") ||
-        !D.u64(Out.PoolSteals) || !D.key("wallSeconds") ||
-        !D.dbl(Out.WallSeconds) || !D.endObject())
-      return false;
-  }
-  return decodeMetricsSnapshot(D, Out.Metrics);
-}
-
-static std::string renderLedger(const LedgerEntry &L, WireEncoding Enc) {
-  return renderDoc(LedgerKind, Enc,
-                   [&](wire::Encoder &E) { encodeLedgerBody(E, L); });
-}
-
-std::string herbgrind::renderLedgerEntryJson(const LedgerEntry &E) {
-  return renderLedger(E, WireEncoding::Json);
-}
-
-std::string herbgrind::renderLedgerEntryBinary(const LedgerEntry &E) {
-  return renderLedger(E, WireEncoding::Binary);
-}
-
-bool herbgrind::parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
-                                 std::string &Err) {
-  return parseDoc(LedgerKind, Text, Err, [&](wire::Decoder &D, int) {
-    return decodeLedgerBody(D, Out);
-  });
-}
-
-//===----------------------------------------------------------------------===//
 // Conversion between the encodings
 //===----------------------------------------------------------------------===//
+
+/// One family's leg of convertWireDoc: parse \p Text, render it in \p To.
+template <class Doc>
+static bool reencode(const std::string &Text, WireEncoding To,
+                     bool (*Parse)(const std::string &, Doc &, std::string &),
+                     std::string (*Render)(const Doc &, WireEncoding),
+                     std::string &Out, std::string &Err) {
+  Doc D;
+  if (!Parse(Text, D, Err))
+    return false;
+  Out = Render(D, To);
+  return true;
+}
 
 bool herbgrind::convertWireDoc(const std::string &Text, WireEncoding To,
                                std::string &Out, std::string &Err) {
@@ -1543,36 +952,31 @@ bool herbgrind::convertWireDoc(const std::string &Text, WireEncoding To,
     Fam = Kind->Family;
   }
 
-  // Per-sweep documents end with the newline the CLI writes after them;
-  // per-shard documents (cache entries, emitted shards) have none.
-  const char *Newline =
-      ToJson && Fam != wire::Family::Shard && Fam != wire::Family::Improve
-          ? "\n"
-          : "";
-  auto Via = [&](auto Doc, auto Parse, auto Render) {
-    if (!Parse(Text, Doc, Err))
-      return false;
-    Out = Render(Doc, To) + Newline;
-    return true;
-  };
+  bool Ok = false;
   switch (Fam) {
   case wire::Family::Shard:
-    return Via(ShardDoc(), parseShard, renderShard);
+    Ok = reencode(Text, To, parseShard, renderShard, Out, Err);
+    break;
   case wire::Family::Improve:
-    return Via(ImproveDoc(), parseImproveDoc, renderImproveDoc);
+    Ok = reencode(Text, To, parseImproveDoc, renderImproveDoc, Out, Err);
+    break;
   case wire::Family::Report:
-    return Via(Report(), parseReportDoc, [](const Report &R, WireEncoding E) {
-      return E == WireEncoding::Json ? R.renderJson() : renderReportBinary(R);
-    });
+    Ok = reencode(Text, To, parseReportDoc, renderReport, Out, Err);
+    break;
   case wire::Family::BatchReport:
-    return Via(BatchReportDoc(), parseBatchReport,
-               [](const BatchReportDoc &D, WireEncoding E) {
-                 return renderBatchReport(E, batchRefs(D));
-               });
+    Ok = reencode(Text, To, parseBatchReport, renderBatchReport, Out, Err);
+    break;
   case wire::Family::Telemetry:
-    return Via(TelemetryDoc(), parseTelemetry, renderTelemetry);
+    Ok = reencode(Text, To, parseTelemetry, renderTelemetry, Out, Err);
+    break;
   case wire::Family::Ledger:
-    return Via(LedgerEntry(), parseLedgerEntry, renderLedger);
+    Ok = reencode(Text, To, parseLedgerEntry, renderLedgerEntry, Out, Err);
+    break;
   }
-  return false;
+  // Per-sweep documents end with the newline the CLI writes after them;
+  // per-shard documents (cache entries, emitted shards) have none.
+  if (Ok && ToJson && Fam != wire::Family::Shard &&
+      Fam != wire::Family::Improve)
+    Out += '\n';
+  return Ok;
 }

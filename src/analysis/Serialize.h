@@ -12,12 +12,12 @@
 /// persists them between sweeps, and `--emit-shard`/`--merge-shards` ship
 /// them between machines.
 ///
-/// Every document family (shard, improve, report, batch report,
-/// telemetry) is expressed ONCE as a schema traversal over the abstract
-/// `wire::Encoder`/`wire::Decoder` interface (`support/Wire.h`), with two
-/// backends: byte-exact JSON and the compact HGB binary envelope
-/// (`support/WireBinary.h`). The backends cannot drift -- there is no
-/// second copy of any schema.
+/// Each schema element is written once, as one traversal that serves
+/// both directions: rendering runs it over a `wire::Encoder`, parsing
+/// over a `wire::Decoder` (`support/Wire.h`), so the field order written
+/// is the field order read. Two backends sit under it: byte-exact JSON
+/// and the compact HGB binary envelope (`support/WireBinary.h`). Each
+/// family has one `renderX(Doc, WireEncoding)` and one `parseX`.
 ///
 /// The contract is exact round-tripping in either format, and across
 /// formats: `parse(render(x))` reconstructs `x` bit-for-bit (JSON doubles
@@ -43,7 +43,6 @@
 #include "analysis/Analysis.h"
 #include "analysis/OpProfile.h"
 #include "analysis/Report.h"
-#include "support/Json.h"
 #include "support/Metrics.h"
 
 #include <string>
@@ -74,16 +73,6 @@ enum class WireEncoding {
 /// "Compare", "Conversion").
 const char *spotKindName(SpotKind K);
 
-/// Renders one analysis snapshot -- the value the engine shards and
-/// merges -- as the wire format's "result" object.
-std::string renderAnalysisResultJson(const AnalysisResult &R);
-
-/// Parses a "result" object back; returns false and sets \p Err on
-/// malformed input. On success \p Out merges byte-identically with (and
-/// re-renders byte-identically to) the value it was rendered from.
-bool parseAnalysisResultJson(const JsonValue &V, AnalysisResult &Out,
-                             std::string &Err);
-
 /// One shard-result document: an `AnalysisResult` plus the identity
 /// needed to place it in a sweep (which benchmark, which slice of the
 /// sampled inputs) and the engine config hash that guards merges of
@@ -99,25 +88,15 @@ struct ShardDoc {
 };
 
 /// Renders a complete shard document (versioned envelope + result).
-std::string renderShardJson(const ShardDoc &Doc);
+std::string renderShard(const ShardDoc &Doc, WireEncoding Enc);
 
 /// Same, from the envelope fields and a borrowed result (no ShardDoc --
 /// and so no deep copy of the records -- required).
-std::string renderShardJson(const std::string &ConfigHash,
-                            const std::string &Benchmark, uint64_t BenchIndex,
-                            uint64_t ShardIndex, uint64_t RunBegin,
-                            uint64_t RunEnd, const AnalysisResult &Result);
-
-/// HGB renders of the same shard document.
-std::string renderShardBinary(const ShardDoc &Doc);
-std::string renderShardBinary(const std::string &ConfigHash,
-                              const std::string &Benchmark,
-                              uint64_t BenchIndex, uint64_t ShardIndex,
-                              uint64_t RunBegin, uint64_t RunEnd,
-                              const AnalysisResult &Result);
-
-/// Renders a shard document in the requested encoding.
-std::string renderShard(const ShardDoc &Doc, WireEncoding Enc);
+std::string renderShard(const std::string &ConfigHash,
+                        const std::string &Benchmark, uint64_t BenchIndex,
+                        uint64_t ShardIndex, uint64_t RunBegin,
+                        uint64_t RunEnd, const AnalysisResult &Result,
+                        WireEncoding Enc);
 
 /// Parses a shard document in either format (sniffed from the first
 /// byte). Rejects wrong families and unknown major versions; truncated or
@@ -139,19 +118,16 @@ struct ImproveDoc {
 };
 
 /// Renders a complete improve-cache document (versioned envelope).
-std::string renderImproveDocJson(const ImproveDoc &Doc);
-
-/// HGB render of the improve-cache document.
-std::string renderImproveDocBinary(const ImproveDoc &Doc);
+std::string renderImproveDoc(const ImproveDoc &Doc, WireEncoding Enc);
 
 /// Parses an improve-cache document in either format (sniffed).
 bool parseImproveDoc(const std::string &Text, ImproveDoc &Out,
                      std::string &Err);
 
-/// HGB render of a bare presentation-level report (family tag "report");
-/// Report::renderJson() is the JSON render, a {"spots":[...]} object with
-/// no envelope.
-std::string renderReportBinary(const Report &R);
+/// Renders a bare presentation-level report (HGB family tag "report").
+/// Its JSON form is a {"spots":[...]} object with no envelope, what
+/// Report::renderJson() returns.
+std::string renderReport(const Report &R, WireEncoding Enc);
 
 /// Parses a bare report in either format (sniffed). Round trip:
 /// parseReportDoc(render(r)) re-renders to the same bytes. The
@@ -172,21 +148,21 @@ struct BatchReportDoc {
 
 /// A borrowed view of one batch-report entry: lets `BatchResult` (and
 /// anything else that already owns Reports) render the batch document
-/// through the shared traversal without deep-copying records.
+/// through the shared traversal without deep-copying records. Its fields
+/// are spelled like BatchReportDoc::Entry's.
 struct BatchReportEntryRef {
-  const std::string *Name;
+  const std::string &Name;
   uint64_t Shards;
   uint64_t Runs;
-  const Report *Rep;
+  const Report &Rep;
 };
 
 /// Renders a batch report document from borrowed entries.
-std::string renderBatchReportJson(const std::vector<BatchReportEntryRef> &E);
-std::string renderBatchReportBinary(const std::vector<BatchReportEntryRef> &E);
+std::string renderBatchReport(const std::vector<BatchReportEntryRef> &E,
+                              WireEncoding Enc);
 
-/// Renders a parsed batch report document back out (both formats).
-std::string renderBatchReportJson(const BatchReportDoc &Doc);
-std::string renderBatchReportBinary(const BatchReportDoc &Doc);
+/// Renders a parsed batch report document back out.
+std::string renderBatchReport(const BatchReportDoc &Doc, WireEncoding Enc);
 
 /// Parses a batch report document in either format (sniffed), checking
 /// its versioned envelope (format "herbgrind-report"; unknown majors are
@@ -238,10 +214,7 @@ struct TelemetryDoc {
 /// Renders a complete telemetry document (versioned envelope + metrics +
 /// optional profile). Deterministic given a deterministic snapshot: names
 /// are sorted, rows keep their ranked order.
-std::string renderTelemetryJson(const TelemetryDoc &Doc);
-
-/// HGB render of the telemetry document.
-std::string renderTelemetryBinary(const TelemetryDoc &Doc);
+std::string renderTelemetry(const TelemetryDoc &Doc, WireEncoding Enc);
 
 /// Parses a telemetry document in either format (sniffed). Rejects wrong
 /// families and unknown major versions. Round trip: parse(render(d))
@@ -309,8 +282,7 @@ struct LedgerEntry {
 
 /// Renders a complete ledger entry (versioned envelope). Round trip:
 /// parse(render(e)) re-renders byte-identically in either format.
-std::string renderLedgerEntryJson(const LedgerEntry &E);
-std::string renderLedgerEntryBinary(const LedgerEntry &E);
+std::string renderLedgerEntry(const LedgerEntry &E, WireEncoding Enc);
 
 /// Parses a ledger entry in either format (sniffed). Rejects wrong
 /// format tags and unknown major versions.

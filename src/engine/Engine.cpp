@@ -407,10 +407,10 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
                                     static_cast<unsigned long long>(Sh.Bench),
                                     static_cast<unsigned long long>(Sh.Index));
           if (!writeFileAtomic(Cfg.EmitShardDir + "/" + Name,
-                               renderShardBinary(CfgHash,
-                                                 Sources[Sh.Bench].Name,
-                                                 Sh.Bench, Sh.Index, Sh.Begin,
-                                                 Sh.End, O.Records)))
+                               renderShard(CfgHash, Sources[Sh.Bench].Name,
+                                           Sh.Bench, Sh.Index, Sh.Begin,
+                                           Sh.End, O.Records,
+                                           WireEncoding::Binary)))
             ++EmitFailed;
         }
 
@@ -703,9 +703,8 @@ std::string BatchResult::renderWire(WireEncoding Enc) const {
   std::vector<BatchReportEntryRef> Entries;
   Entries.reserve(Benchmarks.size());
   for (const BenchmarkResult &BR : Benchmarks)
-    Entries.push_back({&BR.Name, BR.Shards, BR.Runs, &BR.Rep});
-  return Enc == WireEncoding::Binary ? renderBatchReportBinary(Entries)
-                                     : renderBatchReportJson(Entries);
+    Entries.push_back({BR.Name, BR.Shards, BR.Runs, BR.Rep});
+  return renderBatchReport(Entries, Enc);
 }
 
 //===----------------------------------------------------------------------===//

@@ -157,9 +157,9 @@ bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out) {
 void ResultCache::store(const ShardKey &Key, const std::string &BenchName,
                         const AnalysisResult &Result) {
   if (!writeFileAtomic(entryPath(Key),
-                       renderShardBinary(Hash, BenchName, Key.BenchIndex,
-                                         Key.ShardIndex, Key.RunBegin,
-                                         Key.RunEnd, Result)))
+                       renderShard(Hash, BenchName, Key.BenchIndex,
+                                   Key.ShardIndex, Key.RunBegin, Key.RunEnd,
+                                   Result, WireEncoding::Binary)))
     ++StoreFailures;
 }
 
@@ -210,7 +210,8 @@ void ResultCache::storeImprove(const ImproveKey &Key,
   Doc.ExprIdentity = Key.ExprIdentity;
   Doc.SpecIdentity = Key.SpecIdentity;
   Doc.Record = Rec;
-  if (!writeFileAtomic(improveEntryPath(Key), renderImproveDocBinary(Doc)))
+  if (!writeFileAtomic(improveEntryPath(Key),
+                       renderImproveDoc(Doc, WireEncoding::Binary)))
     ++StoreFailures;
 }
 

@@ -112,7 +112,8 @@ bool herbgrind::engine::ledgerAppend(const std::string &Dir,
       format("entry-%llu-%lu.json",
              static_cast<unsigned long long>(Entry.TimestampNanos), Pid);
   std::string Path = (fs::path(Dir) / Name).string();
-  if (!writeFileAtomic(Path, renderLedgerEntryJson(Entry) + "\n")) {
+  if (!writeFileAtomic(Path,
+                       renderLedgerEntry(Entry, WireEncoding::Json) + "\n")) {
     Err = format("cannot write ledger entry '%s'", Path.c_str());
     return false;
   }

@@ -126,9 +126,6 @@ std::string VarSummary::preClause(RangeMode Mode,
   return "(or " + join(Parts, " ") + ")";
 }
 
-// VarSummary::renderJson lives in analysis/Serialize.cpp: the JSON shape
-// is one schema traversal shared with the HGB binary backend.
-
 void InputCharacteristics::record(const std::vector<VarBinding> &Bindings) {
   for (const VarBinding &B : Bindings) {
     if (Vars.size() <= B.Idx)

@@ -56,13 +56,6 @@ struct VarSummary {
   /// Renders the FPCore precondition clause for this variable, e.g.
   /// "(<= -2.061152e-09 x 0.24975)".
   std::string preClause(RangeMode Mode, const std::string &Name) const;
-
-  /// Renders the summary for the shard wire format (REPORT_SCHEMA.md):
-  /// counters and flags always, each populated range as a two-element
-  /// [lo, hi] array whose *presence* encodes the HasRange/HasNeg/HasPos
-  /// flag. Doubles print shortest-round-trip, so parsing recovers the
-  /// summary bit-for-bit.
-  std::string renderJson() const;
 };
 
 struct VarBinding; // from trace/SymExpr.h

@@ -47,32 +47,35 @@ void JsonEncoder::preValue() {
   }
 }
 
-void JsonEncoder::beginObject() {
+bool JsonEncoder::beginObject() {
   preValue();
   Out += '{';
   Stack.push_back({false, true});
+  return true;
 }
 
-void JsonEncoder::endObject() {
+bool JsonEncoder::endObject() {
   assert(!Stack.empty() && !Stack.back().IsArray);
   Stack.pop_back();
   Out += '}';
+  return true;
 }
 
-void JsonEncoder::beginArray(uint64_t Count) {
-  (void)Count;
+bool JsonEncoder::beginArray(uint64_t) {
   preValue();
   Out += '[';
   Stack.push_back({true, true});
+  return true;
 }
 
-void JsonEncoder::endArray() {
+bool JsonEncoder::endArray() {
   assert(!Stack.empty() && Stack.back().IsArray);
   Stack.pop_back();
   Out += ']';
+  return true;
 }
 
-void JsonEncoder::key(const char *K) {
+bool JsonEncoder::key(const char *K) {
   assert(!Stack.empty() && !Stack.back().IsArray);
   if (!Stack.back().First)
     Out += ',';
@@ -81,36 +84,40 @@ void JsonEncoder::key(const char *K) {
   Out += K; // Schema keys are plain ASCII identifiers: no escaping.
   Out += "\":";
   AfterKey = true;
+  return true;
 }
 
-void JsonEncoder::u64(uint64_t V) {
+bool JsonEncoder::u64(uint64_t V) {
   preValue();
   Out += format("%llu", static_cast<unsigned long long>(V));
+  return true;
 }
 
-void JsonEncoder::i64(int64_t V) {
+bool JsonEncoder::i64(int64_t V) {
   preValue();
   Out += format("%lld", static_cast<long long>(V));
+  return true;
 }
 
-void JsonEncoder::dbl(double V) {
+bool JsonEncoder::dbl(double V) {
   preValue();
   Out += formatDoubleShortest(V);
+  return true;
 }
 
-void JsonEncoder::boolean(bool V) {
+bool JsonEncoder::boolean(bool V) {
   preValue();
   Out += V ? "true" : "false";
+  return true;
 }
 
-void JsonEncoder::str(const std::string &S) {
+bool JsonEncoder::str(const std::string &S) {
   preValue();
   Out += '"';
   Out += jsonEscape(S);
   Out += '"';
+  return true;
 }
-
-void JsonEncoder::str(const char *S) { str(std::string(S)); }
 
 //===----------------------------------------------------------------------===//
 // JsonDecoder

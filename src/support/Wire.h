@@ -5,26 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The codec abstraction behind `analysis/Serialize`: every document
-/// family (shard, improve, report, batch report, telemetry) is written as
-/// ONE schema traversal over the abstract `wire::Encoder` / `wire::Decoder`
-/// interface, and the two backends -- byte-exact JSON (this file) and the
-/// compact HGB binary envelope (`support/WireBinary.h`) -- cannot drift,
-/// because there is no second copy of the schema to drift.
+/// The codec abstraction behind `analysis/Serialize`: every schema element
+/// of every document family (shard, improve, report, batch report,
+/// telemetry, ledger) is written ONCE, as a traversal templated on its
+/// codec and compiled for exactly two: `wire::Encoder` and
+/// `wire::Decoder`. The same code renders and parses, so the field order
+/// written is the field order read, and the two backends -- byte-exact
+/// JSON (this file) and the compact HGB binary envelope
+/// (`support/WireBinary.h`) -- cannot drift either.
 ///
-/// Encoder semantics: the traversal calls `key()` before every object
-/// field value, in the exact order the JSON bytes must appear; the JSON
-/// backend reproduces today's hand-rendered output byte for byte, and the
-/// binary backend ignores keys entirely (field identity is positional).
-/// `present()` marks an optional field (JSON: encoded by field absence;
-/// binary: one presence byte) and `variantTag()` marks a sum-type branch
-/// (JSON: encoded by which keys exist; binary: one varint).
+/// For that the two classes have one shape: the same method names, every
+/// method returning bool (an encoder's always true), and values passed as
+/// `Ref<IO, T>` -- `const T &` when encoding, so a traversal that writes
+/// to what it renders does not compile, and `T &` when decoding. Checks
+/// that only a reader needs sit under `if constexpr (IO::Reads)`.
 ///
-/// Decoder semantics mirror the encoder: the JSON backend resolves `key()`
-/// by name against the parsed DOM (field order independent, unknown fields
-/// ignored -- exactly the old parsers' tolerance), while the binary
-/// backend reads values sequentially in traversal order. All read methods
-/// return false on malformed input and latch a message in `error()`.
+/// `key()` precedes every object field value, in the exact order the JSON
+/// bytes must appear. `present()` marks an optional field (JSON: encoded
+/// by field absence; binary: one presence byte) and `variant()` a
+/// sum-type branch (JSON: encoded by which keys exist; binary: one
+/// varint). The JSON encoder reproduces the historical hand-rendered
+/// bytes; the binary encoder ignores keys (field identity is positional).
+///
+/// The JSON decoder resolves `key()` by name against the parsed DOM
+/// (field order independent, unknown fields ignored), while the binary
+/// decoder reads values sequentially in traversal order. Every decoder
+/// method returns false on malformed input and latches a message in
+/// `error()`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +42,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace herbgrind {
@@ -61,36 +69,42 @@ const char *familyName(Family F);
 
 class Encoder {
 public:
+  static constexpr bool Reads = false;
+
   virtual ~Encoder() = default;
 
-  virtual void beginObject() = 0;
-  virtual void endObject() = 0;
+  virtual bool beginObject() = 0;
+  virtual bool endObject() = 0;
   /// Arrays carry their element count up front (the binary backend is
   /// length-prefixed; the JSON backend ignores \p Count).
-  virtual void beginArray(uint64_t Count) = 0;
-  virtual void endArray() = 0;
+  virtual bool beginArray(uint64_t Count) = 0;
+  /// Precedes each array element (a no-op: commas are the JSON backend's
+  /// own business).
+  bool element() { return true; }
+  virtual bool endArray() = 0;
   /// Announces the next object field. Must precede every value inside an
   /// object, in the order the JSON output requires.
-  virtual void key(const char *K) = 0;
+  virtual bool key(const char *K) = 0;
 
-  virtual void u64(uint64_t V) = 0;
-  virtual void i64(int64_t V) = 0;
+  virtual bool u64(uint64_t V) = 0;
+  virtual bool i64(int64_t V) = 0;
   /// Doubles are bit-preserving in both backends: shortest round-trip
   /// decimals in JSON, raw IEEE-754 bytes in binary.
-  virtual void dbl(double V) = 0;
-  virtual void boolean(bool V) = 0;
-  virtual void str(const std::string &S) = 0;
-  virtual void str(const char *S) = 0;
+  virtual bool dbl(double V) = 0;
+  virtual bool boolean(bool V) = 0;
+  virtual bool str(const std::string &S) = 0;
 
-  /// Marks whether the optional field that follows is present. JSON
-  /// encodes presence by emitting or omitting the field; binary writes
-  /// one byte. The traversal still guards the field itself with `if`.
-  virtual void present(bool P) = 0;
-  /// Marks which branch of a sum type follows. JSON encodes the branch
-  /// by which keys exist; binary writes a varint.
-  virtual void variantTag(unsigned Tag) = 0;
+  /// Marks whether optional field \p Key follows. JSON encodes presence
+  /// by emitting or omitting the field; binary writes one byte. The
+  /// traversal still guards the field itself with `if`.
+  virtual bool present(const char *Key, bool P) = 0;
+  /// Marks which branch of a sum type follows: \p Tag indexes \p Keys,
+  /// or is NumKeys for the default branch. JSON encodes the branch by
+  /// which keys exist; binary writes a varint.
+  virtual bool variant(const char *const *Keys, unsigned NumKeys,
+                       unsigned Tag) = 0;
 
-  void u32(uint32_t V) { u64(V); }
+  bool u32(uint32_t V) { return u64(V); }
 };
 
 //===----------------------------------------------------------------------===//
@@ -99,6 +113,8 @@ public:
 
 class Decoder {
 public:
+  static constexpr bool Reads = true;
+
   virtual ~Decoder() = default;
 
   virtual bool beginObject() = 0;
@@ -158,6 +174,11 @@ protected:
   std::string Err;
 };
 
+/// What a traversal over codec \p IO sees of a \p T: read-only when
+/// encoding, writable when decoding.
+template <class IO, class T>
+using Ref = std::conditional_t<IO::Reads, T &, const T &>;
+
 //===----------------------------------------------------------------------===//
 // JSON backend
 //===----------------------------------------------------------------------===//
@@ -167,19 +188,20 @@ protected:
 /// doubles, bare NAN/INFINITY tokens, no whitespace).
 class JsonEncoder : public Encoder {
 public:
-  void beginObject() override;
-  void endObject() override;
-  void beginArray(uint64_t Count) override;
-  void endArray() override;
-  void key(const char *K) override;
-  void u64(uint64_t V) override;
-  void i64(int64_t V) override;
-  void dbl(double V) override;
-  void boolean(bool V) override;
-  void str(const std::string &S) override;
-  void str(const char *S) override;
-  void present(bool P) override {}
-  void variantTag(unsigned Tag) override {}
+  bool beginObject() override;
+  bool endObject() override;
+  bool beginArray(uint64_t Count) override;
+  bool endArray() override;
+  bool key(const char *K) override;
+  bool u64(uint64_t V) override;
+  bool i64(int64_t V) override;
+  bool dbl(double V) override;
+  bool boolean(bool V) override;
+  bool str(const std::string &S) override;
+  bool present(const char *, bool) override { return true; }
+  bool variant(const char *const *, unsigned, unsigned) override {
+    return true;
+  }
 
   std::string take() { return std::move(Out); }
   const std::string &text() const { return Out; }

@@ -223,37 +223,34 @@ std::string BinaryEncoder::take() {
   return Res;
 }
 
-void BinaryEncoder::varint(uint64_t V) {
-  while (V >= 0x80) {
-    Out += static_cast<char>((V & 0x7f) | 0x80);
-    V >>= 7;
-  }
-  Out += static_cast<char>(V);
+bool BinaryEncoder::varint(uint64_t V) {
+  appendVarint(Out, V);
+  return true;
 }
 
-void BinaryEncoder::i64(int64_t V) {
+bool BinaryEncoder::i64(int64_t V) {
   // Zigzag: small magnitudes of either sign stay small on the wire.
-  varint((static_cast<uint64_t>(V) << 1) ^
-         static_cast<uint64_t>(V >> 63));
+  return varint((static_cast<uint64_t>(V) << 1) ^
+                static_cast<uint64_t>(V >> 63));
 }
 
-void BinaryEncoder::dbl(double V) {
+bool BinaryEncoder::dbl(double V) {
   uint64_t Bits;
   std::memcpy(&Bits, &V, sizeof(Bits));
   for (int I = 0; I < 8; ++I)
     Out += static_cast<char>((Bits >> (8 * I)) & 0xff);
+  return true;
 }
 
-void BinaryEncoder::str(const std::string &S) {
+bool BinaryEncoder::str(const std::string &S) {
   auto It = Intern.find(S);
-  if (It != Intern.end()) {
-    varint(It->second);
-    return;
-  }
+  if (It != Intern.end())
+    return varint(It->second);
   varint(0);
   varint(S.size());
   Out += S;
   Intern.emplace(S, static_cast<uint32_t>(Intern.size() + 1));
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

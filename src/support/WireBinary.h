@@ -71,26 +71,31 @@ public:
   /// Writes the HGB header for \p F at version \p Major.\p Minor.
   BinaryEncoder(Family F, int Major, int Minor);
 
-  void beginObject() override {}
-  void endObject() override {}
-  void beginArray(uint64_t Count) override { varint(Count); }
-  void endArray() override {}
-  void key(const char *K) override {}
-  void u64(uint64_t V) override { varint(V); }
-  void i64(int64_t V) override;
-  void dbl(double V) override;
-  void boolean(bool V) override { Out += static_cast<char>(V ? 1 : 0); }
-  void str(const std::string &S) override;
-  void str(const char *S) override { str(std::string(S)); }
-  void present(bool P) override { Out += static_cast<char>(P ? 1 : 0); }
-  void variantTag(unsigned Tag) override { varint(Tag); }
+  bool beginObject() override { return true; }
+  bool endObject() override { return true; }
+  bool beginArray(uint64_t Count) override { return varint(Count); }
+  bool endArray() override { return true; }
+  bool key(const char *) override { return true; }
+  bool u64(uint64_t V) override { return varint(V); }
+  bool i64(int64_t V) override;
+  bool dbl(double V) override;
+  bool boolean(bool V) override { return byte(V); }
+  bool str(const std::string &S) override;
+  bool present(const char *, bool P) override { return byte(P); }
+  bool variant(const char *const *, unsigned, unsigned Tag) override {
+    return varint(Tag);
+  }
 
   /// Finalizes the document: picks the body codec (LZSS when it shrinks
   /// the body, raw otherwise) and returns header + codec byte + body.
   std::string take();
 
 private:
-  void varint(uint64_t V);
+  bool varint(uint64_t V);
+  bool byte(bool B) {
+    Out += static_cast<char>(B ? 1 : 0);
+    return true;
+  }
 
   std::string Out;
   size_t HeaderLen = 0; ///< Bytes of Out occupied by the HGB header.

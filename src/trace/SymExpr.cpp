@@ -45,6 +45,7 @@ std::unique_ptr<SymExpr> SymExpr::clone() const {
   E->ConstVal = ConstVal;
   E->VarIdx = VarIdx;
   E->Site = Site;
+  E->Kids.reserve(Kids.size());
   for (const auto &Kid : Kids)
     E->Kids.push_back(Kid->clone());
   return E;
@@ -104,6 +105,7 @@ static std::unique_ptr<SymExpr> symbolizeRec(TraceNode *Trace) {
   if (Trace->Kind == TraceNode::TNKind::Leaf)
     return SymExpr::makeConst(Trace->Value);
   auto E = SymExpr::makeOp(Trace->Op, Trace->Site);
+  E->Kids.reserve(Trace->NumKids);
   for (unsigned I = 0; I < Trace->NumKids; ++I)
     E->Kids.push_back(symbolizeRec(Trace->Kids[I]));
   return E;
@@ -350,6 +352,7 @@ struct ExprMerger {
   std::unique_ptr<SymExpr> rebuild(const SymExpr *SA, const SymExpr *SB) {
     if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
       auto E = SymExpr::makeOp(SA->Op, SA->Site);
+      E->Kids.reserve(SA->Kids.size());
       for (size_t I = 0; I < SA->Kids.size(); ++I)
         E->Kids.push_back(rebuild(SA->Kids[I].get(), SB->Kids[I].get()));
       return E;

@@ -60,18 +60,21 @@ AnalysisResult analyzeChunk(const Program &P,
   return HG.snapshot();
 }
 
-/// render -> parse -> assert both re-render identity and report identity.
+/// render -> parse -> assert both re-render identity and report identity,
+/// through a shard document in each encoding; returns the JSON parse.
 AnalysisResult roundTrip(const AnalysisResult &R, const std::string &Ctx) {
-  std::string Json = renderAnalysisResultJson(R);
-  JsonParseResult Parsed = parseJson(Json);
-  EXPECT_TRUE(Parsed.Ok) << Ctx << ": " << Parsed.Error;
   AnalysisResult Back;
-  std::string Err;
-  EXPECT_TRUE(parseAnalysisResultJson(Parsed.Value, Back, Err))
-      << Ctx << ": " << Err;
-  EXPECT_EQ(renderAnalysisResultJson(Back), Json) << Ctx;
-  EXPECT_EQ(buildReport(Back).renderJson(), buildReport(R).renderJson())
-      << Ctx;
+  for (WireEncoding Enc : {WireEncoding::Binary, WireEncoding::Json}) {
+    std::string Text = renderShard("h", "b", 0, 0, 0, 1, R, Enc);
+    ShardDoc Doc;
+    std::string Err;
+    EXPECT_TRUE(parseShard(Text, Doc, Err)) << Ctx << ": " << Err;
+    EXPECT_EQ(renderShard(Doc, Enc), Text) << Ctx;
+    EXPECT_EQ(buildReport(Doc.Result).renderJson(),
+              buildReport(R).renderJson())
+        << Ctx;
+    Back = std::move(Doc.Result);
+  }
   return Back;
 }
 
@@ -278,7 +281,7 @@ TEST(Serialize, ShardDocRoundTrips) {
   Doc.RunBegin = 14;
   Doc.RunEnd = 17;
   Doc.Result = analyzeChunk(P, Inputs, 0, 3);
-  std::string Json = renderShardJson(Doc);
+  std::string Json = renderShard(Doc, WireEncoding::Json);
 
   ShardDoc Back;
   std::string Err;
@@ -289,14 +292,15 @@ TEST(Serialize, ShardDocRoundTrips) {
   EXPECT_EQ(Back.ShardIndex, 7u);
   EXPECT_EQ(Back.RunBegin, 14u);
   EXPECT_EQ(Back.RunEnd, 17u);
-  EXPECT_EQ(renderShardJson(Back), Json);
+  EXPECT_EQ(renderShard(Back, WireEncoding::Json), Json);
 }
 
 TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
   Program P = cancellationKernel();
   std::vector<std::vector<double>> Inputs = {{1e15}};
-  std::string Json = renderShardJson("hash", "b", 0, 0, 0, 1,
-                                     analyzeChunk(P, Inputs, 0, 1));
+  std::string Json = renderShard("hash", "b", 0, 0, 0, 1,
+                                 analyzeChunk(P, Inputs, 0, 1),
+                                 WireEncoding::Json);
 
   // A future major version must be refused, not misread.
   std::string Bumped = Json;
@@ -472,18 +476,19 @@ TEST(Serialize, ImproveDocRoundTripsAndRejectsForeignEnvelopes) {
   Doc.Record.HadSignificantError = true;
   Doc.Record.Improved = true;
 
-  std::string Json = renderImproveDocJson(Doc);
+  std::string Json = renderImproveDoc(Doc, WireEncoding::Json);
   ImproveDoc Back;
   std::string Err;
   ASSERT_TRUE(parseImproveDoc(Json, Back, Err)) << Err;
-  EXPECT_EQ(renderImproveDocJson(Back), Json);
+  EXPECT_EQ(renderImproveDoc(Back, WireEncoding::Json), Json);
   EXPECT_EQ(Back.Record.Rewritten, Doc.Record.Rewritten);
   EXPECT_EQ(Back.Record.ErrorBefore, Doc.Record.ErrorBefore);
 
   // Wrong format tag and unknown major are both rejected.
   ImproveDoc Out;
   EXPECT_FALSE(parseImproveDoc(
-      renderShardJson("h", "b", 0, 0, 0, 1, AnalysisResult{}), Out, Err));
+      renderShard("h", "b", 0, 0, 0, 1, AnalysisResult{}, WireEncoding::Json),
+      Out, Err));
   std::string Bumped = Json;
   std::string Needle = format("\"major\":%d", WireFormatMajor);
   Bumped.replace(Bumped.find(Needle), Needle.size(),
@@ -513,32 +518,37 @@ TEST(Serialize, EveryEnvelopedFamilyRejectsForeignDocuments) {
   LedgerEntry Ledger;
   Ledger.Host = "h";
   const std::vector<Family> Families = {
-      {"herbgrind-shard", "shard", WireFormatMajor, renderShardBinary(Shard),
-       renderShardJson(Shard),
+      {"herbgrind-shard", "shard", WireFormatMajor,
+       renderShard(Shard, WireEncoding::Binary),
+       renderShard(Shard, WireEncoding::Json),
        [](const std::string &T, std::string &E) {
          ShardDoc D;
          return parseShard(T, D, E);
        }},
       {"herbgrind-improve", "improve", WireFormatMajor,
-       renderImproveDocBinary(Improve), renderImproveDocJson(Improve),
+       renderImproveDoc(Improve, WireEncoding::Binary),
+       renderImproveDoc(Improve, WireEncoding::Json),
        [](const std::string &T, std::string &E) {
          ImproveDoc D;
          return parseImproveDoc(T, D, E);
        }},
       {"herbgrind-report", "batch report", WireFormatMajor,
-       renderBatchReportBinary(Batch), renderBatchReportJson(Batch),
+       renderBatchReport(Batch, WireEncoding::Binary),
+       renderBatchReport(Batch, WireEncoding::Json),
        [](const std::string &T, std::string &E) {
          BatchReportDoc D;
          return parseBatchReport(T, D, E);
        }},
       {"herbgrind-telemetry", "telemetry", TelemetryFormatMajor,
-       renderTelemetryBinary(Telemetry), renderTelemetryJson(Telemetry),
+       renderTelemetry(Telemetry, WireEncoding::Binary),
+       renderTelemetry(Telemetry, WireEncoding::Json),
        [](const std::string &T, std::string &E) {
          TelemetryDoc D;
          return parseTelemetry(T, D, E);
        }},
       {"herbgrind-ledger", "ledger", LedgerFormatMajor,
-       renderLedgerEntryBinary(Ledger), renderLedgerEntryJson(Ledger),
+       renderLedgerEntry(Ledger, WireEncoding::Binary),
+       renderLedgerEntry(Ledger, WireEncoding::Json),
        [](const std::string &T, std::string &E) {
          LedgerEntry D;
          return parseLedgerEntry(T, D, E);
@@ -583,6 +593,99 @@ TEST(Serialize, EveryEnvelopedFamilyRejectsForeignDocuments) {
     Rejects(OtherTag, Foreign);
     Rejects("[" + F.Json + "]",
             std::string(F.Ctx) + " document is not an object");
+  }
+}
+
+TEST(Serialize, SchemaRejectionsKeepTheirExactText) {
+  // One real document per schema, each mutated at one field; the parse
+  // must fail with exactly the text `json2hgb` prints for that fault.
+  Program P = cancellationKernel();
+  std::vector<std::vector<double>> Inputs = {{1e16}, {2.5e17}, {3.7e18}};
+  ShardDoc Shard;
+  Shard.ConfigHash = "h";
+  Shard.RunBegin = 5;
+  Shard.RunEnd = 8;
+  Shard.Result = analyzeChunk(P, Inputs, 0, 3);
+  ASSERT_GE(Shard.Result.Ops.size(), 2u);
+  const uint32_t FirstPC = Shard.Result.Ops.begin()->first;
+  const uint32_t SecondPC = std::next(Shard.Result.Ops.begin())->first;
+  const std::string ShardJson = renderShard(Shard, WireEncoding::Json);
+  const std::string ReportJson = buildReport(Shard.Result).renderJson();
+
+  TelemetryDoc Tel;
+  metrics::TimerSample Timer;
+  Timer.Name = "engine.shard_ns";
+  Timer.Count = 1;
+  Tel.Metrics.Timers.push_back(Timer);
+  opprof::OpProfileRow Row;
+  Row.Op = Opcode::AddF64;
+  Tel.Profile.push_back(Row);
+  const std::string TelJson = renderTelemetry(Tel, WireEncoding::Json);
+  LedgerEntry Ledger;
+  Ledger.PoolSteals = 3;
+  const std::string LedgerJson = renderLedgerEntry(Ledger, WireEncoding::Json);
+
+  auto Shards = [](const std::string &T, std::string &E) {
+    ShardDoc D;
+    return parseShard(T, D, E);
+  };
+  auto Reports = [](const std::string &T, std::string &E) {
+    Report D;
+    return parseReportDoc(T, D, E);
+  };
+  auto Telemetry = [](const std::string &T, std::string &E) {
+    TelemetryDoc D;
+    return parseTelemetry(T, D, E);
+  };
+  auto Ledgers = [](const std::string &T, std::string &E) {
+    LedgerEntry D;
+    return parseLedgerEntry(T, D, E);
+  };
+  struct Case {
+    const std::string &Doc;
+    std::string From, To; ///< The first From in Doc becomes To.
+    std::function<bool(const std::string &, std::string &)> Parse;
+    std::string Want;
+  };
+  const Case Cases[] = {
+      {ShardJson, "\"op\":\"add.f64\",\"loc\"", "\"op\":\"nop.f64\",\"loc\"",
+       Shards, "op record: unknown opcode 'nop.f64'"},
+      {ShardJson, "\"op\":\"add.f64\",\"site\"",
+       "\"op\":\"nop.f64\",\"site\"", Shards,
+       "expr: unknown opcode 'nop.f64'"},
+      {ShardJson, "\"kind\":\"Output\"", "\"kind\":\"Input\"", Shards,
+       "spot record: unknown kind 'Input'"},
+      {ShardJson, "\"ranges\":\"sign-split\"", "\"ranges\":\"split\"", Shards,
+       "result: unknown range mode 'split'"},
+      {ReportJson, "\"kind\":\"Output\"", "\"kind\":\"Input\"", Reports,
+       "report: unknown spot kind 'Input'"},
+      {TelJson, "\"op\":\"add.f64\"", "\"op\":\"nop.f64\"", Telemetry,
+       "telemetry profile row: unknown opcode 'nop.f64'"},
+      {ShardJson, format("{\"pc\":%u,\"op\"", SecondPC),
+       format("{\"pc\":%u,\"op\"", FirstPC), Shards,
+       format("result: duplicate op record for pc %u", FirstPC)},
+      {ShardJson, "\"runEnd\":8", "\"runEnd\":0", Shards,
+       "shard: runEnd (0) precedes runBegin (5)"},
+      {TelJson, "\"buckets\":[0,", "\"buckets\":[", Telemetry,
+       "metrics timer 'engine.shard_ns': expected 32 buckets, got 31"},
+      {ShardJson, "\"range\":[", "\"range\":[0,", Shards,
+       "varSummary: field 'range' not a [lo, hi] number pair"},
+      {ShardJson, "\"executions\":", "\"executions\":\"1\",\"_\":", Shards,
+       "op record: field 'executions' missing or not a number"},
+      {ShardJson, "\"flagged\":", "\"flagged\":-1,\"_\":", Shards,
+       "op record: field 'flagged' must be a non-negative integer"},
+      {LedgerJson, "\"poolSteals\":3", "\"poolSteals\":\"3\"", Ledgers,
+       "ledger stats: field 'poolSteals' missing or not a number"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Want);
+    std::string Doc = C.Doc, Err;
+    ASSERT_TRUE(C.Parse(Doc, Err)) << Err;
+    size_t At = Doc.find(C.From);
+    ASSERT_NE(At, std::string::npos) << C.From;
+    Doc.replace(At, C.From.size(), C.To);
+    EXPECT_FALSE(C.Parse(Doc, Err));
+    EXPECT_EQ(Err, C.Want);
   }
 }
 
@@ -904,14 +1007,14 @@ TEST(Serialize, TelemetryDocumentRoundTripsAndKeepsItsOwnVersion) {
   Doc.Profile.push_back(Row);
   Doc.ProfileTotalNanos = 1000000;
 
-  std::string Json = renderTelemetryJson(Doc);
+  std::string Json = renderTelemetry(Doc, WireEncoding::Json);
   EXPECT_NE(Json.find("\"format\":\"herbgrind-telemetry\""),
             std::string::npos);
 
   TelemetryDoc Back;
   std::string Err;
   ASSERT_TRUE(parseTelemetry(Json, Back, Err)) << Err;
-  EXPECT_EQ(renderTelemetryJson(Back), Json);
+  EXPECT_EQ(renderTelemetry(Back, WireEncoding::Json), Json);
   ASSERT_EQ(Back.Profile.size(), 1u);
   EXPECT_EQ(Back.Profile[0].Op, Opcode::SqrtF64);
   EXPECT_EQ(Back.Profile[0].Loc.str(), "quad.cpp:17 in quadratic");

@@ -440,7 +440,7 @@ TEST_F(TelemetryTest, TelemetryDocRoundTripsByteIdentically) {
   Doc.Profile.push_back(Row);
   Doc.ProfileTotalNanos = 12345;
 
-  std::string Json = renderTelemetryJson(Doc);
+  std::string Json = renderTelemetry(Doc, WireEncoding::Json);
   TelemetryDoc Back;
   std::string Err;
   ASSERT_TRUE(parseTelemetry(Json, Back, Err)) << Err;
@@ -460,13 +460,13 @@ TEST_F(TelemetryTest, TelemetryDocRoundTripsByteIdentically) {
   EXPECT_EQ(Back.ProfileTotalNanos, 12345u);
 
   // parse(render(x)) re-renders byte-identically.
-  EXPECT_EQ(renderTelemetryJson(Back), Json);
+  EXPECT_EQ(renderTelemetry(Back, WireEncoding::Json), Json);
 }
 
 TEST_F(TelemetryTest, TelemetryDocRejectsUnknownMajorAndGarbage) {
   TelemetryDoc Doc;
   Doc.Metrics = metrics::snapshot();
-  std::string Json = renderTelemetryJson(Doc);
+  std::string Json = renderTelemetry(Doc, WireEncoding::Json);
 
   std::string Needle = format("\"major\":%d", TelemetryFormatMajor);
   size_t At = Json.find(Needle);
@@ -705,7 +705,7 @@ TEST_F(TelemetryTest, SnapshotMergeIsCommutativeAssociativeWithEmptyIdentity) {
   auto Render = [](const metrics::Snapshot &S) {
     TelemetryDoc D;
     D.Metrics = S;
-    return renderTelemetryJson(D);
+    return renderTelemetry(D, WireEncoding::Json);
   };
   metrics::Snapshot X = Make(1, 10, 100), Y = Make(2, 20, 200),
                     Z = Make(4, 40, 400);
@@ -796,8 +796,8 @@ TEST_F(TelemetryTest, MergeTelemetryFoldsMixedFormatsOrderIndependently) {
   B.ProfileTotalNanos = 400;
 
   // One sidecar JSON, the other HGB: a merge must sniff per document.
-  std::string JsonA = renderTelemetryJson(A);
-  std::string BinB = renderTelemetryBinary(B);
+  std::string JsonA = renderTelemetry(A, WireEncoding::Json);
+  std::string BinB = renderTelemetry(B, WireEncoding::Binary);
 
   TelemetryDoc AB, BA;
   std::string Err;
@@ -813,7 +813,8 @@ TEST_F(TelemetryTest, MergeTelemetryFoldsMixedFormatsOrderIndependently) {
   // writes), which is exactly what makes the merge byte-deterministic:
   EXPECT_EQ(AB.Meta.Host, "");
   EXPECT_EQ(AB.Meta.Timestamp, "");
-  EXPECT_EQ(renderTelemetryJson(AB), renderTelemetryJson(BA));
+  EXPECT_EQ(renderTelemetry(AB, WireEncoding::Json),
+            renderTelemetry(BA, WireEncoding::Json));
 
   // An unparseable member fails the merge loudly, naming the document.
   TelemetryDoc Bad;
@@ -830,7 +831,7 @@ TEST_F(TelemetryTest, TelemetryMetaRoundTripsAndMinor0DocsStillParse) {
   Doc.Meta.Timestamp = "2026-08-08T12:00:00Z";
   Doc.Meta.MergedDocs = 3;
 
-  std::string Json = renderTelemetryJson(Doc);
+  std::string Json = renderTelemetry(Doc, WireEncoding::Json);
   EXPECT_NE(Json.find("\"meta\":{\"host\":\"hostname-1\""), std::string::npos);
   TelemetryDoc Back;
   std::string Err;
@@ -838,18 +839,18 @@ TEST_F(TelemetryTest, TelemetryMetaRoundTripsAndMinor0DocsStillParse) {
   EXPECT_TRUE(Back.HasMeta);
   EXPECT_EQ(Back.Meta.Host, "hostname-1");
   EXPECT_EQ(Back.Meta.MergedDocs, 3u);
-  EXPECT_EQ(renderTelemetryJson(Back), Json);
+  EXPECT_EQ(renderTelemetry(Back, WireEncoding::Json), Json);
 
-  std::string Bin = renderTelemetryBinary(Doc);
+  std::string Bin = renderTelemetry(Doc, WireEncoding::Binary);
   TelemetryDoc BinBack;
   ASSERT_TRUE(parseTelemetry(Bin, BinBack, Err)) << Err;
-  EXPECT_EQ(renderTelemetryJson(BinBack), Json);
+  EXPECT_EQ(renderTelemetry(BinBack, WireEncoding::Json), Json);
 
   // A pre-meta (minor 0) JSON document -- no meta field, version.minor 0
   // -- still parses; the reader treats meta as absent.
   TelemetryDoc Old;
   Old.Metrics.Counters = {makeCounter("c", 1)};
-  std::string OldJson = renderTelemetryJson(Old);
+  std::string OldJson = renderTelemetry(Old, WireEncoding::Json);
   std::string Needle = format("\"minor\":%d", TelemetryFormatMinor);
   size_t At = OldJson.find(Needle);
   ASSERT_NE(At, std::string::npos);
@@ -862,7 +863,7 @@ TEST_F(TelemetryTest, TelemetryMetaRoundTripsAndMinor0DocsStillParse) {
   // presence byte at all. Craft one by patching the header's minor
   // varint and dropping the presence byte (the header is magic + three
   // single-byte varints + the codec byte; the tiny body stays raw).
-  std::string OldBin = renderTelemetryBinary(Old);
+  std::string OldBin = renderTelemetry(Old, WireEncoding::Binary);
   ASSERT_GT(OldBin.size(), 9u);
   ASSERT_EQ(static_cast<unsigned char>(OldBin[6]),
             static_cast<unsigned char>(TelemetryFormatMinor));
@@ -950,22 +951,22 @@ TEST_F(TelemetryTest, LedgerEntryRoundTripsByteIdenticallyInBothFormats) {
   E.WallSeconds = 1.25;
   E.Metrics.Counters = {makeCounter("engine.runs", 192)};
 
-  std::string Json = renderLedgerEntryJson(E);
+  std::string Json = renderLedgerEntry(E, WireEncoding::Json);
   LedgerEntry Back;
   std::string Err;
   ASSERT_TRUE(parseLedgerEntry(Json, Back, Err)) << Err;
-  EXPECT_EQ(renderLedgerEntryJson(Back), Json);
+  EXPECT_EQ(renderLedgerEntry(Back, WireEncoding::Json), Json);
   EXPECT_EQ(Back.Host, "ci-host");
   EXPECT_EQ(Back.TimestampNanos, 1700000000123456789ull);
   EXPECT_EQ(Back.EscalatedRuns, 64u);
   EXPECT_EQ(Back.WallSeconds, 1.25);
   EXPECT_EQ(Back.Metrics.counterValue("engine.runs"), 192u);
 
-  std::string Bin = renderLedgerEntryBinary(E);
+  std::string Bin = renderLedgerEntry(E, WireEncoding::Binary);
   LedgerEntry BinBack;
   ASSERT_TRUE(parseLedgerEntry(Bin, BinBack, Err)) << Err;
-  EXPECT_EQ(renderLedgerEntryJson(BinBack), Json);
-  EXPECT_EQ(renderLedgerEntryBinary(BinBack), Bin);
+  EXPECT_EQ(renderLedgerEntry(BinBack, WireEncoding::Json), Json);
+  EXPECT_EQ(renderLedgerEntry(BinBack, WireEncoding::Binary), Bin);
 
   // Unknown major versions are rejected in both encodings.
   std::string Needle = format("\"major\":%d", LedgerFormatMajor);
@@ -994,7 +995,7 @@ TEST_F(TelemetryTest, LedgerAppendListsChronologicallyAndMixesFormats) {
   // An HGB entry (from an older writer, or converted by json2hgb) lists
   // alongside the JSON ones.
   std::ofstream(Dir.Path + "/entry-1000-1.hgb", std::ios::binary)
-      << renderLedgerEntryBinary(E2);
+      << renderLedgerEntry(E2, WireEncoding::Binary);
 
   std::vector<LedgerEntry> Entries;
   std::vector<std::string> Paths;

@@ -123,8 +123,8 @@ void spew(const std::string &Path, const std::string &Text) {
 
 TEST(WireBinary, ShardDocumentRoundTripsAndCrossRenders) {
   ShardDoc Doc = sampleShard();
-  std::string Json = renderShardJson(Doc);
-  std::string Bin = renderShardBinary(Doc);
+  std::string Json = renderShard(Doc, WireEncoding::Json);
+  std::string Bin = renderShard(Doc, WireEncoding::Binary);
   ASSERT_TRUE(wire::isBinary(Bin));
   ASSERT_FALSE(wire::isBinary(Json));
   EXPECT_LT(Bin.size(), Json.size());
@@ -136,18 +136,14 @@ TEST(WireBinary, ShardDocumentRoundTripsAndCrossRenders) {
 
   // Both parses re-render byte-identically in BOTH formats: the binary
   // path loses nothing the JSON path carries, and vice versa.
-  EXPECT_EQ(renderShardJson(FromBin), Json);
-  EXPECT_EQ(renderShardJson(FromJson), Json);
-  EXPECT_EQ(renderShardBinary(FromBin), Bin);
-  EXPECT_EQ(renderShardBinary(FromJson), Bin);
-
-  // The renderShard dispatcher agrees with the direct renders.
-  EXPECT_EQ(renderShard(Doc, WireEncoding::Json), Json);
-  EXPECT_EQ(renderShard(Doc, WireEncoding::Binary), Bin);
+  EXPECT_EQ(renderShard(FromBin, WireEncoding::Json), Json);
+  EXPECT_EQ(renderShard(FromJson, WireEncoding::Json), Json);
+  EXPECT_EQ(renderShard(FromBin, WireEncoding::Binary), Bin);
+  EXPECT_EQ(renderShard(FromJson, WireEncoding::Binary), Bin);
 }
 
 TEST(WireBinary, SniffedHeaderCarriesFamilyAndVersion) {
-  std::string Bin = renderShardBinary(sampleShard());
+  std::string Bin = renderShard(sampleShard(), WireEncoding::Binary);
   wire::BinaryDecoder D(Bin);
   ASSERT_TRUE(D.ok()) << D.error();
   EXPECT_EQ(D.family(), wire::Family::Shard);
@@ -168,15 +164,15 @@ TEST(WireBinary, ImproveDocumentRoundTripsAndCrossRenders) {
   Doc.Record.HadSignificantError = true;
   Doc.Record.Improved = true;
 
-  std::string Json = renderImproveDocJson(Doc);
-  std::string Bin = renderImproveDocBinary(Doc);
+  std::string Json = renderImproveDoc(Doc, WireEncoding::Json);
+  std::string Bin = renderImproveDoc(Doc, WireEncoding::Binary);
   ImproveDoc Back;
   std::string Err;
   ASSERT_TRUE(parseImproveDoc(Bin, Back, Err)) << Err;
-  EXPECT_EQ(renderImproveDocJson(Back), Json);
-  EXPECT_EQ(renderImproveDocBinary(Back), Bin);
+  EXPECT_EQ(renderImproveDoc(Back, WireEncoding::Json), Json);
+  EXPECT_EQ(renderImproveDoc(Back, WireEncoding::Binary), Bin);
   ASSERT_TRUE(parseImproveDoc(Json, Back, Err)) << Err;
-  EXPECT_EQ(renderImproveDocBinary(Back), Bin);
+  EXPECT_EQ(renderImproveDoc(Back, WireEncoding::Binary), Bin);
 }
 
 TEST(WireBinary, BatchReportAndTelemetryRoundTripCorpusWide) {
@@ -194,21 +190,21 @@ TEST(WireBinary, BatchReportAndTelemetryRoundTripCorpusWide) {
   BatchReportDoc Doc;
   std::string Err;
   ASSERT_TRUE(parseBatchReport(Bin, Doc, Err)) << Err;
-  EXPECT_EQ(renderBatchReportJson(Doc), Json);
-  EXPECT_EQ(renderBatchReportBinary(Doc), Bin);
+  EXPECT_EQ(renderBatchReport(Doc, WireEncoding::Json), Json);
+  EXPECT_EQ(renderBatchReport(Doc, WireEncoding::Binary), Bin);
   BatchReportDoc Doc2;
   ASSERT_TRUE(parseBatchReport(Json, Doc2, Err)) << Err;
-  EXPECT_EQ(renderBatchReportBinary(Doc2), Bin);
+  EXPECT_EQ(renderBatchReport(Doc2, WireEncoding::Binary), Bin);
 
   // Telemetry rides the same codec with its own family and version.
   TelemetryDoc Tel;
   Tel.Metrics = metrics::snapshot();
-  std::string TelJson = renderTelemetryJson(Tel);
-  std::string TelBin = renderTelemetryBinary(Tel);
+  std::string TelJson = renderTelemetry(Tel, WireEncoding::Json);
+  std::string TelBin = renderTelemetry(Tel, WireEncoding::Binary);
   TelemetryDoc TelBack;
   ASSERT_TRUE(parseTelemetry(TelBin, TelBack, Err)) << Err;
-  EXPECT_EQ(renderTelemetryJson(TelBack), TelJson);
-  EXPECT_EQ(renderTelemetryBinary(TelBack), TelBin);
+  EXPECT_EQ(renderTelemetry(TelBack, WireEncoding::Json), TelJson);
+  EXPECT_EQ(renderTelemetry(TelBack, WireEncoding::Binary), TelBin);
   wire::BinaryDecoder D(TelBin);
   ASSERT_TRUE(D.ok()) << D.error();
   EXPECT_EQ(D.family(), wire::Family::Telemetry);
@@ -220,16 +216,16 @@ TEST(WireBinary, BareReportRoundTripsAndCrossRenders) {
   Report R = buildReport(Doc.Result);
   ASSERT_FALSE(R.Spots.empty());
   std::string Json = R.renderJson();
-  std::string Bin = renderReportBinary(R);
+  std::string Bin = renderReport(R, WireEncoding::Binary);
 
   Report Back;
   std::string Err;
   ASSERT_TRUE(parseReportDoc(Bin, Back, Err)) << Err;
   EXPECT_EQ(Back.renderJson(), Json);
-  EXPECT_EQ(renderReportBinary(Back), Bin);
+  EXPECT_EQ(renderReport(Back, WireEncoding::Binary), Bin);
   Report Back2;
   ASSERT_TRUE(parseReportDoc(Json, Back2, Err)) << Err;
-  EXPECT_EQ(renderReportBinary(Back2), Bin);
+  EXPECT_EQ(renderReport(Back2, WireEncoding::Binary), Bin);
 }
 
 TEST(WireBinary, ConvertWireDocRewritesEveryFamily) {
@@ -253,12 +249,17 @@ TEST(WireBinary, ConvertWireDocRewritesEveryFamily) {
   // Per-sweep documents carry the CLI's trailing newline as JSON;
   // per-shard documents do not.
   const std::pair<std::string, std::string> Docs[] = {
-      {renderShardJson(Shard), renderShardBinary(Shard)},
-      {renderImproveDocJson(Imp), renderImproveDocBinary(Imp)},
-      {Rep.renderJson() + "\n", renderReportBinary(Rep)},
-      {renderBatchReportJson(Batch) + "\n", renderBatchReportBinary(Batch)},
-      {renderTelemetryJson(Tel) + "\n", renderTelemetryBinary(Tel)},
-      {renderLedgerEntryJson(Led) + "\n", renderLedgerEntryBinary(Led)},
+      {renderShard(Shard, WireEncoding::Json),
+       renderShard(Shard, WireEncoding::Binary)},
+      {renderImproveDoc(Imp, WireEncoding::Json),
+       renderImproveDoc(Imp, WireEncoding::Binary)},
+      {Rep.renderJson() + "\n", renderReport(Rep, WireEncoding::Binary)},
+      {renderBatchReport(Batch, WireEncoding::Json) + "\n",
+       renderBatchReport(Batch, WireEncoding::Binary)},
+      {renderTelemetry(Tel, WireEncoding::Json) + "\n",
+       renderTelemetry(Tel, WireEncoding::Binary)},
+      {renderLedgerEntry(Led, WireEncoding::Json) + "\n",
+       renderLedgerEntry(Led, WireEncoding::Binary)},
   };
   std::string Out, Err;
   for (const auto &[Json, Bin] : Docs) {
@@ -286,7 +287,7 @@ TEST(WireBinary, ConvertWireDocRewritesEveryFamily) {
 //===----------------------------------------------------------------------===//
 
 TEST(WireBinary, EveryTruncationFailsCleanly) {
-  std::string Bin = renderShardBinary(sampleShard());
+  std::string Bin = renderShard(sampleShard(), WireEncoding::Binary);
   ShardDoc Out;
   std::string Err;
   for (size_t Len = 0; Len < Bin.size(); ++Len) {
@@ -297,7 +298,7 @@ TEST(WireBinary, EveryTruncationFailsCleanly) {
 }
 
 TEST(WireBinary, RejectsBadMagicFamilyCodecAndTrailingGarbage) {
-  std::string Bin = renderShardBinary(sampleShard());
+  std::string Bin = renderShard(sampleShard(), WireEncoding::Binary);
   ShardDoc Out;
   std::string Err;
 
@@ -318,7 +319,7 @@ TEST(WireBinary, RejectsBadMagicFamilyCodecAndTrailingGarbage) {
   // parser ("this is an improve doc, not a shard").
   ImproveDoc IDoc;
   IDoc.ConfigHash = "c";
-  std::string Improve = renderImproveDocBinary(IDoc);
+  std::string Improve = renderImproveDoc(IDoc, WireEncoding::Binary);
   EXPECT_FALSE(parseShard(Improve, Out, Err));
 
   // Unknown codec byte (the byte right after magic + 3 version varints).
@@ -389,7 +390,7 @@ TEST(WireBinary, LegacyJsonCacheEntriesAreMisses) {
     ShardDoc Doc;
     std::string Err;
     ASSERT_TRUE(parseShard(slurp(Path), Doc, Err)) << Path << ": " << Err;
-    spew(Base + ".shard.json", renderShardJson(Doc));
+    spew(Base + ".shard.json", renderShard(Doc, WireEncoding::Json));
     std::filesystem::remove(Path);
     ++Legacy;
   }
@@ -501,7 +502,7 @@ TEST(WireBinary, MixedFormatShardSetMergesByteIdentically) {
     ShardDoc Doc;
     ASSERT_TRUE(parseShard(Text, Doc, Err)) << Paths[I] << ": " << Err;
     if (I % 2 == 1) {
-      std::string Json = renderShardJson(Doc);
+      std::string Json = renderShard(Doc, WireEncoding::Json);
       ShardDoc Again;
       ASSERT_TRUE(parseShard(Json, Again, Err)) << Err;
       Docs.push_back(std::move(Again));
@@ -591,7 +592,7 @@ TEST(WireBinary, RandomizedReportsRoundTripInBothFormats) {
   for (int Iter = 0; Iter < 200; ++Iter) {
     Report Rep = randomReport(R);
     std::string Json = Rep.renderJson();
-    std::string Bin = renderReportBinary(Rep);
+    std::string Bin = renderReport(Rep, WireEncoding::Binary);
 
     Report FromJson, FromBin;
     std::string Err;
@@ -606,6 +607,7 @@ TEST(WireBinary, RandomizedReportsRoundTripInBothFormats) {
     EXPECT_EQ(FromBin.renderJson(), Json) << "iter " << Iter;
     // Binary re-render of the binary decode is exact to the byte: raw
     // IEEE-754 storage preserves even NaN payloads.
-    EXPECT_EQ(renderReportBinary(FromBin), Bin) << "iter " << Iter;
+    EXPECT_EQ(renderReport(FromBin, WireEncoding::Binary), Bin)
+        << "iter " << Iter;
   }
 }
