@@ -61,34 +61,23 @@ static bool computeSkippable(const Statement &S,
 }
 
 Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
-    : Prog(Config.WrapLibraryCalls ? P : lowerLibraryCalls(P)),
-      Cfg(Config),
-      Arena(Config.MaxExprDepth, Config.EquivDepth, Config.UsePools),
+    : Herbgrind(Config,
+                Config.WrapLibraryCalls ? Program(P) : lowerLibraryCalls(P)) {}
+
+Herbgrind::Herbgrind(const AnalysisConfig &Config, Program &&Analyzed)
+    : Analyzer(Config, Analyzed.numTemps()), Prog(std::move(Analyzed)),
       Machine(Prog, {}), TempTypes(inferTempTypes(Prog)) {
   assert(Prog.validate().empty() && "invalid program");
   Skippable.reserve(Prog.size());
   for (const Statement &S : Prog.statements())
     Skippable.push_back(computeSkippable(S, TempTypes));
-
-  // One shadow state serves every run: runOnInput resets it in place, so
-  // its value pool and memory-table buckets are reused run over run.
-  Shadow = std::make_unique<ShadowState>(Arena, Sets, Prog.numTemps(),
-                                         Cfg.UsePools,
-                                         Cfg.SharedShadowValues);
 }
 
 void Herbgrind::reset() {
-  Shadow->reset();
-  Arena.resetForReuse();
-  // Interned influence sets survive on purpose: they are value-interned,
-  // so reuse cannot change results, only skip re-interning.
-  Ops.clear();
-  Spots.clear();
+  Analyzer::reset();
   LastOutputs.clear();
   TotalSteps = 0;
-  ShadowOps = 0;
   Skipped = 0;
-  RunSuspect = false;
 }
 
 AnalysisStats Herbgrind::stats() const {
@@ -97,7 +86,7 @@ AnalysisStats Herbgrind::stats() const {
   St.ShadowOpsExecuted = ShadowOps;
   St.SkippedByTypeAnalysis = Skipped;
   St.TraceNodesAllocated = Arena.totalAllocated();
-  St.ShadowValuesAllocated = Shadow->totalValuesCreated();
+  St.ShadowValuesAllocated = Shadow.totalValuesCreated();
   St.InfluenceSetsInterned = Sets.internedSets();
   return St;
 }
@@ -122,24 +111,19 @@ static double bitsOfErrorAs(ValueType Ty, const Value &A, const Value &B) {
                               : bitsOfErrorDouble(A.F64, B.F64);
 }
 
-ShadowValue *Herbgrind::lazyShadow(uint32_t Temp, unsigned Lane,
-                                   const Value &Concrete, ValueType Ty) {
-  ShadowValue *SV = Shadow->tempLane(Temp, Lane);
-  if (SV)
-    return SV;
-  // Lazy shadowing (Section 6): the first float operation touching an
-  // unshadowed value makes a provenance-free shadow from its concrete bits.
-  BigFloat Real = Ty == ValueType::F32
-                      ? BigFloat::fromFloat(Concrete.F32, Cfg.PrecisionBits)
-                      : BigFloat::fromDouble(Concrete.F64, Cfg.PrecisionBits);
-  TraceNode *Leaf = Arena.leaf(concreteAsDouble(Concrete));
-  SV = Shadow->create(std::move(Real), Leaf, Sets.empty(), Ty);
-  Shadow->setTempLane(Temp, Lane, SV); // temp keeps the reference
-  return SV;
+/// One lane of a (possibly SIMD) value as a scalar.
+static Value laneOf(const Value &V, unsigned Lane) {
+  if (V.Ty == ValueType::V2F64)
+    return Value::ofF64(V.V2F64[Lane]);
+  if (V.Ty == ValueType::V4F32)
+    return Value::ofF32(V.V4F32[Lane]);
+  return V;
 }
 
-double herbgrind::shadowValueErrorBits(const ShadowValue *SV,
-                                       const Value &Concrete) {
+/// Bits of error between a shadowed value's real and its concrete float
+/// (Section 4.2's E); NaN concretes report maximal error per the paper.
+static double shadowValueErrorBits(const ShadowValue *SV,
+                                   const Value &Concrete) {
   bool ConcreteNaN = Concrete.Ty == ValueType::F32 ? std::isnan(Concrete.F32)
                                                    : std::isnan(Concrete.F64);
   // The paper reports NaN values as maximal error even when the shadow
@@ -151,6 +135,15 @@ double herbgrind::shadowValueErrorBits(const ShadowValue *SV,
   return bitsOfErrorAs(SV->Ty, Concrete, roundReal(SV->Real, SV->Ty));
 }
 
+ShadowValue *Herbgrind::lazyShadow(uint32_t Temp, unsigned Lane,
+                                   const Value &Concrete) {
+  ShadowValue *SV = Shadow.tempLane(Temp, Lane);
+  if (!SV) {
+    SV = leaf(Concrete);
+    Shadow.setTempLane(Temp, Lane, SV); // temp keeps the reference
+  }
+  return SV;
+}
 
 //===----------------------------------------------------------------------===//
 // The main loop
@@ -163,7 +156,7 @@ void Herbgrind::runOnInput(const std::vector<double> &Inputs) {
   // cells from a previous run would be wrong. Resetting in place (instead
   // of rebuilding) keeps the value pool's slabs and the memory table's
   // buckets warm across the runs of a shard.
-  Shadow->reset();
+  Shadow.reset();
   RunSuspect = false;
 
   bool Running = true;
@@ -233,18 +226,18 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
   case StmtKind::Input:
     // Lazily shadowed at first use; just make sure no stale shadow lives
     // in the destination temp.
-    Shadow->clearTemp(S.Dst);
+    Shadow.clearTemp(S.Dst);
     return;
 
   case StmtKind::Copy: {
     // Copies share the shadow value (Section 6 "Sharing").
     ShadowValue *Lanes[4] = {nullptr, nullptr, nullptr, nullptr};
     for (unsigned L = 0; L < 4; ++L) {
-      ShadowValue *SV = Shadow->tempLane(S.Args[0], L);
-      Lanes[L] = SV ? Shadow->share(SV) : nullptr;
+      ShadowValue *SV = Shadow.tempLane(S.Args[0], L);
+      Lanes[L] = SV ? Shadow.share(SV) : nullptr;
     }
     for (unsigned L = 0; L < 4; ++L)
-      Shadow->setTempLane(S.Dst, L, Lanes[L]);
+      Shadow.setTempLane(S.Dst, L, Lanes[L]);
     return;
   }
 
@@ -253,18 +246,18 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
     unsigned NumLanes, LaneSize;
     ValueType LaneTy;
     laneLayout(S.AccessTy, NumLanes, LaneSize, LaneTy);
-    Shadow->clearTemp(S.Dst);
+    Shadow.clearTemp(S.Dst);
     for (unsigned L = 0; L < NumLanes; ++L) {
       ShadowValue *SV;
       if (S.Kind == StmtKind::Get) {
-        SV = Shadow->getThreadState(S.Disp + int64_t(L) * LaneSize, LaneSize);
+        SV = Shadow.getThreadState(S.Disp + int64_t(L) * LaneSize, LaneSize);
       } else {
         uint64_t Addr = static_cast<uint64_t>(Args[0].asI64()) +
                         static_cast<uint64_t>(S.Disp) + L * LaneSize;
-        SV = Shadow->getMemory(Addr, LaneSize);
+        SV = Shadow.getMemory(Addr, LaneSize);
       }
       if (SV && SV->Ty == LaneTy)
-        Shadow->setTempLane(S.Dst, L, Shadow->share(SV));
+        Shadow.setTempLane(S.Dst, L, Shadow.share(SV));
     }
     return;
   }
@@ -278,22 +271,25 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
     laneLayout(Src.Ty, NumLanes, LaneSize, LaneTy);
     (void)LaneTy;
     for (unsigned L = 0; L < NumLanes; ++L) {
-      ShadowValue *SV = Shadow->tempLane(SrcTemp, L);
-      ShadowValue *Stored = SV ? Shadow->share(SV) : nullptr;
+      ShadowValue *SV = Shadow.tempLane(SrcTemp, L);
+      ShadowValue *Stored = SV ? Shadow.share(SV) : nullptr;
       if (S.Kind == StmtKind::Put) {
-        Shadow->putThreadState(S.Disp + int64_t(L) * LaneSize, LaneSize,
-                               Stored);
+        Shadow.putThreadState(S.Disp + int64_t(L) * LaneSize, LaneSize,
+                              Stored);
       } else {
         uint64_t Addr = static_cast<uint64_t>(Args[0].asI64()) +
                         static_cast<uint64_t>(S.Disp) + L * LaneSize;
-        Shadow->putMemory(Addr, LaneSize, Stored);
+        Shadow.putMemory(Addr, LaneSize, Stored);
       }
     }
     return;
   }
 
   case StmtKind::Out:
-    shadowOutputSpot(S, PC, Args[0]);
+    // Integer outputs flow through conversion spots already.
+    if (Args[0].Ty != ValueType::I64)
+      for (unsigned L = 0; L < Args[0].laneCount(); ++L)
+        output(PC, S.Loc, Shadow.tempLane(S.Args[0], L), laneOf(Args[0], L));
     return;
 
   case StmtKind::Branch:
@@ -310,17 +306,21 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
   const OpInfo &Info = opInfo(S.Op);
 
   if (Info.IsComparison) {
+    const Value &Result = State.Temps[S.Dst];
     if (S.Op == Opcode::F64toI64)
-      shadowConversionSpot(S, PC, Args, State.Temps[S.Dst]);
+      conversion(PC, S.Loc, Shadow.tempLane(S.Args[0], 0), Args[0],
+                 Result.asI64());
     else
-      shadowComparisonSpot(S, PC, Args, State.Temps[S.Dst]);
-    Shadow->clearTemp(S.Dst);
+      comparison(S.Op, PC, S.Loc, Shadow.tempLane(S.Args[0], 0),
+                 Shadow.tempLane(S.Args[1], 0), Args[0], Args[1],
+                 Result.asI64() != 0);
+    Shadow.clearTemp(S.Dst);
     return;
   }
 
   if (!Info.IsFloatOp) {
     // Integer op: the result carries no shadow.
-    Shadow->clearTemp(S.Dst);
+    Shadow.clearTemp(S.Dst);
     return;
   }
 
@@ -329,7 +329,7 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
   case Opcode::I64toF64:
   case Opcode::I64BitsToF64:
     // Fresh float with integer provenance: lazily shadowed at use.
-    Shadow->clearTemp(S.Dst);
+    Shadow.clearTemp(S.Dst);
     return;
 
   case Opcode::XorV128:
@@ -340,21 +340,21 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
   case Opcode::ExtractLaneF64:
   case Opcode::ExtractLaneF32: {
     unsigned Lane = static_cast<unsigned>(Args[1].asI64());
-    ShadowValue *SV = Shadow->tempLane(S.Args[0], Lane);
-    Shadow->clearTemp(S.Dst);
+    ShadowValue *SV = Shadow.tempLane(S.Args[0], Lane);
+    Shadow.clearTemp(S.Dst);
     if (SV)
-      Shadow->setTempLane(S.Dst, 0, Shadow->share(SV));
+      Shadow.setTempLane(S.Dst, 0, Shadow.share(SV));
     return;
   }
 
   case Opcode::BuildV2F64: {
-    ShadowValue *A = Shadow->tempLane(S.Args[0], 0);
-    ShadowValue *B = Shadow->tempLane(S.Args[1], 0);
-    Shadow->clearTemp(S.Dst);
+    ShadowValue *A = Shadow.tempLane(S.Args[0], 0);
+    ShadowValue *B = Shadow.tempLane(S.Args[1], 0);
+    Shadow.clearTemp(S.Dst);
     if (A)
-      Shadow->setTempLane(S.Dst, 0, Shadow->share(A));
+      Shadow.setTempLane(S.Dst, 0, Shadow.share(A));
     if (B)
-      Shadow->setTempLane(S.Dst, 1, Shadow->share(B));
+      Shadow.setTempLane(S.Dst, 1, Shadow.share(B));
     return;
   }
 
@@ -393,6 +393,22 @@ void Herbgrind::shadowStep(const Statement &S, uint32_t PC, const Value *Args,
                     S.NumArgs, State.Temps[S.Dst]);
 }
 
+void Herbgrind::shadowFloatScalar(Opcode Op, uint32_t PC,
+                                  const SourceLoc &Loc, uint32_t DstTemp,
+                                  unsigned DstLane, const uint32_t *ArgTemps,
+                                  const unsigned *ArgLanes,
+                                  const Value *ArgConcrete, unsigned NumArgs,
+                                  const Value &ConcreteResult) {
+  // Gather (or lazily create) shadow inputs: Figure 4's
+  //   v = if MR[x] in R then MR[x] else M[x].
+  ShadowValue *ArgSV[3];
+  for (unsigned I = 0; I < NumArgs; ++I)
+    ArgSV[I] = lazyShadow(ArgTemps[I], ArgLanes[I], ArgConcrete[I]);
+  Shadow.setTempLane(DstTemp, DstLane,
+                     op(Op, PC, Loc, ArgSV, ArgConcrete, NumArgs,
+                        ConcreteResult));
+}
+
 //===----------------------------------------------------------------------===//
 // Bit-trick recognition (Section 5.3)
 //===----------------------------------------------------------------------===//
@@ -428,57 +444,66 @@ void Herbgrind::shadowBitwiseVector(const Statement &S, uint32_t PC,
     return;
   }
   // Unrecognized bit manipulation: conservatively drop shadows.
-  Shadow->clearTemp(S.Dst);
+  Shadow.clearTemp(S.Dst);
+}
+
+//===----------------------------------------------------------------------===//
+// The analyzer both frontends share
+//===----------------------------------------------------------------------===//
+
+Analyzer::Analyzer(const AnalysisConfig &Config, uint32_t NumTemps)
+    : Cfg(Config),
+      Arena(Config.MaxExprDepth, Config.EquivDepth, Config.UsePools),
+      // One shadow state serves every run: runs reset it in place, so its
+      // value pool and memory-table buckets are reused run over run.
+      Shadow(Arena, NumTemps, Config.UsePools, Config.SharedShadowValues) {}
+
+void Analyzer::reset() {
+  Shadow.reset();
+  Arena.resetForReuse();
+  // Interned influence sets survive on purpose: they are value-interned,
+  // so reuse cannot change results, only skip re-interning.
+  Ops.clear();
+  Spots.clear();
+  ShadowOps = 0;
+  RunSuspect = false;
+}
+
+ShadowValue *Analyzer::leaf(const Value &Concrete) {
+  if (Cfg.PredicateOnly)
+    return Shadow.createPredicate(0.0, 0.0, Concrete.Ty);
+  BigFloat Real = Concrete.Ty == ValueType::F32
+                      ? BigFloat::fromFloat(Concrete.F32, Cfg.PrecisionBits)
+                      : BigFloat::fromDouble(Concrete.F64, Cfg.PrecisionBits);
+  return Shadow.create(std::move(Real), Arena.leaf(concreteAsDouble(Concrete)),
+                       Sets.empty(), Concrete.Ty);
 }
 
 //===----------------------------------------------------------------------===//
 // The scalar float shadow op: reals, local error, influences, traces
 //===----------------------------------------------------------------------===//
 
-void Herbgrind::shadowFloatScalar(Opcode Op, uint32_t PC,
-                                  const SourceLoc &Loc, uint32_t DstTemp,
-                                  unsigned DstLane, const uint32_t *ArgTemps,
-                                  const unsigned *ArgLanes,
-                                  const Value *ArgConcrete, unsigned NumArgs,
-                                  const Value &ConcreteResult) {
+ShadowValue *Analyzer::op(Opcode Op, uint32_t Site, const SourceLoc &Loc,
+                          ShadowValue *const *ArgSV, const Value *ArgConcrete,
+                          unsigned NumArgs, const Value &ConcreteResult) {
   ++ShadowOps;
-
   if (Cfg.PredicateOnly) {
     // Tier 0: no reals, no traces, no records -- just propagate the
-    // conservative running-error pair. Unshadowed operands are exact.
+    // conservative running-error pair.
     errpredict::PredVal ArgP[3];
     for (unsigned I = 0; I < NumArgs; ++I)
-      if (ShadowValue *SV = Shadow->tempLane(ArgTemps[I], ArgLanes[I]))
-        ArgP[I] = {SV->PredDelta, SV->PredNoise};
-    errpredict::PredOp P = errpredict::predictScalarOp(
+      ArgP[I] = {ArgSV[I]->PredDelta, ArgSV[I]->PredNoise};
+    errpredict::PredVal P = errpredict::predictScalarOp(
         Op, ArgConcrete, ArgP, NumArgs, ConcreteResult);
-    Shadow->setTempLane(DstTemp, DstLane,
-                        Shadow->createPredicate(P.Delta, P.Noise,
-                                                opInfo(Op).ResultTy));
-    return;
+    return Shadow.createPredicate(P.Delta, P.Noise, opInfo(Op).ResultTy);
   }
 
-  // Gather (or lazily create) shadow inputs: Figure 4's
-  //   v = if MR[x] in R then MR[x] else M[x].
-  ShadowValue *ArgSV[3] = {nullptr, nullptr, nullptr};
-  for (unsigned I = 0; I < NumArgs; ++I)
-    ArgSV[I] = lazyShadow(ArgTemps[I], ArgLanes[I], ArgConcrete[I],
-                          ArgConcrete[I].Ty);
-
-  OpRecord &Rec = Ops[PC];
+  OpRecord &Rec = Ops[Site];
   if (Rec.Executions == 0) {
     Rec.Op = Op;
     Rec.Loc = Loc;
   }
-  ShadowValue *Out = shadowScalarOpCore(Cfg, *Shadow, Rec, Op, PC, ArgSV,
-                                        ArgConcrete, NumArgs, ConcreteResult);
-  Shadow->setTempLane(DstTemp, DstLane, Out);
-}
 
-ShadowValue *herbgrind::shadowScalarOpCore(
-    const AnalysisConfig &Cfg, ShadowState &Shadow, OpRecord &Rec, Opcode Op,
-    uint32_t PC, ShadowValue *const *ArgSV, const Value *ArgConcrete,
-    unsigned NumArgs, const Value &ConcreteResult) {
   // Cost attribution (opprof, --profile-ops): bracket this execution with
   // a clock read and a limballoc counter delta. One relaxed load when the
   // profiler is off.
@@ -501,8 +526,6 @@ ShadowValue *herbgrind::shadowScalarOpCore(
 
   const OpInfo &Info = opInfo(Op);
   ValueType ResultTy = Info.ResultTy;
-  TraceArena &Arena = Shadow.arena();
-  InfluenceSets &Sets = Shadow.sets();
 
   // Local error (Section 4.2): the error the op would produce even on
   // exactly-computed inputs: E( F(f_R(v)), f_F(F(v)) ). The result is
@@ -559,14 +582,14 @@ ShadowValue *herbgrind::shadowScalarOpCore(
       Infl = Sets.unionOf(Infl, ArgSV[I]->Influences);
   }
   if (Flagged)
-    Infl = Sets.insert(Infl, PC);
+    Infl = Sets.insert(Infl, Site);
 
   // Concrete expression trace (Section 4.3).
   TraceNode *Kids[3];
   for (unsigned I = 0; I < NumArgs; ++I)
     Kids[I] = ArgSV[I]->Trace;
   TraceNode *Trace =
-      Arena.node(Op, PC, concreteAsDouble(ConcreteResult), Kids, NumArgs);
+      Arena.node(Op, Site, concreteAsDouble(ConcreteResult), Kids, NumArgs);
 
   // Incremental record update (Section 6 "Incrementalization").
   ++Rec.Executions;
@@ -619,11 +642,36 @@ ShadowValue *herbgrind::shadowScalarOpCore(
 // Spots (Section 4.2)
 //===----------------------------------------------------------------------===//
 
-void herbgrind::shadowComparisonSpotCore(const AnalysisConfig &Cfg,
-                                         SpotRecord &Spot, Opcode Op,
-                                         ShadowValue *A, ShadowValue *B,
-                                         const Value &ConcA,
-                                         const Value &ConcB, bool FloatPred) {
+/// The record of spot \p Site, counting one more execution; the first
+/// stamps its kind and location.
+static SpotRecord &countSpot(std::map<uint32_t, SpotRecord> &Spots,
+                             uint32_t Site, SpotKind Kind,
+                             const SourceLoc &Loc) {
+  SpotRecord &Spot = Spots[Site];
+  if (Spot.Executions++ == 0) {
+    Spot.Kind = Kind;
+    Spot.Loc = Loc;
+  }
+  return Spot;
+}
+
+/// Tier 0's bound on |real - concrete| of a value; unshadowed is exact.
+static double predErr(const ShadowValue *SV) {
+  return SV ? errpredict::predTotal(SV->PredDelta, SV->PredNoise) : 0.0;
+}
+
+void Analyzer::comparison(Opcode Op, uint32_t Site, const SourceLoc &Loc,
+                          ShadowValue *A, ShadowValue *B, const Value &ConcA,
+                          const Value &ConcB, bool FloatPred) {
+  if (Cfg.PredicateOnly) {
+    // With no shadows the real predicate trivially agrees; otherwise ask
+    // whether the operand intervals allow the predicate to flip.
+    if ((A || B) &&
+        errpredict::comparisonSuspect(ConcA, ConcB, predErr(A), predErr(B)))
+      RunSuspect = true;
+    return;
+  }
+  SpotRecord &Spot = countSpot(Spots, Site, SpotKind::Comparison, Loc);
   if (!A && !B) {
     // No shadows: the real predicate trivially agrees with the float one.
     Spot.ErrorBits.add(0.0);
@@ -657,8 +705,15 @@ void herbgrind::shadowComparisonSpotCore(const AnalysisConfig &Cfg,
   }
 }
 
-void herbgrind::shadowConversionSpotCore(SpotRecord &Spot, ShadowValue *A,
-                                         int64_t IntResult) {
+void Analyzer::conversion(uint32_t Site, const SourceLoc &Loc,
+                          ShadowValue *A, const Value &Conc,
+                          int64_t IntResult) {
+  if (Cfg.PredicateOnly) {
+    if (A && errpredict::conversionSuspect(Conc.asF64(), predErr(A)))
+      RunSuspect = true;
+    return;
+  }
+  SpotRecord &Spot = countSpot(Spots, Site, SpotKind::Conversion, Loc);
   if (!A) {
     Spot.ErrorBits.add(0.0);
     return;
@@ -674,10 +729,15 @@ void herbgrind::shadowConversionSpotCore(SpotRecord &Spot, ShadowValue *A,
   }
 }
 
-void herbgrind::shadowOutputSpotCore(const AnalysisConfig &Cfg,
-                                     SpotRecord &Spot, ShadowValue *SV,
-                                     const Value &LaneVal) {
-  ++Spot.Executions;
+void Analyzer::output(uint32_t Site, const SourceLoc &Loc, ShadowValue *SV,
+                      const Value &LaneVal) {
+  if (Cfg.PredicateOnly) {
+    if (errpredict::outputSuspect(LaneVal, predErr(SV),
+                                  Cfg.OutputErrorThreshold))
+      RunSuspect = true;
+    return;
+  }
+  SpotRecord &Spot = countSpot(Spots, Site, SpotKind::Output, Loc);
   double Err = shadowValueErrorBits(SV, LaneVal);
   Spot.ErrorBits.add(Err);
   if (Err > Cfg.OutputErrorThreshold) {
@@ -685,91 +745,6 @@ void herbgrind::shadowOutputSpotCore(const AnalysisConfig &Cfg,
     if (SV)
       for (uint32_t OpPC : *SV->Influences)
         Spot.InfluencingOps.insert(OpPC);
-  }
-}
-
-void Herbgrind::shadowComparisonSpot(const Statement &S, uint32_t PC,
-                                     const Value *Args, const Value &Result) {
-  if (Cfg.PredicateOnly) {
-    ShadowValue *A = Shadow->tempLane(S.Args[0], 0);
-    ShadowValue *B = Shadow->tempLane(S.Args[1], 0);
-    // With no shadows the real predicate trivially agrees; otherwise ask
-    // whether the operand intervals allow the predicate to flip.
-    if ((A || B) &&
-        errpredict::comparisonSuspect(
-            Args[0], Args[1],
-            A ? errpredict::predTotal(A->PredDelta, A->PredNoise) : 0.0,
-            B ? errpredict::predTotal(B->PredDelta, B->PredNoise) : 0.0))
-      RunSuspect = true;
-    return;
-  }
-  SpotRecord &Spot = Spots[PC];
-  if (Spot.Executions == 0) {
-    Spot.Kind = SpotKind::Comparison;
-    Spot.Loc = S.Loc;
-  }
-  ++Spot.Executions;
-  shadowComparisonSpotCore(Cfg, Spot, S.Op, Shadow->tempLane(S.Args[0], 0),
-                           Shadow->tempLane(S.Args[1], 0), Args[0], Args[1],
-                           Result.asI64() != 0);
-}
-
-void Herbgrind::shadowConversionSpot(const Statement &S, uint32_t PC,
-                                     const Value *Args, const Value &Result) {
-  if (Cfg.PredicateOnly) {
-    if (ShadowValue *A = Shadow->tempLane(S.Args[0], 0))
-      if (errpredict::conversionSuspect(
-              Args[0].asF64(),
-              errpredict::predTotal(A->PredDelta, A->PredNoise)))
-        RunSuspect = true;
-    return;
-  }
-  SpotRecord &Spot = Spots[PC];
-  if (Spot.Executions == 0) {
-    Spot.Kind = SpotKind::Conversion;
-    Spot.Loc = S.Loc;
-  }
-  ++Spot.Executions;
-  shadowConversionSpotCore(Spot, Shadow->tempLane(S.Args[0], 0),
-                           Result.asI64());
-}
-
-void Herbgrind::shadowOutputSpot(const Statement &S, uint32_t PC,
-                                 const Value &Out) {
-  if (Out.Ty == ValueType::I64)
-    return; // integer outputs flow through conversion spots already
-  if (Cfg.PredicateOnly) {
-    unsigned Lanes = Out.laneCount();
-    for (unsigned L = 0; L < Lanes; ++L) {
-      ShadowValue *SV = Shadow->tempLane(S.Args[0], L);
-      Value LaneVal = Out;
-      if (Out.Ty == ValueType::V2F64)
-        LaneVal = Value::ofF64(Out.V2F64[L]);
-      else if (Out.Ty == ValueType::V4F32)
-        LaneVal = Value::ofF32(Out.V4F32[L]);
-      if (errpredict::outputSuspect(
-              LaneVal,
-              SV ? errpredict::predTotal(SV->PredDelta, SV->PredNoise) : 0.0,
-              Cfg.OutputErrorThreshold))
-        RunSuspect = true;
-    }
-    return;
-  }
-  SpotRecord &Spot = Spots[PC];
-  if (Spot.Executions == 0) {
-    Spot.Kind = SpotKind::Output;
-    Spot.Loc = S.Loc;
-  }
-
-  unsigned Lanes = Out.laneCount();
-  for (unsigned L = 0; L < Lanes; ++L) {
-    ShadowValue *SV = Shadow->tempLane(S.Args[0], L);
-    Value LaneVal = Out;
-    if (Out.Ty == ValueType::V2F64)
-      LaneVal = Value::ofF64(Out.V2F64[L]);
-    else if (Out.Ty == ValueType::V4F32)
-      LaneVal = Value::ofF32(Out.V4F32[L]);
-    shadowOutputSpotCore(Cfg, Spot, SV, LaneVal);
   }
 }
 
@@ -939,7 +914,7 @@ void AnalysisResult::mergeFrom(const AnalysisResult &Other) {
   }
 }
 
-AnalysisResult Herbgrind::snapshot() const {
+AnalysisResult Analyzer::snapshot() const {
   AnalysisResult R;
   R.Ranges = Cfg.Ranges;
   R.EquivDepth = Cfg.EquivDepth;
@@ -953,9 +928,7 @@ AnalysisResult Herbgrind::snapshot() const {
 // Result extraction
 //===----------------------------------------------------------------------===//
 
-std::vector<uint32_t> herbgrind::reportedRootCausesFromRecords(
-    const std::map<uint32_t, OpRecord> &Ops,
-    const std::map<uint32_t, SpotRecord> &Spots) {
+std::vector<uint32_t> Analyzer::reportedRootCauses() const {
   // Only operations whose influence reached an erroneous spot are reported
   // (Section 4.2 footnote 7).
   std::set<uint32_t> Reached;
@@ -971,8 +944,4 @@ std::vector<uint32_t> herbgrind::reportedRootCausesFromRecords(
     return A < B;
   });
   return Result;
-}
-
-std::vector<uint32_t> Herbgrind::reportedRootCauses() const {
-  return reportedRootCausesFromRecords(Ops, Spots);
 }

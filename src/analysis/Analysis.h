@@ -5,13 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The core of the reproduction: the instrumented executor implementing
-/// the analysis of Figures 3 and 4. Every float operation is shadowed with
-/// a real value, a concrete expression trace, and an influence set; spots
-/// (outputs, float comparisons, float-to-int conversions) accumulate the
-/// influences of the erroneous operations that reach them; operation
-/// records aggregate local error, anti-unified symbolic expressions, and
-/// input characteristics incrementally (Section 6).
+/// The core of the reproduction: the analysis of Figures 3 and 4. Every
+/// float operation is shadowed with a real value, a concrete expression
+/// trace, and an influence set; spots (outputs, float comparisons,
+/// float-to-int conversions) accumulate the influences of the erroneous
+/// operations that reach them; operation records aggregate local error,
+/// anti-unified symbolic expressions, and input characteristics
+/// incrementally (Section 6).
+///
+/// `Analyzer` holds that analysis once: the shadow state, the records, and
+/// one handler per shadow event, each choosing tier 0 or the full shadow.
+/// Two frontends derive from it: `Herbgrind`, the instrumented interpreter
+/// below, and `native::Context` (native/Context.h), which shadows C++ code
+/// written over native::Real.
 ///
 /// One Herbgrind object can run its program on many inputs; records
 /// accumulate across runs, which is how the FPBench driver exercises each
@@ -153,59 +159,94 @@ struct AnalysisResult {
   void mergeFrom(const AnalysisResult &Other);
 };
 
-/// \name Frontend-independent shadow semantics
-/// The analysis below the operand-gathering layer, shared by the
-/// interpreter frontend (Herbgrind, which finds operands in shadow
-/// temporaries) and the native frontend (native::Context, which finds them
-/// on live native::Real values). Both frontends funnel into these cores so
-/// the two execution modes cannot drift apart semantically.
-/// @{
+/// The analysis both frontends share: the shadow state, the accumulated
+/// records, and one handler per shadow event (Figure 4) -- a float op, a
+/// float comparison, a float-to-int conversion, an output lane. Each
+/// handler stamps its record or spot on first execution and chooses tier 0
+/// or the full shadow itself, so the interpreter (Herbgrind) and the
+/// native frontend (native::Context) cannot drift apart semantically.
+///
+/// A frontend derives from it and keeps only what differs: where operands
+/// live (temporaries, lanes, memory, thread state; or live native::Real
+/// values), where a lazy leaf is installed, how a site is named (an
+/// interpreter pc or an interned native callsite), and its run loop. No
+/// function is virtual: the per-op path stays direct calls.
+class Analyzer {
+public:
+  /// Per-operation records accumulated so far, keyed by site. Live views:
+  /// they grow as runs execute.
+  const std::map<uint32_t, OpRecord> &opRecords() const { return Ops; }
 
-/// Bits of error between a shadowed value's real and its concrete float
-/// (Section 4.2's E); NaN concretes report maximal error per the paper.
-double shadowValueErrorBits(const ShadowValue *SV, const Value &Concrete);
+  /// Per-spot records accumulated so far, keyed by site.
+  const std::map<uint32_t, SpotRecord> &spotRecords() const { return Spots; }
 
-/// One shadowed scalar float operation (Figure 4): evaluates the op over
-/// the reals, measures local error, detects compensating terms, propagates
-/// influences, extends the concrete trace, and folds everything into
-/// \p Rec (whose Op/Loc the caller has already stamped). \p PC is the
-/// operation's stable static identity (an interpreter pc or an interned
-/// native callsite). Returns the result's shadow value; the caller owns
-/// one reference.
-ShadowValue *shadowScalarOpCore(const AnalysisConfig &Cfg, ShadowState &Shadow,
-                                OpRecord &Rec, Opcode Op, uint32_t PC,
-                                ShadowValue *const *ArgSV,
-                                const Value *ArgConcrete, unsigned NumArgs,
-                                const Value &ConcreteResult);
+  /// Copies the accumulated records out as a mergeable value (shardable,
+  /// serializable, cacheable -- the engine's unit of reduction).
+  AnalysisResult snapshot() const;
 
-/// One comparison-spot observation: evaluates the predicate over the reals
-/// (unshadowed arguments fall back to their concrete bits) and folds
-/// agreement or divergence into \p Spot, whose Kind/Loc/Executions the
-/// caller has already updated. \p FloatPred is the concrete float
-/// predicate's outcome.
-void shadowComparisonSpotCore(const AnalysisConfig &Cfg, SpotRecord &Spot,
-                              Opcode Op, ShadowValue *A, ShadowValue *B,
-                              const Value &ConcA, const Value &ConcB,
-                              bool FloatPred);
+  /// Candidate root causes: flagged op records whose influence reached an
+  /// erroneous spot, most-flagged first (Section 4.2, footnote 7: only
+  /// sources whose error flows into spots are reported).
+  std::vector<uint32_t> reportedRootCauses() const;
 
-/// One float-to-int conversion-spot observation (\p IntResult is the
-/// concrete truncation's value). Caller updates Kind/Loc/Executions.
-void shadowConversionSpotCore(SpotRecord &Spot, ShadowValue *A,
-                              int64_t IntResult);
+  /// The configuration this analysis was constructed with.
+  const AnalysisConfig &config() const { return Cfg; }
 
-/// One scalar output-spot observation; increments Executions itself (the
-/// interpreter counts SIMD outputs per lane). Caller stamps Kind/Loc.
-void shadowOutputSpotCore(const AnalysisConfig &Cfg, SpotRecord &Spot,
-                          ShadowValue *SV, const Value &LaneVal);
+  /// Tier-0 verdict of the most recent run (predicate mode only): true
+  /// when some spot predicate could not rule out an erroneous observation,
+  /// i.e. the run needs the full BigFloat shadow. Always false in full
+  /// mode.
+  bool lastRunSuspect() const { return RunSuspect; }
 
-/// Candidate root causes of a record set: flagged op records whose
-/// influence reached an erroneous spot, most-flagged first (Section 4.2,
-/// footnote 7).
-std::vector<uint32_t>
-reportedRootCausesFromRecords(const std::map<uint32_t, OpRecord> &Ops,
-                              const std::map<uint32_t, SpotRecord> &Spots);
+protected:
+  /// \p NumTemps sizes the shadow temporaries (0 for the native frontend,
+  /// whose shadows live on its Real values).
+  Analyzer(const AnalysisConfig &Config, uint32_t NumTemps);
 
-/// @}
+  /// Clears every record and all shadow state in place, keeping the
+  /// arenas' slabs and the interned influence sets.
+  void reset();
+
+  /// Lazy shadowing (Section 6): the shadow of a value with no recorded
+  /// float provenance, made from its concrete bits -- a real-valued leaf,
+  /// or at tier 0 the exact pair {0, 0}. The caller owns one reference.
+  ShadowValue *leaf(const Value &Concrete);
+
+  /// One scalar float op at \p Site (Figure 4): evaluates the op over the
+  /// reals, measures local error, detects compensating terms, propagates
+  /// influences, extends the concrete trace, and folds everything into the
+  /// site's record. At tier 0 it only propagates the running-error pair.
+  /// Every \p ArgSV is non-null. Returns the result's shadow value; the
+  /// caller owns one reference.
+  ShadowValue *op(Opcode Op, uint32_t Site, const SourceLoc &Loc,
+                  ShadowValue *const *ArgSV, const Value *ArgConcrete,
+                  unsigned NumArgs, const Value &ConcreteResult);
+
+  /// One comparison-spot observation: the predicate over the reals
+  /// (unshadowed arguments fall back to their concrete bits) against the
+  /// concrete float predicate's outcome \p FloatPred.
+  void comparison(Opcode Op, uint32_t Site, const SourceLoc &Loc,
+                  ShadowValue *A, ShadowValue *B, const Value &ConcA,
+                  const Value &ConcB, bool FloatPred);
+
+  /// One float-to-int conversion-spot observation (\p IntResult is the
+  /// concrete truncation's value).
+  void conversion(uint32_t Site, const SourceLoc &Loc, ShadowValue *A,
+                  const Value &Conc, int64_t IntResult);
+
+  /// One scalar output-spot observation (a SIMD output is one per lane).
+  void output(uint32_t Site, const SourceLoc &Loc, ShadowValue *SV,
+              const Value &LaneVal);
+
+  AnalysisConfig Cfg;
+  TraceArena Arena;
+  InfluenceSets Sets;
+  ShadowState Shadow;
+  std::map<uint32_t, OpRecord> Ops;
+  std::map<uint32_t, SpotRecord> Spots;
+  uint64_t ShadowOps = 0;
+  bool RunSuspect = false;
+};
 
 /// Cumulative cost/size statistics (Table 1 and the optimization bench).
 struct AnalysisStats {
@@ -217,9 +258,9 @@ struct AnalysisStats {
   size_t InfluenceSetsInterned = 0;
 };
 
-/// The analysis driver: owns the (possibly lowered) program, the shadow
-/// machinery, and all accumulated records.
-class Herbgrind {
+/// The interpreter frontend: owns the (possibly lowered) program and the
+/// concrete machine, and feeds every shadowed statement to the Analyzer.
+class Herbgrind : public Analyzer {
 public:
   explicit Herbgrind(const Program &P, AnalysisConfig Config = {});
 
@@ -238,43 +279,22 @@ public:
   /// uses this to recycle worker-local instances across shards.
   void reset();
 
-  /// Per-operation records accumulated so far, keyed by pc. Live views:
-  /// they grow as runOnInput is called.
-  const std::map<uint32_t, OpRecord> &opRecords() const { return Ops; }
-
-  /// Per-spot records accumulated so far, keyed by pc.
-  const std::map<uint32_t, SpotRecord> &spotRecords() const { return Spots; }
-
-  /// Copies the accumulated records out as a mergeable value.
-  AnalysisResult snapshot() const;
-
   /// Concrete outputs of the most recent run (bit-identical to the
   /// uninstrumented interpreter's, by construction).
   const std::vector<Value> &lastOutputs() const { return LastOutputs; }
-
-  /// Tier-0 verdict of the most recent run (predicate mode only): true
-  /// when some spot predicate could not rule out an erroneous observation,
-  /// i.e. the run needs the full BigFloat shadow. Always false in full
-  /// mode.
-  bool lastRunSuspect() const { return RunSuspect; }
 
   /// The analyzed program (the lowered form when WrapLibraryCalls is
   /// off).
   const Program &program() const { return Prog; }
 
-  /// The configuration this analysis was constructed with.
-  const AnalysisConfig &config() const { return Cfg; }
-
   /// Cumulative cost/size counters across all runs so far (Table 1).
   AnalysisStats stats() const;
 
-  /// Candidate root causes: flagged op records whose influence reached an
-  /// erroneous spot, most-flagged first (Section 4.2, footnote 7: only
-  /// sources whose error flows into spots are reported).
-  std::vector<uint32_t> reportedRootCauses() const;
-
 private:
-  struct StepContext;
+  /// Builds the base from the analyzed program's temp count, then takes
+  /// the program.
+  Herbgrind(const AnalysisConfig &Config, Program &&Analyzed);
+
   void shadowStep(const Statement &S, uint32_t PC, const Value *Args,
                   MachineState &State);
   void shadowFloatScalar(Opcode Op, uint32_t PC, const SourceLoc &Loc,
@@ -282,31 +302,17 @@ private:
                          const uint32_t *ArgTemps, const unsigned *ArgLanes,
                          const Value *ArgConcrete, unsigned NumArgs,
                          const Value &ConcreteResult);
-  void shadowComparisonSpot(const Statement &S, uint32_t PC,
-                            const Value *Args, const Value &Result);
-  void shadowConversionSpot(const Statement &S, uint32_t PC,
-                            const Value *Args, const Value &Result);
-  void shadowOutputSpot(const Statement &S, uint32_t PC, const Value &Out);
   void shadowBitwiseVector(const Statement &S, uint32_t PC,
                            const Value *Args, const Value &Result);
-  ShadowValue *lazyShadow(uint32_t Temp, unsigned Lane, const Value &Concrete,
-                          ValueType Ty);
+  ShadowValue *lazyShadow(uint32_t Temp, unsigned Lane, const Value &Concrete);
 
   Program Prog;
-  AnalysisConfig Cfg;
-  TraceArena Arena;
-  InfluenceSets Sets;
-  std::unique_ptr<ShadowState> Shadow;
   MachineState Machine; ///< The concrete machine, restarted every run.
   std::vector<ValueType> TempTypes;
   std::vector<bool> Skippable;
-  std::map<uint32_t, OpRecord> Ops;
-  std::map<uint32_t, SpotRecord> Spots;
   std::vector<Value> LastOutputs;
   uint64_t TotalSteps = 0;
-  uint64_t ShadowOps = 0;
   uint64_t Skipped = 0;
-  bool RunSuspect = false;
 };
 
 } // namespace herbgrind

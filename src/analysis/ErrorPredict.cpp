@@ -21,15 +21,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double maxBitsFor(ValueType Ty) { return Ty == ValueType::F32 ? 32.0 : 64.0; }
 
-/// The maximally-suspect prediction: unbounded error, worst-case bits.
-PredOp suspectOp(ValueType Ty) {
-  PredOp P;
-  P.Delta = 0.0;
-  P.Noise = kInf;
-  P.AbsErr = kInf;
-  P.LocalBits = maxBitsFor(Ty);
-  return P;
-}
+/// The maximally-suspect prediction: unbounded error.
+constexpr PredVal Suspect = {0.0, kInf};
 
 /// The concrete scalar of an argument as a double (F32 promotes exactly).
 double scalarOf(const Value &V) {
@@ -120,7 +113,7 @@ double twoSumResidual(double A, double B, double S) {
 /// needs no such guard. Any non-finite intermediate keeps the interval
 /// fallback, which has already degraded appropriately.
 void refineRunningError(Opcode Op, const double *C, const PredVal *Args,
-                        double CR, PredOp &P) {
+                        double CR, PredVal &P) {
   constexpr double DMin = std::numeric_limits<double>::denorm_min();
   double D0 = Args[0].Delta, N0 = Args[0].Noise;
   double DeltaOut, Slop, NoiseIn;
@@ -242,7 +235,6 @@ void refineRunningError(Opcode Op, const double *C, const PredVal *Args,
     // Exact: real(-x) = -concrete - delta, noise unchanged.
     P.Delta = -D0;
     P.Noise = N0;
-    P.AbsErr = predTotal(P.Delta, P.Noise);
     return;
   case Opcode::AbsF64: {
     // Only when the value's interval excludes zero is |real| a plain
@@ -252,14 +244,12 @@ void refineRunningError(Opcode Op, const double *C, const PredVal *Args,
       return;
     P.Delta = C[0] < 0.0 ? -D0 : D0;
     P.Noise = N0;
-    P.AbsErr = predTotal(P.Delta, P.Noise);
     return;
   }
   case Opcode::F32toF64:
     // Widening is exact; the pair passes straight through.
     P.Delta = D0;
     P.Noise = N0;
-    P.AbsErr = predTotal(P.Delta, P.Noise);
     return;
   default:
     return;
@@ -277,7 +267,6 @@ void refineRunningError(Opcode Op, const double *C, const PredVal *Args,
   // cancellation.
   P.Delta = DeltaOut;
   P.Noise = NoiseOut;
-  P.AbsErr = predTotal(DeltaOut, NoiseOut);
 }
 
 } // namespace
@@ -317,15 +306,9 @@ double predictedErrorBits(double Concrete, double AbsErr, ValueType Ty) {
   return std::log2(static_cast<double>(Ulps) + 1.0);
 }
 
-double validBits(double Concrete, double AbsErr, ValueType Ty) {
-  double Width = Ty == ValueType::F32 ? 24.0 : 53.0;
-  double Doubt = predictedErrorBits(Concrete, AbsErr, Ty);
-  return std::max(0.0, Width - Doubt);
-}
-
-PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
-                       const PredVal *Args, unsigned NumArgs,
-                       const Value &ConcreteResult) {
+PredVal predictScalarOp(Opcode Op, const Value *ArgConcrete,
+                        const PredVal *Args, unsigned NumArgs,
+                        const Value &ConcreteResult) {
   const OpInfo &Info = opInfo(Op);
   double CR = scalarOf(ConcreteResult);
 
@@ -347,11 +330,10 @@ PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
       AnyNonFinite = true;
   }
   if (AnyNonFinite)
-    return suspectOp(Info.ResultTy);
+    return Suspect;
 
   Terms T;
-  bool ResultRounds = true;    // most ops round their result once
-  double ExtraAbsSpread = 0.0; // min/max/floor-style set-valued slack
+  bool ResultRounds = true; // most ops round their result once
   switch (Op) {
   case Opcode::AddF64:
   case Opcode::SubF64:
@@ -596,7 +578,6 @@ PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
       // The interval straddles a step: both the real's and the rounded
       // argument's results live in [FLo, FHi].
       T.Drift = FHi - FLo;
-      ExtraAbsSpread = FHi - FLo;
     }
     break;
   }
@@ -619,7 +600,7 @@ PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
   }
 
   if (T.Unknown || !std::isfinite(T.Drift) || !std::isfinite(T.Spread))
-    return suspectOp(Info.ResultTy);
+    return Suspect;
 
   // Result-rounding slack: half an ulp at the widened result magnitude for
   // correctly-rounded ops, 4 ulps of headroom for libm calls (glibc is
@@ -629,7 +610,7 @@ PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
   if (ResultRounds) {
     double Reach = std::fabs(CR) + T.Drift + T.Spread;
     if (!std::isfinite(Reach))
-      return suspectOp(Info.ResultTy);
+      return Suspect;
     RSlack = 0.5 * ulpAt(Reach, Info.ResultTy);
     if (Info.IsLibCall)
       RSlack *= 8.0;
@@ -640,17 +621,9 @@ PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
       RSlack = std::numeric_limits<double>::denorm_min();
   }
 
-  PredOp P;
+  // Interval fallback: no signed estimate, everything is Noise, and
   // |real result - concrete result| <= drift + the concrete's own rounding.
-  P.AbsErr = T.Drift + RSlack;
-  // Interval fallback: no signed estimate, everything is Noise.
-  P.Delta = 0.0;
-  P.Noise = P.AbsErr;
-  // FloatOnExact and the rounded real both land within
-  // drift + spread + 2 * rounding of the concrete result.
-  double LocalReach = T.Drift + T.Spread + ExtraAbsSpread + 2.0 * RSlack;
-  P.LocalBits =
-      predictedErrorBits(CR, LocalReach, Info.ResultTy) + kPredMarginBits;
+  PredVal P = {0.0, T.Drift + RSlack};
   refineRunningError(Op, C, Args, CR, P);
   return P;
 }

@@ -14,8 +14,7 @@
 /// estimate's own error. Ops without an exact residual fall back to
 /// interval/Lipschitz propagation over the op's true derivative bounds
 /// (the condition-number view of PAPERS.md "Mixing Condition Numbers and
-/// Oracles"; the valid-bits accounting mirrors the FpNode scheme from
-/// llvmFpStabilityDetector), folding everything into Noise.
+/// Oracles"), folding everything into Noise.
 ///
 /// The signed estimate is what lets tier 0 clear *compensated* code:
 /// Kahan summation re-injects each addition's residual, so its Delta
@@ -75,41 +74,22 @@ inline double predTotal(double Delta, double Noise) {
              : std::numeric_limits<double>::infinity();
 }
 
-/// Tier-0 prediction for one scalar float op.
-struct PredOp {
-  /// Signed running-error estimate of (real result - concrete result).
-  /// Zero whenever the op has no exact-residual row.
-  double Delta = 0.0;
-  /// Sound bound on the estimate's error; AbsErr = |Delta| + Noise.
-  double Noise = 0.0;
-  /// Sound upper bound on |real result - concrete result|; +inf when the
-  /// op's behaviour over the input intervals cannot be bounded (pole,
-  /// branch cut, non-finite, unknown opcode with inexact inputs).
-  double AbsErr = 0.0;
-  /// Predicted upper bound on the op's local error in bits, margin
-  /// included: >= the bitsOfError(FloatOnExact, rounded real) the full
-  /// shadow analysis would measure for this execution.
-  double LocalBits = 0.0;
-};
-
 /// Predicts one scalar float operation from its concrete arguments and the
-/// per-argument running-error pairs \p Args (pass {0, 0} for
-/// unshadowed/exact arguments).
-/// \p ConcreteResult is the concrete float result of the op.
-PredOp predictScalarOp(Opcode Op, const Value *ArgConcrete,
-                       const PredVal *Args, unsigned NumArgs,
-                       const Value &ConcreteResult);
+/// per-argument running-error pairs \p Args (pass {0, 0} for exact
+/// arguments). \p ConcreteResult is the concrete float result of the op.
+/// Returns the result's pair: Delta is zero whenever the op has no
+/// exact-residual row, and Noise is +inf when the op's behaviour over the
+/// input intervals cannot be bounded (pole, branch cut, non-finite,
+/// unknown opcode with inexact inputs).
+PredVal predictScalarOp(Opcode Op, const Value *ArgConcrete,
+                        const PredVal *Args, unsigned NumArgs,
+                        const Value &ConcreteResult);
 
 /// Upper bound on bitsOfError(Concrete, fl(R)) over all reals R with
 /// |R - Concrete| <= AbsErr, i.e. the worst output-spot error the full
 /// shadow could report for a value carrying this bound. NaN Concrete or
 /// non-finite AbsErr yields the maximal error for \p Ty (64 or 32).
 double predictedErrorBits(double Concrete, double AbsErr, ValueType Ty);
-
-/// FpNode-style valid-bits accounting: significand bits of \p Concrete
-/// still certain given the bound (mantissa width minus the bits the error
-/// interval spans), clamped to [0, width].
-double validBits(double Concrete, double AbsErr, ValueType Ty);
 
 /// Comparison spot: could the predicate over the reals diverge from the
 /// concrete predicate? True when the error intervals of the two operands

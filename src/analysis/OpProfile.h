@@ -9,10 +9,10 @@
 /// attributes shadow-op wall time and BigFloat limb traffic to the same
 /// per-site identities the analysis reports use -- an interpreter PC or an
 /// interned native `(HG_LOC, opcode)` callsite, both of which resolve to
-/// `(SourceLoc, Opcode)` pairs. Enabling it makes `shadowScalarOpCore`
-/// bracket each (sampled) execution with a steady-clock read and a
-/// limballoc counter delta, folded into the execution's `OpRecord` and the
-/// global metrics counters.
+/// `(SourceLoc, Opcode)` pairs. Enabling it makes `Analyzer::op` (the
+/// full shadow) bracket each (sampled) execution with a steady-clock read
+/// and a limballoc counter delta, folded into the execution's `OpRecord`
+/// and the global metrics counters.
 ///
 /// The accumulated cost lives in OpRecord fields that are deliberately
 /// *outside* the wire format: they are never serialized, never rendered

@@ -90,7 +90,7 @@ static Report buildReportFromRecords(const std::map<uint32_t, OpRecord> &Ops,
   return R;
 }
 
-Report herbgrind::buildReport(const Herbgrind &Analysis) {
+Report herbgrind::buildReport(const Analyzer &Analysis) {
   return buildReportFromRecords(Analysis.opRecords(), Analysis.spotRecords(),
                                 Analysis.config().Ranges);
 }

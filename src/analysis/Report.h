@@ -102,8 +102,8 @@ struct Report {
 /// Builds the FPCore text for a single operation record.
 std::string fpcoreForRecord(const OpRecord &Rec, RangeMode Ranges);
 
-/// Extracts the report from a finished analysis.
-Report buildReport(const Herbgrind &Analysis);
+/// Extracts the report from a finished analysis of either frontend.
+Report buildReport(const Analyzer &Analysis);
 
 /// Builds the report from a (possibly merged) record snapshot.
 Report buildReport(const AnalysisResult &Result);

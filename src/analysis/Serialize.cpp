@@ -159,14 +159,9 @@ static bool xferRecords(IO &X, Map &M, const char *What, Fn Elem) {
 template <class IO>
 static bool xferSourceLoc(IO &X, Ref<IO, SourceLoc> V) {
   ScopedCtx C(X, "loc");
-  int64_t Line = V.Line;
-  if (!X.beginObject() || !X.key("file") || !X.str(V.File) ||
-      !X.key("line") || !X.i64(Line) || !X.key("func") ||
-      !X.str(V.Function))
-    return false;
-  if constexpr (IO::Reads)
-    V.Line = static_cast<int>(Line);
-  return X.endObject();
+  return X.beginObject() && X.key("file") && X.str(V.File) &&
+         X.key("line") && X.i32(V.Line) && X.key("func") &&
+         X.str(V.Function) && X.endObject();
 }
 
 template <class IO>

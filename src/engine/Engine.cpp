@@ -570,11 +570,11 @@ analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, Stage St,
              uint64_t RunId,
              const std::vector<std::vector<double>> &Inputs, size_t Begin,
              size_t End) {
-  using Analyzer = typename decltype(makeAnalyzer(Sub, Cfg))::element_type;
+  using Frontend = typename decltype(makeAnalyzer(Sub, Cfg))::element_type;
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
-    std::unique_ptr<Analyzer> Full, Tier0;
+    std::unique_ptr<Frontend> Full, Tier0;
   };
   thread_local Worker W;
   if (W.Run != RunId || W.Key != &Sub) {
@@ -583,7 +583,7 @@ analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, Stage St,
     W.Run = RunId;
     W.Key = &Sub;
   }
-  auto Ready = [&](std::unique_ptr<Analyzer> &A, bool Predicate) -> Analyzer & {
+  auto Ready = [&](std::unique_ptr<Frontend> &A, bool Predicate) -> Frontend & {
     if (A) {
       A->reset();
     } else {
@@ -593,9 +593,9 @@ analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, Stage St,
     }
     return *A;
   };
-  Analyzer *Tier0 = St == Stage::Full ? nullptr : &Ready(W.Tier0, true);
-  Analyzer *Full = St == Stage::Verdict ? nullptr : &Ready(W.Full, false);
-  Analyzer &Lead = Tier0 ? *Tier0 : *Full;
+  Frontend *Tier0 = St == Stage::Full ? nullptr : &Ready(W.Tier0, true);
+  Frontend *Full = St == Stage::Verdict ? nullptr : &Ready(W.Full, false);
+  Frontend &Lead = Tier0 ? *Tier0 : *Full;
 
   ShardOutcome Out;
   const uint64_t Ops0 = Tier0 ? Tier0->stats().ShadowOpsExecuted : 0;

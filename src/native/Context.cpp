@@ -6,7 +6,6 @@
 
 #include "native/Context.h"
 
-#include "analysis/ErrorPredict.h"
 #include "native/Kernel.h"
 #include "support/Format.h"
 #include "support/Trace.h"
@@ -65,12 +64,7 @@ Context::Activation::Activation(Context &C) {
 
 Context::Activation::~Activation() { unlink(Link); }
 
-Context::Context(AnalysisConfig Config)
-    : Cfg(Config),
-      Arena(Config.MaxExprDepth, Config.EquivDepth, Config.UsePools) {
-  Shadow = std::make_unique<ShadowState>(Arena, Sets, /*NumTemps=*/0,
-                                         Cfg.UsePools,
-                                         Cfg.SharedShadowValues);
+Context::Context(AnalysisConfig Config) : Analyzer(Config, /*NumTemps=*/0) {
   CurLoc = &UnknownLoc;
   Slots = slotsFor(&UnknownLoc);
   // Construction activates: `native::Context C;` at the top of a scope is
@@ -88,30 +82,25 @@ Context::~Context() {
   for (ActivationLink *L = ActiveHead; L; L = L->Next)
     if (L->Ctx == this)
       L->Ctx = nullptr;
-  assert(Shadow->liveValues() == 0 &&
+  assert(Shadow.liveValues() == 0 &&
          "native::Real values outlived their Context");
 }
 
 void Context::reset() {
-  assert(Shadow->liveValues() == 0 &&
+  assert(Shadow.liveValues() == 0 &&
          "native::Real values alive across Context::reset()");
-  Shadow->reset();
-  Arena.resetForReuse();
-  // Interned influence sets and the site tables survive on purpose: sets
-  // are value-interned and site ids are content-derived, so reuse cannot
-  // change results, only skip re-interning. The *current location* must
-  // not survive: a fresh context stamps pre-HG_LOC operations with the
-  // unknown location, and a reset one has to do exactly the same or its
-  // records would key differently (breaking --jobs byte-identity).
+  Analyzer::reset();
+  // The site tables survive on purpose: site ids are content-derived, so
+  // reuse cannot change results, only skip re-interning. The *current
+  // location* must not survive: a fresh context stamps pre-HG_LOC
+  // operations with the unknown location, and a reset one has to do
+  // exactly the same or its records would key differently (breaking
+  // --jobs byte-identity).
   CurLoc = &UnknownLoc;
   Slots = slotsFor(&UnknownLoc);
   Inputs = nullptr; // a fresh context has no bound tuple; neither may we
   NumInputs = 0;
-  Ops.clear();
-  Spots.clear();
-  ShadowOps = 0;
   SpotOps = 0;
-  RunSuspect = false;
 }
 
 ContextStats Context::stats() const {
@@ -121,7 +110,7 @@ ContextStats Context::stats() const {
   St.InternedSites = SiteKeys.size();
   St.SiteCollisions = Collisions;
   St.TraceNodesAllocated = Arena.totalAllocated();
-  St.ShadowValuesAllocated = Shadow->totalValuesCreated();
+  St.ShadowValuesAllocated = Shadow.totalValuesCreated();
   St.InfluenceSetsInterned = Sets.internedSets();
   return St;
 }
@@ -208,18 +197,14 @@ uint32_t Context::outputSite() {
 // Shadow plumbing
 //===----------------------------------------------------------------------===//
 
-void Context::retainShadow(ShadowValue *SV) { Shadow->retain(SV); }
-void Context::releaseShadow(ShadowValue *SV) { Shadow->release(SV); }
+void Context::retainShadow(ShadowValue *SV) { Shadow.retain(SV); }
+void Context::releaseShadow(ShadowValue *SV) { Shadow.release(SV); }
 
 ShadowValue *Context::shadowOf(const Real &R, ShadowValue *&Ephemeral) {
   Ephemeral = nullptr;
-  if (R.SV && R.Ctx == this)
-    return R.SV;
-  // Lazy shadowing (Section 6): a value with no recorded float provenance
-  // becomes a leaf made from its concrete bits.
-  ShadowValue *SV =
-      Shadow->create(BigFloat::fromDouble(R.Val, Cfg.PrecisionBits),
-                     Arena.leaf(R.Val), Sets.empty(), ValueType::F64);
+  if (ShadowValue *Own = ownShadow(R))
+    return Own;
+  ShadowValue *SV = leaf(Value::ofF64(R.Val));
   if (!R.Ctx) {
     // Install on the Real so later uses share one leaf, exactly like the
     // interpreter installing a lazy shadow on its temporary.
@@ -252,32 +237,13 @@ Real Context::input(size_t I, double V) {
   Real R;
   R.Val = V;
   R.Ctx = this;
-  R.SV = Cfg.PredicateOnly
-             ? Shadow->createPredicate(0.0, 0.0, ValueType::F64)
-             : Shadow->create(BigFloat::fromDouble(V, Cfg.PrecisionBits),
-                              Arena.leaf(V), Sets.empty(), ValueType::F64);
+  R.SV = leaf(Value::ofF64(V));
   return R;
 }
 
 double Context::output(const Real &R) {
   ++SpotOps;
-  if (Cfg.PredicateOnly) {
-    double E = (R.SV && R.Ctx == this)
-                   ? errpredict::predTotal(R.SV->PredDelta, R.SV->PredNoise)
-                   : 0.0;
-    if (errpredict::outputSuspect(Value::ofF64(R.Val), E,
-                                  Cfg.OutputErrorThreshold))
-      RunSuspect = true;
-    return R.Val;
-  }
-  uint32_t PC = outputSite();
-  SpotRecord &Spot = Spots[PC];
-  if (Spot.Executions == 0) {
-    Spot.Kind = SpotKind::Output;
-    Spot.Loc = *CurLoc;
-  }
-  ShadowValue *SV = (R.SV && R.Ctx == this) ? R.SV : nullptr;
-  shadowOutputSpotCore(Cfg, Spot, SV, Value::ofF64(R.Val));
+  Analyzer::output(outputSite(), *CurLoc, ownShadow(R), Value::ofF64(R.Val));
   return R.Val;
 }
 
@@ -322,29 +288,8 @@ void Context::runBatch(const Kernel &K, const std::vector<double> *Tuples,
 //===----------------------------------------------------------------------===//
 
 Real Context::applyOp(Opcode Op, const Real *const *Args, unsigned N) {
-  ++ShadowOps;
-  if (Cfg.PredicateOnly) {
-    // Tier 0: concrete evaluation plus bound propagation; no reals, no
-    // site interning, no records. Operands without a this-context shadow
-    // are exact (their concrete bits are their real).
-    Value ArgVals[3];
-    errpredict::PredVal ArgP[3];
-    for (unsigned I = 0; I < N; ++I) {
-      ArgVals[I] = Value::ofF64(Args[I]->Val);
-      if (Args[I]->SV && Args[I]->Ctx == this)
-        ArgP[I] = {Args[I]->SV->PredDelta, Args[I]->SV->PredNoise};
-    }
-    Value Concrete = evalScalarOp(Op, ArgVals, N);
-    errpredict::PredOp P =
-        errpredict::predictScalarOp(Op, ArgVals, ArgP, N, Concrete);
-    Real R;
-    R.Val = Concrete.F64;
-    R.SV = Shadow->createPredicate(P.Delta, P.Noise, ValueType::F64);
-    R.Ctx = this;
-    return R;
-  }
   Value ArgVals[3];
-  ShadowValue *ArgSV[3] = {nullptr, nullptr, nullptr};
+  ShadowValue *ArgSV[3];
   ShadowValue *Ephemeral[3] = {nullptr, nullptr, nullptr};
   for (unsigned I = 0; I < N; ++I) {
     ArgVals[I] = Value::ofF64(Args[I]->Val);
@@ -353,18 +298,10 @@ Real Context::applyOp(Opcode Op, const Real *const *Args, unsigned N) {
   // The concrete result: evalScalarOp *is* the native double semantics
   // (shared with the interpreter so the two frontends agree bit-for-bit).
   Value Concrete = evalScalarOp(Op, ArgVals, N);
-
-  uint32_t PC = opSite(Op);
-  OpRecord &Rec = Ops[PC];
-  if (Rec.Executions == 0) {
-    Rec.Op = Op;
-    Rec.Loc = *CurLoc;
-  }
-  ShadowValue *Out = shadowScalarOpCore(Cfg, *Shadow, Rec, Op, PC, ArgSV,
-                                        ArgVals, N, Concrete);
+  ShadowValue *Out = op(Op, opSite(Op), *CurLoc, ArgSV, ArgVals, N, Concrete);
   for (unsigned I = 0; I < N; ++I)
     if (Ephemeral[I])
-      Shadow->release(Ephemeral[I]);
+      Shadow.release(Ephemeral[I]);
 
   Real R;
   R.Val = Concrete.F64;
@@ -377,33 +314,8 @@ bool Context::applyComparison(Opcode Op, const Real &A, const Real &B) {
   ++SpotOps;
   Value ArgVals[2] = {Value::ofF64(A.Val), Value::ofF64(B.Val)};
   bool FloatPred = evalScalarOp(Op, ArgVals, 2).asI64() != 0;
-
-  if (Cfg.PredicateOnly) {
-    ShadowValue *SA = (A.SV && A.Ctx == this) ? A.SV : nullptr;
-    ShadowValue *SB = (B.SV && B.Ctx == this) ? B.SV : nullptr;
-    if ((SA || SB) &&
-        errpredict::comparisonSuspect(
-            ArgVals[0], ArgVals[1],
-            SA ? errpredict::predTotal(SA->PredDelta, SA->PredNoise) : 0.0,
-            SB ? errpredict::predTotal(SB->PredDelta, SB->PredNoise) : 0.0))
-      RunSuspect = true;
-    return FloatPred;
-  }
-
-  uint32_t PC = opSite(Op);
-  SpotRecord &Spot = Spots[PC];
-  if (Spot.Executions == 0) {
-    Spot.Kind = SpotKind::Comparison;
-    Spot.Loc = *CurLoc;
-  }
-  ++Spot.Executions;
-  // Comparisons read shadows but never create them (matching the
-  // interpreter): an unshadowed operand falls back to its concrete bits
-  // inside the core.
-  ShadowValue *SA = (A.SV && A.Ctx == this) ? A.SV : nullptr;
-  ShadowValue *SB = (B.SV && B.Ctx == this) ? B.SV : nullptr;
-  shadowComparisonSpotCore(Cfg, Spot, Op, SA, SB, ArgVals[0], ArgVals[1],
-                           FloatPred);
+  comparison(Op, opSite(Op), *CurLoc, ownShadow(A), ownShadow(B), ArgVals[0],
+             ArgVals[1], FloatPred);
   return FloatPred;
 }
 
@@ -411,24 +323,7 @@ int64_t Context::applyConversion(const Real &A) {
   ++SpotOps;
   Value AV = Value::ofF64(A.Val);
   int64_t IntResult = evalScalarOp(Opcode::F64toI64, &AV, 1).asI64();
-
-  if (Cfg.PredicateOnly) {
-    if (A.SV && A.Ctx == this &&
-        errpredict::conversionSuspect(
-            A.Val, errpredict::predTotal(A.SV->PredDelta, A.SV->PredNoise)))
-      RunSuspect = true;
-    return IntResult;
-  }
-
-  uint32_t PC = opSite(Opcode::F64toI64);
-  SpotRecord &Spot = Spots[PC];
-  if (Spot.Executions == 0) {
-    Spot.Kind = SpotKind::Conversion;
-    Spot.Loc = *CurLoc;
-  }
-  ++Spot.Executions;
-  ShadowValue *SA = (A.SV && A.Ctx == this) ? A.SV : nullptr;
-  shadowConversionSpotCore(Spot, SA, IntResult);
+  conversion(opSite(Opcode::F64toI64), *CurLoc, ownShadow(A), AV, IntResult);
   return IntResult;
 }
 
@@ -483,22 +378,4 @@ int64_t Context::conversionOp(const Real &A) {
     return C->applyConversion(A);
   Value V = Value::ofF64(A.value());
   return evalScalarOp(Opcode::F64toI64, &V, 1).asI64();
-}
-
-//===----------------------------------------------------------------------===//
-// Results
-//===----------------------------------------------------------------------===//
-
-AnalysisResult Context::snapshot() const {
-  AnalysisResult R;
-  R.Ranges = Cfg.Ranges;
-  R.EquivDepth = Cfg.EquivDepth;
-  for (const auto &[PC, Rec] : Ops)
-    R.Ops.emplace(PC, Rec.clone());
-  R.Spots = Spots;
-  return R;
-}
-
-Report herbgrind::native::buildReport(const Context &C) {
-  return herbgrind::buildReport(C.snapshot());
 }

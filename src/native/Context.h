@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The native instrumentation frontend's analysis driver. Where Herbgrind
-/// interprets an ir::Program under instrumentation, a native::Context
-/// shadows *actual C++ code*: arithmetic on native::Real values executes
-/// as ordinary doubles while every operation drives the same shadow
-/// machinery -- high-precision reals, concrete expression traces,
-/// influence sets -- and folds into the same OpRecord/SpotRecord maps, so
-/// buildReport produces the identical paper-style report from a native run
-/// and the batch engine shards/merges/caches native kernels exactly like
-/// FPCore benchmarks.
+/// The native instrumentation frontend. Where Herbgrind interprets an
+/// ir::Program under instrumentation, a native::Context shadows *actual
+/// C++ code*: arithmetic on native::Real values executes as ordinary
+/// doubles while every operation goes to the same Analyzer (Analysis.h)
+/// the interpreter uses -- one handler per op, comparison, conversion and
+/// output, tier 0 included -- so buildReport produces the identical
+/// paper-style report from a native run and the batch engine
+/// shards/merges/caches native kernels exactly like FPCore benchmarks.
+/// The context itself only finds operands on live Reals and names sites.
 ///
 /// Stable static op identity without a pc: the context interns (source
 /// location, opcode) callsites to a 32-bit content hash of the location
@@ -62,17 +62,16 @@ struct ContextStats {
   size_t InfluenceSetsInterned = 0;
 };
 
-/// The native frontend's analysis driver: owns the shadow machinery and
-/// the accumulated records for one instrumented execution context.
-/// Records accumulate across kernel invocations, which is how the batch
-/// engine runs a shard of sampled inputs through one context.
+/// The native frontend's analysis driver for one instrumented execution
+/// context. Records accumulate across kernel invocations, which is how
+/// the batch engine runs a shard of sampled inputs through one context.
 ///
 /// A context is single-threaded, and every Real it shadows must die
 /// before the context does (Reals hold references into its pools). The
 /// most recently constructed live context is the thread's *active*
 /// context (Context::active()), which is what Real operations fall back
 /// to when no operand is shadowed yet.
-class Context {
+class Context : public Analyzer {
 public:
   /// The analysis configuration is shared with the interpreter frontend.
   /// Native execution always wraps library calls (sin/cos/... are atomic
@@ -135,28 +134,9 @@ public:
   void runBatch(const Kernel &K, const std::vector<double> *Tuples,
                 size_t NumTuples);
 
-  /// \name Results (the Herbgrind-class contract)
-  /// @{
-  const std::map<uint32_t, OpRecord> &opRecords() const { return Ops; }
-  const std::map<uint32_t, SpotRecord> &spotRecords() const { return Spots; }
-
-  /// Copies the accumulated records out as a mergeable value (shardable,
-  /// serializable, cacheable -- the engine's unit of reduction).
-  AnalysisResult snapshot() const;
-
-  /// Candidate root causes, most-flagged first (Section 4.2 footnote 7).
-  std::vector<uint32_t> reportedRootCauses() const {
-    return reportedRootCausesFromRecords(Ops, Spots);
-  }
-
-  const AnalysisConfig &config() const { return Cfg; }
+  /// Cumulative cost/size counters (records, snapshot, config and the
+  /// tier-0 verdict come from the Analyzer).
   ContextStats stats() const;
-
-  /// Tier-0 verdict of the most recent run() (predicate mode only): true
-  /// when some spot predicate could not rule out an erroneous observation.
-  /// Always false in full mode.
-  bool lastRunSuspect() const { return RunSuspect; }
-  /// @}
 
   /// \name Op dispatch backing Real's operators
   /// The context is chosen from the operands (first shadowed one wins),
@@ -228,6 +208,12 @@ private:
   /// only the concrete bits.
   ShadowValue *shadowOf(const Real &R, ShadowValue *&Ephemeral);
 
+  /// The Real's shadow if it belongs to this context, else null (spots
+  /// read shadows but never create them).
+  ShadowValue *ownShadow(const Real &R) const {
+    return R.Ctx == this ? R.SV : nullptr;
+  }
+
   /// One scalar float op: Real.cpp's operators funnel here.
   Real applyOp(Opcode Op, const Real *const *Args, unsigned N);
   /// One float comparison: records a comparison spot, returns the float
@@ -239,18 +225,10 @@ private:
   void retainShadow(ShadowValue *SV);
   void releaseShadow(ShadowValue *SV);
 
-  AnalysisConfig Cfg;
-  TraceArena Arena;
-  InfluenceSets Sets;
-  std::unique_ptr<ShadowState> Shadow;
   const double *Inputs = nullptr;
   size_t NumInputs = 0;
-  std::map<uint32_t, OpRecord> Ops;
-  std::map<uint32_t, SpotRecord> Spots;
-  uint64_t ShadowOps = 0;
   uint64_t SpotOps = 0;
   uint64_t Collisions = 0;
-  bool RunSuspect = false;
 
   /// Interned-site table: hashed id -> canonical key string, for
   /// collision accounting. Content-derived ids survive reset().
@@ -279,10 +257,6 @@ private:
   /// This context's construction-time activation entry.
   ActivationLink SelfLink;
 };
-
-/// Extracts the paper-style report from a native run (the exact analogue
-/// of buildReport(const Herbgrind &)).
-Report buildReport(const Context &C);
 
 } // namespace native
 } // namespace herbgrind

@@ -60,10 +60,10 @@ struct ShadowValue {
 /// Owns all shadow storage for one analysis run.
 class ShadowState {
 public:
-  ShadowState(TraceArena &Arena, InfluenceSets &Sets, uint32_t NumTemps,
-              bool UsePool = true, bool ShareValues = true)
-      : Arena(Arena), Sets(Sets), ValuePool(UsePool),
-        ShareValues(ShareValues), Temps(NumTemps) {}
+  ShadowState(TraceArena &Arena, uint32_t NumTemps, bool UsePool = true,
+              bool ShareValues = true)
+      : Arena(Arena), ValuePool(UsePool), ShareValues(ShareValues),
+        Temps(NumTemps) {}
 
   ~ShadowState();
 
@@ -126,9 +126,6 @@ public:
   size_t totalValuesCreated() const { return ValuePool.totalAllocated(); }
   size_t shadowedMemoryCells() const { return Memory.size(); }
 
-  TraceArena &arena() { return Arena; }
-  InfluenceSets &sets() { return Sets; }
-
   /// The anti-unification scratch of record updates, reused op over op so
   /// a shadowed op does not allocate its tables or outputs.
   AntiUnifyScratch &antiUnifyScratch() { return AntiUnify; }
@@ -142,7 +139,6 @@ private:
   void invalidateThreadState(int64_t Offset, unsigned Size);
 
   TraceArena &Arena;
-  InfluenceSets &Sets;
   Pool<ShadowValue> ValuePool;
   bool ShareValues;
 

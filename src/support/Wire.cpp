@@ -9,6 +9,8 @@
 #include "support/Format.h"
 
 #include <cassert>
+#include <cerrno>
+#include <cstdlib>
 
 using namespace herbgrind;
 using namespace herbgrind::wire;
@@ -120,13 +122,17 @@ bool JsonEncoder::str(const std::string &S) {
 }
 
 //===----------------------------------------------------------------------===//
-// JsonDecoder
+// Decoder
 //===----------------------------------------------------------------------===//
 
-bool JsonDecoder::failField(const char *What) {
+bool Decoder::failField(const char *What) {
   return fail(format("%s: field '%s' %s", Ctx,
                      LastKey ? LastKey : "(value)", What));
 }
+
+//===----------------------------------------------------------------------===//
+// JsonDecoder
+//===----------------------------------------------------------------------===//
 
 bool JsonDecoder::beginObject() {
   if (!Cur || !Cur->isObject())
@@ -173,20 +179,36 @@ bool JsonDecoder::key(const char *K) {
   return true;
 }
 
+/// Whether \p Tok is an integer token the encoders could have written:
+/// digits only, after a '-' when \p Signed. strtoull/strtoll would stop
+/// at a fraction or exponent and wrap a negative count.
+static bool plainInteger(const std::string &Tok, bool Signed) {
+  size_t Start = Signed && !Tok.empty() && Tok[0] == '-' ? 1 : 0;
+  return Tok.size() > Start &&
+         Tok.find_first_not_of("0123456789", Start) == std::string::npos;
+}
+
 bool JsonDecoder::u64(uint64_t &V) {
   if (!Cur || !Cur->isNumber())
     return failField("missing or not a number");
-  // strtoull would silently wrap a negative token to a huge count.
-  if (!Cur->Num.empty() && Cur->Num[0] == '-')
+  if (!plainInteger(Cur->Num, /*Signed=*/false))
     return failField("must be a non-negative integer");
-  V = Cur->asU64();
+  errno = 0;
+  V = std::strtoull(Cur->Num.c_str(), nullptr, 10);
+  if (errno == ERANGE)
+    return failField("must fit in 64 bits");
   return true;
 }
 
 bool JsonDecoder::i64(int64_t &V) {
   if (!Cur || !Cur->isNumber())
     return failField("missing or not a number");
-  V = Cur->asI64();
+  if (!plainInteger(Cur->Num, /*Signed=*/true))
+    return failField("must be an integer");
+  errno = 0;
+  V = std::strtoll(Cur->Num.c_str(), nullptr, 10);
+  if (errno == ERANGE)
+    return failField("must fit in 64 bits");
   return true;
 }
 

@@ -105,6 +105,7 @@ public:
                        unsigned Tag) = 0;
 
   bool u32(uint32_t V) { return u64(V); }
+  bool i32(int32_t V) { return i64(V); }
 };
 
 //===----------------------------------------------------------------------===//
@@ -143,11 +144,24 @@ public:
   virtual bool variant(const char *const *Keys, unsigned NumKeys,
                        unsigned &Tag) = 0;
 
+  /// The 32-bit reads are the 64-bit ones plus a range check: a value
+  /// that does not fit is an error, never a truncation.
   bool u32(uint32_t &V) {
     uint64_t W;
     if (!u64(W))
       return false;
+    if (W > UINT32_MAX)
+      return failField("must fit in 32 bits");
     V = static_cast<uint32_t>(W);
+    return true;
+  }
+  bool i32(int32_t &V) {
+    int64_t W;
+    if (!i64(W))
+      return false;
+    if (W < INT32_MIN || W > INT32_MAX)
+      return failField("must fit in 32 bits");
+    V = static_cast<int32_t>(W);
     return true;
   }
 
@@ -170,7 +184,11 @@ public:
   }
 
 protected:
+  /// Latches "<context>: field '<key>' <What>" for the field last keyed.
+  bool failField(const char *What);
+
   const char *Ctx = "document";
+  const char *LastKey = nullptr;
   std::string Err;
 };
 
@@ -221,8 +239,8 @@ private:
 };
 
 /// DOM-walking JSON decoder: field order independent, unknown fields
-/// ignored, numbers reparsed from their raw tokens (bit-exact doubles,
-/// non-negative integer enforcement for u64).
+/// ignored, numbers reparsed from their raw tokens (bit-exact doubles;
+/// integers must be plain digits that fit their width).
 class JsonDecoder : public Decoder {
 public:
   explicit JsonDecoder(const JsonValue &Root) : Cur(&Root) {}
@@ -243,15 +261,12 @@ public:
                unsigned &Tag) override;
 
 private:
-  bool failField(const char *What);
-
   struct Frame {
     const JsonValue *Container;
     size_t Next = 0;
   };
   std::vector<Frame> Stack;
   const JsonValue *Cur;
-  const char *LastKey = nullptr;
 };
 
 } // namespace wire

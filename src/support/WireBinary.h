@@ -154,7 +154,6 @@ private:
   bool HeaderOk = false;
   Family Fam = Family::Shard;
   int Major = 0, Minor = 0;
-  const char *LastKey = nullptr;
   std::vector<std::string> Table; ///< Interned strings, in intern order.
 };
 

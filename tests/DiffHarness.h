@@ -21,6 +21,7 @@
 #include "engine/Engine.h"
 #include "fpcore/Compile.h"
 #include "fpcore/FPCore.h"
+#include "ir/Program.h"
 #include "native/Context.h"
 #include "native/Kernel.h"
 #include "native/Real.h"
@@ -28,6 +29,7 @@
 #include "support/Rng.h"
 
 #include <cassert>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -135,29 +137,11 @@ inline std::vector<RandNativeOp> randomNativeProgram(Rng &R, unsigned Arity,
   return Ops;
 }
 
-/// One random native kernel of 1-3 inputs and 3-8 ops. The identity
-/// string spells out the full program, honoring Kernel::Identity's "must
-/// change when the math changes" contract for free.
-inline native::Kernel randomKernel(uint64_t Seed, unsigned Index) {
-  Rng R(Seed ^ (0xbf58476d1ce4e5b9ULL * (Index + 1)));
-  native::Kernel K;
-  unsigned Arity = 1 + static_cast<unsigned>(R.nextBelow(3));
-  unsigned NumOps = 3 + static_cast<unsigned>(R.nextBelow(6));
-  std::vector<RandNativeOp> Ops = randomNativeProgram(R, Arity, NumOps);
-
-  K.Name = format("diff-rand-native-%u", Index);
-  K.Identity = format("diffharness|v1|arity=%u", Arity);
-  for (const RandNativeOp &Op : Ops)
-    K.Identity += format("|%d:%u:%u", static_cast<int>(Op.K), Op.A, Op.B);
-  for (unsigned V = 0; V < Arity; ++V) {
-    native::Kernel::InputRange IR;
-    IR.Lo = R.chance(1, 2) ? -10.0 : 1.0;
-    IR.Hi = R.chance(1, 2) ? 10.0 : 1e12;
-    if (IR.Hi < IR.Lo)
-      IR.Hi = IR.Lo + 1.0;
-    K.Inputs.push_back(IR);
-  }
-  K.Fn = [Arity, Ops](native::Context &C, const double *, size_t N) {
+/// A kernel body that runs \p Ops over native::Real: inputs fill the
+/// first \p Arity slots, each op appends one, and the last is the output.
+inline std::function<void(native::Context &, const double *, size_t)>
+nativeProgramFn(unsigned Arity, std::vector<RandNativeOp> Ops) {
+  return [Arity, Ops](native::Context &C, const double *, size_t N) {
     std::vector<native::Real> Slots;
     for (size_t I = 0; I < N && I < Arity; ++I)
       Slots.push_back(C.input(I));
@@ -193,6 +177,73 @@ inline native::Kernel randomKernel(uint64_t Seed, unsigned Index) {
     }
     C.output(Slots.back());
   };
+}
+
+/// The same program as interpreter IR, op for op, so both frontends can
+/// run one piece of math.
+inline Program irProgram(unsigned Arity, const std::vector<RandNativeOp> &Ops) {
+  ProgramBuilder B;
+  std::vector<ProgramBuilder::Temp> Slots;
+  for (unsigned I = 0; I < Arity; ++I)
+    Slots.push_back(B.input(I));
+  for (const RandNativeOp &Op : Ops) {
+    ProgramBuilder::Temp A = Slots[Op.A % Slots.size()];
+    ProgramBuilder::Temp C = Slots[Op.B % Slots.size()];
+    switch (Op.K) {
+    case RandNativeOp::Add:
+      Slots.push_back(B.op(Opcode::AddF64, A, C));
+      break;
+    case RandNativeOp::Sub:
+      Slots.push_back(B.op(Opcode::SubF64, A, C));
+      break;
+    case RandNativeOp::Mul:
+      Slots.push_back(B.op(Opcode::MulF64, A, C));
+      break;
+    case RandNativeOp::Div:
+      Slots.push_back(B.op(Opcode::DivF64, A, C));
+      break;
+    case RandNativeOp::Sqrt:
+      Slots.push_back(B.op(Opcode::SqrtF64, B.op(Opcode::AbsF64, A)));
+      break;
+    case RandNativeOp::Sin:
+      Slots.push_back(B.op(Opcode::SinF64, A));
+      break;
+    case RandNativeOp::Cos:
+      Slots.push_back(B.op(Opcode::CosF64, A));
+      break;
+    default:
+      Slots.push_back(B.op(Opcode::ExpF64, A));
+      break;
+    }
+  }
+  B.out(Slots.back());
+  B.halt();
+  return B.finish();
+}
+
+/// One random native kernel of 1-3 inputs and 3-8 ops. The identity
+/// string spells out the full program, honoring Kernel::Identity's "must
+/// change when the math changes" contract for free.
+inline native::Kernel randomKernel(uint64_t Seed, unsigned Index) {
+  Rng R(Seed ^ (0xbf58476d1ce4e5b9ULL * (Index + 1)));
+  native::Kernel K;
+  unsigned Arity = 1 + static_cast<unsigned>(R.nextBelow(3));
+  unsigned NumOps = 3 + static_cast<unsigned>(R.nextBelow(6));
+  std::vector<RandNativeOp> Ops = randomNativeProgram(R, Arity, NumOps);
+
+  K.Name = format("diff-rand-native-%u", Index);
+  K.Identity = format("diffharness|v1|arity=%u", Arity);
+  for (const RandNativeOp &Op : Ops)
+    K.Identity += format("|%d:%u:%u", static_cast<int>(Op.K), Op.A, Op.B);
+  for (unsigned V = 0; V < Arity; ++V) {
+    native::Kernel::InputRange IR;
+    IR.Lo = R.chance(1, 2) ? -10.0 : 1.0;
+    IR.Hi = R.chance(1, 2) ? 10.0 : 1e12;
+    if (IR.Hi < IR.Lo)
+      IR.Hi = IR.Lo + 1.0;
+    K.Inputs.push_back(IR);
+  }
+  K.Fn = nativeProgramFn(Arity, std::move(Ops));
   return K;
 }
 

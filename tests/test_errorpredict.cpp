@@ -81,7 +81,7 @@ Tracked applyTracked(Opcode Op, const std::vector<Tracked> &Args) {
   Tracked Out;
   Out.C = evalScalarOp(Op, V, N).F64;
   Out.R = evalRealOp(Op, R, N);
-  PredOp P = predictScalarOp(Op, V, E, N, Value::ofF64(Out.C));
+  PredVal P = predictScalarOp(Op, V, E, N, Value::ofF64(Out.C));
   Out.P = {P.Delta, P.Noise};
   return Out;
 }
@@ -199,7 +199,7 @@ TEST(ErrorPredict, DivRefinementRecoversExactResidualOnExactInputs) {
     double Q = A / B;
     Value V[2] = {Value::ofF64(A), Value::ofF64(B)};
     PredVal E[2]; // exact leaves
-    PredOp P = predictScalarOp(Opcode::DivF64, V, E, 2, Value::ofF64(Q));
+    PredVal P = predictScalarOp(Opcode::DivF64, V, E, 2, Value::ofF64(Q));
     double R = std::fma(Q, B, -A);
     EXPECT_EQ(P.Delta, -R / B) << "trial " << Trial;
     EXPECT_LT(P.Noise, 0x1p-80 * std::fabs(Q) + 1e-300) << "trial " << Trial;
@@ -238,7 +238,7 @@ TEST(ErrorPredict, DivRefinementStaysSoundWithErroneousArguments) {
     PredVal E[2] = {{DA, 0.0}, {DB, 0.0}};
     double Q = A / B;
     Value V[2] = {Value::ofF64(A), Value::ofF64(B)};
-    PredOp P = predictScalarOp(Opcode::DivF64, V, E, 2, Value::ofF64(Q));
+    PredVal P = predictScalarOp(Opcode::DivF64, V, E, 2, Value::ofF64(Q));
     ASSERT_TRUE(std::isfinite(P.Noise)) << "trial " << Trial;
     // real0 = A + DA exactly, real1 = B + DB exactly (Noise = 0).
     BigFloat RA, RB, RQ;

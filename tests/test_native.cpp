@@ -7,12 +7,16 @@
 // The native frontend's contract: (1) for the same math on the same
 // inputs, a native::Real run and a ProgramBuilder IR run produce
 // semantically identical reports -- same root-cause operations at the
-// same source locations with the same error bits; (2) dynamic executions
-// of one source operation merge into one record, loops included; (3) a
-// native kernel swept through engine::Engine is byte-identical across
-// --jobs values, across reset/reuse, and across cold/warm result caches.
+// same source locations with the same error bits -- and, at tier 0, the
+// same verdict on every input and the same op count; (2) dynamic
+// executions of one source operation merge into one record, loops
+// included; (3) a native kernel swept through engine::Engine is
+// byte-identical across --jobs values, across reset/reuse, and across
+// cold/warm result caches.
 //
 //===----------------------------------------------------------------------===//
+
+#include "DiffHarness.h"
 
 #include "engine/Engine.h"
 #include "fpcore/Corpus.h"
@@ -22,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <unistd.h>
 
 using namespace herbgrind;
@@ -81,27 +86,53 @@ void expectSemanticallyEqual(const Report &Native, const Report &Ir) {
 
 SourceLoc loc(int Line) { return SourceLoc("parity.c", Line, "f"); }
 
+/// Each parity program is written twice: as a native kernel body and as
+/// ProgramBuilder IR of the same math, run on the same input tuples.
+using KernelFn = std::function<void(native::Context &, const double *, size_t)>;
+using Tuples = std::vector<std::vector<double>>;
+
+/// Runs \p Fn on every tuple, each through Context::run (so each input
+/// gets its own tier-0 verdict).
+void runNative(native::Context &C, const KernelFn &Fn, const Tuples &In) {
+  native::Kernel K;
+  K.Name = "parity";
+  K.Fn = Fn;
+  for (const std::vector<double> &X : In)
+    C.run(K, X);
+}
+
+Report nativeReport(const KernelFn &Fn, const Tuples &In,
+                    const AnalysisConfig &Cfg) {
+  native::Context C(Cfg);
+  runNative(C, Fn, In);
+  return buildReport(C);
+}
+
+Report irReport(const Program &P, const Tuples &In,
+                const AnalysisConfig &Cfg) {
+  Herbgrind HG(P, Cfg);
+  for (const std::vector<double> &X : In)
+    HG.runOnInput(X);
+  return buildReport(HG);
+}
+
 //===----------------------------------------------------------------------===//
 // Parity 1: (x + 1) - x, the canonical cancellation
 //===----------------------------------------------------------------------===//
 
-const std::vector<double> CancelInputs = {2.0, 1e8, 1e15, 1e16, 4e16};
+const Tuples CancelInputs = {{2.0}, {1e8}, {1e15}, {1e16}, {4e16}};
 
-Report cancelNative(const AnalysisConfig &Cfg) {
-  native::Context C(Cfg);
-  for (double V : CancelInputs) {
-    Real X = C.input(0, V);
-    C.setLoc(loc(1));
-    Real Sum = X + 1.0;
-    C.setLoc(loc(2));
-    Real Diff = Sum - X;
-    C.setLoc(loc(3));
-    C.output(Diff);
-  }
-  return buildReport(C);
+void cancelNative(native::Context &C, const double *, size_t) {
+  Real X = C.input(0);
+  C.setLoc(loc(1));
+  Real Sum = X + 1.0;
+  C.setLoc(loc(2));
+  Real Diff = Sum - X;
+  C.setLoc(loc(3));
+  C.output(Diff);
 }
 
-Report cancelIr(const AnalysisConfig &Cfg) {
+Program cancelIr() {
   ProgramBuilder B;
   auto X = B.input(0);
   B.setLoc(loc(1));
@@ -111,16 +142,13 @@ Report cancelIr(const AnalysisConfig &Cfg) {
   B.setLoc(loc(3));
   B.out(Diff);
   B.halt();
-  Herbgrind HG(B.finish(), Cfg);
-  for (double V : CancelInputs)
-    HG.runOnInput({V});
-  return buildReport(HG);
+  return B.finish();
 }
 
 TEST(NativeParity, Cancellation) {
   AnalysisConfig Cfg;
-  Report N = cancelNative(Cfg), I = cancelIr(Cfg);
-  expectSemanticallyEqual(N, I);
+  Report N = nativeReport(cancelNative, CancelInputs, Cfg);
+  expectSemanticallyEqual(N, irReport(cancelIr(), CancelInputs, Cfg));
   // The report is non-trivial: the subtraction is blamed.
   ASSERT_EQ(N.Spots.size(), 1u);
   ASSERT_FALSE(N.Spots[0].RootCauses.empty());
@@ -131,25 +159,19 @@ TEST(NativeParity, Cancellation) {
 // Parity 2: sqrt(x*x + y*y) - x, cancellation behind a sqrt
 //===----------------------------------------------------------------------===//
 
-const std::vector<std::vector<double>> DistInputs = {
-    {3.0, 4.0}, {1e8, 1.0}, {3e7, 2.0}, {1e8, 0.5}};
+const Tuples DistInputs = {{3.0, 4.0}, {1e8, 1.0}, {3e7, 2.0}, {1e8, 0.5}};
 
-Report distNative(const AnalysisConfig &Cfg) {
-  native::Context C(Cfg);
-  for (const auto &In : DistInputs) {
-    C.bindInputs(In.data(), In.size());
-    Real X = Real::input(0), Y = Real::input(1);
-    C.setLoc(loc(11));
-    Real H = sqrt(X * X + Y * Y);
-    C.setLoc(loc(12));
-    Real D = H - X;
-    C.setLoc(loc(13));
-    C.output(D);
-  }
-  return buildReport(C);
+void distNative(native::Context &C, const double *, size_t) {
+  Real X = Real::input(0), Y = Real::input(1);
+  C.setLoc(loc(11));
+  Real H = sqrt(X * X + Y * Y);
+  C.setLoc(loc(12));
+  Real D = H - X;
+  C.setLoc(loc(13));
+  C.output(D);
 }
 
-Report distIr(const AnalysisConfig &Cfg) {
+Program distIr() {
   ProgramBuilder B;
   auto X = B.input(0);
   auto Y = B.input(1);
@@ -162,15 +184,13 @@ Report distIr(const AnalysisConfig &Cfg) {
   B.setLoc(loc(13));
   B.out(D);
   B.halt();
-  Herbgrind HG(B.finish(), Cfg);
-  for (const auto &In : DistInputs)
-    HG.runOnInput(In);
-  return buildReport(HG);
+  return B.finish();
 }
 
 TEST(NativeParity, SqrtCancellation) {
   AnalysisConfig Cfg;
-  expectSemanticallyEqual(distNative(Cfg), distIr(Cfg));
+  expectSemanticallyEqual(nativeReport(distNative, DistInputs, Cfg),
+                          irReport(distIr(), DistInputs, Cfg));
 }
 
 // The native x*x and y*y share one source line and opcode, so they merge
@@ -200,33 +220,29 @@ TEST(NativeParity, SameLineSameOpcodeMerges) {
 // Parity 3: sin^2 + cos^2 - 1, wrapped library calls
 //===----------------------------------------------------------------------===//
 
-const std::vector<double> TrigInputs = {0.5, 1.25, 2.0, 3.0};
+const Tuples TrigInputs = {{0.5}, {1.25}, {2.0}, {3.0}};
 
-Report trigNative(const AnalysisConfig &Cfg) {
-  native::Context C(Cfg);
-  for (double V : TrigInputs) {
-    Real X = C.input(0, V);
-    // One location per operation: the (location, opcode) identity then
-    // corresponds 1:1 with the IR build's per-pc records.
-    C.setLoc(loc(21));
-    Real S = sin(X);
-    C.setLoc(loc(22));
-    Real Co = cos(X);
-    C.setLoc(loc(23));
-    Real S2 = S * S;
-    C.setLoc(loc(24));
-    Real C2 = Co * Co;
-    C.setLoc(loc(25));
-    Real Sum = S2 + C2;
-    C.setLoc(loc(26));
-    Real R = Sum - 1.0;
-    C.setLoc(loc(27));
-    C.output(R);
-  }
-  return buildReport(C);
+void trigNative(native::Context &C, const double *, size_t) {
+  Real X = C.input(0);
+  // One location per operation: the (location, opcode) identity then
+  // corresponds 1:1 with the IR build's per-pc records.
+  C.setLoc(loc(21));
+  Real S = sin(X);
+  C.setLoc(loc(22));
+  Real Co = cos(X);
+  C.setLoc(loc(23));
+  Real S2 = S * S;
+  C.setLoc(loc(24));
+  Real C2 = Co * Co;
+  C.setLoc(loc(25));
+  Real Sum = S2 + C2;
+  C.setLoc(loc(26));
+  Real R = Sum - 1.0;
+  C.setLoc(loc(27));
+  C.output(R);
 }
 
-Report trigIr(const AnalysisConfig &Cfg) {
+Program trigIr() {
   ProgramBuilder B;
   auto X = B.input(0);
   B.setLoc(loc(21));
@@ -244,47 +260,37 @@ Report trigIr(const AnalysisConfig &Cfg) {
   B.setLoc(loc(27));
   B.out(R);
   B.halt();
-  Herbgrind HG(B.finish(), Cfg);
-  for (double V : TrigInputs)
-    HG.runOnInput({V});
-  return buildReport(HG);
+  return B.finish();
 }
 
 TEST(NativeParity, WrappedLibraryCalls) {
   AnalysisConfig Cfg;
   // Sub-bit local errors matter in this identity; flag them.
   Cfg.LocalErrorThreshold = 0.01;
-  expectSemanticallyEqual(trigNative(Cfg), trigIr(Cfg));
+  expectSemanticallyEqual(nativeReport(trigNative, TrigInputs, Cfg),
+                          irReport(trigIr(), TrigInputs, Cfg));
 }
 
 //===----------------------------------------------------------------------===//
 // Parity 4: an accumulation loop (the Patriot mechanism), plus merging
 //===----------------------------------------------------------------------===//
 
-const std::vector<double> LoopBounds = {0.7, 1.0, 2.0};
+const Tuples LoopBounds = {{0.7}, {1.0}, {2.0}};
 
-Report loopNative(const AnalysisConfig &Cfg, uint64_t *AddExecs = nullptr) {
-  native::Context C(Cfg);
-  for (double Bound : LoopBounds) {
-    Real Limit = C.input(0, Bound);
-    Real T = 0.0;
-    C.setLoc(loc(31));
-    while (T < Limit) {
-      C.setLoc(loc(32));
-      T += 0.1;
-      C.setLoc(loc(31)); // re-stamp the loop condition's site
-    }
-    C.setLoc(loc(33));
-    C.output(T);
+void loopNative(native::Context &C, const double *, size_t) {
+  Real Limit = C.input(0);
+  Real T = 0.0;
+  C.setLoc(loc(31));
+  while (T < Limit) {
+    C.setLoc(loc(32));
+    T += 0.1;
+    C.setLoc(loc(31)); // re-stamp the loop condition's site
   }
-  if (AddExecs)
-    for (const auto &[PC, Rec] : C.opRecords())
-      if (Rec.Op == Opcode::AddF64)
-        *AddExecs = Rec.Executions;
-  return buildReport(C);
+  C.setLoc(loc(33));
+  C.output(T);
 }
 
-Report loopIr(const AnalysisConfig &Cfg) {
+Program loopIr() {
   ProgramBuilder B;
   using T = ProgramBuilder::Temp;
   T Limit = B.input(0);
@@ -303,17 +309,18 @@ Report loopIr(const AnalysisConfig &Cfg) {
   B.setLoc(loc(33));
   B.out(Acc);
   B.halt();
-  Herbgrind HG(B.finish(), Cfg);
-  for (double Bound : LoopBounds)
-    HG.runOnInput({Bound});
-  return buildReport(HG);
+  return B.finish();
 }
 
 TEST(NativeParity, AccumulationLoop) {
   AnalysisConfig Cfg;
   Cfg.LocalErrorThreshold = 0.01; // track the sub-bit increment error
+  native::Context C(Cfg);
+  runNative(C, loopNative, LoopBounds);
   uint64_t AddExecs = 0;
-  Report N = loopNative(Cfg, &AddExecs);
+  for (const auto &[PC, Rec] : C.opRecords())
+    if (Rec.Op == Opcode::AddF64)
+      AddExecs = Rec.Executions;
   // Loop merging: every iteration of every run lands in ONE record
   // (0.7 -> 8 trips, 1.0 -> 10, 2.0 -> 20 with drift; at least 3 runs'
   // worth merged, certainly more than one trip's).
@@ -321,11 +328,73 @@ TEST(NativeParity, AccumulationLoop) {
   // The while condition diverges at a drifted boundary and the report
   // blames the increment. (The IR build uses the inverted branch
   // predicate the compiler would emit; divergence is predicate-neutral.)
-  expectSemanticallyEqual(N, loopIr(Cfg));
+  Report N = buildReport(C);
+  expectSemanticallyEqual(N, irReport(loopIr(), LoopBounds, Cfg));
   const SpotReport *Cmp = findSpot(N, SpotKind::Comparison, loc(31).str());
   ASSERT_NE(Cmp, nullptr);
   EXPECT_GT(Cmp->Erroneous, 0u);
   ASSERT_NE(findCause(*Cmp, loc(32).str()), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Tier-0 parity: both frontends reach the same verdicts
+//===----------------------------------------------------------------------===//
+
+/// Runs one piece of math through both frontends at tier 0. Each input
+/// must get the same verdict on both sides, and both must count the same
+/// shadow ops. Returns how many inputs were suspect.
+unsigned expectSameTier0(const KernelFn &Fn, const Program &P,
+                         const Tuples &In) {
+  AnalysisConfig Cfg;
+  Cfg.PredicateOnly = true;
+  Herbgrind HG(P, Cfg);
+  native::Context C(Cfg);
+  native::Kernel K;
+  K.Name = "tier0";
+  K.Fn = Fn;
+  unsigned Suspect = 0;
+  for (size_t I = 0; I < In.size(); ++I) {
+    HG.runOnInput(In[I]);
+    C.run(K, In[I]);
+    EXPECT_EQ(HG.lastRunSuspect(), C.lastRunSuspect()) << "input " << I;
+    Suspect += C.lastRunSuspect();
+  }
+  EXPECT_EQ(HG.stats().ShadowOpsExecuted, C.stats().ShadowOpsExecuted);
+  return Suspect;
+}
+
+TEST(NativeParity, Tier0VerdictsMatchOnTheParityPrograms) {
+  unsigned Suspect = expectSameTier0(cancelNative, cancelIr(), CancelInputs) +
+                     expectSameTier0(distNative, distIr(), DistInputs) +
+                     expectSameTier0(trigNative, trigIr(), TrigInputs) +
+                     expectSameTier0(loopNative, loopIr(), LoopBounds);
+  // Both verdicts occur, so agreement is not vacuous.
+  const size_t Runs = CancelInputs.size() + DistInputs.size() +
+                      TrigInputs.size() + LoopBounds.size();
+  EXPECT_GT(Suspect, 0u);
+  EXPECT_LT(Suspect, Runs);
+}
+
+TEST(NativeParity, Tier0VerdictsMatchOnSeededPrograms) {
+  unsigned Suspect = 0, Runs = 0;
+  for (uint64_t Seed = 1; Seed <= 24; ++Seed) {
+    Rng R(Seed);
+    unsigned Arity = 1 + static_cast<unsigned>(R.nextBelow(3));
+    unsigned NumOps = 3 + static_cast<unsigned>(R.nextBelow(6));
+    std::vector<diffharness::RandNativeOp> Ops =
+        diffharness::randomNativeProgram(R, Arity, NumOps);
+    Tuples In(8);
+    for (std::vector<double> &X : In)
+      for (unsigned V = 0; V < Arity; ++V)
+        X.push_back(R.chance(1, 2) ? R.uniformReal(-10.0, 10.0)
+                                   : R.uniformReal(1.0, 1e12));
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Suspect += expectSameTier0(diffharness::nativeProgramFn(Arity, Ops),
+                               diffharness::irProgram(Arity, Ops), In);
+    Runs += In.size();
+  }
+  EXPECT_GT(Suspect, 0u);
+  EXPECT_LT(Suspect, Runs);
 }
 
 //===----------------------------------------------------------------------===//

@@ -676,6 +676,17 @@ TEST(Serialize, SchemaRejectionsKeepTheirExactText) {
        "op record: field 'flagged' must be a non-negative integer"},
       {LedgerJson, "\"poolSteals\":3", "\"poolSteals\":\"3\"", Ledgers,
        "ledger stats: field 'poolSteals' missing or not a number"},
+      // Integers must be plain digits that fit their field: no wrap to
+      // 32 bits, no fraction, no saturation.
+      {ShardJson, format("{\"pc\":%u,\"op\"", FirstPC),
+       format("{\"pc\":%llu,\"op\"", (1ULL << 32) + FirstPC), Shards,
+       "op record: field 'pc' must fit in 32 bits"},
+      {ShardJson, "\"executions\":", "\"executions\":7.9e1,\"_\":", Shards,
+       "op record: field 'executions' must be a non-negative integer"},
+      {ShardJson, "\"flagged\":", "\"flagged\":18446744073709551616,\"_\":",
+       Shards, "op record: field 'flagged' must fit in 64 bits"},
+      {ShardJson, "\"line\":", "\"line\":2147483648,\"_\":", Shards,
+       "loc: field 'line' must fit in 32 bits"},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Want);

@@ -15,7 +15,7 @@ namespace {
 struct ShadowFixture : ::testing::Test {
   TraceArena Arena{24, 5};
   InfluenceSets Sets;
-  ShadowState State{Arena, Sets, /*NumTemps=*/8};
+  ShadowState State{Arena, /*NumTemps=*/8};
 
   ShadowValue *mk(double V) {
     return State.create(BigFloat::fromDouble(V), Arena.leaf(V), Sets.empty(),
