@@ -45,6 +45,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -624,14 +625,16 @@ static std::string renderReport(const BatchResult &Result, bool Json) {
 }
 
 /// Collects shard-document paths: each argument is a file, or a directory
-/// whose *.json / *.hgb entries (sorted, for reproducible error messages)
-/// are taken. Telemetry sidecars living next to emitted shards (named
-/// "telemetry-r<lo>-<hi>.<ext>" by writeTelemetrySidecar) are routed to
-/// \p TelemetryPaths so they never reach the shard parser. Improve-cache
-/// entries are skipped, so a result-cache directory that an --improve run
-/// also used still merges. Iteration uses the error_code API throughout --
-/// a directory that turns unreadable mid-walk is a diagnostic, not a
-/// terminate().
+/// whose *.json / *.hgb documents and *.hgseg cache segments (sorted, for
+/// reproducible error messages) are taken. Telemetry sidecars living next
+/// to emitted shards (named "telemetry-r<lo>-<hi>.<ext>" by
+/// writeTelemetrySidecar) are routed to \p TelemetryPaths so they never
+/// reach the shard parser. Improve-cache entries are skipped, so a
+/// result-cache directory that an --improve run also used still merges,
+/// and so are the per-entry shard files (`<key>.shard.hgb|json`) earlier
+/// cache versions wrote, which lookups never open either. Iteration uses
+/// the error_code API throughout -- a directory that turns unreadable
+/// mid-walk is a diagnostic, not a terminate().
 static bool collectShardPaths(const std::vector<std::string> &Args,
                               std::vector<std::string> &Paths,
                               std::vector<std::string> &TelemetryPaths) {
@@ -643,8 +646,10 @@ static bool collectShardPaths(const std::vector<std::string> &Args,
       fs::directory_iterator It(Arg, Ec), End;
       for (; !Ec && It != End; It.increment(Ec)) {
         const fs::path &P = It->path();
-        if ((P.extension() != ".json" && P.extension() != ".hgb") ||
-            P.stem().extension() == ".improve")
+        if ((P.extension() != ".json" && P.extension() != ".hgb" &&
+             P.extension() != SegmentExtension) ||
+            P.stem().extension() == ".improve" ||
+            P.stem().extension() == ".shard")
           continue;
         if (P.filename().string().rfind("telemetry", 0) == 0)
           Sidecars.push_back(P.string());
@@ -681,21 +686,38 @@ static int runMergeShards(const std::vector<std::string> &Args,
     return 1;
 
   std::vector<ShardDoc> Docs;
+  // A shard that several segments hold (two sweeps that both missed it)
+  // is taken once; standalone documents are each taken.
+  std::set<uint64_t> SegmentKeys;
   for (const std::string &Path : Paths) {
-    std::string Text;
-    if (!readFile(Path, Text)) {
-      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-      return 1;
-    }
-    ShardDoc Doc;
+    std::vector<std::string> Texts;
     std::string Err;
-    // parseShard sniffs the encoding, so one merge can fold shards
-    // emitted as JSON on one machine and HGB on another.
-    if (!parseShard(Text, Doc, Err)) {
-      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
-      return 1;
+    if (std::filesystem::path(Path).extension() == SegmentExtension) {
+      std::vector<SegmentEntry> Entries;
+      if (!readSegment(Path, Entries, Err)) {
+        std::fprintf(stderr, "error: %s\n", Err.c_str());
+        return 1;
+      }
+      for (SegmentEntry &E : Entries)
+        if (SegmentKeys.insert(E.Key).second)
+          Texts.push_back(std::move(E.Doc));
+    } else {
+      Texts.emplace_back();
+      if (!readFile(Path, Texts.back())) {
+        std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+        return 1;
+      }
     }
-    Docs.push_back(std::move(Doc));
+    for (const std::string &Text : Texts) {
+      ShardDoc Doc;
+      // parseShard sniffs the encoding, so one merge can fold shards
+      // emitted as JSON on one machine and HGB on another.
+      if (!parseShard(Text, Doc, Err)) {
+        std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
+        return 1;
+      }
+      Docs.push_back(std::move(Doc));
+    }
   }
   // The documents carry the producing sweep's config hash; a cache opened
   // with it shares improver entries with that sweep's own --improve runs.

@@ -630,6 +630,12 @@ PredVal predictScalarOp(Opcode Op, const Value *ArgConcrete,
 
 bool comparisonSuspect(const Value &A, const Value &B, double ErrA,
                        double ErrB) {
+  // An exact pair: each real equals its concrete, so the real predicate is
+  // the float predicate, whatever the values -- an infinite or NaN input
+  // included. (A computed non-finite value carries the non-finite
+  // Suspect bound, never zero.)
+  if (ErrA == 0.0 && ErrB == 0.0)
+    return false;
   double CA = scalarOf(A), CB = scalarOf(B);
   if (!std::isfinite(CA) || !std::isfinite(CB) || !std::isfinite(ErrA) ||
       !std::isfinite(ErrB))

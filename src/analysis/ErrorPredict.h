@@ -92,8 +92,10 @@ PredVal predictScalarOp(Opcode Op, const Value *ArgConcrete,
 double predictedErrorBits(double Concrete, double AbsErr, ValueType Ty);
 
 /// Comparison spot: could the predicate over the reals diverge from the
-/// concrete predicate? True when the error intervals of the two operands
-/// overlap (or any value involved is non-finite).
+/// concrete predicate? False when both operands are exact (their reals
+/// are their concretes, non-finite ones included); otherwise true when
+/// the error intervals of the two operands overlap or any value involved
+/// is non-finite.
 bool comparisonSuspect(const Value &A, const Value &B, double ErrA,
                        double ErrB);
 

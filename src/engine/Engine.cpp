@@ -479,6 +479,12 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     MTierConfirmations.add(Out.Stats.ConfirmedBenchmarks);
   }
   if (RC) {
+    // The sweep's stores become one segment, renamed into place before
+    // the store failures are read and before any GC sees the directory.
+    {
+      trace::Span FlushSpan("engine.cache_flush", "engine");
+      RC->flush();
+    }
     Out.Stats.ResultCacheHits = RC->hits() - RcHits0;
     Out.Stats.ResultCacheMisses = RC->misses() - RcMisses0;
     Out.Stats.ResultCacheStoreFailures = RC->storeFailures() - RcStoreFail0;

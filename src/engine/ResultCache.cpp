@@ -10,12 +10,19 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace herbgrind;
 using namespace herbgrind::engine;
@@ -24,7 +31,8 @@ using namespace herbgrind::engine;
 // Hashing
 //===----------------------------------------------------------------------===//
 
-static uint64_t fnv1a64(const std::string &S, uint64_t H = 0xcbf29ce484222325ULL) {
+static uint64_t fnv1a64(std::string_view S,
+                        uint64_t H = 0xcbf29ce484222325ULL) {
   for (unsigned char C : S) {
     H ^= C;
     H *= 0x100000001b3ULL;
@@ -104,6 +112,178 @@ bool herbgrind::engine::readFile(const std::string &Path, std::string &Out) {
 }
 
 //===----------------------------------------------------------------------===//
+// Segment files
+//===----------------------------------------------------------------------===//
+//
+// A segment is the documents one sweep stored, back to back, then
+//
+//   index:  Count x { u64 key hash, u64 offset, u64 length, u64 doc hash }
+//   footer: "HGSEG\r\n\x1a", u64 layout version, u64 Count,
+//           u64 hash of the index and the footer's first 24 bytes
+//
+// all little-endian. The footer is read first, from the end of the file,
+// so a segment cut short anywhere has no valid footer and holds nothing.
+
+namespace {
+
+constexpr char SegmentMagic[8] = {'H',  'G',  'S',  'E',
+                                  'G',  '\r', '\n', '\x1a'};
+constexpr uint64_t SegmentLayoutVersion = 1;
+constexpr size_t FooterBytes = 32;
+constexpr size_t IndexEntryBytes = 32;
+
+struct IndexEntry {
+  uint64_t Key, Offset, Length, Hash;
+};
+
+void putU64(std::string &S, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    S.push_back(static_cast<char>(V >> (8 * I)));
+}
+
+uint64_t getU64(const char *P) {
+  uint64_t V = 0;
+  for (int I = 7; I >= 0; --I)
+    V = V << 8 | static_cast<unsigned char>(P[I]);
+  return V;
+}
+
+void putEntry(std::string &Index, const IndexEntry &E) {
+  putU64(Index, E.Key);
+  putU64(Index, E.Offset);
+  putU64(Index, E.Length);
+  putU64(Index, E.Hash);
+}
+
+/// The footer that ends a segment whose index is \p Index.
+std::string segmentFooter(const std::string &Index) {
+  std::string Footer(SegmentMagic, sizeof(SegmentMagic));
+  putU64(Footer, SegmentLayoutVersion);
+  putU64(Footer, Index.size() / IndexEntryBytes);
+  putU64(Footer, fnv1a64(Footer, fnv1a64(Index)));
+  return Footer;
+}
+
+/// Moves all \p N bytes at \p Offset through \p IO (pread or pwrite);
+/// false on an error or end of file.
+template <class IO, class Byte>
+bool allAt(IO Op, int Fd, Byte *Buf, size_t N, uint64_t Offset) {
+  while (N > 0) {
+    ssize_t Moved = Op(Fd, Buf, N, static_cast<off_t>(Offset));
+    if (Moved < 0 && errno == EINTR)
+      continue;
+    if (Moved <= 0)
+      return false;
+    Buf += Moved;
+    N -= static_cast<size_t>(Moved);
+    Offset += static_cast<uint64_t>(Moved);
+  }
+  return true;
+}
+
+bool readAt(int Fd, char *Buf, size_t N, uint64_t Offset) {
+  return allAt(::pread, Fd, Buf, N, Offset);
+}
+
+bool writeAt(int Fd, const char *Buf, size_t N, uint64_t Offset) {
+  return allAt(::pwrite, Fd, Buf, N, Offset);
+}
+
+/// Reads and checks the index of the segment open as \p Fd: the footer's
+/// magic and version, an index that fits the file and matches its hash,
+/// and every entry inside the document area.
+bool readIndex(int Fd, std::vector<IndexEntry> &Out, std::string &Err) {
+  struct stat St;
+  if (::fstat(Fd, &St) != 0) {
+    Err = std::strerror(errno);
+    return false;
+  }
+  const uint64_t Size = static_cast<uint64_t>(St.st_size);
+  char Footer[FooterBytes];
+  if (Size < FooterBytes ||
+      !readAt(Fd, Footer, FooterBytes, Size - FooterBytes)) {
+    Err = "too short for a segment footer";
+    return false;
+  }
+  if (std::memcmp(Footer, SegmentMagic, sizeof(SegmentMagic)) != 0) {
+    Err = "no segment footer";
+    return false;
+  }
+  if (getU64(Footer + 8) != SegmentLayoutVersion) {
+    Err = format("segment layout version %llu (this build reads %llu)",
+                 static_cast<unsigned long long>(getU64(Footer + 8)),
+                 static_cast<unsigned long long>(SegmentLayoutVersion));
+    return false;
+  }
+  const uint64_t Count = getU64(Footer + 16);
+  const uint64_t Body = Size - FooterBytes;
+  if (Count > Body / IndexEntryBytes) {
+    Err = "segment index larger than the file";
+    return false;
+  }
+  const uint64_t IndexAt = Body - Count * IndexEntryBytes;
+  std::string Index(Count * IndexEntryBytes, '\0');
+  if (!readAt(Fd, Index.data(), Index.size(), IndexAt)) {
+    Err = "cannot read the segment index";
+    return false;
+  }
+  if (fnv1a64(std::string_view(Footer, 24), fnv1a64(Index)) !=
+      getU64(Footer + 24)) {
+    Err = "segment index fails its hash";
+    return false;
+  }
+  Out.resize(Count);
+  for (uint64_t I = 0; I < Count; ++I) {
+    const char *P = Index.data() + I * IndexEntryBytes;
+    IndexEntry &E = Out[I];
+    E = {getU64(P), getU64(P + 8), getU64(P + 16), getU64(P + 24)};
+    if (E.Offset > IndexAt || E.Length > IndexAt - E.Offset) {
+      Err = format("segment entry %llu lies outside the document area",
+                   static_cast<unsigned long long>(I));
+      return false;
+    }
+  }
+  return true;
+}
+
+int openForRead(const std::string &Path) {
+  return ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+}
+
+} // namespace
+
+bool herbgrind::engine::readSegment(const std::string &Path,
+                                    std::vector<SegmentEntry> &Out,
+                                    std::string &Err) {
+  int Fd = openForRead(Path);
+  if (Fd < 0) {
+    Err = format("cannot open %s: %s", Path.c_str(), std::strerror(errno));
+    return false;
+  }
+  std::vector<IndexEntry> Index;
+  bool Ok = readIndex(Fd, Index, Err);
+  Out.clear();
+  Out.reserve(Index.size());
+  for (size_t I = 0; Ok && I < Index.size(); ++I) {
+    const IndexEntry &E = Index[I];
+    std::string Doc(E.Length, '\0');
+    if (!readAt(Fd, Doc.data(), Doc.size(), E.Offset) ||
+        fnv1a64(Doc) != E.Hash) {
+      Err = format("segment entry %zu fails its hash", I);
+      Ok = false;
+      break;
+    }
+    Out.push_back({E.Key, std::move(Doc)});
+  }
+  ::close(Fd);
+  if (!Ok) {
+    Err = Path + ": " + Err;
+    Out.clear();
+  }
+  return Ok;
+}
+
+//===----------------------------------------------------------------------===//
 // The cache
 //===----------------------------------------------------------------------===//
 
@@ -115,52 +295,167 @@ ResultCache::ResultCache(std::string Directory, std::string ConfigHash)
   // sweep still runs correctly.
 }
 
-std::string ResultCache::entryPath(const ShardKey &Key) const {
+ResultCache::~ResultCache() { flush(); }
+
+uint64_t ResultCache::keyHash(const ShardKey &Key) const {
   uint64_t H = fnv1a64(Hash);
   H = fnv1a64(Key.CoreIdentity, H);
-  H = fnv1a64(format("|seed=%llu|bench=%llu|shard=%llu|range=%llu:%llu",
-                     static_cast<unsigned long long>(Key.DerivedSeed),
-                     static_cast<unsigned long long>(Key.BenchIndex),
-                     static_cast<unsigned long long>(Key.ShardIndex),
-                     static_cast<unsigned long long>(Key.RunBegin),
-                     static_cast<unsigned long long>(Key.RunEnd)),
-              H);
-  return Dir + "/" +
-         format("%016llx.shard.hgb", static_cast<unsigned long long>(H));
+  return fnv1a64(format("|seed=%llu|bench=%llu|shard=%llu|range=%llu:%llu",
+                        static_cast<unsigned long long>(Key.DerivedSeed),
+                        static_cast<unsigned long long>(Key.BenchIndex),
+                        static_cast<unsigned long long>(Key.ShardIndex),
+                        static_cast<unsigned long long>(Key.RunBegin),
+                        static_cast<unsigned long long>(Key.RunEnd)),
+                 H);
+}
+
+void ResultCache::closeReader() {
+  if (ReaderFd >= 0)
+    ::close(ReaderFd);
+  ReaderFd = -1;
+  ReaderSeg = Pending;
+}
+
+void ResultCache::loadSegments() {
+  Loaded = true;
+  namespace fs = std::filesystem;
+  std::error_code Ec;
+  for (fs::directory_iterator It(Dir, Ec), End; !Ec && It != End;
+       It.increment(Ec)) {
+    const fs::path &P = It->path();
+    if (P.extension() != SegmentExtension)
+      continue;
+    int Fd = openForRead(P.string());
+    if (Fd < 0)
+      continue; // pruned under us
+    std::vector<IndexEntry> Entries;
+    std::string Err;
+    if (!readIndex(Fd, Entries, Err)) {
+      ::close(Fd); // a torn segment holds no entries
+      continue;
+    }
+    const uint32_t Seg = static_cast<uint32_t>(Segments.size());
+    Segments.push_back({P.string()});
+    for (const IndexEntry &E : Entries)
+      Index.emplace(E.Key, Slot{Seg, E.Offset, E.Length, E.Hash});
+    // The last segment read stays open: with one segment in the
+    // directory, every hit of the sweep is one pread.
+    closeReader();
+    ReaderFd = Fd;
+    ReaderSeg = Seg;
+  }
+}
+
+bool ResultCache::readSlot(const Slot &S, std::string &Out) {
+  int Fd = TempFd;
+  if (S.Seg != Pending) {
+    if (ReaderSeg != S.Seg) {
+      closeReader();
+      ReaderFd = openForRead(Segments[S.Seg].Path);
+      ReaderSeg = S.Seg;
+    }
+    Fd = ReaderFd;
+  }
+  Out.resize(S.Length);
+  if (Fd < 0 || !readAt(Fd, Out.data(), Out.size(), S.Offset) ||
+      fnv1a64(Out) != S.Hash)
+    return false;
+  if (TouchOnHit && S.Seg != Pending && !Segments[S.Seg].Touched) {
+    // Refresh the segment so LRU-by-mtime pruning (gcCacheDir) keeps hot
+    // shards; once per sweep is enough.
+    ::futimens(Fd, nullptr);
+    Segments[S.Seg].Touched = true;
+  }
+  return true;
 }
 
 bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out) {
-  const std::string Path = entryPath(Key);
+  const uint64_t K = keyHash(Key);
   std::string Text;
+  bool Found = false;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    if (!Loaded)
+      loadSegments();
+    auto [It, End] = Index.equal_range(K);
+    for (; It != End && !Found; ++It)
+      Found = readSlot(It->second, Text);
+  }
   ShardDoc Doc;
   std::string Err;
-  // A missing, corrupt or foreign entry is absent; a fresh store will
-  // overwrite it.
-  if (!readFile(Path, Text) || !parseShard(Text, Doc, Err) ||
-      Doc.ConfigHash != Hash || Doc.ShardIndex != Key.ShardIndex ||
-      Doc.RunBegin != Key.RunBegin || Doc.RunEnd != Key.RunEnd) {
+  // No copy, or one that is corrupt or foreign, is absent; a fresh store
+  // will supersede it.
+  if (!Found || !parseShard(Text, Doc, Err) || Doc.ConfigHash != Hash ||
+      Doc.ShardIndex != Key.ShardIndex || Doc.RunBegin != Key.RunBegin ||
+      Doc.RunEnd != Key.RunEnd) {
     ++Misses;
     return false;
   }
   Out = std::move(Doc.Result);
   ++Hits;
-  if (TouchOnHit) {
-    // Refresh the entry so LRU-by-mtime pruning (gcCacheDir) keeps hot
-    // shards.
-    std::error_code Ec;
-    std::filesystem::last_write_time(
-        Path, std::filesystem::file_time_type::clock::now(), Ec);
-  }
   return true;
 }
 
 void ResultCache::store(const ShardKey &Key, const std::string &BenchName,
                         const AnalysisResult &Result) {
-  if (!writeFileAtomic(entryPath(Key),
-                       renderShard(Hash, BenchName, Key.BenchIndex,
-                                   Key.ShardIndex, Key.RunBegin, Key.RunEnd,
-                                   Result, WireEncoding::Binary)))
+  const std::string Doc =
+      renderShard(Hash, BenchName, Key.BenchIndex, Key.ShardIndex,
+                  Key.RunBegin, Key.RunEnd, Result, WireEncoding::Binary);
+  const uint64_t K = keyHash(Key);
+  const uint64_t DocHash = fnv1a64(Doc);
+  std::lock_guard<std::mutex> Lock(M);
+  if (TempFd < 0) {
+    // Unique per process and per flush; the clock keeps two hosts sharing
+    // a directory apart too.
+    static std::atomic<uint64_t> Opened{0};
+    SegmentPath =
+        Dir + format("/%llx-%lu-%llu%s",
+                     static_cast<unsigned long long>(
+                         std::chrono::system_clock::now()
+                             .time_since_epoch()
+                             .count()),
+                     static_cast<unsigned long>(::getpid()),
+                     static_cast<unsigned long long>(Opened.fetch_add(1)),
+                     SegmentExtension);
+    TempFd = ::open((SegmentPath + ".tmp").c_str(),
+                    O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    TempSize = 0;
+  }
+  if (TempFd < 0 || !writeAt(TempFd, Doc.data(), Doc.size(), TempSize)) {
     ++StoreFailures;
+    return;
+  }
+  putEntry(TempIndex, {K, TempSize, Doc.size(), DocHash});
+  Index.emplace(K, Slot{Pending, TempSize, Doc.size(), DocHash});
+  TempSize += Doc.size();
+}
+
+void ResultCache::flush() {
+  std::lock_guard<std::mutex> Lock(M);
+  // Whatever happens to the pending segment, the next lookup starts a new
+  // sweep and reads the directory again.
+  Loaded = false;
+  Index.clear();
+  Segments.clear();
+  closeReader();
+  if (TempFd < 0)
+    return;
+  const std::string Tail = TempIndex + segmentFooter(TempIndex);
+  const uint64_t Entries = TempIndex.size() / IndexEntryBytes;
+  bool Ok = Entries > 0 && writeAt(TempFd, Tail.data(), Tail.size(), TempSize);
+  Ok = ::close(TempFd) == 0 && Ok;
+  TempFd = -1;
+  std::error_code Ec;
+  if (Ok) {
+    std::filesystem::rename(SegmentPath + ".tmp", SegmentPath, Ec);
+    Ok = !Ec;
+  }
+  if (!Ok) {
+    std::filesystem::remove(SegmentPath + ".tmp", Ec);
+    StoreFailures += Entries;
+  }
+  TempIndex.clear();
+  TempSize = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -235,11 +530,14 @@ bool herbgrind::engine::gcCacheDir(const std::string &Dir, uint64_t MaxBytes,
                  Ec.message().c_str());
     return false;
   }
-  // Every entry kind the cache writes is subject to the cap. Lookups no
-  // longer open the JSON entries older versions wrote, but they still
-  // count and prune, so a capped directory of them drains.
-  const std::string Suffixes[] = {".shard.json", ".shard.hgb",
-                                  ".improve.json", ".improve.hgb"};
+  // Every file kind the cache writes is subject to the cap, and so are
+  // the temporary segments a killed sweep leaves. Lookups no longer open
+  // the per-entry shard files and JSON improver entries earlier versions
+  // wrote, but they still count and prune, so a capped directory of them
+  // drains.
+  const std::string Suffixes[] = {".hgseg",        ".hgseg.tmp",
+                                  ".improve.hgb",  ".shard.hgb",
+                                  ".shard.json",   ".improve.json"};
   auto IsEntry = [&](const std::string &Name) {
     for (const std::string &Suffix : Suffixes)
       if (Name.size() >= Suffix.size() &&

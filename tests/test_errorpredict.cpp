@@ -332,8 +332,13 @@ TEST(ErrorPredict, ComparisonPredicate) {
   EXPECT_FALSE(comparisonSuspect(A, B, 0.0, 0.0));
   // Equal concretes with any uncertainty: suspect.
   EXPECT_TRUE(comparisonSuspect(A, A, 1e-300, 0.0));
-  // NaN anywhere: suspect.
-  EXPECT_TRUE(comparisonSuspect(Value::ofF64(std::nan("")), B, 0.0, 0.0));
+  // NaN anywhere with any uncertainty: suspect.
+  EXPECT_TRUE(comparisonSuspect(Value::ofF64(std::nan("")), B, 0.0, 0.25));
+  EXPECT_TRUE(comparisonSuspect(A, B, 0.0, HUGE_VAL));
+  // An exact pair is clean whatever its values: its reals are its
+  // concretes, so the real predicate is the float predicate.
+  EXPECT_FALSE(comparisonSuspect(Value::ofF64(std::nan("")), B, 0.0, 0.0));
+  EXPECT_FALSE(comparisonSuspect(Value::ofF64(HUGE_VAL), B, 0.0, 0.0));
 }
 
 TEST(ErrorPredict, ConversionPredicate) {

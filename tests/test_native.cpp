@@ -25,8 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <unistd.h>
 
 using namespace herbgrind;
@@ -373,6 +376,112 @@ TEST(NativeParity, Tier0VerdictsMatchOnTheParityPrograms) {
                       TrigInputs.size() + LoopBounds.size();
   EXPECT_GT(Suspect, 0u);
   EXPECT_LT(Suspect, Runs);
+}
+
+/// Tests x < 1.0 and outputs the constant 1.0: the comparison's operands
+/// are an input and a constant, both exact.
+void inputTestNative(native::Context &C, const double *, size_t) {
+  Real X = C.input(0);
+  C.setLoc(loc(41));
+  bool Small = X < 1.0;
+  (void)Small;
+  C.setLoc(loc(42));
+  C.output(Real(1.0));
+}
+
+Program inputTestIr() {
+  ProgramBuilder B;
+  auto X = B.input(0);
+  auto Done = B.newLabel();
+  B.setLoc(loc(41));
+  B.branchIf(B.op(Opcode::CmpLTF64, X, B.constF64(1.0)), Done);
+  B.bind(Done);
+  B.setLoc(loc(42));
+  B.out(B.constF64(1.0));
+  B.halt();
+  return B.finish();
+}
+
+TEST(NativeParity, Tier0ClearsComparisonsOfExactNonFiniteInputs) {
+  // native::Context gives every input an exact leaf while the interpreter
+  // leaves a raw input unshadowed; an exact pair must be clean on both
+  // sides, whatever its values.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const Tuples In = {{Inf}, {-Inf}, {std::nan("")}};
+  EXPECT_EQ(expectSameTier0(inputTestNative, inputTestIr(), In), 0u);
+}
+
+/// The special values the comparison soundness check pairs up.
+const double Specials[] = {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           0.0,
+                           -0.0,
+                           1.0};
+const Opcode Comparisons[] = {Opcode::CmpLTF64, Opcode::CmpLEF64,
+                              Opcode::CmpEQF64, Opcode::CmpNEF64,
+                              Opcode::CmpGTF64, Opcode::CmpGEF64};
+
+void compareAllNative(native::Context &C, const double *, size_t) {
+  Real X = C.input(0), Y = C.input(1);
+  bool R[6];
+  C.setLoc(loc(51));
+  R[0] = X < Y;
+  C.setLoc(loc(52));
+  R[1] = X <= Y;
+  C.setLoc(loc(53));
+  R[2] = X == Y;
+  C.setLoc(loc(54));
+  R[3] = X != Y;
+  C.setLoc(loc(55));
+  R[4] = X > Y;
+  C.setLoc(loc(56));
+  R[5] = X >= Y;
+  (void)R;
+}
+
+Program compareAllIr() {
+  ProgramBuilder B;
+  auto X = B.input(0), Y = B.input(1);
+  int Line = 51;
+  for (Opcode Op : Comparisons) {
+    auto Next = B.newLabel();
+    B.setLoc(loc(Line++));
+    B.branchIf(B.op(Op, X, Y), Next);
+    B.bind(Next);
+  }
+  B.halt();
+  return B.finish();
+}
+
+TEST(NativeParity, ExactComparisonsOfSpecialValuesNeverDiverge) {
+  // The soundness side of tier 0's exact-pair rule: under the full
+  // shadow, exact operands over infinities, NaN, signed zeros and 1 never
+  // make a comparison diverge, for any of the six F64 predicates.
+  Tuples In;
+  for (double A : Specials)
+    for (double B : Specials)
+      In.push_back({A, B});
+  AnalysisConfig Cfg;
+  native::Context C(Cfg);
+  runNative(C, compareAllNative, In);
+  Herbgrind HG(compareAllIr(), Cfg);
+  for (const std::vector<double> &X : In)
+    HG.runOnInput(X);
+  for (const Analyzer *A : {static_cast<const Analyzer *>(&C),
+                            static_cast<const Analyzer *>(&HG)}) {
+    size_t Spots = 0;
+    for (const auto &[Site, Spot] : A->spotRecords()) {
+      if (Spot.Kind != SpotKind::Comparison)
+        continue;
+      ++Spots;
+      EXPECT_EQ(Spot.Executions, In.size()) << Spot.Loc.str();
+      EXPECT_EQ(Spot.Erroneous, 0u) << Spot.Loc.str();
+    }
+    EXPECT_EQ(Spots, std::size(Comparisons));
+  }
+  // And tier 0 clears every one of those runs on both frontends.
+  EXPECT_EQ(expectSameTier0(compareAllNative, compareAllIr(), In), 0u);
 }
 
 TEST(NativeParity, Tier0VerdictsMatchOnSeededPrograms) {

@@ -10,8 +10,10 @@
 // merges byte-identically with the in-memory original, corpus-wide; (3)
 // presentation reports and batch documents round-trip; (4) unknown major
 // versions are rejected; (5) the result cache hits on identical sweeps,
-// invalidates on config/seed/FPCore changes, survives corruption, and a
-// warm sweep analyzes zero shards while producing identical bytes.
+// invalidates on config/seed/FPCore changes, survives corruption (a
+// spoiled document is a miss, and exactly the spoiled shards are analyzed
+// again), prunes whole segments to its cap, and a warm sweep analyzes
+// zero shards while producing identical bytes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -94,6 +98,26 @@ struct TempDir {
     std::filesystem::remove_all(Path, Ec);
   }
 };
+
+std::string slurpFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+void spewFile(const std::string &Path, const std::string &Text) {
+  std::ofstream(Path, std::ios::binary | std::ios::trunc) << Text;
+}
+
+/// The finished segments in a cache directory, sorted.
+std::vector<std::string> segmentsIn(const std::string &Dir) {
+  std::vector<std::string> Out;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == SegmentExtension)
+      Out.push_back(E.path().string());
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
 
 std::vector<fpcore::Core> smallCorpusSubset(size_t MaxBenchmarks) {
   std::vector<fpcore::Core> Cores;
@@ -875,23 +899,122 @@ TEST(ResultCache, CorruptEntriesAreMissesNotErrors) {
   Cfg.CacheDir = Dir.Path;
   std::string Expected = Engine(Cfg).run(Cores).renderJson();
 
-  // Truncate one entry and scribble garbage over another.
-  std::vector<std::string> Entries;
-  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
-    Entries.push_back(E.path().string());
+  // The sweep wrote one segment. Spoil two of its documents in place: flip
+  // one bit in the first, and scribble over the second.
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 1u);
+  std::vector<SegmentEntry> Entries;
+  std::string Err;
+  ASSERT_TRUE(readSegment(Segments[0], Entries, Err)) << Err;
   ASSERT_GE(Entries.size(), 2u);
-  std::sort(Entries.begin(), Entries.end());
-  std::ofstream(Entries[0], std::ios::binary | std::ios::trunc)
-      << "{\"truncated";
-  std::ofstream(Entries[1], std::ios::binary | std::ios::trunc)
-      << "not even json";
+  std::string Bytes = slurpFile(Segments[0]);
+  size_t First = Bytes.find(Entries[0].Doc);
+  size_t Second = Bytes.find(Entries[1].Doc);
+  ASSERT_NE(First, std::string::npos);
+  ASSERT_NE(Second, std::string::npos);
+  Bytes[First + Entries[0].Doc.size() / 2] ^= 0x10;
+  Bytes.replace(Second, Entries[1].Doc.size(),
+                std::string(Entries[1].Doc.size(), 'x'));
+  spewFile(Segments[0], Bytes);
+  // The index still stands, so the reader fails on the spoiled bytes
+  // rather than returning them.
+  EXPECT_FALSE(readSegment(Segments[0], Entries, Err));
+  EXPECT_NE(Err.find("fails its hash"), std::string::npos) << Err;
 
   BatchResult Re = Engine(Cfg).run(Cores);
   EXPECT_EQ(Re.Stats.AnalyzedShards, 2u); // exactly the two spoiled ones
   EXPECT_EQ(Re.renderJson(), Expected);
 
-  // The re-store healed them.
+  // The re-store healed them: a second segment holds their good copies.
+  EXPECT_EQ(segmentsIn(Dir.Path).size(), 2u);
   EXPECT_EQ(Engine(Cfg).run(Cores).Stats.AnalyzedShards, 0u);
+}
+
+TEST(ResultCache, OwnUnflushedStoresHitWithoutAFlush) {
+  // Store N documents, then look each up on the same instance with no
+  // flush in between: all N hit, and nothing is on disk but the
+  // temporary segment until the flush renames it into place.
+  TempDir Dir("cache-replay");
+  Program P = cancellationKernel();
+  std::vector<std::vector<double>> Inputs = {{1e15}, {2e15}, {3e15}, {4e15}};
+  ResultCache Cache(Dir.Path, "00000000feedbeef");
+  std::vector<ResultCache::ShardKey> Keys;
+  std::vector<std::string> Rendered;
+  for (uint64_t I = 0; I < Inputs.size(); ++I) {
+    ResultCache::ShardKey K;
+    K.CoreIdentity = "(FPCore (x) (- (+ x 1) x))";
+    K.DerivedSeed = 7;
+    K.ShardIndex = I;
+    K.RunBegin = I;
+    K.RunEnd = I + 1;
+    AnalysisResult R = analyzeChunk(P, Inputs, I, I + 1);
+    Rendered.push_back(renderShard(Cache.configHash(), "k", 0, I, I, I + 1, R,
+                                   WireEncoding::Binary));
+    Cache.store(K, "k", R);
+    Keys.push_back(K);
+  }
+  EXPECT_TRUE(segmentsIn(Dir.Path).empty());
+  for (uint64_t I = 0; I < Keys.size(); ++I) {
+    AnalysisResult Got;
+    ASSERT_TRUE(Cache.lookup(Keys[I], Got)) << "key " << I;
+    EXPECT_EQ(renderShard(Cache.configHash(), "k", 0, I, I, I + 1, Got,
+                          WireEncoding::Binary),
+              Rendered[I]);
+  }
+  EXPECT_EQ(Cache.hits(), Keys.size());
+  EXPECT_EQ(Cache.storeFailures(), 0u);
+
+  // One flush, one segment; a fresh instance reads it back whole.
+  Cache.flush();
+  Cache.flush(); // nothing pending: touches no file
+  ASSERT_EQ(segmentsIn(Dir.Path).size(), 1u);
+  size_t Files = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    Files += E.is_regular_file();
+  EXPECT_EQ(Files, 1u);
+  ResultCache Fresh(Dir.Path, Cache.configHash());
+  for (const ResultCache::ShardKey &K : Keys) {
+    AnalysisResult Got;
+    EXPECT_TRUE(Fresh.lookup(K, Got));
+  }
+  // The same key under another config hash is a different entry.
+  ResultCache Foreign(Dir.Path, "0123456789abcdef");
+  AnalysisResult Got;
+  EXPECT_FALSE(Foreign.lookup(Keys[0], Got));
+}
+
+TEST(ResultCache, AKeyTwoSegmentsHoldIsServedFromAnyValidCopy) {
+  // Two sweeps that both missed a shard both store it: two segments hold
+  // it. A spoiled copy in one is skipped for the good one in the other.
+  TempDir Dir("cache-copies");
+  std::vector<fpcore::Core> Cores = smallCorpusSubset(2);
+  EngineConfig Cfg;
+  Cfg.Jobs = 2;
+  Cfg.SamplesPerBenchmark = 4;
+  Cfg.ShardSize = 2;
+  Cfg.CacheDir = Dir.Path;
+  std::string Expected = Engine(Cfg).run(Cores).renderJson();
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 1u);
+  std::string Copy = Dir.Path + "/copy" + SegmentExtension;
+  spewFile(Copy, slurpFile(Segments[0]));
+
+  std::vector<SegmentEntry> Entries;
+  std::string Err;
+  ASSERT_TRUE(readSegment(Copy, Entries, Err)) << Err;
+  std::string Bytes = slurpFile(Segments[0]);
+  for (const SegmentEntry &E : Entries) {
+    size_t At = Bytes.find(E.Doc);
+    ASSERT_NE(At, std::string::npos);
+    Bytes[At + E.Doc.size() - 1] ^= 0x01;
+  }
+  spewFile(Segments[0], Bytes);
+
+  // Every first copy is spoiled (whichever segment is first), yet the
+  // sweep is fully warm.
+  BatchResult Warm = Engine(Cfg).run(Cores);
+  EXPECT_EQ(Warm.Stats.AnalyzedShards, 0u);
+  EXPECT_EQ(Warm.renderJson(), Expected);
 }
 
 TEST(ResultCache, EmitFailuresAreCountedNotSwallowed) {
@@ -944,22 +1067,31 @@ TEST(ResultCache, GcPrunesLeastRecentlyUsedToTheCap) {
   Cfg.SamplesPerBenchmark = 8;
   Cfg.ShardSize = 2;
   Cfg.CacheDir = Dir.Path;
+  // Two sweeps, two segments: the first half of every benchmark's shards,
+  // then the rest.
+  EngineConfig Half = Cfg;
+  Half.ShardEnd = 2;
+  Engine(Half).run(Cores);
   std::string Reference = Engine(Cfg).run(Cores).renderJson();
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 2u);
 
   CacheGcStats Before;
   std::string Err;
   ASSERT_TRUE(gcCacheDir(Dir.Path, UINT64_MAX, Before, Err)) << Err;
-  ASSERT_GT(Before.Entries, 0u);
+  EXPECT_EQ(Before.Entries, 2u); // files, not shards
   EXPECT_EQ(Before.PrunedEntries, 0u); // unbounded cap prunes nothing
 
-  // Prune to roughly half the current footprint: some entries must go,
-  // and the survivors must fit the cap.
-  uint64_t Cap = Before.Bytes / 2;
+  // Prune to the larger segment's size: one segment must go, whole, and
+  // the survivor fits the cap.
+  uint64_t Cap = std::max(std::filesystem::file_size(Segments[0]),
+                          std::filesystem::file_size(Segments[1]));
   CacheGcStats Pruned;
   ASSERT_TRUE(gcCacheDir(Dir.Path, Cap, Pruned, Err)) << Err;
-  EXPECT_GT(Pruned.PrunedEntries, 0u);
+  EXPECT_EQ(Pruned.PrunedEntries, 1u);
   EXPECT_LT(Pruned.PrunedEntries, Pruned.Entries);
   EXPECT_LE(Pruned.Bytes - Pruned.PrunedBytes, Cap);
+  EXPECT_EQ(segmentsIn(Dir.Path).size(), 1u);
 
   // A pruned cache is just colder: the rerun refills it byte-identically.
   BatchResult Rerun = Engine(Cfg).run(Cores);
@@ -981,6 +1113,31 @@ TEST(ResultCache, GcPrunesLeastRecentlyUsedToTheCap) {
   CacheGcStats After;
   ASSERT_TRUE(gcCacheDir(Dir.Path, UINT64_MAX, After, Err)) << Err;
   EXPECT_LE(After.Bytes, Cap);
+}
+
+TEST(ResultCache, TouchOnHitRefreshesTheSegment) {
+  TempDir Dir("cache-touch");
+  std::vector<fpcore::Core> Cores = smallCorpusSubset(2);
+  EngineConfig Cfg;
+  Cfg.Jobs = 1;
+  Cfg.SamplesPerBenchmark = 4;
+  Cfg.ShardSize = 2;
+  Cfg.CacheDir = Dir.Path;
+  Engine(Cfg).run(Cores);
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 1u);
+  auto Old = std::filesystem::file_time_type::clock::now() -
+             std::chrono::hours(24);
+  std::filesystem::last_write_time(Segments[0], Old);
+
+  // Without a cap, hits leave mtimes alone.
+  Engine(Cfg).run(Cores);
+  EXPECT_EQ(std::filesystem::last_write_time(Segments[0]), Old);
+  // With one, the sweep's hits refresh the segment they read.
+  Cfg.CacheMaxBytes = UINT64_MAX;
+  BatchResult Warm = Engine(Cfg).run(Cores);
+  EXPECT_EQ(Warm.Stats.AnalyzedShards, 0u);
+  EXPECT_GT(std::filesystem::last_write_time(Segments[0]), Old);
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,6 +23,7 @@
 #include "engine/ResultCache.h"
 #include "fpcore/Corpus.h"
 #include "herbgrind/Herbgrind.h"
+#include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/Rng.h"
 #include "support/WireBinary.h"
@@ -367,6 +368,15 @@ TEST(WireBinary, DecoderBoundsNestingDepth) {
 // The result cache across formats
 //===----------------------------------------------------------------------===//
 
+/// The finished segments in a cache directory.
+static std::vector<std::string> segmentsIn(const std::string &Dir) {
+  std::vector<std::string> Out;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == SegmentExtension)
+      Out.push_back(E.path().string());
+  return Out;
+}
+
 TEST(WireBinary, LegacyJsonCacheEntriesAreMisses) {
   TempDir Dir("legacy-cache");
   std::vector<fpcore::Core> Cores = smallCorpusSubset(4);
@@ -378,40 +388,41 @@ TEST(WireBinary, LegacyJsonCacheEntriesAreMisses) {
   BatchResult First = Engine(Cfg).run(Cores);
   ASSERT_GT(First.Stats.AnalyzedShards, 0u);
 
-  // Replace every entry with its JSON twin at the .shard.json path, as a
-  // cache written before entries were always HGB holds them.
-  const std::string Hgb = ".shard.hgb";
+  // Replace the segment with the per-entry files earlier versions wrote,
+  // under the names they gave them: every document as `<key>.shard.hgb`
+  // and as its JSON twin `<key>.shard.json`.
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 1u);
+  std::vector<SegmentEntry> Entries;
+  std::string Err;
+  ASSERT_TRUE(readSegment(Segments[0], Entries, Err)) << Err;
   uint64_t Legacy = 0;
-  for (const auto &E : std::filesystem::directory_iterator(Dir.Path)) {
-    std::string Path = E.path().string();
-    ASSERT_GT(Path.size(), Hgb.size());
-    std::string Base = Path.substr(0, Path.size() - Hgb.size());
-    ASSERT_EQ(Base + Hgb, Path) << "not an HGB shard entry";
+  for (const SegmentEntry &E : Entries) {
     ShardDoc Doc;
-    std::string Err;
-    ASSERT_TRUE(parseShard(slurp(Path), Doc, Err)) << Path << ": " << Err;
+    ASSERT_TRUE(parseShard(E.Doc, Doc, Err)) << Err;
+    std::string Base =
+        Dir.Path + "/" +
+        format("%016llx", static_cast<unsigned long long>(E.Key));
+    spew(Base + ".shard.hgb", E.Doc);
     spew(Base + ".shard.json", renderShard(Doc, WireEncoding::Json));
-    std::filesystem::remove(Path);
     ++Legacy;
   }
+  std::filesystem::remove(Segments[0]);
   ASSERT_EQ(Legacy, First.Stats.Shards);
 
-  // Lookups never open the JSON entries: every shard is analyzed again,
-  // the report keeps its bytes, and the rebuilt entries are HGB.
+  // Lookups never open the per-entry files: every shard is analyzed
+  // again, the report keeps its bytes, and the rebuilt entries are one
+  // segment.
   BatchResult Second = Engine(Cfg).run(Cores);
   EXPECT_EQ(Second.Stats.CachedShards, 0u);
   EXPECT_EQ(Second.Stats.AnalyzedShards, Second.Stats.Shards);
   EXPECT_EQ(Second.renderJson(), First.renderJson());
-  uint64_t Rebuilt = 0;
-  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
-    Rebuilt += E.path().extension() == ".hgb";
-  EXPECT_EQ(Rebuilt, Legacy);
+  EXPECT_EQ(segmentsIn(Dir.Path).size(), 1u);
 
   // GC still counts and prunes the legacy entries.
   CacheGcStats Stats;
-  std::string Err;
   ASSERT_TRUE(gcCacheDir(Dir.Path, 0, Stats, Err)) << Err;
-  EXPECT_EQ(Stats.Entries, 2 * Legacy);
+  EXPECT_EQ(Stats.Entries, 2 * Legacy + 1);
   EXPECT_EQ(Stats.PrunedEntries, Stats.Entries);
   for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
     ADD_FAILURE() << "entry survived a zero-byte cap: " << E.path();
@@ -430,12 +441,17 @@ TEST(WireBinary, TruncatedCacheEntriesAreMisses) {
   BatchResult First = Cold.run(Cores);
   EXPECT_GT(First.Stats.AnalyzedShards, 0u);
 
-  // Chop every entry in half: atomic stores can never produce this, but
-  // a full disk or a copied cache can.
-  for (const auto &E : std::filesystem::directory_iterator(Dir.Path)) {
-    std::string Text = slurp(E.path().string());
-    spew(E.path().string(), Text.substr(0, Text.size() / 2));
-  }
+  // Chop the segment in half: its rename is atomic, so a store can never
+  // produce this, but a full disk or a copied cache can. A torn segment
+  // has no footer, and the reader says so.
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 1u);
+  std::string Text = slurp(Segments[0]);
+  spew(Segments[0], Text.substr(0, Text.size() / 2));
+  std::vector<SegmentEntry> Entries;
+  std::string Err;
+  EXPECT_FALSE(readSegment(Segments[0], Entries, Err));
+  EXPECT_FALSE(Err.empty());
 
   Engine Damaged(Cfg);
   BatchResult Second = Damaged.run(Cores);
@@ -443,7 +459,7 @@ TEST(WireBinary, TruncatedCacheEntriesAreMisses) {
   EXPECT_EQ(Second.Stats.AnalyzedShards, Second.Stats.Shards);
   EXPECT_EQ(Second.renderJson(), First.renderJson());
 
-  // The re-analysis overwrote the damage: a third run is fully warm.
+  // The re-analysis stored a whole segment: a third run is fully warm.
   Engine Healed(Cfg);
   BatchResult Third = Healed.run(Cores);
   EXPECT_EQ(Third.Stats.AnalyzedShards, 0u);
@@ -459,11 +475,13 @@ TEST(WireBinary, GcPrunesBinaryEntries) {
   Cfg.CacheDir = Dir.Path;
   Engine Eng(Cfg);
   Eng.run(smallCorpusSubset(3));
+  // A sweep killed before its flush leaves its temporary segment behind.
+  spew(Dir.Path + "/orphan" + SegmentExtension + ".tmp", "partial");
 
   CacheGcStats Stats;
   std::string Err;
   ASSERT_TRUE(gcCacheDir(Dir.Path, 0, Stats, Err)) << Err;
-  EXPECT_GT(Stats.Entries, 0u);
+  EXPECT_EQ(Stats.Entries, 2u); // the sweep's one segment and the orphan
   EXPECT_EQ(Stats.PrunedEntries, Stats.Entries);
   for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
     ADD_FAILURE() << "entry survived a zero-byte cap: " << E.path();

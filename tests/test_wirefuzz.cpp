@@ -9,13 +9,18 @@
 // from a fixed seed: bit flips, cut-out spans, and bytes overwritten with
 // 0x00, 0x7f, 0x80 or 0xff. Each mutant must either fail to parse with a
 // non-empty error, or parse into a value whose same-encoding re-render
-// parses again. Run under ASan/UBSan, this is also a memory-safety check
-// of the JSON reader, the HGB reader and its LZSS body codec, and every
-// schema traversal.
+// parses again. A real result-cache segment gets the same mutations plus
+// targeted ones of its footer's count and its index's offsets and lengths;
+// every lookup must return exactly the stored result or miss, and the
+// segment reader must fail or return stored documents. Run under
+// ASan/UBSan, this is also a memory-safety check of the JSON reader, the
+// HGB reader and its LZSS body codec, every schema traversal, and the
+// segment index reader.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
+#include "engine/ResultCache.h"
 #include "fpcore/Corpus.h"
 #include "herbgrind/Herbgrind.h"
 #include "support/Metrics.h"
@@ -23,7 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <unistd.h>
 
 using namespace herbgrind;
 using namespace herbgrind::engine;
@@ -206,4 +214,187 @@ TEST(WireFuzz, EveryDecoderSurvivesSeededMutants) {
       EXPECT_LT(Parsed, MutantsPerDoc);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Result-cache segments
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A segment's layout, as far as the targeted mutations need it: a
+/// 32-byte footer ending the file (magic, version, count, hash) after
+/// `count` 32-byte index entries (key, offset, length, hash).
+constexpr size_t FooterBytes = 32, EntryBytes = 32;
+
+uint64_t getU64(const std::string &S, size_t At) {
+  uint64_t V = 0;
+  for (int I = 7; I >= 0; --I)
+    V = V << 8 | static_cast<unsigned char>(S[At + I]);
+  return V;
+}
+
+void putU64(std::string &S, size_t At, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    S[At + I] = static_cast<char>(V >> (8 * I));
+}
+
+/// The segment's index hash: FNV-1a over the index, continued over the
+/// footer's first 24 bytes.
+uint64_t fnv1a64(const char *P, size_t N, uint64_t H) {
+  for (size_t I = 0; I < N; ++I) {
+    H ^= static_cast<unsigned char>(P[I]);
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+void rehashIndex(std::string &Seg, uint64_t Count) {
+  size_t Footer = Seg.size() - FooterBytes;
+  size_t Index = Footer - Count * EntryBytes;
+  uint64_t H = fnv1a64(Seg.data() + Index, Count * EntryBytes,
+                       0xcbf29ce484222325ULL);
+  putU64(Seg, Footer + 24, fnv1a64(Seg.data() + Footer, 24, H));
+}
+
+/// Corrupts one field the index reader trusts: the footer's count, or
+/// one entry's offset or length. Half the time the index hash is forged
+/// to match, so the bounds and document-hash checks behind it are
+/// exercised too.
+std::string corruptIndex(std::string Seg, uint64_t Count, Rng &R) {
+  const size_t Footer = Seg.size() - FooterBytes;
+  const size_t Index = Footer - Count * EntryBytes;
+  auto Value = [&](uint64_t Old) -> uint64_t {
+    switch (R.nextBelow(5)) {
+    case 0:
+      return Old + 1;
+    case 1:
+      return Old - 1;
+    case 2:
+      return Old ^ (uint64_t(1) << R.nextBelow(64));
+    case 3:
+      return R.nextBelow(Seg.size() + 1);
+    default:
+      return UINT64_MAX - R.nextBelow(4);
+    }
+  };
+  bool Forge = R.chance(1, 2);
+  uint64_t HashCount = Count;
+  if (R.chance(1, 3)) {
+    uint64_t NewCount = Value(Count);
+    putU64(Seg, Footer + 16, NewCount);
+    // A forged hash has to be computed over the index the new count
+    // claims, which only exists when it fits the file.
+    if (NewCount > Footer / EntryBytes)
+      Forge = false;
+    HashCount = NewCount;
+  } else if (Count > 0) {
+    size_t At = Index + R.nextBelow(Count) * EntryBytes +
+                (R.chance(1, 2) ? 8 : 16);
+    putU64(Seg, At, Value(getU64(Seg, At)));
+  }
+  if (Forge)
+    rehashIndex(Seg, HashCount);
+  return Seg;
+}
+
+} // namespace
+
+TEST(WireFuzz, SegmentReaderAndLookupsSurviveSeededMutants) {
+  const std::string Dir =
+      (std::filesystem::temp_directory_path() /
+       ("herbgrind-test-segfuzz-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(Dir);
+  const std::string Hash = "0123456789abcdef";
+
+  // A real segment: four shards of real records, stored and flushed.
+  ProgramBuilder B;
+  auto X = B.input(0);
+  auto T = B.op(Opcode::SubF64, B.op(Opcode::AddF64, X, B.constF64(1.0)), X);
+  B.out(B.op(Opcode::SqrtF64, B.op(Opcode::MulF64, T, T)));
+  B.halt();
+  Program P = B.finish();
+  std::vector<ResultCache::ShardKey> Keys;
+  std::vector<std::string> Stored;
+  {
+    ResultCache Writer(Dir, Hash);
+    for (uint64_t S = 0; S < 4; ++S) {
+      Herbgrind HG(P);
+      for (double V : {1e16 * double(S + 1), -2.5e17, 0.5 + double(S)})
+        HG.runOnInput({V});
+      ResultCache::ShardKey K;
+      K.CoreIdentity = "cancellation";
+      K.ShardIndex = S;
+      K.RunBegin = 3 * S;
+      K.RunEnd = 3 * S + 3;
+      AnalysisResult Res = HG.snapshot();
+      Stored.push_back(renderShard(Hash, "cancellation", 0, S, K.RunBegin,
+                                   K.RunEnd, Res, WireEncoding::Binary));
+      Writer.store(K, "cancellation", Res);
+      Keys.push_back(K);
+    }
+  }
+  std::string SegPath;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    SegPath = E.path().string();
+  ASSERT_EQ(std::filesystem::path(SegPath).extension(), SegmentExtension);
+  std::string Seed;
+  {
+    std::ifstream In(SegPath, std::ios::binary);
+    Seed.assign(std::istreambuf_iterator<char>(In),
+                std::istreambuf_iterator<char>());
+  }
+  const uint64_t Count = getU64(Seed, Seed.size() - FooterBytes + 16);
+  ASSERT_EQ(Count, Keys.size());
+
+  // The unmutated segment reads back whole, both ways.
+  std::vector<SegmentEntry> Entries;
+  std::string Err;
+  ASSERT_TRUE(readSegment(SegPath, Entries, Err)) << Err;
+  ASSERT_EQ(Entries.size(), Stored.size());
+
+  Rng R(0x5e6f);
+  int ReaderAccepted = 0, AllHit = 0;
+  const int Mutants = 2 * MutantsPerDoc;
+  for (int I = 0; I < Mutants; ++I) {
+    SCOPED_TRACE("mutant " + std::to_string(I));
+    std::string Mutant =
+        I % 2 ? corruptIndex(Seed, Count, R) : mutate(Seed, R);
+    std::ofstream(SegPath, std::ios::binary | std::ios::trunc) << Mutant;
+
+    Err.clear();
+    if (readSegment(SegPath, Entries, Err)) {
+      ++ReaderAccepted;
+      for (const SegmentEntry &E : Entries) {
+        EXPECT_NE(std::find(Stored.begin(), Stored.end(), E.Doc),
+                  Stored.end())
+            << "the reader returned bytes no store wrote";
+        ShardDoc Doc;
+        EXPECT_TRUE(parseShard(E.Doc, Doc, Err)) << Err;
+      }
+    } else {
+      EXPECT_FALSE(Err.empty()) << "the reader failed silently";
+    }
+
+    ResultCache Reader(Dir, Hash);
+    int Hits = 0;
+    for (size_t K = 0; K < Keys.size(); ++K) {
+      AnalysisResult Got;
+      if (!Reader.lookup(Keys[K], Got))
+        continue;
+      ++Hits;
+      EXPECT_EQ(renderShard(Hash, "cancellation", 0, Keys[K].ShardIndex,
+                            Keys[K].RunBegin, Keys[K].RunEnd, Got,
+                            WireEncoding::Binary),
+                Stored[K])
+          << "a lookup returned a result no store wrote";
+    }
+    AllHit += Hits == static_cast<int>(Keys.size());
+  }
+  // Most mutants must be refused; a reader that accepts everything would
+  // pass the loop above vacuously.
+  EXPECT_LT(ReaderAccepted, Mutants / 2);
+  EXPECT_LT(AllHit, Mutants / 2);
+  std::filesystem::remove_all(Dir);
 }
