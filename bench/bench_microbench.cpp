@@ -64,6 +64,44 @@ static void BM_RealExp(benchmark::State &State) {
 }
 BENCHMARK(BM_RealExp);
 
+// The kernels the shadow sweeps lean on, at the default 256-bit shadow
+// precision and on arguments of the size the corpus samples.
+static void BM_RealLog(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(3.7, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::log(X));
+}
+BENCHMARK(BM_RealLog);
+
+static void BM_RealCbrt(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(2.5, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::cbrt(X));
+}
+BENCHMARK(BM_RealCbrt);
+
+static void BM_RealPow(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(2.5, 256);
+  BigFloat Y = BigFloat::fromDouble(1.7, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::pow(X, Y));
+}
+BENCHMARK(BM_RealPow);
+
+static void BM_RealCos(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(1.2, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::cos(X));
+}
+BENCHMARK(BM_RealCos);
+
+static void BM_RealTanh(benchmark::State &State) {
+  BigFloat X = BigFloat::fromDouble(0.8, 256);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(realmath::tanh(X));
+}
+BENCHMARK(BM_RealTanh);
+
 static void BM_RealSinLargeArg(benchmark::State &State) {
   BigFloat X = BigFloat::fromDouble(1e300, 256);
   for (auto _ : State)

@@ -645,10 +645,14 @@ bool comparisonSuspect(const Value &A, const Value &B, double ErrA,
 }
 
 bool conversionSuspect(double Concrete, double Err) {
-  if (!std::isfinite(Concrete) || !std::isfinite(Err))
-    return true;
+  // An exact operand: the real is the concrete, and BigFloat's saturating
+  // truncation agrees with F64toI64 on every double, an infinite or NaN
+  // input included. (A computed non-finite value carries the non-finite
+  // Suspect bound, never zero.)
   if (Err == 0.0)
     return false;
+  if (!std::isfinite(Concrete) || !std::isfinite(Err))
+    return true;
   // The real rounds to a double somewhere inside the (outward-nudged)
   // interval; if truncation is constant across it, the spot cannot
   // diverge. Values near the i64 boundary are always suspect.

@@ -100,7 +100,10 @@ bool comparisonSuspect(const Value &A, const Value &B, double ErrA,
                        double ErrB);
 
 /// Float-to-int conversion spot: could truncating the real give a
-/// different integer than truncating the concrete double?
+/// different integer than truncating the concrete double? False for an
+/// exact operand (Err == 0: the real is the concrete, non-finite ones
+/// included); otherwise true for a non-finite value or bound, or when the
+/// error interval straddles an integer boundary or the int64 range.
 bool conversionSuspect(double Concrete, double Err);
 
 /// Output spot: could the full shadow report more than \p ThresholdBits

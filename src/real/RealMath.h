@@ -7,10 +7,15 @@
 /// \file
 /// Transcendental functions over BigFloat, the part of the MPFR substitute
 /// that lets the shadow-real execution evaluate libm-style operations
-/// exactly (Section 5.3 "library wrapping"). Each function computes at the
-/// input precision plus guard bits and returns a result faithful at the
-/// input precision; special values follow C99/IEEE conventions so the
-/// shadow semantics match what the client binary's libm would have meant.
+/// exactly (Section 5.3 "library wrapping"). Each function computes at one
+/// working precision, the input precision plus 128 guard bits (a function
+/// built on others, like pow on log and exp, runs them at its own working
+/// precision), and returns the input-precision rounding of that value. The
+/// results are bit-identical -- value, sign and precisionBits() -- to the
+/// plain term-by-term series that tests/RealMathReference.h keeps as the
+/// oracle, so changing a kernel's speed never changes a report's bytes.
+/// Special values follow C99/IEEE conventions so the shadow semantics match
+/// what the client binary's libm would have meant.
 ///
 //===----------------------------------------------------------------------===//
 

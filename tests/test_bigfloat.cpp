@@ -14,6 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "real/BigFloat.h"
+
+#include "ir/Opcode.h"
 #include "real/RealMath.h"
 
 #include "support/FloatBits.h"
@@ -227,6 +229,21 @@ TEST(BigFloat, ToInt64Trunc) {
   EXPECT_EQ(BigFloat::fromDouble(-1e30).toInt64Trunc(), INT64_MIN);
   EXPECT_EQ(BigFloat::fromDouble(-9223372036854775808.0).toInt64Trunc(),
             INT64_MIN);
+  // The real of an exact operand truncates exactly as the concrete
+  // F64toI64 does, special values included: tier 0 relies on it to clear
+  // conversions of exact operands.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Edge = 0x1p63, Below = 0x1p63 - 1024;
+  const double Max = std::numeric_limits<double>::max();
+  const double Denorm = std::numeric_limits<double>::denorm_min();
+  for (double X : {0.0, -0.0, Inf, -Inf, std::nan(""), Edge, -Edge, Below,
+                   -Below, Max, -Max, Denorm, -Denorm, 0.5, -0.5, 1.0,
+                   -1.0}) {
+    Value Arg = Value::ofF64(X);
+    EXPECT_EQ(BigFloat::fromDouble(X).toInt64Trunc(),
+              evalScalarOp(Opcode::F64toI64, &Arg, 1).I64)
+        << X;
+  }
   Rng R(105);
   for (int I = 0; I < 10000; ++I) {
     double X = R.uniformReal(-1e15, 1e15);

@@ -26,6 +26,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 using namespace herbgrind;
@@ -356,7 +357,17 @@ TEST(ErrorPredict, ConversionPredicate) {
   // Inexact near or past the boundary: always suspect.
   EXPECT_TRUE(conversionSuspect(1e19, 1.0));
   EXPECT_TRUE(conversionSuspect(9.2e18, 1e17));
-  EXPECT_TRUE(conversionSuspect(std::nan(""), 0.0));
+  // An exact non-finite operand (a raw input) truncates the same way on
+  // both sides: NaN to 0, infinities to the saturated ends.
+  const double Inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(conversionSuspect(std::nan(""), 0.0));
+  EXPECT_FALSE(conversionSuspect(Inf, 0.0));
+  EXPECT_FALSE(conversionSuspect(-Inf, 0.0));
+  // Inexact non-finite values stay suspect.
+  EXPECT_TRUE(conversionSuspect(std::nan(""), 1.0));
+  EXPECT_TRUE(conversionSuspect(Inf, 1.0));
+  EXPECT_TRUE(conversionSuspect(-Inf, 0.5));
+  EXPECT_TRUE(conversionSuspect(1.0, Inf));
 }
 
 TEST(ErrorPredict, OutputPredicateEdgeCases) {

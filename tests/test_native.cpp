@@ -411,6 +411,45 @@ TEST(NativeParity, Tier0ClearsComparisonsOfExactNonFiniteInputs) {
   EXPECT_EQ(expectSameTier0(inputTestNative, inputTestIr(), In), 0u);
 }
 
+/// Truncates x to an integer: the conversion's operand is a raw input.
+void inputConvertNative(native::Context &C, const double *, size_t) {
+  Real X = C.input(0);
+  C.setLoc(loc(46));
+  int64_t N = X.toInt64();
+  (void)N;
+}
+
+Program inputConvertIr() {
+  ProgramBuilder B;
+  auto X = B.input(0);
+  B.setLoc(loc(46));
+  B.op(Opcode::F64toI64, X);
+  B.halt();
+  return B.finish();
+}
+
+/// Erroneous conversion spots in a report.
+size_t erroneousConversions(const Report &R) {
+  size_t N = 0;
+  for (const SpotReport &SR : R.Spots)
+    N += SR.Kind == SpotKind::Conversion && SR.Erroneous > 0;
+  return N;
+}
+
+TEST(NativeParity, Tier0ClearsConversionsOfExactNonFiniteInputs) {
+  // The conversion twin of the comparison rule: an exact operand's real
+  // truncates exactly as its concrete does (NaN to 0, infinities to the
+  // saturated ends), so tier 0 clears it on both frontends.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const Tuples In = {{Inf}, {-Inf}, {std::nan("")}};
+  EXPECT_EQ(expectSameTier0(inputConvertNative, inputConvertIr(), In), 0u);
+  // The full analysis agrees: no conversion diverges.
+  AnalysisConfig Cfg;
+  EXPECT_EQ(erroneousConversions(nativeReport(inputConvertNative, In, Cfg)),
+            0u);
+  EXPECT_EQ(erroneousConversions(irReport(inputConvertIr(), In, Cfg)), 0u);
+}
+
 /// The special values the comparison soundness check pairs up.
 const double Specials[] = {std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity(),

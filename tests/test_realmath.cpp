@@ -12,6 +12,7 @@
 
 #include "real/RealMath.h"
 
+#include "RealMathReference.h"
 #include "support/FloatBits.h"
 #include "support/Rng.h"
 
@@ -19,6 +20,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 using namespace herbgrind;
 
@@ -359,5 +362,209 @@ TEST(RealMath, TinyArgumentsKeepRelativeAccuracy) {
     EXPECT_EQ(realmath::expm1(BigFloat::fromDouble(X, 256)).toDouble(),
               std::expm1(X))
         << X;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Bit identity with the reference series kernels
+//===----------------------------------------------------------------------===//
+//
+// Each kernel must return exactly the BigFloat the plain term-by-term series
+// in RealMathReference.h returns -- same value, sign, kind and precision --
+// at every input precision. "Within an ulp" is not enough: a shadow feeds
+// later ops, and a cancellation downstream can carry any difference into the
+// printed error bits.
+
+namespace {
+
+::testing::AssertionResult identical(const BigFloat &Got,
+                                     const BigFloat &Want) {
+  bool Same = Got.kind() == Want.kind() &&
+              Got.precisionBits() == Want.precisionBits() &&
+              (Got.isNaN() || (Got.isNegative() == Want.isNegative() &&
+                               BigFloat::cmp(Got, Want) == 0));
+  if (Same)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << Got.debugStr() << " vs reference " << Want.debugStr();
+}
+
+const size_t IdentityPrecisions[] = {64, 128, 256, 512, 1024};
+
+/// Seeded arguments for one kernel at one precision: doubles across the
+/// kernel's domain, full-mantissa values (a double divided by another, as
+/// shadows carry), then the special values every kernel shares.
+std::vector<BigFloat> identityArgs(double Lo, double Hi, size_t Prec,
+                                   uint64_t Seed, int Count) {
+  Rng R(Seed);
+  std::vector<BigFloat> Args;
+  for (int I = 0; I < Count; ++I)
+    Args.push_back(BigFloat::fromDouble(R.betweenOrdinals(Lo, Hi), Prec));
+  for (int I = 0; I < Count; ++I) {
+    // Dividing by a number just above 1 keeps the value inside [Lo, Hi].
+    double X = R.betweenOrdinals(Lo, Hi);
+    double D = 1.0 + R.uniformReal(0.0, 0x1p-10);
+    Args.push_back(BigFloat::div(BigFloat::fromDouble(X, Prec),
+                                 BigFloat::fromDouble(D, Prec)));
+  }
+  for (double S : {0.0, -0.0, Inf, -Inf, std::nan(""), 1.0, -1.0, 2.0, 0.5,
+                   0x1p-20, 1024.0, 8.0, 27.0, -0.125, 0x1p50, -0x1p50,
+                   0x1p50 - 1.0, -(0x1p50 - 1.0), 0x1p49, 0x1p51})
+    Args.push_back(BigFloat::fromDouble(S, Prec));
+  for (int64_t E : {5000, -5000})
+    Args.push_back(BigFloat::fromMantissaExp(false, 3, E, Prec));
+  // Odd 53-bit mantissas whose lowest bit sits one past the input
+  // precision (exp(x) ~ 1 + x) or whose square's does (cos(x) ~ 1 - x^2/2):
+  // the reference returns such short polynomials exactly at its working
+  // precision, a tie at the input precision that it rounds to even.
+  for (int I = 0; I < 8; ++I) {
+    uint64_t M = (R.next() >> 11) | (1ULL << 52) | 1;
+    for (int64_t Shift : {int64_t(Prec) + 1, int64_t(Prec) / 2})
+      for (bool Neg : {false, true})
+        Args.push_back(BigFloat::fromMantissaExp(Neg, M, -Shift, Prec));
+  }
+  return Args;
+}
+
+int identityCount(size_t Prec) { return Prec <= 256 ? 200 : 40; }
+
+struct IdentityCase {
+  const char *Name;
+  UnaryReal Ours;
+  UnaryReal Reference;
+  double Lo, Hi;
+};
+
+class RealMathIdentityTest : public ::testing::TestWithParam<IdentityCase> {};
+
+} // namespace
+
+TEST_P(RealMathIdentityTest, MatchesReferenceSeries) {
+  const IdentityCase &C = GetParam();
+  for (size_t Prec : IdentityPrecisions) {
+    for (const BigFloat &X :
+         identityArgs(C.Lo, C.Hi, Prec, 4242 + Prec, identityCount(Prec)))
+      ASSERT_TRUE(identical(C.Ours(X), C.Reference(X)))
+          << C.Name << "(" << X.debugStr() << ") at " << Prec << " bits";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, RealMathIdentityTest,
+    ::testing::Values(
+        IdentityCase{"exp", realmath::exp, refmath::exp, -700.0, 700.0},
+        IdentityCase{"expm1", realmath::expm1, refmath::expm1, -50.0, 50.0},
+        IdentityCase{"exp2", realmath::exp2, refmath::exp2, -1000.0, 1000.0},
+        IdentityCase{"log", realmath::log, refmath::log, 1e-300, 1e300},
+        IdentityCase{"log2", realmath::log2, refmath::log2, 1e-300, 1e300},
+        IdentityCase{"log10", realmath::log10, refmath::log10, 1e-300,
+                     1e300},
+        IdentityCase{"log1p", realmath::log1p, refmath::log1p, -0.999,
+                     1e10},
+        IdentityCase{"sin", realmath::sin, refmath::sin, -100.0, 100.0},
+        IdentityCase{"cos", realmath::cos, refmath::cos, -100.0, 100.0},
+        IdentityCase{"tan", realmath::tan, refmath::tan, -100.0, 100.0},
+        IdentityCase{"asin", realmath::asin, refmath::asin, -1.0, 1.0},
+        IdentityCase{"acos", realmath::acos, refmath::acos, -1.0, 1.0},
+        IdentityCase{"atan", realmath::atan, refmath::atan, -1e10, 1e10},
+        IdentityCase{"sinh", realmath::sinh, refmath::sinh, -700.0, 700.0},
+        IdentityCase{"cosh", realmath::cosh, refmath::cosh, -700.0, 700.0},
+        IdentityCase{"tanh", realmath::tanh, refmath::tanh, -50.0, 50.0},
+        IdentityCase{"cbrt", realmath::cbrt, refmath::cbrt, -1e300, 1e300}),
+    [](const ::testing::TestParamInfo<IdentityCase> &Info) {
+      return Info.param.Name;
+    });
+
+TEST(RealMathIdentity, PowMatchesReferenceSeries) {
+  double NaN = std::nan("");
+  for (size_t Prec : IdentityPrecisions) {
+    Rng R(9000 + Prec);
+    std::vector<std::pair<BigFloat, BigFloat>> Args;
+    for (int I = 0; I < identityCount(Prec); ++I) {
+      // Seeded doubles as PowRandomAgreesWithLibm draws them, and the same
+      // with full-mantissa bases.
+      BigFloat X = BigFloat::fromDouble(R.betweenOrdinals(1e-10, 1e10), Prec);
+      BigFloat Y = BigFloat::fromDouble(R.uniformReal(-30.0, 30.0), Prec);
+      Args.push_back({X, Y});
+      Args.push_back({BigFloat::div(X, BigFloat::fromDouble(3.0, Prec)), Y});
+    }
+    // The special-value ladder, integer and half-integer exponents,
+    // overflowing and underflowing magnitudes, bases next to 1, and
+    // exponents beyond double's range.
+    const double Specials[][2] = {
+        {1.0, NaN},     {NaN, 0.0},   {2.0, Inf},    {0.5, Inf},
+        {2.0, -Inf},    {0.5, -Inf},  {-1.0, Inf},   {0.0, 3.0},
+        {-0.0, 3.0},    {0.0, -2.0},  {-0.0, -3.0},  {Inf, 2.0},
+        {Inf, -2.0},    {-Inf, 3.0},  {-Inf, 2.0},   {-Inf, -3.0},
+        {-2.0, 3.0},    {-2.0, 2.0},  {-2.0, 0.5},   {0.0, 0.0},
+        {8.0, 1.0 / 3}, {4.0, 0.5},   {4.0, 1.5},    {2.0, 0x1p40},
+        {-1.0, 0x1p40}, {-1.0, 0x1p40 + 1}, {-2.0, 0x1p40 + 1},
+        {1e300, 1e300}, {1e-300, 1e300}, {2.0, -1e10}, {10.0, 300.5},
+        {1.0 + 0x1p-52, 0x1p60}, {1.0 - 0x1p-53, -0x1p70},
+        {0x1p-1074, 0.75}, {1e308, 0.5}};
+    for (const auto &S : Specials)
+      Args.push_back({BigFloat::fromDouble(S[0], Prec),
+                      BigFloat::fromDouble(S[1], Prec)});
+    BigFloat Near1 = BigFloat::add(BigFloat::fromDouble(1.0, Prec),
+                                   BigFloat::scalb(BigFloat::fromDouble(
+                                                       1.0, Prec),
+                                                   1 - int64_t(Prec)));
+    Args.push_back({Near1, BigFloat::fromDouble(0x1p70, Prec)});
+    Args.push_back({Near1, BigFloat::fromDouble(12.5, Prec)});
+    Args.push_back({Near1, BigFloat::fromMantissaExp(false, 1, 5000, Prec)});
+    Args.push_back({Near1, BigFloat::fromMantissaExp(true, 3, 5000, Prec)});
+    Args.push_back({BigFloat::fromMantissaExp(false, 3, 5000, Prec),
+                    BigFloat::fromDouble(0.5, Prec)});
+    Args.push_back({BigFloat::fromMantissaExp(false, 3, -5000, Prec),
+                    BigFloat::fromDouble(-0.25, Prec)});
+    Args.push_back({BigFloat::fromDouble(2.0, Prec),
+                    BigFloat::fromMantissaExp(false, 1, 5000, Prec)});
+    for (const auto &[X, Y] : Args)
+      ASSERT_TRUE(identical(realmath::pow(X, Y), refmath::pow(X, Y)))
+          << "pow(" << X.debugStr() << ", " << Y.debugStr() << ") at "
+          << Prec << " bits";
+  }
+}
+
+TEST(RealMathIdentity, Atan2MatchesReferenceSeries) {
+  for (size_t Prec : IdentityPrecisions) {
+    Rng R(9500 + Prec);
+    std::vector<double> Ys, Xs;
+    for (int I = 0; I < identityCount(Prec); ++I) {
+      Ys.push_back(R.betweenOrdinals(-1e20, 1e20));
+      Xs.push_back(R.betweenOrdinals(-1e20, 1e20));
+    }
+    for (double Y : {0.0, -0.0, 1.0, -1.0, Inf, -Inf})
+      for (double X : {0.0, -0.0, 1.0, -1.0, Inf, -Inf}) {
+        Ys.push_back(Y);
+        Xs.push_back(X);
+      }
+    for (size_t I = 0; I < Ys.size(); ++I) {
+      BigFloat Y = BigFloat::fromDouble(Ys[I], Prec);
+      BigFloat X = BigFloat::div(BigFloat::fromDouble(Xs[I], Prec),
+                                 BigFloat::fromDouble(1.0 + 0x1p-30, Prec));
+      ASSERT_TRUE(identical(realmath::atan2(Y, X), refmath::atan2(Y, X)))
+          << "atan2(" << Y.debugStr() << ", " << X.debugStr() << ") at "
+          << Prec << " bits";
+    }
+  }
+}
+
+TEST(RealMathIdentity, ConstantsMatchReferenceSeries) {
+  for (size_t Prec : IdentityPrecisions) {
+    EXPECT_TRUE(identical(realmath::ln10(Prec), refmath::ln10(Prec)));
+    EXPECT_TRUE(identical(realmath::eulerE(Prec), refmath::eulerE(Prec)));
+  }
+}
+
+TEST(RealMathIdentity, ExactCasesComeOutExact) {
+  for (size_t Prec : IdentityPrecisions) {
+    auto D = [&](double V) { return BigFloat::fromDouble(V, Prec); };
+    EXPECT_EQ(BigFloat::cmp(realmath::exp(D(0.0)), D(1.0)), 0);
+    EXPECT_TRUE(realmath::log(D(1.0)).isZero());
+    EXPECT_EQ(BigFloat::cmp(realmath::cbrt(D(8.0)), D(2.0)), 0);
+    EXPECT_EQ(BigFloat::cmp(realmath::cbrt(D(-27.0)), D(-3.0)), 0);
+    EXPECT_EQ(BigFloat::cmp(realmath::pow(D(3.0), D(5.0)), D(243.0)), 0);
+    EXPECT_EQ(BigFloat::cmp(realmath::pow(D(4.0), D(0.5)), D(2.0)), 0);
   }
 }
