@@ -9,9 +9,9 @@
 // perturbs comparisons.
 //
 // Persistence and distribution (REPORT_SCHEMA.md documents the formats):
-// a result cache reuses shard results across runs, and shard documents
-// emitted by disjoint --shard-range slices merge into the report one full
-// sweep would have produced. Subcommands convert wire documents between
+// a result cache reuses shard results across runs, and the segments that
+// disjoint --shard-range slices emit merge into the report one full sweep
+// would have produced. Subcommands convert wire documents between
 // encodings, merge telemetry documents and browse the run ledger.
 //
 // Every command reads argv with one parse loop (parseArgs) against its
@@ -45,7 +45,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -207,8 +206,8 @@ static std::vector<Flag> sweepFlags(Options &O) {
        "GC mode: prune --cache-dir to an explicitly given --cache-max-bytes "
        "and exit (no analysis; an explicit 0 empties the cache)"},
       {"--emit-shard", "DIR", text(O.Cfg.EmitShardDir),
-       "also write each shard result as an HGB document (for --merge-shards "
-       "on another machine)"},
+       "also store every shard result in DIR, one segment file per sweep "
+       "(for --merge-shards on another machine)"},
       {"--shard-range", "LO:HI",
        [&O](const char *F, const char *V) {
          // Exactly one ':' between two whole numbers, each through the
@@ -224,8 +223,8 @@ static std::vector<Flag> sweepFlags(Options &O) {
        },
        "run only per-benchmark shard indices [LO, HI) of the full layout"},
       {"--merge-shards", nullptr, on(O.MergeShards),
-       "merge mode: the paths are shard documents (or directories of them: "
-       "emit and cache dirs) to fold into a report"},
+       "merge mode: the paths are segment files (*.hgseg) or directories of "
+       "them (emit and cache dirs) to fold into a report"},
       {"--improve", nullptr, on(O.Improve),
        "run the batch improver over every merged root cause; outcomes are "
        "appended to the report (and cached in --cache-dir when one is "
@@ -578,7 +577,8 @@ static int writeTelemetrySidecar(const EngineConfig &Cfg,
 
 /// Runs the batch improver over a sweep's (or merge's) result, attaching
 /// outcomes to the per-benchmark reports. Statistics go to stderr so the
-/// report stream stays byte-comparable. Then re-enforces a configured
+/// report stream stays byte-comparable, and so does a warning when some
+/// outcome failed to persist in \p Cache. Then re-enforces a configured
 /// --cache-max-bytes (\p MaxBytes): the pass stored fresh entries after
 /// any engine-side GC ran, and a capped directory never ends an --improve
 /// run over its bound. A GC failure is recorded in \p Stats when given
@@ -598,6 +598,11 @@ static void runImprovePass(BatchResult &Result,
                static_cast<unsigned long long>(S.Improved), S.WallSeconds,
                static_cast<unsigned long long>(S.AnalyzedRecords),
                static_cast<unsigned long long>(S.CachedRecords));
+  if (S.StoreFailures > 0)
+    std::fprintf(stderr,
+                 "warning: %llu improver outcome(s) failed to persist in %s\n",
+                 static_cast<unsigned long long>(S.StoreFailures),
+                 Cache->directory().c_str());
   if (!Cache || MaxBytes == 0)
     return;
   CacheGcStats Gc;
@@ -624,17 +629,12 @@ static std::string renderReport(const BatchResult &Result, bool Json) {
   return Rendered;
 }
 
-/// Collects shard-document paths: each argument is a file, or a directory
-/// whose *.json / *.hgb documents and *.hgseg cache segments (sorted, for
-/// reproducible error messages) are taken. Telemetry sidecars living next
-/// to emitted shards (named "telemetry-r<lo>-<hi>.<ext>" by
-/// writeTelemetrySidecar) are routed to \p TelemetryPaths so they never
-/// reach the shard parser. Improve-cache entries are skipped, so a
-/// result-cache directory that an --improve run also used still merges,
-/// and so are the per-entry shard files (`<key>.shard.hgb|json`) earlier
-/// cache versions wrote, which lookups never open either. Iteration uses
-/// the error_code API throughout -- a directory that turns unreadable
-/// mid-walk is a diagnostic, not a terminate().
+/// Collects segment paths: each argument is a file, or a directory whose
+/// *.hgseg segments (sorted, for reproducible error messages) are taken,
+/// its telemetry sidecars (writeTelemetrySidecar) routed to \p
+/// TelemetryPaths and every other file skipped. Iteration uses the
+/// error_code API -- a directory that turns unreadable mid-walk is a
+/// diagnostic, not a terminate().
 static bool collectShardPaths(const std::vector<std::string> &Args,
                               std::vector<std::string> &Paths,
                               std::vector<std::string> &TelemetryPaths) {
@@ -646,15 +646,11 @@ static bool collectShardPaths(const std::vector<std::string> &Args,
       fs::directory_iterator It(Arg, Ec), End;
       for (; !Ec && It != End; It.increment(Ec)) {
         const fs::path &P = It->path();
-        if ((P.extension() != ".json" && P.extension() != ".hgb" &&
-             P.extension() != SegmentExtension) ||
-            P.stem().extension() == ".improve" ||
-            P.stem().extension() == ".shard")
-          continue;
-        if (P.filename().string().rfind("telemetry", 0) == 0)
-          Sidecars.push_back(P.string());
-        else
+        if (P.extension() == SegmentExtension)
           Entries.push_back(P.string());
+        else if ((P.extension() == ".json" || P.extension() == ".hgb") &&
+                 P.filename().string().rfind("telemetry-", 0) == 0)
+          Sidecars.push_back(P.string());
       }
       if (Ec) {
         std::fprintf(stderr, "error: cannot read directory %s: %s\n",
@@ -678,53 +674,25 @@ static int runMergeShards(const std::vector<std::string> &Args,
                           std::vector<std::string> &SidecarPaths) {
   if (Args.empty()) {
     std::fprintf(stderr,
-                 "error: --merge-shards needs shard files or directories\n");
+                 "error: --merge-shards needs segment files or directories\n");
     return 2;
   }
   std::vector<std::string> Paths;
   if (!collectShardPaths(Args, Paths, SidecarPaths))
     return 1;
 
+  // A named file that is not a segment fails here.
   std::vector<ShardDoc> Docs;
-  // A shard that several segments hold (two sweeps that both missed it)
-  // is taken once; standalone documents are each taken.
-  std::set<uint64_t> SegmentKeys;
-  for (const std::string &Path : Paths) {
-    std::vector<std::string> Texts;
-    std::string Err;
-    if (std::filesystem::path(Path).extension() == SegmentExtension) {
-      std::vector<SegmentEntry> Entries;
-      if (!readSegment(Path, Entries, Err)) {
-        std::fprintf(stderr, "error: %s\n", Err.c_str());
-        return 1;
-      }
-      for (SegmentEntry &E : Entries)
-        if (SegmentKeys.insert(E.Key).second)
-          Texts.push_back(std::move(E.Doc));
-    } else {
-      Texts.emplace_back();
-      if (!readFile(Path, Texts.back())) {
-        std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-        return 1;
-      }
-    }
-    for (const std::string &Text : Texts) {
-      ShardDoc Doc;
-      // parseShard sniffs the encoding, so one merge can fold shards
-      // emitted as JSON on one machine and HGB on another.
-      if (!parseShard(Text, Doc, Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
-        return 1;
-      }
-      Docs.push_back(std::move(Doc));
-    }
+  std::string Err, Warnings;
+  if (!readSegmentShards(Paths, Docs, Err)) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
+    return 1;
   }
   // The documents carry the producing sweep's config hash; a cache opened
   // with it shares improver entries with that sweep's own --improve runs.
   std::string DocsHash = Docs.empty() ? std::string() : Docs.front().ConfigHash;
 
   BatchResult Result;
-  std::string Err, Warnings;
   if (!mergeShards(std::move(Docs), Result, Err, &Warnings)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;

@@ -21,9 +21,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 
 using namespace herbgrind;
@@ -126,6 +126,8 @@ Engine::Engine(EngineConfig Config) : Cfg(Config) {
     // True LRU recency only matters when something will prune by it.
     RC->setTouchOnHit(Cfg.CacheMaxBytes > 0);
   }
+  if (!Cfg.EmitShardDir.empty())
+    Emit = std::make_unique<ResultCache>(Cfg.EmitShardDir, configHash(Cfg));
 }
 
 Engine::~Engine() = default;
@@ -162,7 +164,9 @@ static std::atomic<uint64_t> GlobalRunCounter{0};
 /// deterministic sharding and sampling, result-cache satisfaction,
 /// emit-shard documents, streaming in-order reduction, post-run cache GC
 /// -- lives here once, shared by the FPCore and native entry points.
+/// \p Emit, when non-null, is the emit directory's write-only cache.
 static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
+                                ResultCache *Emit,
                                 const std::vector<SweepSource> &Sources) {
   auto Start = std::chrono::steady_clock::now();
   const uint64_t RunId = GlobalRunCounter.fetch_add(1) + 1;
@@ -189,19 +193,6 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   static metrics::Timer TReduce = metrics::timer("engine.shard_reduce_ns");
   static metrics::Timer TRun = metrics::timer("engine.run_ns");
   trace::Span RunSpan("engine.run", "engine", TRun);
-  // Source identities (printed FPCores, kernel identity strings) feed
-  // only cache keys; emit-only runs stamp documents with the config hash
-  // alone, computed once.
-  bool NeedIdentity = RC != nullptr;
-  std::string CfgHash;
-  if (RC)
-    CfgHash = RC->configHash();
-  else if (!Cfg.EmitShardDir.empty())
-    CfgHash = configHash(Cfg);
-  if (!Cfg.EmitShardDir.empty()) {
-    std::error_code Ec;
-    std::filesystem::create_directories(Cfg.EmitShardDir, Ec);
-  }
 
   // Phase 1 (serial, cheap): sample every benchmark's inputs up front and
   // lay out the shard list. Both depend only on the configuration: the
@@ -215,7 +206,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     Seeds[B] = deriveSeed(Cfg.Seed, B);
     Inputs[B] = sampleSourceInputs(Sources[B].Ranges,
                                    Cfg.SamplesPerBenchmark, Seeds[B]);
-    if (NeedIdentity)
+    // Source identities (printed FPCores, kernel identity strings) feed
+    // only result-cache keys.
+    if (RC)
       Identities[B] = Sources[B].MakeIdentity();
     size_t N = Inputs[B].size();
     size_t Step = static_cast<size_t>(Cfg.ShardSize);
@@ -273,11 +266,12 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   std::vector<std::atomic<char>> Suspect(Sources.size());
   for (std::atomic<char> &S : Suspect)
     S.store(Cfg.Tier != TierMode::Confirm, std::memory_order_relaxed);
-  std::atomic<uint64_t> Analyzed{0}, Cached{0}, EmitFailed{0};
+  std::atomic<uint64_t> Analyzed{0}, Cached{0};
   std::atomic<uint64_t> LimbHeap{0}, LimbHits{0};
   const uint64_t RcHits0 = RC ? RC->hits() : 0;
   const uint64_t RcMisses0 = RC ? RC->misses() : 0;
   const uint64_t RcStoreFail0 = RC ? RC->storeFailures() : 0;
+  const uint64_t EmitFail0 = Emit ? Emit->storeFailures() : 0;
   {
     // One pool serves every phase of the sweep. Benchmark-affine
     // placement lands a benchmark's shards on one worker (stealing still
@@ -345,18 +339,12 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         const bool Cleared = !Suspect[Sh.Bench].load(std::memory_order_relaxed);
         const std::string SpanArgs =
             trace::enabled() ? "{" + Fields + "}" : std::string();
-        ResultCache::ShardKey Key;
-        if (RC && !Cleared) {
-          Key.CoreIdentity = Identities[Sh.Bench];
-          Key.DerivedSeed = Seeds[Sh.Bench];
-          Key.BenchIndex = Sh.Bench;
-          Key.ShardIndex = Sh.Index;
-          Key.RunBegin = Sh.Begin;
-          Key.RunEnd = Sh.End;
-        }
+        ResultCache::ShardKey Key{
+            RC && !Cleared ? Identities[Sh.Bench] : std::string(),
+            Seeds[Sh.Bench], Sh.Bench, Sh.Index, Sh.Begin, Sh.End};
 
         // A cleared benchmark's shard gets no probe, no analysis and no
-        // store: its records stay empty, so the layout's shard/run
+        // cache store: its records stay empty, so the layout's shard/run
         // accounting (and the emitted document set) stays complete.
         ShardOutcome O;
         bool FromCache = false;
@@ -402,16 +390,10 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         }
         MShardsDone.add(1);
         MRuns.add(Sh.End - Sh.Begin);
-        if (!Cfg.EmitShardDir.empty()) {
-          std::string Name = format("shard-b%05llu-s%05llu.hgb",
-                                    static_cast<unsigned long long>(Sh.Bench),
-                                    static_cast<unsigned long long>(Sh.Index));
-          if (!writeFileAtomic(Cfg.EmitShardDir + "/" + Name,
-                               renderShard(CfgHash, Sources[Sh.Bench].Name,
-                                           Sh.Bench, Sh.Index, Sh.Begin,
-                                           Sh.End, O.Records,
-                                           WireEncoding::Binary)))
-            ++EmitFailed;
+        if (Emit) {
+          // Emitted keys carry no identity (ResultCache.h).
+          Key.CoreIdentity.clear();
+          Emit->store(Key, Sources[Sh.Bench].Name, O.Records);
         }
 
         // Streaming in-order fold. The arriving shard parks in Pending,
@@ -467,7 +449,6 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   Out.Stats.Benchmarks = Sources.size();
   Out.Stats.AnalyzedShards = Analyzed.load();
   Out.Stats.CachedShards = Cached.load();
-  Out.Stats.EmitFailures = EmitFailed.load();
   Out.Stats.LimbHeapAllocs = LimbHeap.load();
   Out.Stats.LimbCacheHits = LimbHits.load();
   Out.Stats.Tier0Runs = Tier0Runs.load();
@@ -492,6 +473,10 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     metrics::counter("rcache.misses").add(Out.Stats.ResultCacheMisses);
     metrics::counter("rcache.store_failures")
         .add(Out.Stats.ResultCacheStoreFailures);
+  }
+  if (Emit) {
+    Emit->flush();
+    Out.Stats.EmitFailures = Emit->storeFailures() - EmitFail0;
   }
   if (RC && Cfg.CacheMaxBytes > 0) {
     // Post-run LRU pruning keeps the result cache under its cap; a
@@ -682,7 +667,7 @@ BatchResult Engine::run(const std::vector<fpcore::Core> &Cores,
     Sources.push_back(coreSource(C, Cache, Cfg.Analysis));
   for (const native::Kernel &K : Kernels)
     Sources.push_back(kernelSource(K, Cfg.Analysis));
-  BatchResult Out = runSweepImpl(Cfg, RC.get(), Sources);
+  BatchResult Out = runSweepImpl(Cfg, RC.get(), Emit.get(), Sources);
   Out.Stats.CacheHits = Cache.hits() - CacheHits0;
   Out.Stats.CacheMisses = Cache.misses() - CacheMisses0;
   return Out;
@@ -798,5 +783,28 @@ bool herbgrind::engine::mergeShards(std::vector<ShardDoc> Docs,
     I = J;
   }
   Out.Stats.Benchmarks = Out.Benchmarks.size();
+  return true;
+}
+
+bool herbgrind::engine::readSegmentShards(const std::vector<std::string> &Paths,
+                                          std::vector<ShardDoc> &Docs,
+                                          std::string &Err) {
+  std::set<std::pair<uint64_t, std::string>> Taken;
+  for (const std::string &Path : Paths) {
+    std::vector<SegmentEntry> Entries;
+    if (!readSegment(Path, Entries, Err))
+      return false;
+    for (SegmentEntry &E : Entries) {
+      auto [It, New] = Taken.emplace(E.Key, std::move(E.Doc));
+      if (!New)
+        continue;
+      ShardDoc Doc;
+      if (!parseShard(It->second, Doc, Err)) {
+        Err = Path + ": " + Err;
+        return false;
+      }
+      Docs.push_back(std::move(Doc));
+    }
+  }
   return true;
 }

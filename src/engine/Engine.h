@@ -24,8 +24,9 @@
 /// shard's records persist as an HGB shard document keyed by FPCore
 /// identity + sampling seed + sample range + config hash, and a repeated
 /// sweep analyzes only new or invalidated shards (see ResultCache.h).
-/// With an emit directory configured, the same documents are written for
-/// off-machine merging; `mergeShards` folds them back into a BatchResult
+/// An emit directory is a second, write-only ResultCache: every shard's
+/// document lands in the sweep's one segment there, for off-machine
+/// merging; `mergeShards` folds them back into a BatchResult
 /// byte-identical to a single-machine sweep's.
 ///
 //===----------------------------------------------------------------------===//
@@ -122,10 +123,10 @@ struct EngineConfig {
   /// Never part of the config hash: pruning changes what is cached, not
   /// what any shard's records contain.
   uint64_t CacheMaxBytes = 0;
-  /// When non-empty, every shard's result is also written here as an HGB
-  /// shard document (shard-b<bench>-s<shard>.hgb) for off-machine merging
-  /// with mergeShards / `herbgrind_batch --merge-shards`; `hgb2json`
-  /// renders one for a person.
+  /// When non-empty, every shard's result -- cache hits and the empty
+  /// records of confirm-cleared benchmarks included -- is also stored here
+  /// through a write-only ResultCache (see ResultCache.h): one segment
+  /// per sweep, for readSegmentShards + mergeShards on another machine.
   std::string EmitShardDir;
   /// Half-open per-benchmark shard-index range to execute; the default
   /// covers every shard. Shard boundaries are laid out over the full
@@ -158,7 +159,7 @@ struct EngineStats {
   uint64_t AnalyzedShards = 0; ///< Shards actually executed this sweep.
   uint64_t CachedShards = 0;   ///< Shards satisfied by the result cache.
   uint64_t EmitFailures = 0;   ///< EmitShardDir documents that failed to
-                               ///< write (callers should treat > 0 as an
+                               ///< persist (callers should treat > 0 as an
                                ///< error: the emitted set is incomplete).
   uint64_t CacheHits = 0;      ///< Compiled-program cache hits.
   uint64_t CacheMisses = 0;    ///< Compiled-program cache misses.
@@ -249,6 +250,7 @@ private:
   EngineConfig Cfg;
   fpcore::ProgramCache Cache;
   std::unique_ptr<ResultCache> RC;
+  std::unique_ptr<ResultCache> Emit; ///< On EmitShardDir; only stored to.
 };
 
 /// Folds shard wire-format documents (from `--emit-shard` runs, possibly
@@ -265,6 +267,14 @@ private:
 /// when provided.
 bool mergeShards(std::vector<ShardDoc> Docs, BatchResult &Out,
                  std::string &Err, std::string *Warnings = nullptr);
+
+/// Appends the shard documents of the segment files \p Paths to \p Docs,
+/// for mergeShards. A document repeating an earlier one's key and bytes
+/// is taken once; any other repeated key reaches mergeShards, which
+/// rejects it (emitted keys name no benchmark: ResultCache.h). Fails,
+/// setting \p Err, on a path that is not a readable segment.
+bool readSegmentShards(const std::vector<std::string> &Paths,
+                       std::vector<ShardDoc> &Docs, std::string &Err);
 
 } // namespace engine
 } // namespace herbgrind

@@ -373,7 +373,8 @@ bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out) {
   const uint64_t K = keyHash(Key);
   std::string Text;
   bool Found = false;
-  {
+  // An empty identity is an emitted document's key: never served.
+  if (!Key.CoreIdentity.empty()) {
     std::lock_guard<std::mutex> Lock(M);
     if (!Loaded)
       loadSegments();

@@ -14,6 +14,14 @@
 /// of them for a person. A directory of segments is also a set of
 /// mergeable shard documents (`--merge-shards DIR`, through readSegment).
 ///
+/// Emitted documents. An `--emit-shard` directory is one too, written by
+/// a second cache that only stores, under keys with an empty core
+/// identity. lookup() misses on those, so an emit directory used as a
+/// cache directory serves nothing (a confirm sweep's empty records for
+/// the benchmarks it cleared never stand in for analysis). Such a key
+/// names no benchmark, so readSegmentShards (Engine.h) drops a repeated
+/// key only when its bytes repeat too.
+///
 /// Keying mirrors `fpcore::ProgramCache`: a benchmark is identified by its
 /// printed FPCore text (canonical for parsed cores), combined with the
 /// shard's derived sampling seed, its sample range, and a hash of every
@@ -93,7 +101,7 @@ struct SegmentEntry {
 /// setting \p Err, on an unreadable file, a torn or foreign footer, an
 /// index that fails its hash or points outside the file, or a document
 /// whose bytes fail their hash: it never returns bytes it has not checked.
-/// `--merge-shards` reads cache directories through it.
+/// The one reader of on-disk shard documents (see readSegmentShards).
 bool readSegment(const std::string &Path, std::vector<SegmentEntry> &Out,
                  std::string &Err);
 
@@ -134,7 +142,7 @@ public:
 
   /// Identity of one shard's work, sufficient to reproduce it.
   struct ShardKey {
-    std::string CoreIdentity; ///< Printed FPCore (ProgramCache's key).
+    std::string CoreIdentity; ///< FPCore or kernel identity; "" if emitted.
     uint64_t DerivedSeed = 0; ///< Per-benchmark sampling seed.
     uint64_t BenchIndex = 0;  ///< Position in the sweep's core list.
     uint64_t ShardIndex = 0;  ///< Shard number within the benchmark.
@@ -143,9 +151,10 @@ public:
   };
 
   /// Looks a shard up; on a hit fills \p Out with a result that folds
-  /// byte-identically to a fresh analysis. Any validation failure (no
-  /// entry, bytes that fail their hash, parse error, version or
-  /// config-hash mismatch, wrong sample range) is a miss. Sees this
+  /// byte-identically to a fresh analysis. An empty core identity (an
+  /// emitted document's key) and any validation failure (no entry, bytes
+  /// that fail their hash, parse error, version or config-hash mismatch,
+  /// wrong sample range) are misses. Sees this
   /// instance's own unflushed stores. The first lookup after construction
   /// or a flush() reads the directory's segment indexes; later ones list
   /// nothing.

@@ -100,6 +100,7 @@ BatchImproveStats improve::batchImprove(engine::BatchResult &Batch,
   // fully determined by (expression, specs, improver config), so workers
   // just fill their task's slot; no reduction order to maintain.
   std::atomic<uint64_t> Analyzed{0}, Cached{0};
+  const uint64_t StoreFail0 = Cache ? Cache->storeFailures() : 0;
   {
     unsigned Jobs = Cfg.Jobs;
     if (Jobs == 0) {
@@ -187,6 +188,10 @@ BatchImproveStats improve::batchImprove(engine::BatchResult &Batch,
   }
   Stats.AnalyzedRecords = Analyzed.load();
   Stats.CachedRecords = Cached.load();
+  if (Cache) {
+    Stats.StoreFailures = Cache->storeFailures() - StoreFail0;
+    metrics::counter("rcache.store_failures").add(Stats.StoreFailures);
+  }
   Stats.WallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();

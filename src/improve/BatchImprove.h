@@ -72,6 +72,8 @@ struct BatchImproveStats {
   uint64_t Improved = 0;        ///< Candidates the rewrite database beat.
   uint64_t AnalyzedRecords = 0; ///< Improver runs executed this pass.
   uint64_t CachedRecords = 0;   ///< Outcomes satisfied by the cache.
+  uint64_t StoreFailures = 0;   ///< Fresh outcomes the cache failed to
+                                ///< persist (the report is intact).
   double WallSeconds = 0.0;
 };
 

@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EmittedSegment.h"
+
 #include "engine/ResultCache.h"
 #include "fpcore/Corpus.h"
 #include "improve/BatchImprove.h"
@@ -147,13 +149,7 @@ TEST(BatchImprove, MergedShardDocumentsImproveByteIdenticallyToLiveSweep) {
 
   std::vector<ShardDoc> Docs;
   for (const std::string &Dir : {DirA.Path, DirB.Path})
-    for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
-      std::string Text, Err;
-      ASSERT_TRUE(readFile(Entry.path().string(), Text));
-      ShardDoc Doc;
-      ASSERT_TRUE(parseShard(Text, Doc, Err)) << Err;
-      Docs.push_back(std::move(Doc));
-    }
+    ASSERT_TRUE(emitted::readShardsOf(Dir, Docs));
   ASSERT_EQ(Docs.size(), Cores.size() * 2);
 
   // Merged + improved must reproduce the live bytes at any jobs count.
@@ -209,6 +205,21 @@ TEST(BatchImprove, OutcomesPersistAndReloadThroughResultCache) {
   BatchImproveStats SOther = batchImprove(Changed, Other, &RC3);
   EXPECT_EQ(SOther.CachedRecords, 0u);
   EXPECT_EQ(SOther.AnalyzedRecords, totalCandidates(Changed));
+}
+
+TEST(BatchImprove, StoreFailuresAreCountedNotSwallowed) {
+  std::vector<fpcore::Core> Cores = erroneousBenchmarks();
+  EngineConfig Cfg = smallConfig(2);
+  BatchResult R = Engine(Cfg).run(Cores);
+  // A cache opened on a regular file: no lookup hits, no outcome persists.
+  TempDir Dir("store-fail");
+  std::string File = Dir.Path + "/not-a-dir";
+  std::ofstream(File, std::ios::binary) << "x";
+  ResultCache RC(File, configHash(Cfg));
+  BatchImproveStats S = batchImprove(R, smallImprove(2), &RC);
+  EXPECT_GT(S.AnalyzedRecords, 0u);
+  EXPECT_EQ(S.StoreFailures, S.AnalyzedRecords);
+  EXPECT_EQ(RC.storeFailures(), S.StoreFailures);
 }
 
 TEST(BatchImprove, ImproveConfigHashSeparatesEveryKnob) {

@@ -17,6 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EmittedSegment.h"
+
 #include "engine/Engine.h"
 #include "engine/ResultCache.h"
 #include "fpcore/Compile.h"
@@ -736,7 +738,7 @@ TEST(MergeShards, ReproducesTheDirectSweepByteIdentically) {
   Cfg.ShardSize = 3;
   std::string Direct = Engine(Cfg).run(Cores).renderJson();
 
-  // Two "machines" run disjoint shard ranges, emitting wire documents.
+  // Two "machines" run disjoint shard ranges, each emitting one segment.
   TempDir DirA("emitA"), DirB("emitB");
   EngineConfig CfgA = Cfg;
   CfgA.ShardBegin = 0;
@@ -750,13 +752,7 @@ TEST(MergeShards, ReproducesTheDirectSweepByteIdentically) {
 
   std::vector<ShardDoc> Docs;
   for (const std::string &Dir : {DirA.Path, DirB.Path})
-    for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
-      std::string Text, Err;
-      ASSERT_TRUE(readFile(Entry.path().string(), Text));
-      ShardDoc Doc;
-      ASSERT_TRUE(parseShard(Text, Doc, Err)) << Err;
-      Docs.push_back(std::move(Doc));
-    }
+    ASSERT_TRUE(emitted::readShardsOf(Dir, Docs));
   ASSERT_EQ(Docs.size(), 5u * 3u); // ceil(7/3) = 3 shards per benchmark
 
   BatchResult Merged;
@@ -765,6 +761,66 @@ TEST(MergeShards, ReproducesTheDirectSweepByteIdentically) {
   EXPECT_TRUE(Warnings.empty()) << Warnings;
   EXPECT_EQ(Merged.renderJson(), Direct);
   EXPECT_EQ(Merged.Stats.Runs, 7u * 5u);
+}
+
+TEST(MergeShards, TwoSelectionsOfOneConfigurationDoNotMerge) {
+  // Emitted keys name no benchmark, so single-benchmark sweeps of one
+  // configuration emit equal keys for different benchmarks. Reading both
+  // must keep every document, and the merge must fail rather than report
+  // one selection.
+  std::vector<fpcore::Core> Cores = smallCorpusSubset(2);
+  auto Only = [&](size_t I) {
+    std::vector<fpcore::Core> One;
+    One.push_back(Cores[I].clone());
+    return One;
+  };
+  EngineConfig Cfg;
+  Cfg.Jobs = 1;
+  Cfg.SamplesPerBenchmark = 4;
+  Cfg.ShardSize = 2;
+  TempDir DirA("selA"), DirB("selB");
+  std::vector<std::string> Segments(2);
+  for (size_t I = 0; I < 2; ++I) {
+    EngineConfig Sel = Cfg;
+    Sel.EmitShardDir = I == 0 ? DirA.Path : DirB.Path;
+    Engine(Sel).run(Only(I));
+    ASSERT_TRUE(emitted::segmentOf(Sel.EmitShardDir, Segments[I]));
+  }
+
+  std::vector<ShardDoc> Docs;
+  std::string Err;
+  ASSERT_TRUE(readSegmentShards(Segments, Docs, Err)) << Err;
+  ASSERT_EQ(Docs.size(), 4u);
+  BatchResult Out;
+  EXPECT_FALSE(mergeShards(std::move(Docs), Out, Err));
+  EXPECT_NE(Err.find("names both"), std::string::npos) << Err;
+
+  // One directory reused for both selections fails the same way.
+  std::filesystem::rename(Segments[1], DirA.Path + "/b" + SegmentExtension);
+  std::vector<ShardDoc> Reused;
+  ASSERT_TRUE(readSegmentShards({Segments[0], DirA.Path + "/b" +
+                                                  SegmentExtension},
+                                Reused, Err))
+      << Err;
+  BatchResult Out2;
+  EXPECT_FALSE(mergeShards(std::move(Reused), Out2, Err));
+
+  // A segment read twice (a slice emitted twice, a directory named twice)
+  // is taken once and merges to the direct sweep.
+  std::vector<ShardDoc> Twice;
+  ASSERT_TRUE(readSegmentShards({Segments[0], Segments[0]}, Twice, Err))
+      << Err;
+  EXPECT_EQ(Twice.size(), 2u);
+  BatchResult Merged;
+  ASSERT_TRUE(mergeShards(std::move(Twice), Merged, Err)) << Err;
+  EXPECT_EQ(Merged.renderJson(), Engine(Cfg).run(Only(0)).renderJson());
+
+  // A file that is not a segment fails, naming it.
+  std::vector<ShardDoc> None;
+  std::string NotSegment = DirB.Path + "/report.json";
+  std::ofstream(NotSegment, std::ios::binary) << Merged.renderJson();
+  EXPECT_FALSE(readSegmentShards({NotSegment}, None, Err));
+  EXPECT_NE(Err.find(NotSegment), std::string::npos) << Err;
 }
 
 TEST(MergeShards, RejectsMixedConfigsAndDuplicates) {
@@ -981,6 +1037,27 @@ TEST(ResultCache, OwnUnflushedStoresHitWithoutAFlush) {
   ResultCache Foreign(Dir.Path, "0123456789abcdef");
   AnalysisResult Got;
   EXPECT_FALSE(Foreign.lookup(Keys[0], Got));
+}
+
+TEST(ResultCache, AnEmptyIdentityIsNeverServed) {
+  // Emitted documents are stored under an empty core identity; no lookup
+  // serves one, pending or flushed.
+  TempDir Dir("cache-emitted");
+  Program P = cancellationKernel();
+  std::vector<std::vector<double>> Inputs = {{1e15}, {2e15}};
+  ResultCache::ShardKey K;
+  K.DerivedSeed = 7;
+  K.RunEnd = Inputs.size();
+  ResultCache Cache(Dir.Path, "00000000feedbeef");
+  Cache.store(K, "k", analyzeChunk(P, Inputs, 0, Inputs.size()));
+  AnalysisResult Got;
+  EXPECT_FALSE(Cache.lookup(K, Got));
+  Cache.flush();
+  ASSERT_EQ(segmentsIn(Dir.Path).size(), 1u);
+  ResultCache Fresh(Dir.Path, Cache.configHash());
+  EXPECT_FALSE(Fresh.lookup(K, Got));
+  EXPECT_EQ(Cache.misses() + Fresh.misses(), 2u);
+  EXPECT_EQ(Cache.hits() + Fresh.hits(), 0u);
 }
 
 TEST(ResultCache, AKeyTwoSegmentsHoldIsServedFromAnyValidCopy) {

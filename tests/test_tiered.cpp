@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "DiffHarness.h"
+#include "EmittedSegment.h"
 
 #include "engine/ResultCache.h"
 #include "fpcore/Corpus.h"
@@ -162,17 +163,7 @@ TEST(TieredDiff, ConfirmEmittedShardsMergeToFullReport) {
   ASSERT_EQ(Swept.Stats.EmitFailures, 0u);
 
   std::vector<ShardDoc> Docs;
-  std::vector<std::string> Paths;
-  for (const auto &E : std::filesystem::directory_iterator(Emit.Path))
-    Paths.push_back(E.path().string());
-  std::sort(Paths.begin(), Paths.end());
-  for (const std::string &P : Paths) {
-    std::string Text, Err;
-    ASSERT_TRUE(readFile(P, Text)) << P;
-    ShardDoc Doc;
-    ASSERT_TRUE(parseShard(Text, Doc, Err)) << P << ": " << Err;
-    Docs.push_back(std::move(Doc));
-  }
+  ASSERT_TRUE(emitted::readShardsOf(Emit.Path, Docs));
   ASSERT_EQ(Docs.size(), Swept.Stats.Shards);
 
   BatchResult Merged;
@@ -182,6 +173,36 @@ TEST(TieredDiff, ConfirmEmittedShardsMergeToFullReport) {
   EXPECT_EQ(Merged.renderJson(), Swept.renderJson());
   EXPECT_EQ(Merged.renderJson(),
             sweepJson(Cores, Kernels, smallConfig(1, TierMode::Full)));
+}
+
+TEST(TieredDiff, EmittedSegmentsNeverServeCacheLookups) {
+  // A confirm sweep emits the empty records of the benchmarks it clears.
+  // Were emitted documents keyed like cache entries, a full sweep whose
+  // cache directory is the emit directory would fold those in place of
+  // analyzing the cleared benchmarks.
+  std::vector<fpcore::Core> Cores = randomCores(0x7030, 4);
+  Cores.push_back(benignCore());
+  std::vector<native::Kernel> Kernels = randomKernels(0x7030, 2);
+  TempDir Emit("emit-nolookup");
+
+  EngineConfig ConfCfg = smallConfig(2, TierMode::Confirm);
+  ConfCfg.EmitShardDir = Emit.Path;
+  BatchResult Conf = Engine(ConfCfg).run(Cores, Kernels);
+  ASSERT_EQ(Conf.Stats.EmitFailures, 0u);
+  ASSERT_LT(Conf.Stats.ConfirmedBenchmarks, Conf.Stats.Benchmarks);
+
+  EngineConfig FullCfg = smallConfig(2, TierMode::Full);
+  BatchResult Uncached = Engine(FullCfg).run(Cores, Kernels);
+  FullCfg.CacheDir = Emit.Path;
+  BatchResult OverEmit = Engine(FullCfg).run(Cores, Kernels);
+  EXPECT_EQ(OverEmit.Stats.CachedShards, 0u);
+  EXPECT_EQ(OverEmit.Stats.AnalyzedShards, OverEmit.Stats.Shards);
+  EXPECT_EQ(OverEmit.renderJson(), Uncached.renderJson());
+  // A clean benchmark's report is empty either way; its records are not.
+  for (size_t B = 0; B < Uncached.Benchmarks.size(); ++B)
+    EXPECT_EQ(OverEmit.Benchmarks[B].Records.Ops.size(),
+              Uncached.Benchmarks[B].Records.Ops.size())
+        << Uncached.Benchmarks[B].Name;
 }
 
 //===----------------------------------------------------------------------===//

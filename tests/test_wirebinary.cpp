@@ -19,10 +19,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EmittedSegment.h"
+
 #include "engine/Engine.h"
 #include "engine/ResultCache.h"
 #include "fpcore/Corpus.h"
 #include "herbgrind/Herbgrind.h"
+#include "native/Kernel.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/Rng.h"
@@ -487,6 +490,36 @@ TEST(WireBinary, GcPrunesBinaryEntries) {
     ADD_FAILURE() << "entry survived a zero-byte cap: " << E.path();
 }
 
+TEST(WireBinary, EmittedSegmentConvertsLosslessly) {
+  // Every document of a real emitted segment, FPCore and native
+  // benchmarks alike, goes HGB -> JSON -> HGB through convertWireDoc (what
+  // hgb2json and json2hgb run) byte-identically, and back to the same
+  // JSON.
+  TempDir Emit("convert-emit");
+  EngineConfig Cfg;
+  Cfg.Jobs = 2;
+  Cfg.SamplesPerBenchmark = 4;
+  Cfg.ShardSize = 2;
+  Cfg.EmitShardDir = Emit.Path;
+  BatchResult R = Engine(Cfg).run(smallCorpusSubset(4), native::demoKernels());
+  ASSERT_EQ(R.Stats.EmitFailures, 0u);
+
+  std::vector<SegmentEntry> Entries;
+  ASSERT_TRUE(emitted::readSegmentOf(Emit.Path, Entries));
+  ASSERT_EQ(Entries.size(), R.Stats.Shards);
+  for (size_t I = 0; I < Entries.size(); ++I) {
+    SCOPED_TRACE("document " + std::to_string(I));
+    std::string Json, Hgb, JsonAgain, Err;
+    ASSERT_TRUE(convertWireDoc(Entries[I].Doc, WireEncoding::Json, Json, Err))
+        << Err;
+    ASSERT_TRUE(convertWireDoc(Json, WireEncoding::Binary, Hgb, Err)) << Err;
+    EXPECT_EQ(Hgb, Entries[I].Doc);
+    ASSERT_TRUE(convertWireDoc(Hgb, WireEncoding::Json, JsonAgain, Err))
+        << Err;
+    EXPECT_EQ(JsonAgain, Json);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Mixed-format merging
 //===----------------------------------------------------------------------===//
@@ -505,20 +538,19 @@ TEST(WireBinary, MixedFormatShardSetMergesByteIdentically) {
   BatchResult Reference = Direct.run(Cores);
 
   // Convert every other emitted HGB document to JSON, then merge the
-  // mixed set: same report bytes as the direct sweep.
-  std::vector<std::string> Paths;
-  for (const auto &E : std::filesystem::directory_iterator(Emit.Path))
-    Paths.push_back(E.path().string());
-  std::sort(Paths.begin(), Paths.end());
-  ASSERT_GT(Paths.size(), 1u);
+  // mixed set: same report bytes as the direct sweep. Only this
+  // library-level merge still sees JSON shard documents.
+  std::vector<SegmentEntry> Entries;
+  ASSERT_TRUE(emitted::readSegmentOf(Emit.Path, Entries));
+  ASSERT_GT(Entries.size(), 1u);
 
   std::vector<ShardDoc> Docs;
   std::string Err;
-  for (size_t I = 0; I < Paths.size(); ++I) {
-    std::string Text = slurp(Paths[I]);
-    ASSERT_TRUE(wire::isBinary(Text)) << Paths[I];
+  for (size_t I = 0; I < Entries.size(); ++I) {
+    const std::string &Text = Entries[I].Doc;
+    ASSERT_TRUE(wire::isBinary(Text)) << "document " << I;
     ShardDoc Doc;
-    ASSERT_TRUE(parseShard(Text, Doc, Err)) << Paths[I] << ": " << Err;
+    ASSERT_TRUE(parseShard(Text, Doc, Err)) << "document " << I << ": " << Err;
     if (I % 2 == 1) {
       std::string Json = renderShard(Doc, WireEncoding::Json);
       ShardDoc Again;
