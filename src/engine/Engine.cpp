@@ -288,23 +288,27 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     // one full shard. Predicate soundness (an erroneous full-mode spot
     // implies a suspect tier-0 run) is what lets a clean verdict skip
     // phase 2b's analysis for the benchmark without changing the report.
-    // One task per benchmark walks its shards (contiguous in the layout)
+    // One task per benchmark with a shard in the slice walks the
+    // benchmark's whole layout, not just the slice, so every slice of a
+    // sliced sweep reaches the direct sweep's verdict. It walks the shards
     // in ascending order and stops after the first suspect one: the rest
     // are skipped, not run for show, and which ones ran -- hence the tier-0
     // counts -- does not depend on worker scheduling.
     if (Cfg.Tier == TierMode::Confirm) {
       trace::Span Tier0Span("engine.tier0", "engine");
-      for (size_t Lo = 0, Hi = 0; Lo < Shards.size(); Lo = Hi) {
-        while (Hi < Shards.size() && Shards[Hi].Bench == Shards[Lo].Bench)
-          ++Hi;
-        Pool.submitTo(Shards[Lo].Bench, [&, Lo, Hi] {
-          for (size_t S = Lo; S < Hi; ++S) {
-            const Shard &Sh = Shards[S];
-            ShardOutcome O = Sources[Sh.Bench].Analyze(
-                Stage::Verdict, RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End);
+      const size_t Step = static_cast<size_t>(Cfg.ShardSize);
+      for (size_t S = 0; S < Shards.size(); ++S) {
+        const size_t B = Shards[S].Bench;
+        if (S > 0 && Shards[S - 1].Bench == B)
+          continue;
+        Pool.submitTo(B, [&, B] {
+          for (size_t Lo = 0, N = Inputs[B].size(); Lo < N; Lo += Step) {
+            ShardOutcome O = Sources[B].Analyze(Stage::Verdict, RunId,
+                                                Inputs[B], Lo,
+                                                std::min(Lo + Step, N));
             Account(O, std::string());
             if (O.Suspect) {
-              Suspect[Sh.Bench].store(1, std::memory_order_relaxed);
+              Suspect[B].store(1, std::memory_order_relaxed);
               return;
             }
           }

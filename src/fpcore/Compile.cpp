@@ -9,53 +9,59 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <unordered_map>
 
 using namespace herbgrind;
 using namespace herbgrind::fpcore;
 
 namespace {
 
-/// Scalar f64 operator table.
-struct OpMapEntry {
-  const char *Name;
-  unsigned Arity;
-  Opcode Op;
+/// The scalar f64 opcodes by FPCore name, built once from the opcode
+/// table. None marks an arity the name does not take.
+struct FPCoreOps {
+  static constexpr Opcode None = Opcode::NumOpcodes;
+  struct Entry {
+    Opcode ByArity[4] = {None, None, None, None};
+    Opcode Variadic = None; ///< The binary opcode, if it folds or chains.
+  };
+  std::unordered_map<std::string, Entry> ByName;
+
+  FPCoreOps() {
+    for (unsigned I = 0; I < static_cast<unsigned>(Opcode::NumOpcodes); ++I) {
+      Opcode Op = static_cast<Opcode>(I);
+      const OpInfo &Info = opInfo(Op);
+      if (!Info.FPCoreName || Info.IsSIMD ||
+          Info.OperandTy != ValueType::F64 ||
+          (Info.ResultTy != ValueType::F64 && !Info.IsComparison))
+        continue;
+      Entry &E = ByName[Info.FPCoreName];
+      assert(Info.Arity < std::size(E.ByArity) && "arity past the entry");
+      E.ByArity[Info.Arity] = Op;
+      if (Info.IsComparison || Op == Opcode::AddF64 ||
+          Op == Opcode::SubF64 || Op == Opcode::MulF64)
+        E.Variadic = Op;
+    }
+  }
 };
 
-const OpMapEntry FloatOps[] = {
-    {"+", 2, Opcode::AddF64},        {"-", 2, Opcode::SubF64},
-    {"*", 2, Opcode::MulF64},        {"/", 2, Opcode::DivF64},
-    {"-", 1, Opcode::NegF64},        {"sqrt", 1, Opcode::SqrtF64},
-    {"fabs", 1, Opcode::AbsF64},     {"fmin", 2, Opcode::MinF64},
-    {"fmax", 2, Opcode::MaxF64},     {"fma", 3, Opcode::FmaF64},
-    {"copysign", 2, Opcode::CopySignF64},
-    {"exp", 1, Opcode::ExpF64},      {"exp2", 1, Opcode::Exp2F64},
-    {"expm1", 1, Opcode::Expm1F64},  {"log", 1, Opcode::LogF64},
-    {"log2", 1, Opcode::Log2F64},    {"log10", 1, Opcode::Log10F64},
-    {"log1p", 1, Opcode::Log1pF64},  {"sin", 1, Opcode::SinF64},
-    {"cos", 1, Opcode::CosF64},      {"tan", 1, Opcode::TanF64},
-    {"asin", 1, Opcode::AsinF64},    {"acos", 1, Opcode::AcosF64},
-    {"atan", 1, Opcode::AtanF64},    {"atan2", 2, Opcode::Atan2F64},
-    {"sinh", 1, Opcode::SinhF64},    {"cosh", 1, Opcode::CoshF64},
-    {"tanh", 1, Opcode::TanhF64},    {"pow", 2, Opcode::PowF64},
-    {"cbrt", 1, Opcode::CbrtF64},    {"hypot", 2, Opcode::HypotF64},
-    {"fmod", 2, Opcode::FmodF64},    {"floor", 1, Opcode::FloorF64},
-    {"ceil", 1, Opcode::CeilF64},    {"round", 1, Opcode::RoundF64},
-    {"trunc", 1, Opcode::TruncF64},
-};
-
-const OpMapEntry CompareOps[] = {
-    {"<", 2, Opcode::CmpLTF64},  {"<=", 2, Opcode::CmpLEF64},
-    {">", 2, Opcode::CmpGTF64},  {">=", 2, Opcode::CmpGEF64},
-    {"==", 2, Opcode::CmpEQF64}, {"!=", 2, Opcode::CmpNEF64},
-};
-
-const OpMapEntry *findOp(const OpMapEntry *Table, size_t N,
-                         const std::string &Name, unsigned Arity) {
-  for (size_t I = 0; I < N; ++I)
-    if (Name == Table[I].Name && Arity == Table[I].Arity)
-      return &Table[I];
-  return nullptr;
+/// The value of the named number constant \p Name; false if there is
+/// none (TRUE and FALSE are tests, not numbers).
+bool constValue(const std::string &Name, double &V) {
+  if (Name == "PI")
+    V = M_PI;
+  else if (Name == "E")
+    V = M_E;
+  else if (Name == "LN2")
+    V = M_LN2;
+  else if (Name == "LOG2E")
+    V = M_LOG2E;
+  else if (Name == "INFINITY")
+    V = HUGE_VAL;
+  else if (Name == "NAN")
+    V = std::nan("");
+  else
+    return false;
+  return true;
 }
 
 class Compiler {
@@ -89,46 +95,43 @@ private:
     switch (E.K) {
     case Expr::Kind::Num:
       return B.constF64(E.Num);
-    case Expr::Kind::Const:
-      return B.constF64(constValue(E.Name));
+    case Expr::Kind::Const: {
+      double V = 0.0;
+      bool Known = constValue(E.Name, V);
+      assert(Known && "unknown constant");
+      (void)Known;
+      return B.constF64(V);
+    }
     case Expr::Kind::Var: {
       auto It = Scope.find(E.Name);
       assert(It != Scope.end() && "unbound variable");
       return It->second;
     }
     case Expr::Kind::Op: {
-      if (const OpMapEntry *M =
-              findOp(FloatOps, std::size(FloatOps), E.Name,
-                     static_cast<unsigned>(E.Args.size()))) {
+      Opcode Op = lookup(E);
+      unsigned Arity = opInfo(Op).Arity;
+      if (Arity == E.Args.size()) {
         Temp Args[3];
         for (size_t I = 0; I < E.Args.size(); ++I)
           Args[I] = value(*E.Args[I], Scope);
         tickLoc();
-        switch (M->Arity) {
+        switch (Arity) {
         case 1:
-          return B.op(M->Op, Args[0]);
+          return B.op(Op, Args[0]);
         case 2:
-          return B.op(M->Op, Args[0], Args[1]);
+          return B.op(Op, Args[0], Args[1]);
         default:
-          return B.op(M->Op, Args[0], Args[1], Args[2]);
+          return B.op(Op, Args[0], Args[1], Args[2]);
         }
       }
       // Variadic +/-/*: left fold.
-      if ((E.Name == "+" || E.Name == "*" || E.Name == "-") &&
-          E.Args.size() > 2) {
-        Opcode Op = E.Name == "+"   ? Opcode::AddF64
-                    : E.Name == "*" ? Opcode::MulF64
-                                    : Opcode::SubF64;
-        Temp Acc = value(*E.Args[0], Scope);
-        for (size_t I = 1; I < E.Args.size(); ++I) {
-          Temp Next = value(*E.Args[I], Scope);
-          tickLoc();
-          Acc = B.op(Op, Acc, Next);
-        }
-        return Acc;
+      Temp Acc = value(*E.Args[0], Scope);
+      for (size_t I = 1; I < E.Args.size(); ++I) {
+        Temp Next = value(*E.Args[I], Scope);
+        tickLoc();
+        Acc = B.op(Op, Acc, Next);
       }
-      assert(false && "unsupported float operator");
-      return 0;
+      return Acc;
     }
     case Expr::Kind::If: {
       Temp Cond = boolean(*E.Args[0], Scope);
@@ -227,36 +230,29 @@ private:
     }
     if (E.Name == "not")
       return B.op(Opcode::XorI64, boolean(*E.Args[0], Scope), B.constI64(1));
-    const OpMapEntry *M = findOp(CompareOps, std::size(CompareOps), E.Name, 2);
-    assert(M && "unsupported boolean operator");
+    Opcode Op = lookup(E);
+    assert(opInfo(Op).IsComparison && "unsupported boolean operator");
     // Chained comparisons: (< a b c) == (and (< a b) (< b c)).
     std::vector<Temp> Args;
     for (const ExprPtr &A : E.Args)
       Args.push_back(value(*A, Scope));
     tickLoc();
-    Temp Acc = B.op(M->Op, Args[0], Args[1]);
+    Temp Acc = B.op(Op, Args[0], Args[1]);
     for (size_t I = 1; I + 1 < Args.size(); ++I) {
-      Temp Next = B.op(M->Op, Args[I], Args[I + 1]);
+      Temp Next = B.op(Op, Args[I], Args[I + 1]);
       Acc = B.op(Opcode::AndI64, Acc, Next);
     }
     return Acc;
   }
 
-  static double constValue(const std::string &Name) {
-    if (Name == "PI")
-      return M_PI;
-    if (Name == "E")
-      return M_E;
-    if (Name == "LN2")
-      return M_LN2;
-    if (Name == "LOG2E")
-      return M_LOG2E;
-    if (Name == "INFINITY")
-      return HUGE_VAL;
-    if (Name == "NAN")
-      return std::nan("");
-    assert(false && "unknown constant");
-    return 0.0;
+  /// The opcode of application \p E, which the checker has accepted.
+  static Opcode lookup(const Expr &E) {
+    Opcode Op = Opcode::NumOpcodes;
+    bool Known =
+        fpcoreOpcode(E.Name, static_cast<unsigned>(E.Args.size()), Op);
+    assert(Known && "unsupported operator");
+    (void)Known;
+    return Op;
   }
 
   const Core &C;
@@ -265,78 +261,124 @@ private:
   int Line = 0;
 };
 
-/// Recursive operator-support check shared by isCompilable.
-bool exprSupported(const Expr &E, bool BoolContext, std::string *WhyNot) {
-  auto No = [&](const std::string &Why) {
-    if (WhyNot)
-      *WhyNot = Why;
-    return false;
-  };
-  switch (E.K) {
-  case Expr::Kind::Num:
-  case Expr::Kind::Var:
-    return true;
-  case Expr::Kind::Const:
-    if (E.Name == "TRUE" || E.Name == "FALSE")
-      return true;
-    if (E.Name == "PI" || E.Name == "E" || E.Name == "LN2" ||
-        E.Name == "LOG2E" || E.Name == "INFINITY" || E.Name == "NAN")
-      return true;
-    return No("unknown constant " + E.Name);
-  case Expr::Kind::If:
-    return exprSupported(*E.Args[0], true, WhyNot) &&
-           exprSupported(*E.Args[1], false, WhyNot) &&
-           exprSupported(*E.Args[2], false, WhyNot);
-  case Expr::Kind::Let:
-  case Expr::Kind::While: {
-    for (const ExprPtr &I : E.Inits)
-      if (!exprSupported(*I, false, WhyNot))
-        return false;
-    for (const ExprPtr &U : E.Updates)
-      if (!exprSupported(*U, false, WhyNot))
-        return false;
-    if (E.K == Expr::Kind::While &&
-        !exprSupported(*E.Args[0], true, WhyNot))
-      return false;
-    return exprSupported(*E.Args.back(), false, WhyNot);
+/// Accepts exactly the cores Compiler compiles: it walks the body in
+/// Compiler's positions (value or test) and scopes, and names the first
+/// thing Compiler could not compile.
+class Checker {
+public:
+  Checker(const Core &C, std::string *WhyNot) : WhyNot(WhyNot) {
+    for (const std::string &P : C.Params)
+      Bound.push_back(&P);
   }
-  case Expr::Kind::Op:
-    break;
+
+  bool value(const Expr &E) {
+    switch (E.K) {
+    case Expr::Kind::Num:
+      return true;
+    case Expr::Kind::Const: {
+      double V = 0.0;
+      return constValue(E.Name, V) || no(E.Name + " is not a number");
+    }
+    case Expr::Kind::Var:
+      for (const std::string *Name : Bound)
+        if (*Name == E.Name)
+          return true;
+      return no("unbound variable " + E.Name);
+    case Expr::Kind::Op: {
+      Opcode Op = Opcode::NumOpcodes;
+      if (!fpcoreOpcode(E.Name, static_cast<unsigned>(E.Args.size()), Op) ||
+          opInfo(Op).IsComparison)
+        return no("no value operator " + E.Name + "/" +
+                  std::to_string(E.Args.size()));
+      for (const ExprPtr &A : E.Args)
+        if (!value(*A))
+          return false;
+      return true;
+    }
+    case Expr::Kind::If:
+      return test(*E.Args[0]) && value(*E.Args[1]) && value(*E.Args[2]);
+    case Expr::Kind::Let:
+    case Expr::Kind::While:
+      break;
+    }
+    // Binds scope like Compiler's: a sequential init sees the binds before
+    // it, a parallel one only the outer scope; the loop test, the updates
+    // and the body see them all.
+    size_t Outer = Bound.size();
+    bool Ok = true;
+    for (size_t I = 0; Ok && I < E.Binds.size(); ++I) {
+      Ok = value(*E.Inits[I]);
+      if (E.Sequential)
+        Bound.push_back(&E.Binds[I]);
+    }
+    if (!E.Sequential)
+      for (const std::string &Name : E.Binds)
+        Bound.push_back(&Name);
+    if (E.K == Expr::Kind::While) {
+      Ok = Ok && test(*E.Args[0]);
+      for (size_t I = 0; Ok && I < E.Updates.size(); ++I)
+        Ok = value(*E.Updates[I]);
+    }
+    Ok = Ok && value(*E.Args.back());
+    Bound.resize(Outer);
+    return Ok;
   }
-  unsigned Arity = static_cast<unsigned>(E.Args.size());
-  bool Known;
-  if (BoolContext || E.Name == "and" || E.Name == "or" || E.Name == "not" ||
-      findOp(CompareOps, std::size(CompareOps), E.Name, 2)) {
-    Known = E.Name == "and" || E.Name == "or" || E.Name == "not" ||
-            findOp(CompareOps, std::size(CompareOps), E.Name, 2);
-    if (!Known)
-      return No("unsupported boolean operator " + E.Name);
-    bool ArgsBool = E.Name == "and" || E.Name == "or" || E.Name == "not";
+
+  bool test(const Expr &E) {
+    if (E.K == Expr::Kind::Const && (E.Name == "TRUE" || E.Name == "FALSE"))
+      return true;
+    if (E.K != Expr::Kind::Op)
+      return no(E.print() + " is not a test");
+    size_t N = E.Args.size();
+    bool Connective = E.Name == "not" ? N == 1
+                                      : (E.Name == "and" || E.Name == "or") &&
+                                            N > 0;
+    Opcode Op = Opcode::NumOpcodes;
+    if (!Connective &&
+        !(fpcoreOpcode(E.Name, static_cast<unsigned>(N), Op) &&
+          opInfo(Op).IsComparison))
+      return no("no test operator " + E.Name + "/" + std::to_string(N));
     for (const ExprPtr &A : E.Args)
-      if (!exprSupported(*A, ArgsBool, WhyNot))
+      if (!(Connective ? test(*A) : value(*A)))
         return false;
     return true;
   }
-  Known = findOp(FloatOps, std::size(FloatOps), E.Name, Arity) ||
-          ((E.Name == "+" || E.Name == "-" || E.Name == "*") && Arity > 2);
-  if (!Known)
-    return No("unsupported operator " + E.Name + "/" +
-              std::to_string(Arity));
-  for (const ExprPtr &A : E.Args)
-    if (!exprSupported(*A, false, WhyNot))
-      return false;
-  return true;
-}
+
+private:
+  bool no(std::string Why) {
+    if (WhyNot)
+      *WhyNot = std::move(Why);
+    return false;
+  }
+
+  std::string *WhyNot;
+  std::vector<const std::string *> Bound; ///< Innermost last.
+};
 
 } // namespace
 
+bool fpcore::fpcoreOpcode(const std::string &Name, unsigned Arity,
+                          Opcode &Op) {
+  static const FPCoreOps Ops;
+  auto It = Ops.ByName.find(Name);
+  if (It == Ops.ByName.end())
+    return false;
+  const FPCoreOps::Entry &E = It->second;
+  if (Arity < std::size(E.ByArity) && E.ByArity[Arity] != FPCoreOps::None)
+    Op = E.ByArity[Arity];
+  else if (Arity > 2 && E.Variadic != FPCoreOps::None)
+    Op = E.Variadic;
+  else
+    return false;
+  return true;
+}
+
 bool fpcore::isCompilable(const Core &C, std::string *WhyNot) {
-  return exprSupported(*C.Body, false, WhyNot) &&
-         (!C.Pre || true); // preconditions are not compiled
+  return Checker(C, WhyNot).value(*C.Body);
 }
 
 Program fpcore::compile(const Core &C) {
-  assert(isCompilable(C) && "core uses unsupported operators");
+  assert(isCompilable(C) && "core is not compilable");
   Compiler Comp(C);
   return Comp.run();
 }

@@ -12,6 +12,12 @@
 /// over mutable temps. Each emitted operation gets a source location of
 /// the form "<benchmark>.fpcore:<n>" so reports stay readable.
 ///
+/// The opcode table (ir/Opcode.cpp) is the FPCore vocabulary: the
+/// compiler, its checker and evalReal (Eval.h) find every operator
+/// through fpcoreOpcode, so naming a new operator there teaches all
+/// three. Only evalDouble keeps a table of its own, because it is the
+/// oracle compiled programs are tested against.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERBGRIND_FPCORE_COMPILE_H
@@ -27,11 +33,21 @@
 namespace herbgrind {
 namespace fpcore {
 
-/// Compiles a core; the result is validated. Unsupported operators fail
-/// the surrounding parse step, so this asserts on well-formed input only.
+/// Looks up the FPCore operator \p Name applied to \p Arity arguments
+/// in the opcode table. On success \p Op is the scalar f64 opcode with
+/// that FPCoreName: the one of arity \p Arity, or, past arity 2, the
+/// binary opcode of a variadic operator (+, - and * fold left,
+/// comparisons chain). Comparisons (opInfo(Op).IsComparison) belong in
+/// test positions, every other opcode in value positions.
+bool fpcoreOpcode(const std::string &Name, unsigned Arity, Opcode &Op);
+
+/// Compiles a core; the result is validated. Callers check isCompilable
+/// first, so this asserts on compilable input only.
 Program compile(const Core &C);
 
-/// True if every operator in the core is supported by the compiler.
+/// True if compile() accepts the core: every operator is known at its
+/// arity and in its position (value or test), and every variable is
+/// bound. Otherwise \p WhyNot names the first offender.
 bool isCompilable(const Core &C, std::string *WhyNot = nullptr);
 
 /// A thread-safe compiled-program cache keyed by FPCore identity (the

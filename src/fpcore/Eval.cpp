@@ -6,6 +6,8 @@
 
 #include "fpcore/Eval.h"
 
+#include "analysis/RealOps.h"
+#include "fpcore/Compile.h"
 #include "real/RealMath.h"
 #include "support/FloatBits.h"
 
@@ -16,18 +18,132 @@ using namespace herbgrind;
 using namespace herbgrind::fpcore;
 
 //===----------------------------------------------------------------------===//
-// Double evaluation
+// The walk
 //===----------------------------------------------------------------------===//
 
-static bool evalBoolDouble(const Expr &E, const DoubleEnv &Env,
-                           uint64_t MaxLoopIters);
+namespace {
+
+/// The one let/while/if/test walk behind evalDouble and evalReal. The
+/// domain \p D supplies what differs between them: its Value type,
+/// num(), constant(), var() (a value read from the environment), apply()
+/// (an operator applied to its evaluated operands) and compare().
+template <class D> class Walk {
+public:
+  using T = typename D::Value;
+  using Env = std::map<std::string, T>;
+
+  Walk(D Dom, uint64_t MaxLoopIters) : Dom(Dom), MaxLoopIters(MaxLoopIters) {}
+
+  T value(const Expr &E, const Env &Scope) const {
+    switch (E.K) {
+    case Expr::Kind::Num:
+      return Dom.num(E.Num);
+    case Expr::Kind::Const:
+      return Dom.constant(E.Name);
+    case Expr::Kind::Var: {
+      auto It = Scope.find(E.Name);
+      assert(It != Scope.end() && "unbound variable");
+      return Dom.var(It->second);
+    }
+    case Expr::Kind::If:
+      return test(*E.Args[0], Scope) ? value(*E.Args[1], Scope)
+                                     : value(*E.Args[2], Scope);
+    case Expr::Kind::Let: {
+      Env Inner = Scope;
+      bind(E, E.Inits, Scope, Inner);
+      return value(*E.Args[0], Inner);
+    }
+    case Expr::Kind::While: {
+      Env Inner = Scope;
+      bind(E, E.Inits, Scope, Inner);
+      for (uint64_t Iters = 0; test(*E.Args[0], Inner);) {
+        if (++Iters > MaxLoopIters)
+          return Dom.num(std::nan(""));
+        bind(E, E.Updates, Inner, Inner);
+      }
+      return value(*E.Args[1], Inner);
+    }
+    case Expr::Kind::Op:
+      break;
+    }
+    return operands(E, Scope,
+                    [&](T *V, size_t N) { return Dom.apply(E, V, N); });
+  }
+
+  bool test(const Expr &E, const Env &Scope) const {
+    if (E.K == Expr::Kind::Const)
+      return E.Name == "TRUE";
+    assert(E.K == Expr::Kind::Op && "boolean context needs an operator");
+    if (E.Name == "and") {
+      for (const ExprPtr &Arg : E.Args)
+        if (!test(*Arg, Scope))
+          return false;
+      return true;
+    }
+    if (E.Name == "or") {
+      for (const ExprPtr &Arg : E.Args)
+        if (test(*Arg, Scope))
+          return true;
+      return false;
+    }
+    if (E.Name == "not")
+      return !test(*E.Args[0], Scope);
+    // Chained comparison: (< a b c) holds when (< a b) and (< b c) do.
+    return operands(E, Scope, [&](T *V, size_t N) {
+      for (size_t I = 0; I + 1 < N; ++I)
+        if (!Dom.compare(E.Name, V[I], V[I + 1]))
+          return false;
+      return true;
+    });
+  }
+
+private:
+  /// Evaluates \p E's operands in order and hands them to \p Use.
+  template <class Fn>
+  auto operands(const Expr &E, const Env &Scope, Fn Use) const {
+    size_t N = E.Args.size();
+    T Inline[3];
+    std::vector<T> Heap(N > 3 ? N : 0);
+    T *V = N > 3 ? Heap.data() : Inline;
+    for (size_t I = 0; I < N; ++I)
+      V[I] = value(*E.Args[I], Scope);
+    return Use(V, N);
+  }
+
+  /// Binds \p E's names to \p Exprs (its inits or its updates) in
+  /// \p Inner. A sequential form evaluates each in \p Inner as the
+  /// earlier ones land; a parallel one evaluates all in \p Outer first.
+  void bind(const Expr &E, const std::vector<ExprPtr> &Exprs,
+            const Env &Outer, Env &Inner) const {
+    if (E.Sequential) {
+      for (size_t I = 0; I < E.Binds.size(); ++I)
+        Inner[E.Binds[I]] = value(*Exprs[I], Inner);
+      return;
+    }
+    std::vector<T> Vals;
+    for (const ExprPtr &X : Exprs)
+      Vals.push_back(value(*X, Outer));
+    for (size_t I = 0; I < E.Binds.size(); ++I)
+      Inner[E.Binds[I]] = std::move(Vals[I]);
+  }
+
+  D Dom;
+  uint64_t MaxLoopIters;
+};
+
+//===----------------------------------------------------------------------===//
+// Doubles: the oracle
+//===----------------------------------------------------------------------===//
 
 /// Applies operator \p N to \p Arity operand values that evalDouble has
 /// already evaluated. Every operator consumes each operand exactly once in
 /// argument order, so evaluating the operands first gives the same bits
 /// as evaluating them where they are used.
-static double applyDoubleOp(const std::string &N, const double *V,
-                            size_t Arity) {
+///
+/// This table and DoubleDomain::compare are deliberately not the opcode
+/// table: evalDouble is the independent oracle that compiled programs are
+/// checked against, so it must not reach fpcoreOpcode or evalScalarOp.
+double applyDoubleOp(const std::string &N, const double *V, size_t Arity) {
   if (N == "+" && Arity >= 2) {
     double Acc = V[0];
     for (size_t I = 1; I < Arity; ++I)
@@ -116,345 +232,97 @@ static double applyDoubleOp(const std::string &N, const double *V,
   return std::nan("");
 }
 
-double fpcore::evalDouble(const Expr &E, const DoubleEnv &Env,
-                          uint64_t MaxLoopIters) {
-  switch (E.K) {
-  case Expr::Kind::Num:
-    return E.Num;
-  case Expr::Kind::Const:
-    if (E.Name == "PI")
+/// Doubles, through applyDoubleOp and a comparison chain of their own.
+struct DoubleDomain {
+  using Value = double;
+  double num(double X) const { return X; }
+  double constant(const std::string &Name) const {
+    if (Name == "PI")
       return M_PI;
-    if (E.Name == "E")
+    if (Name == "E")
       return M_E;
-    if (E.Name == "LN2")
+    if (Name == "LN2")
       return M_LN2;
-    if (E.Name == "LOG2E")
+    if (Name == "LOG2E")
       return M_LOG2E;
-    if (E.Name == "INFINITY")
+    if (Name == "INFINITY")
       return HUGE_VAL;
     return std::nan("");
-  case Expr::Kind::Var: {
-    auto It = Env.find(E.Name);
-    assert(It != Env.end() && "unbound variable");
-    return It->second;
   }
-  case Expr::Kind::If:
-    return evalBoolDouble(*E.Args[0], Env, MaxLoopIters)
-               ? evalDouble(*E.Args[1], Env, MaxLoopIters)
-               : evalDouble(*E.Args[2], Env, MaxLoopIters);
-  case Expr::Kind::Let: {
-    DoubleEnv Inner = Env;
-    if (E.Sequential) {
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] = evalDouble(*E.Inits[I], Inner, MaxLoopIters);
-    } else {
-      std::vector<double> Vals;
-      for (const ExprPtr &Init : E.Inits)
-        Vals.push_back(evalDouble(*Init, Env, MaxLoopIters));
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] = Vals[I];
-    }
-    return evalDouble(*E.Args[0], Inner, MaxLoopIters);
+  double var(double V) const { return V; }
+  double apply(const Expr &E, const double *V, size_t N) const {
+    return applyDoubleOp(E.Name, V, N);
   }
-  case Expr::Kind::While: {
-    DoubleEnv Inner = Env;
-    if (E.Sequential) {
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] = evalDouble(*E.Inits[I], Inner, MaxLoopIters);
-    } else {
-      std::vector<double> Vals;
-      for (const ExprPtr &Init : E.Inits)
-        Vals.push_back(evalDouble(*Init, Env, MaxLoopIters));
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] = Vals[I];
-    }
-    uint64_t Iters = 0;
-    while (evalBoolDouble(*E.Args[0], Inner, MaxLoopIters)) {
-      if (++Iters > MaxLoopIters)
-        return std::nan("");
-      if (E.Sequential) {
-        for (size_t I = 0; I < E.Binds.size(); ++I)
-          Inner[E.Binds[I]] = evalDouble(*E.Updates[I], Inner, MaxLoopIters);
-      } else {
-        std::vector<double> News;
-        for (const ExprPtr &U : E.Updates)
-          News.push_back(evalDouble(*U, Inner, MaxLoopIters));
-        for (size_t I = 0; I < E.Binds.size(); ++I)
-          Inner[E.Binds[I]] = News[I];
-      }
-    }
-    return evalDouble(*E.Args[1], Inner, MaxLoopIters);
+  bool compare(const std::string &N, double L, double R) const {
+    return N == "<"    ? L < R
+           : N == "<=" ? L <= R
+           : N == ">"  ? L > R
+           : N == ">=" ? L >= R
+           : N == "==" ? L == R
+           : N == "!=" ? L != R
+                       : false;
   }
-  case Expr::Kind::Op:
-    break;
-  }
-
-  double Vals[8];
-  std::vector<double> Heap;
-  size_t Arity = E.Args.size();
-  double *V = Vals;
-  if (Arity > 8) {
-    Heap.resize(Arity);
-    V = Heap.data();
-  }
-  for (size_t I = 0; I < Arity; ++I)
-    V[I] = evalDouble(*E.Args[I], Env, MaxLoopIters);
-  return applyDoubleOp(E.Name, V, Arity);
-}
-
-static bool evalBoolDouble(const Expr &E, const DoubleEnv &Env,
-                           uint64_t MaxLoopIters) {
-  if (E.K == Expr::Kind::Const)
-    return E.Name == "TRUE";
-  assert(E.K == Expr::Kind::Op && "boolean context needs an operator");
-  const std::string &N = E.Name;
-  if (N == "and") {
-    for (const ExprPtr &Arg : E.Args)
-      if (!evalBoolDouble(*Arg, Env, MaxLoopIters))
-        return false;
-    return true;
-  }
-  if (N == "or") {
-    for (const ExprPtr &Arg : E.Args)
-      if (evalBoolDouble(*Arg, Env, MaxLoopIters))
-        return true;
-    return false;
-  }
-  if (N == "not")
-    return !evalBoolDouble(*E.Args[0], Env, MaxLoopIters);
-  // Chained comparison.
-  std::vector<double> Vals;
-  for (const ExprPtr &Arg : E.Args)
-    Vals.push_back(evalDouble(*Arg, Env, MaxLoopIters));
-  for (size_t I = 0; I + 1 < Vals.size(); ++I) {
-    double L = Vals[I], R = Vals[I + 1];
-    bool Ok = N == "<"    ? L < R
-              : N == "<=" ? L <= R
-              : N == ">"  ? L > R
-              : N == ">=" ? L >= R
-              : N == "==" ? L == R
-              : N == "!=" ? L != R
-                          : false;
-    if (!Ok)
-      return false;
-  }
-  return true;
-}
+};
 
 //===----------------------------------------------------------------------===//
-// Real evaluation
+// Reals: the shadow's semantics
 //===----------------------------------------------------------------------===//
 
-static bool evalBoolReal(const Expr &E, const RealEnv &Env, size_t Prec,
-                         uint64_t MaxLoopIters);
+/// Reals at a fixed precision. Operators are the opcode table's, applied
+/// with the shadow's own real semantics (analysis/RealOps); constants are
+/// computed at the working precision.
+struct RealDomain {
+  using Value = BigFloat;
+  size_t Prec;
+
+  BigFloat num(double X) const { return BigFloat::fromDouble(X, Prec); }
+  BigFloat constant(const std::string &Name) const {
+    if (Name == "PI")
+      return realmath::pi(Prec);
+    if (Name == "E")
+      return realmath::eulerE(Prec);
+    if (Name == "LN2")
+      return realmath::ln2(Prec);
+    if (Name == "LOG2E")
+      return BigFloat::div(BigFloat::fromInt64(1, Prec), realmath::ln2(Prec));
+    if (Name == "INFINITY")
+      return BigFloat::inf(false);
+    return BigFloat::nan();
+  }
+  BigFloat var(const BigFloat &V) const { return V.withPrecision(Prec); }
+  BigFloat apply(const Expr &E, BigFloat *V, size_t N) const {
+    Opcode Op = Opcode::NumOpcodes;
+    if (!fpcoreOpcode(E.Name, static_cast<unsigned>(N), Op) ||
+        opInfo(Op).IsComparison) {
+      assert(false && "unsupported operator in real evaluation");
+      return BigFloat::nan();
+    }
+    if (opInfo(Op).Arity == N)
+      evalRealOpInto(V[N - 1], Op, V, static_cast<unsigned>(N));
+    else // Variadic + - *: left fold, V[I] becomes V[I - 1] op V[I].
+      for (size_t I = 1; I < N; ++I)
+        evalRealOpInto(V[I], Op, &V[I - 1], 2);
+    return std::move(V[N - 1]);
+  }
+  bool compare(const std::string &Name, const BigFloat &L,
+               const BigFloat &R) const {
+    Opcode Op = Opcode::NumOpcodes;
+    bool Known = fpcoreOpcode(Name, 2, Op) && opInfo(Op).IsComparison;
+    assert(Known && "unsupported comparison in real evaluation");
+    return Known && evalRealPredicate(Op, L, R);
+  }
+};
+
+} // namespace
+
+double fpcore::evalDouble(const Expr &E, const DoubleEnv &Env,
+                          uint64_t MaxLoopIters) {
+  return Walk<DoubleDomain>(DoubleDomain(), MaxLoopIters).value(E, Env);
+}
 
 BigFloat fpcore::evalReal(const Expr &E, const RealEnv &Env, size_t PrecBits,
                           uint64_t MaxLoopIters) {
-  switch (E.K) {
-  case Expr::Kind::Num:
-    return BigFloat::fromDouble(E.Num, PrecBits);
-  case Expr::Kind::Const:
-    if (E.Name == "PI")
-      return realmath::pi(PrecBits);
-    if (E.Name == "E")
-      return realmath::eulerE(PrecBits);
-    if (E.Name == "LN2")
-      return realmath::ln2(PrecBits);
-    if (E.Name == "LOG2E")
-      return BigFloat::div(BigFloat::fromInt64(1, PrecBits),
-                           realmath::ln2(PrecBits));
-    if (E.Name == "INFINITY")
-      return BigFloat::inf(false);
-    return BigFloat::nan();
-  case Expr::Kind::Var: {
-    auto It = Env.find(E.Name);
-    assert(It != Env.end() && "unbound variable");
-    return It->second.withPrecision(PrecBits);
-  }
-  case Expr::Kind::If:
-    return evalBoolReal(*E.Args[0], Env, PrecBits, MaxLoopIters)
-               ? evalReal(*E.Args[1], Env, PrecBits, MaxLoopIters)
-               : evalReal(*E.Args[2], Env, PrecBits, MaxLoopIters);
-  case Expr::Kind::Let: {
-    RealEnv Inner = Env;
-    if (E.Sequential) {
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] =
-            evalReal(*E.Inits[I], Inner, PrecBits, MaxLoopIters);
-    } else {
-      std::vector<BigFloat> Vals;
-      for (const ExprPtr &Init : E.Inits)
-        Vals.push_back(evalReal(*Init, Env, PrecBits, MaxLoopIters));
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] = Vals[I];
-    }
-    return evalReal(*E.Args[0], Inner, PrecBits, MaxLoopIters);
-  }
-  case Expr::Kind::While: {
-    RealEnv Inner = Env;
-    if (E.Sequential) {
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] =
-            evalReal(*E.Inits[I], Inner, PrecBits, MaxLoopIters);
-    } else {
-      std::vector<BigFloat> Vals;
-      for (const ExprPtr &Init : E.Inits)
-        Vals.push_back(evalReal(*Init, Env, PrecBits, MaxLoopIters));
-      for (size_t I = 0; I < E.Binds.size(); ++I)
-        Inner[E.Binds[I]] = Vals[I];
-    }
-    uint64_t Iters = 0;
-    while (evalBoolReal(*E.Args[0], Inner, PrecBits, MaxLoopIters)) {
-      if (++Iters > MaxLoopIters)
-        return BigFloat::nan();
-      if (E.Sequential) {
-        for (size_t I = 0; I < E.Binds.size(); ++I)
-          Inner[E.Binds[I]] =
-              evalReal(*E.Updates[I], Inner, PrecBits, MaxLoopIters);
-      } else {
-        std::vector<BigFloat> News;
-        for (const ExprPtr &U : E.Updates)
-          News.push_back(evalReal(*U, Inner, PrecBits, MaxLoopIters));
-        for (size_t I = 0; I < E.Binds.size(); ++I)
-          Inner[E.Binds[I]] = News[I];
-      }
-    }
-    return evalReal(*E.Args[1], Inner, PrecBits, MaxLoopIters);
-  }
-  case Expr::Kind::Op:
-    break;
-  }
-
-  auto A = [&](size_t I) {
-    return evalReal(*E.Args[I], Env, PrecBits, MaxLoopIters);
-  };
-  const std::string &N = E.Name;
-  size_t Arity = E.Args.size();
-  if (N == "+" && Arity >= 2) {
-    BigFloat Acc = A(0);
-    for (size_t I = 1; I < Arity; ++I)
-      BigFloat::addInto(Acc, Acc, A(I));
-    return Acc;
-  }
-  if (N == "-" && Arity == 1)
-    return A(0).negated();
-  if (N == "-" && Arity >= 2) {
-    BigFloat Acc = A(0);
-    for (size_t I = 1; I < Arity; ++I)
-      BigFloat::subInto(Acc, Acc, A(I));
-    return Acc;
-  }
-  if (N == "*" && Arity >= 2) {
-    BigFloat Acc = A(0);
-    for (size_t I = 1; I < Arity; ++I)
-      BigFloat::mulInto(Acc, Acc, A(I));
-    return Acc;
-  }
-  if (N == "/")
-    return BigFloat::div(A(0), A(1));
-  if (N == "sqrt")
-    return BigFloat::sqrt(A(0));
-  if (N == "fabs")
-    return A(0).abs();
-  if (N == "fmin")
-    return BigFloat::fmin(A(0), A(1));
-  if (N == "fmax")
-    return BigFloat::fmax(A(0), A(1));
-  if (N == "fma")
-    return BigFloat::fma(A(0), A(1), A(2));
-  if (N == "copysign")
-    return A(0).copySign(A(1));
-  if (N == "exp")
-    return realmath::exp(A(0));
-  if (N == "exp2")
-    return realmath::exp2(A(0));
-  if (N == "expm1")
-    return realmath::expm1(A(0));
-  if (N == "log")
-    return realmath::log(A(0));
-  if (N == "log2")
-    return realmath::log2(A(0));
-  if (N == "log10")
-    return realmath::log10(A(0));
-  if (N == "log1p")
-    return realmath::log1p(A(0));
-  if (N == "sin")
-    return realmath::sin(A(0));
-  if (N == "cos")
-    return realmath::cos(A(0));
-  if (N == "tan")
-    return realmath::tan(A(0));
-  if (N == "asin")
-    return realmath::asin(A(0));
-  if (N == "acos")
-    return realmath::acos(A(0));
-  if (N == "atan")
-    return realmath::atan(A(0));
-  if (N == "atan2")
-    return realmath::atan2(A(0), A(1));
-  if (N == "sinh")
-    return realmath::sinh(A(0));
-  if (N == "cosh")
-    return realmath::cosh(A(0));
-  if (N == "tanh")
-    return realmath::tanh(A(0));
-  if (N == "pow")
-    return realmath::pow(A(0), A(1));
-  if (N == "cbrt")
-    return realmath::cbrt(A(0));
-  if (N == "hypot")
-    return realmath::hypot(A(0), A(1));
-  if (N == "fmod")
-    return realmath::fmod(A(0), A(1));
-  if (N == "floor")
-    return A(0).floor();
-  if (N == "ceil")
-    return A(0).ceil();
-  if (N == "round")
-    return A(0).roundNearest();
-  if (N == "trunc")
-    return A(0).trunc();
-  assert(false && "unsupported operator in real evaluation");
-  return BigFloat::nan();
-}
-
-static bool evalBoolReal(const Expr &E, const RealEnv &Env, size_t Prec,
-                         uint64_t MaxLoopIters) {
-  if (E.K == Expr::Kind::Const)
-    return E.Name == "TRUE";
-  assert(E.K == Expr::Kind::Op && "boolean context needs an operator");
-  const std::string &N = E.Name;
-  if (N == "and") {
-    for (const ExprPtr &Arg : E.Args)
-      if (!evalBoolReal(*Arg, Env, Prec, MaxLoopIters))
-        return false;
-    return true;
-  }
-  if (N == "or") {
-    for (const ExprPtr &Arg : E.Args)
-      if (evalBoolReal(*Arg, Env, Prec, MaxLoopIters))
-        return true;
-    return false;
-  }
-  if (N == "not")
-    return !evalBoolReal(*E.Args[0], Env, Prec, MaxLoopIters);
-  std::vector<BigFloat> Vals;
-  for (const ExprPtr &Arg : E.Args)
-    Vals.push_back(evalReal(*Arg, Env, Prec, MaxLoopIters));
-  for (size_t I = 0; I + 1 < Vals.size(); ++I) {
-    const BigFloat &L = Vals[I];
-    const BigFloat &R = Vals[I + 1];
-    bool Ok = N == "<"    ? BigFloat::lt(L, R)
-              : N == "<=" ? BigFloat::le(L, R)
-              : N == ">"  ? BigFloat::gt(L, R)
-              : N == ">=" ? BigFloat::ge(L, R)
-              : N == "==" ? BigFloat::eq(L, R)
-              : N == "!=" ? BigFloat::ne(L, R)
-                          : false;
-    if (!Ok)
-      return false;
-  }
-  return true;
+  return Walk<RealDomain>(RealDomain{PrecBits}, MaxLoopIters).value(E, Env);
 }
 
 double fpcore::pointErrorBits(const Expr &E, const DoubleEnv &Point,

@@ -10,6 +10,14 @@
 /// mini-Herbie of Section 8.1) uses to estimate the rounding error of an
 /// expression: sample points, evaluate both ways, compare in bits.
 ///
+/// Both run one let/while/if walk. evalReal finds operators in the
+/// opcode table (fpcoreOpcode, Compile.h), the FPCore vocabulary, and
+/// applies the shadow's own real semantics (analysis/RealOps.h), so the
+/// improver's reals are the analysis's reals. evalDouble keeps its own
+/// operator table: it is the independent oracle compiled programs are
+/// tested against, so it shares nothing with the compiler or the
+/// interpreter.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERBGRIND_FPCORE_EVAL_H
@@ -31,7 +39,8 @@ using RealEnv = std::map<std::string, BigFloat>;
 double evalDouble(const Expr &E, const DoubleEnv &Env,
                   uint64_t MaxLoopIters = 1'000'000);
 
-/// Evaluates over BigFloat reals at \p PrecBits.
+/// Evaluates over BigFloat reals at \p PrecBits. Named constants are
+/// computed at that precision, not read from doubles.
 BigFloat evalReal(const Expr &E, const RealEnv &Env, size_t PrecBits = 256,
                   uint64_t MaxLoopIters = 1'000'000);
 

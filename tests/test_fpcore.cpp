@@ -182,6 +182,100 @@ TEST(FPCoreCompile, StraightLineDifferential) {
   }
 }
 
+/// Bodies the compiler cannot compile. Each used to pass isCompilable and
+/// then crash herbgrind_batch (the first seven) or compile into a program
+/// that does not compute the body (the last five).
+const char *const HostileBodies[] = {
+    "(if x 1 2)",
+    "(if PI 1 2)",
+    "(if (not) 1 2)",
+    "(if (and) 1 2)",
+    "(while x ([y 0 (+ y 1)]) y)",
+    "(+ x y)",
+    "(+ (let ([y 1]) y) y)",
+    "(< x 1)",
+    "TRUE",
+    "(and (< x 1) (> x 0))",
+    "(let ([y (< x 1)]) y)",
+    "(if (< x) 1 2)",
+};
+
+TEST(FPCoreCompile, CheckerRefusesWhatTheCompilerCannotCompile) {
+  for (const char *Body : HostileBodies) {
+    ParseResult R = parse(std::string("(FPCore (x) ") + Body + ")");
+    ASSERT_TRUE(R.Ok) << Body << ": " << R.Error;
+    std::string WhyNot;
+    EXPECT_FALSE(isCompilable(R.Value, &WhyNot)) << Body;
+    EXPECT_FALSE(WhyNot.empty()) << Body;
+  }
+}
+
+/// The \p K-th expression slot under \p Slot in pre-order, counting
+/// \p Slot itself; null if the tree has at most \p K slots.
+ExprPtr *nthSlot(ExprPtr &Slot, size_t &K) {
+  if (K-- == 0)
+    return &Slot;
+  for (std::vector<ExprPtr> *Kids : {&Slot->Args, &Slot->Inits, &Slot->Updates})
+    for (ExprPtr &Kid : *Kids)
+      if (ExprPtr *Found = nthSlot(Kid, K))
+        return Found;
+  return nullptr;
+}
+
+TEST(FPCoreCompile, CheckerCompilerAndOracleAgree) {
+  // Every expression slot of every loop-free corpus core, refilled with
+  // values, tests and names in and out of place: whatever isCompilable
+  // accepts must compile to a valid program whose output is evalDouble's,
+  // bit for bit.
+  Rng R(321);
+  size_t Substitutions = 0, Accepted = 0;
+  for (const Core &C : corpus()) {
+    if (C.print().find("(while") != std::string::npos)
+      continue;
+    const std::string &P = C.Params.at(0);
+    const std::string Fills[] = {P,      "unbound", "PI",
+                                 "TRUE", "(< " + P + " 1)",
+                                 "(and TRUE TRUE)", "(not)"};
+    std::vector<VarRange> Ranges = sampleRanges(C);
+    for (size_t K = 0;; ++K) {
+      Core Sub = C.clone();
+      size_t Left = K;
+      ExprPtr *Slot = nthSlot(Sub.Body, Left);
+      if (!Slot)
+        break;
+      for (const std::string &Fill : Fills) {
+        std::string Err;
+        *Slot = parseExpr(Fill, Err);
+        ++Substitutions;
+        std::string WhyNot;
+        if (!isCompilable(Sub, &WhyNot)) {
+          EXPECT_FALSE(WhyNot.empty()) << Sub.print();
+          continue;
+        }
+        ++Accepted;
+        Program Prog = compile(Sub);
+        ASSERT_EQ(Prog.validate(), "") << Sub.print();
+        std::vector<double> Inputs;
+        DoubleEnv Env;
+        for (size_t I = 0; I < C.Params.size(); ++I) {
+          Inputs.push_back(R.uniformReal(Ranges[I].Lo, Ranges[I].Hi));
+          Env[C.Params[I]] = Inputs.back();
+        }
+        RunResult Run = interpret(Prog, Inputs, 10'000'000);
+        ASSERT_EQ(Run.Outputs.size(), 1u) << Sub.print();
+        double Direct = evalDouble(*Sub.Body, Env);
+        double Compiled = Run.Outputs[0].asF64();
+        EXPECT_TRUE((std::isnan(Direct) && std::isnan(Compiled)) ||
+                    bitsOfDouble(Direct) == bitsOfDouble(Compiled))
+            << Sub.print() << ": " << Compiled << " vs " << Direct;
+      }
+    }
+  }
+  // Every fill fits some slots and not others.
+  EXPECT_GT(Accepted, 0u) << Substitutions << " substitutions";
+  EXPECT_LT(Accepted, Substitutions);
+}
+
 TEST(FPCoreCompile, LoopBenchmarkCompiles) {
   ParseResult R = parse("(FPCore (n) (while (< t n) ([t 0 (+ t 0.1)] "
                         "[c 0 (+ c 1)]) c))");

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <unistd.h>
 
@@ -66,6 +67,16 @@ EngineConfig smallConfig(unsigned Jobs, TierMode Tier) {
 fpcore::Core benignCore() {
   fpcore::ParseResult P = fpcore::parse(
       "(FPCore (x) :name \"benign add\" :pre (<= 1 x 2) (+ x 1))");
+  EXPECT_TRUE(P.Ok);
+  return std::move(P.Value);
+}
+
+/// Cancellation that only some inputs hit. At 32 samples as benchmark 0
+/// of a sweep, its first two runs are clean and a later one is suspect.
+fpcore::Core sparseCancellationCore() {
+  fpcore::ParseResult P = fpcore::parse(
+      "(FPCore (x) :name \"sparse cancellation\" :pre (<= 0 x 1e5)"
+      " (- (sqrt (+ x 1)) (sqrt x)))");
   EXPECT_TRUE(P.Ok);
   return std::move(P.Value);
 }
@@ -173,6 +184,44 @@ TEST(TieredDiff, ConfirmEmittedShardsMergeToFullReport) {
   EXPECT_EQ(Merged.renderJson(), Swept.renderJson());
   EXPECT_EQ(Merged.renderJson(),
             sweepJson(Cores, Kernels, smallConfig(1, TierMode::Full)));
+}
+
+TEST(TieredDiff, TwoSliceMergesEqualTheDirectSweep) {
+  // Each slice of a sliced sweep decides every tier question on the
+  // benchmark's whole layout, so two emitted slices merge to the direct
+  // sweep's report. The first shard of sparse cancellation is clean: a
+  // confirm slice that judged only its own shards would clear the
+  // benchmark there while the other slice confirms it.
+  std::vector<fpcore::Core> Cores;
+  Cores.push_back(sparseCancellationCore());
+  Cores.push_back(benignCore());
+  Cores.push_back(cancellingCore());
+  std::vector<native::Kernel> Kernels = randomKernels(0x7070, 2);
+  for (TierMode Tier : {TierMode::Full, TierMode::Confirm, TierMode::Fast}) {
+    for (unsigned Jobs : {1u, 4u}) {
+      EngineConfig Cfg = smallConfig(Jobs, Tier);
+      Cfg.SamplesPerBenchmark = 32;
+      Cfg.ShardSize = 2;
+      std::vector<ShardDoc> Docs;
+      const size_t Slices[][2] = {{0, 1}, {1, Cfg.ShardEnd}};
+      for (const size_t *Range : Slices) {
+        TempDir Emit("two-slice-" + std::to_string(Range[0]));
+        EngineConfig Slice = Cfg;
+        Slice.ShardBegin = Range[0];
+        Slice.ShardEnd = Range[1];
+        Slice.EmitShardDir = Emit.Path;
+        ASSERT_EQ(Engine(Slice).run(Cores, Kernels).Stats.EmitFailures, 0u);
+        ASSERT_TRUE(emitted::readShardsOf(Emit.Path, Docs));
+      }
+      BatchResult Merged;
+      std::string Err, Warnings;
+      ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err, &Warnings))
+          << Err;
+      EXPECT_TRUE(Warnings.empty()) << Warnings;
+      EXPECT_EQ(Merged.renderJson(), sweepJson(Cores, Kernels, Cfg))
+          << tierModeName(Tier) << ", jobs " << Jobs;
+    }
+  }
 }
 
 TEST(TieredDiff, EmittedSegmentsNeverServeCacheLookups) {
@@ -331,41 +380,61 @@ TEST(TieredStats, FastEscalatesOnlySuspectRuns) {
 }
 
 TEST(TieredStats, Tier0CountsDoNotDependOnScheduling) {
-  // Confirm tier walks each benchmark's verdict shards in ascending order
-  // and stops after the first suspect one, so its tier-0 counts follow
-  // from the program set alone. Over this range NMSE 3.1 mixes clean and
-  // suspect shards, where the order shards run in could otherwise change
-  // which of them tier 0 visits.
+  // Confirm tier walks each benchmark's whole layout in ascending order
+  // and stops at the first suspect run, so its tier-0 counts follow from
+  // the program set alone. Over this range sparse cancellation mixes
+  // clean and suspect shards, where the order shards run in could
+  // otherwise change which of them tier 0 visits.
   std::vector<fpcore::Core> Mixed;
-  fpcore::ParseResult P = fpcore::parse(
-      "(FPCore (x) :name \"sparse cancellation\" :pre (<= 0 x 1e5)"
-      " (- (sqrt (+ x 1)) (sqrt x)))");
-  ASSERT_TRUE(P.Ok);
-  Mixed.push_back(std::move(P.Value));
+  Mixed.push_back(sparseCancellationCore());
   EngineConfig Cfg = smallConfig(1, TierMode::Confirm);
   Cfg.SamplesPerBenchmark = 32;
   Cfg.ShardSize = 2;
 
-  // The oracle: one-shard slices give each shard's tier-0 counts and
-  // verdict; a sweep counts every shard up to the first suspect one.
+  // The oracle, which does not use the verdict walk: a fast-tier one-run
+  // slice gives run K's tier-0 ops and escalates run K iff it is suspect.
+  // A confirm sweep counts every run up to and including the first
+  // suspect one.
   uint64_t WantRuns = 0, WantOps = 0;
-  size_t FirstSuspect = 16, Suspects = 0;
+  bool SeenSuspect = false;
+  std::vector<bool> SuspectShard(16, false);
+  for (size_t K = 0; K < 32; ++K) {
+    EngineConfig OneRun = Cfg;
+    OneRun.Tier = TierMode::Fast;
+    OneRun.ShardSize = 1;
+    OneRun.ShardBegin = K;
+    OneRun.ShardEnd = K + 1;
+    BatchResult R = Engine(OneRun).run(Mixed);
+    ASSERT_EQ(R.Stats.Tier0Runs, 1u) << "run " << K;
+    if (!SeenSuspect) {
+      ++WantRuns;
+      WantOps += R.Stats.Tier0Ops;
+    }
+    bool Suspect = R.Stats.EscalatedRuns > 0;
+    SeenSuspect |= Suspect;
+    if (Suspect)
+      SuspectShard[K / 2] = true;
+  }
+  size_t FirstSuspect = static_cast<size_t>(
+      std::find(SuspectShard.begin(), SuspectShard.end(), true) -
+      SuspectShard.begin());
+  size_t Suspects = static_cast<size_t>(
+      std::count(SuspectShard.begin(), SuspectShard.end(), true));
+  ASSERT_GT(FirstSuspect, 0u) << "the first shard must be clean";
+  ASSERT_LT(FirstSuspect, 16u) << "some shard must be suspect";
+  ASSERT_LT(Suspects, 16u - FirstSuspect) << "a later shard must be clean";
+
+  // Every one-shard slice walks the whole layout too, so it counts the
+  // same runs and confirms the benchmark.
   for (size_t K = 0; K < 16; ++K) {
     EngineConfig Slice = Cfg;
     Slice.ShardBegin = K;
     Slice.ShardEnd = K + 1;
     BatchResult R = Engine(Slice).run(Mixed);
-    if (K <= FirstSuspect) {
-      WantRuns += R.Stats.Tier0Runs;
-      WantOps += R.Stats.Tier0Ops;
-    }
-    if (R.Stats.ConfirmedBenchmarks) {
-      FirstSuspect = std::min(FirstSuspect, K);
-      ++Suspects;
-    }
+    EXPECT_EQ(R.Stats.Tier0Runs, WantRuns) << "slice " << K;
+    EXPECT_EQ(R.Stats.Tier0Ops, WantOps) << "slice " << K;
+    EXPECT_EQ(R.Stats.ConfirmedBenchmarks, 1u) << "slice " << K;
   }
-  ASSERT_GT(FirstSuspect, 0u) << "the first shard must be clean";
-  ASSERT_LT(Suspects, 16u - FirstSuspect) << "a later shard must be clean";
 
   std::vector<fpcore::Core> Set;
   Set.push_back(Mixed[0].clone());
