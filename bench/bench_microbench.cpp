@@ -146,8 +146,9 @@ static void BM_TraceNodeChurn(benchmark::State &State) {
 BENCHMARK(BM_TraceNodeChurn)->Arg(1)->Arg(0); // pools on / off
 
 static void BM_TraceLoopCarried(benchmark::State &State) {
-  // acc = acc + c at the default depth bound: once acc is 24 deep, every
-  // add trims it, so this is the per-iteration trace cost of a long loop.
+  // acc = acc + c at the default depth bound: acc is compacted to 23
+  // levels each time it reaches 72, so this is the per-iteration trace
+  // cost of a long loop, compaction amortized.
   TraceArena Arena(24, 5, true);
   TraceNode *Acc = Arena.leaf(0.0);
   const double C = 0.1;
@@ -163,6 +164,37 @@ static void BM_TraceLoopCarried(benchmark::State &State) {
   Arena.release(Acc);
 }
 BENCHMARK(BM_TraceLoopCarried);
+
+static void BM_TraceCrossLinked(benchmark::State &State) {
+  // m = m + ((5 - m) * k + c) at the default depth bound: m feeds the next
+  // iteration along paths of length 1 and 4, as the pid benchmark's m2
+  // does, so compaction reaches window nodes at several budgets. One
+  // iteration is four ops.
+  TraceArena Arena(24, 5, true);
+  TraceNode *M = Arena.leaf(0.0);
+  for (auto _ : State) {
+    TraceNode *Five = Arena.leaf(5.0);
+    TraceNode *K = Arena.leaf(0.25);
+    TraceNode *C = Arena.leaf(0.1);
+    TraceNode *SubKids[2] = {Five, M};
+    TraceNode *Sub = Arena.node(Opcode::SubF64, 1, 5.0 - M->Value, SubKids, 2);
+    TraceNode *MulKids[2] = {Sub, K};
+    TraceNode *Mul =
+        Arena.node(Opcode::MulF64, 2, Sub->Value * 0.25, MulKids, 2);
+    TraceNode *AddKids[2] = {Mul, C};
+    TraceNode *Add =
+        Arena.node(Opcode::AddF64, 3, Mul->Value + 0.1, AddKids, 2);
+    TraceNode *NextKids[2] = {M, Add};
+    TraceNode *Next =
+        Arena.node(Opcode::AddF64, 4, M->Value + Add->Value, NextKids, 2);
+    benchmark::DoNotOptimize(Next);
+    for (TraceNode *N : {Five, K, C, Sub, Mul, Add, M})
+      Arena.release(N);
+    M = Next;
+  }
+  Arena.release(M);
+}
+BENCHMARK(BM_TraceCrossLinked);
 
 static void BM_AntiUnify(benchmark::State &State) {
   TraceArena Arena(24, 5, true);

@@ -167,6 +167,12 @@ Core Core::clone() const {
 
 namespace {
 
+/// Forms nested deeper than this are refused. The printer, the checker,
+/// the compiler and both evaluators recurse once per level, so a deeper
+/// body would overflow the stack before any of them could refuse it. The
+/// corpus's deepest body nests 12.
+constexpr unsigned MaxNesting = 1000;
+
 /// Minimal S-expression tokenizer/recursive-descent parser.
 class Parser {
 public:
@@ -231,6 +237,9 @@ public:
   ExprPtr parseExpr();
 
 private:
+  /// The rest of a form whose "(" parseExpr consumed.
+  ExprPtr parseForm();
+
   void skipSpace() {
     while (Pos < Text.size()) {
       if (isspace(Text[Pos])) {
@@ -246,6 +255,7 @@ private:
 
   const std::string &Text;
   size_t Pos = 0;
+  unsigned Nesting = 0; ///< Forms open around the current position.
 };
 
 bool isNumber(const std::string &Tok, double &Out) {
@@ -299,7 +309,17 @@ ExprPtr Parser::parseExpr() {
     }
     return Expr::var(Tok);
   }
+  if (Nesting == MaxNesting) {
+    fail(format("expression nested deeper than %u levels", MaxNesting));
+    return nullptr;
+  }
+  ++Nesting;
+  ExprPtr E = parseForm();
+  --Nesting;
+  return E;
+}
 
+ExprPtr Parser::parseForm() {
   std::string Head = next();
   if (Head == "if") {
     auto E = std::make_unique<Expr>();
@@ -386,10 +406,14 @@ ParseResult fpcore::parse(const std::string &Text) {
     std::string Tok = P.peek();
     if (Tok == ":name") {
       P.next();
+      // A string, which cannot hold a quote: the printer writes the name
+      // back between quotes.
       std::string Name = P.next();
-      if (Name.size() >= 2 && Name.front() == '"')
-        Name = Name.substr(1, Name.size() - 2);
-      R.Value.Name = Name;
+      if (Name.empty() || Name.front() != '"') {
+        P.fail("expected a string after :name, got '" + Name + "'");
+        break;
+      }
+      R.Value.Name = Name.substr(1, Name.size() - 2);
     } else if (Tok == ":pre") {
       P.next();
       R.Value.Pre = P.parseExpr();

@@ -101,21 +101,28 @@ std::string SymExpr::fpcoreBody() const {
 // Anti-unification
 //===----------------------------------------------------------------------===//
 
-static std::unique_ptr<SymExpr> symbolizeRec(TraceNode *Trace) {
-  if (Trace->Kind == TraceNode::TNKind::Leaf)
+/// Whether \p T reads as an op node at \p Budget (at budget 1 every node
+/// reads as a leaf carrying its value).
+static bool readsAsOp(const TraceNode *T, uint32_t Budget) {
+  return T->Kind == TraceNode::TNKind::Op && Budget > 1;
+}
+
+static std::unique_ptr<SymExpr> symbolizeRec(TraceNode *Trace,
+                                             uint32_t Budget) {
+  if (!readsAsOp(Trace, Budget))
     return SymExpr::makeConst(Trace->Value);
   auto E = SymExpr::makeOp(Trace->Op, Trace->Site);
   E->Kids.reserve(Trace->NumKids);
   for (unsigned I = 0; I < Trace->NumKids; ++I)
-    E->Kids.push_back(symbolizeRec(Trace->Kids[I]));
+    E->Kids.push_back(symbolizeRec(Trace->Kids[I], Budget - 1));
   return E;
 }
 
-std::unique_ptr<SymExpr> herbgrind::symbolize(TraceArena & /*Arena*/,
+std::unique_ptr<SymExpr> herbgrind::symbolize(TraceArena &Arena,
                                               TraceNode *Trace) {
   // First observation: mirror the trace; leaves start out as constants and
   // only become variables once a later execution disagrees with them.
-  return symbolizeRec(Trace);
+  return symbolizeRec(Trace, Arena.rootBudget());
 }
 
 namespace {
@@ -164,14 +171,15 @@ struct Generalizer {
   AntiUnifyScratch &Round;
 
   /// Overwrites \p E with the variable of its (expression class, trace
-  /// class) pair. E's subtree is still as the previous round left it:
-  /// the walk has changed only nodes it visited, and none of them lies
-  /// below E, so fingerprints and indices read the old expression.
-  void makeVariable(SymExpr &E, TraceNode *T) {
+  /// class) pair; \p T is read at \p Budget. E's subtree is still as the
+  /// previous round left it: the walk has changed only nodes it visited,
+  /// and none of them lies below E, so fingerprints and indices read the
+  /// old expression.
+  void makeVariable(SymExpr &E, TraceNode *T, uint32_t Budget) {
     bool Inserted;
     uint32_t &Slot =
         Round.VarForPair.slot(symFingerprint(&E, Arena.equivDepth()),
-                              Arena.fingerprint(T), Inserted);
+                              Arena.fingerprint(T, Budget), Inserted);
     if (Inserted) {
       // Keep the old variable index alive when this is the first concrete
       // class paired with it this round, so summaries stay attached.
@@ -195,19 +203,19 @@ struct Generalizer {
     E.Kids.clear();
   }
 
-  void gen(SymExpr &E, TraceNode *T) {
-    if (E.Kind == SymExpr::SEKind::Op && T->Kind == TraceNode::TNKind::Op &&
-        E.Op == T->Op && E.Kids.size() == T->NumKids) {
+  void gen(SymExpr &E, TraceNode *T, uint32_t Budget) {
+    bool TOp = readsAsOp(T, Budget);
+    if (E.Kind == SymExpr::SEKind::Op && TOp && E.Op == T->Op &&
+        E.Kids.size() == T->NumKids) {
       E.Site = T->Site;
       for (unsigned I = 0; I < T->NumKids; ++I)
-        gen(*E.Kids[I], T->Kids[I]);
+        gen(*E.Kids[I], T->Kids[I], Budget - 1);
       return;
     }
-    if (E.Kind == SymExpr::SEKind::Const &&
-        T->Kind == TraceNode::TNKind::Leaf &&
+    if (E.Kind == SymExpr::SEKind::Const && !TOp &&
         bitsOfDouble(E.ConstVal) == bitsOfDouble(T->Value))
       return;
-    makeVariable(E, T);
+    makeVariable(E, T, Budget);
   }
 };
 
@@ -220,7 +228,7 @@ void herbgrind::antiUnify(TraceArena &Arena, SymExpr &Expr, TraceNode *Trace,
   Round.VarForPair.clear();
   Round.Claimed.clear();
   Generalizer G{Arena, NextVarIdx, Round};
-  G.gen(Expr, Trace);
+  G.gen(Expr, Trace, Arena.rootBudget());
 }
 
 //===----------------------------------------------------------------------===//

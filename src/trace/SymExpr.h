@@ -13,6 +13,12 @@
 /// which is what lets the input-characteristics system attach a single
 /// summary per variable.
 ///
+/// symbolize and antiUnify read a trace with the arena's depth budget
+/// (TraceArena::rootBudget, one less per level), so they see the top
+/// MaxDepth levels of the trace however many levels its nodes hold: a node
+/// read at budget 1 is a constant leaf, and its fingerprint is taken at
+/// the budget it is read at.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERBGRIND_TRACE_SYMEXPR_H
@@ -77,8 +83,9 @@ struct Promotion {
 };
 
 /// Builds the initial symbolic expression for the first concrete trace seen
-/// at a site: the trace is mirrored with leaves as constants; they only
-/// become variables once a later execution disagrees with them.
+/// at a site: the trace's top MaxDepth levels are mirrored with leaves as
+/// constants; they only become variables once a later execution disagrees
+/// with them.
 std::unique_ptr<SymExpr> symbolize(TraceArena &Arena, TraceNode *Trace);
 
 /// Everything one anti-unification round keeps besides the expression: its

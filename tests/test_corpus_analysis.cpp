@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 using namespace herbgrind;
 using namespace herbgrind::fpcore;
@@ -105,3 +106,41 @@ INSTANTIATE_TEST_SUITE_P(
           Ch = '_';
       return Name;
     });
+
+// Trace nodes built per shadow op on the loop corpus: a deterministic
+// count of the work the depth bound costs. Copying a loop-carried kid's
+// whole window on every op made 22.665 nodes per op over the six loop
+// programs and 20.829 on pid, whose update feeds a value forward along
+// paths of several lengths (this test's figures for the trimming that
+// copied per op; pid's is rounded up below). Compacting once per
+// CompactionFactor x MaxDepth levels must at least halve the total without
+// raising pid's.
+TEST(LoopTraceNodes, CompactionAtLeastHalvesNodesPerShadowOp) {
+  const double PerOpCopyAll = 22.665, PerOpCopyPid = 20.83;
+  uint64_t Nodes = 0, Ops = 0;
+  double Pid = -1;
+  int Loops = 0;
+  for (const Core &C : corpus()) {
+    if (C.Body->K != Expr::Kind::While)
+      continue;
+    ++Loops;
+    Herbgrind HG(compile(C));
+    for (const std::vector<double> &In : sampleInputsFor(C, 8, 0x100b))
+      HG.runOnInput(In);
+    AnalysisStats St = HG.stats();
+    ASSERT_GT(St.ShadowOpsExecuted, 0u) << C.Name;
+    Nodes += St.TraceNodesAllocated;
+    Ops += St.ShadowOpsExecuted;
+    double Ratio = double(St.TraceNodesAllocated) / St.ShadowOpsExecuted;
+    std::printf("%-20s %8.2f trace nodes per shadow op\n", C.Name.c_str(),
+                Ratio);
+    if (C.Name == "pid")
+      Pid = Ratio;
+  }
+  ASSERT_EQ(Loops, 6);
+  double All = double(Nodes) / Ops;
+  std::printf("%-20s %8.2f trace nodes per shadow op\n", "all six", All);
+  EXPECT_LE(All, PerOpCopyAll / 2);
+  ASSERT_GE(Pid, 0) << "pid is not in the corpus";
+  EXPECT_LE(Pid, PerOpCopyPid);
+}

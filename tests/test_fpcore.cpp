@@ -70,6 +70,28 @@ TEST(FPCoreParse, ErrorsAreReported) {
   EXPECT_FALSE(parse("").Ok);
 }
 
+TEST(FPCoreParse, NestingDeeperThan1000LevelsIsRefused) {
+  // Every walk of a parsed body recurses once per level; the parser
+  // refuses what they could not survive, with an error instead of a
+  // stack overflow.
+  auto Nested = [](int Levels) {
+    std::string Text = "(FPCore (x) ";
+    for (int I = 0; I < Levels; ++I)
+      Text += "(+ 1 ";
+    Text += "x";
+    Text.append(Levels, ')');
+    return Text + ")";
+  };
+  ParseResult Ok = parse(Nested(1000));
+  ASSERT_TRUE(Ok.Ok) << Ok.Error;
+  EXPECT_EQ(Ok.Value.Body->opCount(), 1000u);
+  for (int Levels : {1001, 20000}) {
+    ParseResult Deep = parse(Nested(Levels));
+    EXPECT_FALSE(Deep.Ok) << Levels;
+    EXPECT_EQ(Deep.Error, "expression nested deeper than 1000 levels");
+  }
+}
+
 TEST(FPCoreParse, PrintRoundTrips) {
   for (const Core &C : corpus()) {
     ParseResult R = parse(C.print());

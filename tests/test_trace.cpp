@@ -54,15 +54,30 @@ TEST(TraceArena, SharingKeepsOneCopy) {
   EXPECT_EQ(A.liveNodes(), 0u);
 }
 
+namespace {
+/// The levels a reader starting at \p Budget sees below \p N.
+uint32_t readDepth(const TraceNode *N, uint32_t Budget) {
+  if (N->Kind == TraceNode::TNKind::Leaf || Budget <= 1)
+    return 1;
+  uint32_t Deepest = 0;
+  for (unsigned I = 0; I < N->NumKids; ++I)
+    Deepest = std::max(Deepest, readDepth(N->Kids[I], Budget - 1));
+  return 1 + Deepest;
+}
+} // namespace
+
 TEST(TraceArena, DepthBoundTrimsDeepChains) {
+  // Readers see at most MaxDepth levels; nodes hold at most
+  // CompactionFactor x MaxDepth.
   TraceArena A(/*MaxDepth=*/4);
   TraceNode *Cur = A.leaf(0.0);
-  for (int I = 1; I <= 20; ++I) {
+  for (int I = 1; I <= 40; ++I) {
     TraceNode *Kids[1] = {Cur};
     TraceNode *Next = A.node(Opcode::SqrtF64, 1, double(I), Kids, 1);
     A.release(Cur);
     Cur = Next;
-    EXPECT_LE(Cur->Depth, 4u);
+    EXPECT_LE(readDepth(Cur, A.rootBudget()), 4u);
+    EXPECT_LE(Cur->Depth, TraceArena::CompactionFactor * 4);
   }
   A.release(Cur);
 }
@@ -84,9 +99,11 @@ TEST(TraceArena, DepthOneKeepsOnlyTheOperation) {
 
 namespace {
 /// Loop-carried values as a shadowed loop builds them: a chain
-/// (acc = acc + c), a shared kid (x = x*x + c) and a Fibonacci DAG
-/// (a, b = b, a+b).
-enum class Shape { Chain, SharedKid, Fibonacci };
+/// (acc = acc + c), a shared kid (x = x*x + c), a Fibonacci DAG
+/// (a, b = b, a+b) and a cross-linked update (m = m + ((5 - m)*k + c)),
+/// where m feeds the next iteration along paths of length 1 and 4, as
+/// the pid benchmark's m2 does.
+enum class Shape { Chain, SharedKid, Fibonacci, CrossLinked };
 
 /// Steps one shape through an arena, releasing each value the loop
 /// overwrites, as the shadow interpreter does.
@@ -113,6 +130,24 @@ public:
       Next = A.node(Opcode::AddF64, 1, Prev->Value + Cur->Value, Kids, 2);
       A.release(Prev);
       Prev = Cur;
+      Cur = Next;
+      return;
+    }
+    if (S == Shape::CrossLinked) {
+      TraceNode *Five = A.leaf(5.0);
+      TraceNode *K = A.leaf(0.25);
+      TraceNode *C = A.leaf(0.1 * (I % 3 - 1));
+      TraceNode *SubKids[2] = {Five, Cur};
+      TraceNode *Sub = A.node(Opcode::SubF64, 3, 5.0 - Cur->Value, SubKids, 2);
+      TraceNode *MulKids[2] = {Sub, K};
+      TraceNode *Mul = A.node(Opcode::MulF64, 4, Sub->Value * 0.25, MulKids, 2);
+      TraceNode *AddKids[2] = {Mul, C};
+      TraceNode *Add =
+          A.node(Opcode::AddF64, 5, Mul->Value + C->Value, AddKids, 2);
+      TraceNode *NextKids[2] = {Cur, Add};
+      Next = A.node(Opcode::AddF64, 6, Cur->Value + Add->Value, NextKids, 2);
+      for (TraceNode *N : {Five, K, C, Sub, Mul, Add, Cur})
+        A.release(N);
       Cur = Next;
       return;
     }
@@ -148,6 +183,8 @@ const char *shapeName(Shape S) {
     return "shared kid";
   case Shape::Fibonacci:
     return "fibonacci";
+  case Shape::CrossLinked:
+    return "cross-linked";
   }
   return "?";
 }
@@ -172,29 +209,31 @@ TraceNode *referenceCut(const TraceNode *N, uint32_t D,
 
 TEST(TraceArena, LoopCarriedTracesHoldNoHistory) {
   // The depth bound must also bound memory: a value released by the loop
-  // frees its trimmed copy, so live nodes stop growing once traces reach
-  // the bound, and nothing outlives the last value.
+  // frees its compacted copies, so live nodes stop growing once traces
+  // reach the compaction depth, and nothing outlives the last value.
   for (uint32_t D : {4u, 24u}) {
     for (Shape S : {Shape::Chain, Shape::SharedKid, Shape::Fibonacci}) {
       SCOPED_TRACE(std::string(shapeName(S)) + " at depth " +
                    std::to_string(D));
       TraceArena A(D);
-      size_t PeakFirst100 = 0, Peak = 0;
+      size_t PeakFirst1000 = 0, Peak = 0;
       {
         LoopCarried Loop(A, S);
         for (int I = 1; I <= 5000; ++I) {
           Loop.step(I);
           Peak = std::max(Peak, A.liveNodes());
-          if (I == 100)
-            PeakFirst100 = Peak;
+          if (I == 1000)
+            PeakFirst1000 = Peak;
         }
       }
-      EXPECT_LE(Peak, PeakFirst100);
+      EXPECT_LE(Peak, PeakFirst1000);
       EXPECT_EQ(A.liveNodes(), 0u);
-      // One trim per node that reaches the bound, as with a cache keyed by
-      // (node, depth): 10001 loop nodes plus 4977 trims of 23 nodes.
+      // One copy per window node per compaction: 10001 loop nodes, plus
+      // 23 copies at each of the 101 compactions. Step 72 meets a kid of
+      // depth 72 and builds a node of depth 24, which the next 48 steps
+      // deepen to 72 again, so compactions come every 49 steps.
       if (D == 24 && S == Shape::Chain) {
-        EXPECT_EQ(A.totalAllocated(), 124472u);
+        EXPECT_EQ(A.totalAllocated(), 12324u);
       }
     }
   }
@@ -216,7 +255,8 @@ TEST(TraceArena, TrimmingMatchesReferenceCut) {
         B.step(I);
         F.step(I);
         std::deque<TraceNode> Store;
-        ASSERT_EQ(B.value()->str(), referenceCut(F.value(), D, Store)->str())
+        ASSERT_EQ(B.value()->str(Bounded.rootBudget()),
+                  referenceCut(F.value(), D, Store)->str(D))
             << "iteration " << I;
         // x*x keeps one node for its two trimmed kids.
         const TraceNode *Sq = B.value()->Kids[0];
@@ -228,20 +268,163 @@ TEST(TraceArena, TrimmingMatchesReferenceCut) {
   }
 }
 
+TEST(TraceArena, CrossLinkedTracesReadAsTheReferenceCut) {
+  // A value that feeds the next iteration along paths of two lengths puts
+  // one node in the window at several budgets. Every reader must still see
+  // the reference cut, and compaction must not pile up copies.
+  for (uint32_t D : {2u, 3u, 5u, 8u, 24u}) {
+    SCOPED_TRACE("depth " + std::to_string(D));
+    TraceArena Bounded(D);
+    TraceArena Full(std::numeric_limits<uint32_t>::max());
+    size_t PeakFirst1000 = 0, Peak = 0;
+    {
+      LoopCarried B(Bounded, Shape::CrossLinked);
+      LoopCarried F(Full, Shape::CrossLinked);
+      std::unique_ptr<SymExpr> EB, EF;
+      uint32_t NextB = 0, NextF = 0;
+      AntiUnifyScratch RoundB, RoundF;
+      for (int I = 1; I <= 3000; ++I) {
+        B.step(I);
+        Peak = std::max(Peak, Bounded.liveNodes());
+        if (I == 1000)
+          PeakFirst1000 = Peak;
+        if (I > 200)
+          continue;
+        F.step(I);
+        std::deque<TraceNode> Store;
+        TraceNode *Ref = referenceCut(F.value(), D, Store);
+        TraceNode *Got = const_cast<TraceNode *>(B.value());
+        ASSERT_EQ(Got->str(Bounded.rootBudget()), Ref->str(D))
+            << "iteration " << I;
+        ASSERT_EQ(symbolize(Bounded, Got)->fpcoreBody(),
+                  symbolize(Full, Ref)->fpcoreBody())
+            << "iteration " << I;
+        // Generalizing every iteration's trace reads fingerprints at every
+        // budget of the window.
+        if (!EB) {
+          EB = symbolize(Bounded, Got);
+          EF = symbolize(Full, Ref);
+          continue;
+        }
+        antiUnify(Bounded, *EB, Got, NextB, RoundB);
+        antiUnify(Full, *EF, Ref, NextF, RoundF);
+        ASSERT_EQ(EB->fpcoreBody(), EF->fpcoreBody()) << "iteration " << I;
+        ASSERT_EQ(RoundB.Bindings.size(), RoundF.Bindings.size());
+        for (size_t V = 0; V < RoundB.Bindings.size(); ++V) {
+          EXPECT_EQ(RoundB.Bindings[V].Idx, RoundF.Bindings[V].Idx);
+          EXPECT_EQ(bitsOfDouble(RoundB.Bindings[V].Value),
+                    bitsOfDouble(RoundF.Bindings[V].Value));
+        }
+      }
+    }
+    EXPECT_LE(Peak, PeakFirst1000);
+    EXPECT_EQ(Bounded.liveNodes(), 0u);
+  }
+}
+
+namespace {
+/// Every node of the window of \p Got, read from \p Budget, must
+/// fingerprint as the matching node of \p Want, its reference cut.
+void expectSameFingerprints(TraceArena &Bounded, TraceNode *Got,
+                            uint32_t Budget, TraceArena &Full,
+                            TraceNode *Want) {
+  ASSERT_EQ(Bounded.fingerprint(Got, Budget),
+            Full.fingerprint(Want, Full.rootBudget()));
+  if (Want->Kind == TraceNode::TNKind::Leaf)
+    return;
+  for (unsigned I = 0; I < Want->NumKids; ++I)
+    expectSameFingerprints(Bounded, Got->Kids[I], Budget - 1, Full,
+                           Want->Kids[I]);
+}
+} // namespace
+
+TEST(TraceArena, RandomLoopDagsReadAsTheReferenceCut) {
+  // Loops of random shape: each iteration builds a few ops over the loop
+  // state, fresh leaves and each other, and the next state picks among
+  // them, so nodes reach the window along paths of many lengths. The same
+  // program runs on a bounded and an unbounded arena.
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    std::mt19937_64 R(Seed);
+    const uint32_t D = 2 + R() % 6;
+    const unsigned NState = 1 + R() % 4;
+    SCOPED_TRACE("seed " + std::to_string(Seed) + ", depth " +
+                 std::to_string(D));
+    TraceArena Bounded(D);
+    TraceArena Full(std::numeric_limits<uint32_t>::max());
+    TraceArena *Arenas[2] = {&Bounded, &Full};
+    std::vector<TraceNode *> State[2];
+    for (unsigned I = 0; I < NState; ++I)
+      for (int A = 0; A < 2; ++A)
+        State[A].push_back(Arenas[A]->leaf(double(I)));
+    for (int It = 0; It < 80; ++It) {
+      // Operands: the state, then every node built this iteration.
+      std::vector<TraceNode *> Pool[2] = {State[0], State[1]};
+      std::vector<TraceNode *> Built[2];
+      for (unsigned Step = 0, Steps = 1 + R() % 5; Step < Steps; ++Step) {
+        unsigned Arity = 1 + R() % 2;
+        Opcode Op = Arity == 1 ? Opcode::SqrtF64
+                               : R() % 2 ? Opcode::AddF64 : Opcode::MulF64;
+        size_t Pick[2] = {R() % Pool[0].size(), R() % Pool[0].size()};
+        for (int A = 0; A < 2; ++A) {
+          TraceNode *Kids[2] = {Pool[A][Pick[0]], Pool[A][Pick[1]]};
+          double V = Kids[0]->Value + (Arity == 2 ? Kids[1]->Value : 0.5);
+          Built[A].push_back(Arenas[A]->node(Op, Step, V, Kids, Arity));
+          Pool[A].push_back(Built[A].back());
+        }
+      }
+      std::vector<size_t> Next;
+      for (unsigned I = 0; I < NState; ++I)
+        Next.push_back(R() % 2 ? Pool[0].size() - 1 : R() % Pool[0].size());
+      for (int A = 0; A < 2; ++A) {
+        std::vector<TraceNode *> NewState;
+        for (size_t P : Next) {
+          Arenas[A]->retain(Pool[A][P]);
+          NewState.push_back(Pool[A][P]);
+        }
+        for (TraceNode *N : Built[A])
+          Arenas[A]->release(N);
+        for (TraceNode *N : State[A])
+          Arenas[A]->release(N);
+        State[A] = NewState;
+      }
+      for (unsigned I = 0; I < NState; ++I) {
+        std::deque<TraceNode> Store;
+        TraceNode *Ref = referenceCut(State[1][I], D, Store);
+        ASSERT_EQ(State[0][I]->str(Bounded.rootBudget()), Ref->str(D))
+            << "iteration " << It;
+        ASSERT_EQ(symbolize(Bounded, State[0][I])->fpcoreBody(),
+                  symbolize(Full, Ref)->fpcoreBody())
+            << "iteration " << It;
+        expectSameFingerprints(Bounded, State[0][I], Bounded.rootBudget(),
+                               Full, Ref);
+        if (HasFatalFailure())
+          return;
+      }
+    }
+    for (int A = 0; A < 2; ++A)
+      for (TraceNode *N : State[A])
+        Arenas[A]->release(N);
+    EXPECT_GT(Bounded.totalAllocated(), Full.totalAllocated())
+        << "the bounded arena never compacted";
+    EXPECT_EQ(Bounded.liveNodes(), 0u);
+  }
+}
+
 TEST(TraceArena, EquivalenceRespectsValuesAndStructure) {
   TraceArena A;
   TraceNode *L1 = A.leaf(1.0);
   TraceNode *L2 = A.leaf(1.0);
   TraceNode *L3 = A.leaf(2.0);
-  EXPECT_TRUE(A.equivalent(L1, L2));
-  EXPECT_FALSE(A.equivalent(L1, L3));
+  const uint32_t Budget = A.rootBudget();
+  EXPECT_TRUE(A.equivalent(L1, L2, Budget));
+  EXPECT_FALSE(A.equivalent(L1, L3, Budget));
   TraceNode *KidsA[2] = {L1, L3};
   TraceNode *KidsB[2] = {L2, L3};
   TraceNode *NA = A.node(Opcode::AddF64, 1, 3.0, KidsA, 2);
   TraceNode *NB = A.node(Opcode::AddF64, 9, 3.0, KidsB, 2);
   TraceNode *NC = A.node(Opcode::SubF64, 9, 3.0, KidsB, 2);
-  EXPECT_TRUE(A.equivalent(NA, NB)); // site does not matter
-  EXPECT_FALSE(A.equivalent(NA, NC));
+  EXPECT_TRUE(A.equivalent(NA, NB, Budget)); // site does not matter
+  EXPECT_FALSE(A.equivalent(NA, NC, Budget));
   for (TraceNode *N : {L1, L2, L3, NA, NB, NC})
     A.release(N);
 }
@@ -465,8 +648,10 @@ struct Generalizer {
   std::unordered_map<PairKey, uint32_t, PairKeyHash> VarForPair;
   std::unordered_set<uint32_t> ReusedThisRound;
 
-  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T) {
-    PairKey Key{symFingerprint(S, Arena.equivDepth()), Arena.fingerprint(T)};
+  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T,
+                                        uint32_t Budget) {
+    PairKey Key{symFingerprint(S, Arena.equivDepth()),
+                Arena.fingerprint(T, Budget)};
     auto It = VarForPair.find(Key);
     uint32_t Idx;
     if (It != VarForPair.end()) {
@@ -487,20 +672,21 @@ struct Generalizer {
     return SymExpr::makeVar(Idx);
   }
 
-  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T) {
-    if (S->Kind == SymExpr::SEKind::Op &&
-        T->Kind == TraceNode::TNKind::Op && S->Op == T->Op &&
+  /// \p T is read at \p Budget: at budget 1 it is a leaf.
+  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T,
+                               uint32_t Budget) {
+    bool TOp = T->Kind == TraceNode::TNKind::Op && Budget > 1;
+    if (S->Kind == SymExpr::SEKind::Op && TOp && S->Op == T->Op &&
         S->Kids.size() == T->NumKids) {
       auto E = SymExpr::makeOp(S->Op, T->Site);
       for (unsigned I = 0; I < T->NumKids; ++I)
-        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I]));
+        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I], Budget - 1));
       return E;
     }
-    if (S->Kind == SymExpr::SEKind::Const &&
-        T->Kind == TraceNode::TNKind::Leaf &&
+    if (S->Kind == SymExpr::SEKind::Const && !TOp &&
         bitsOfDouble(S->ConstVal) == bitsOfDouble(T->Value))
       return SymExpr::makeConst(S->ConstVal);
-    return makeVariable(S, T);
+    return makeVariable(S, T, Budget);
   }
 };
 
@@ -512,7 +698,7 @@ std::unique_ptr<SymExpr> antiUnify(TraceArena &Arena, const SymExpr *Expr,
   if (Promotions)
     Promotions->clear();
   Generalizer G{Arena, NextVarIdx, Bindings, Promotions, {}, {}};
-  return G.gen(Expr, Trace);
+  return G.gen(Expr, Trace, Arena.rootBudget());
 }
 
 } // namespace oracle

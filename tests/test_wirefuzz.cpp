@@ -12,15 +12,20 @@
 // parses again. A real result-cache segment gets the same mutations plus
 // targeted ones of its footer's count and its index's offsets and lengths;
 // every lookup must return exactly the stored result or miss, and the
-// segment reader must fail or return stored documents. Run under
-// ASan/UBSan, this is also a memory-safety check of the JSON reader, the
-// HGB reader and its LZSS body codec, every schema traversal, and the
-// segment index reader.
+// segment reader must fail or return stored documents. The FPCore parser
+// gets the same mutations of every corpus source and of a body nested
+// 20000 deep: each mutant must fail with an error or parse into a core
+// that prints, parses back the same, and passes or fails the compiler's
+// checker without crashing. Run under ASan/UBSan, this is also a
+// memory-safety check of the JSON reader, the HGB reader and its LZSS
+// body codec, every schema traversal, the segment index reader, and the
+// FPCore parser, checker and compiler.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
 #include "engine/ResultCache.h"
+#include "fpcore/Compile.h"
 #include "fpcore/Corpus.h"
 #include "herbgrind/Herbgrind.h"
 #include "support/Metrics.h"
@@ -397,4 +402,54 @@ TEST(WireFuzz, SegmentReaderAndLookupsSurviveSeededMutants) {
   EXPECT_LT(ReaderAccepted, Mutants / 2);
   EXPECT_LT(AllHit, Mutants / 2);
   std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// FPCore text
+//===----------------------------------------------------------------------===//
+
+TEST(WireFuzz, FPCoreParserSurvivesSeededMutants) {
+  std::vector<std::string> Seeds = fpcore::corpusSources();
+  // Deeper than the parser's nesting limit: it must refuse, not recurse
+  // off the stack, and so must every mutant that stays as deep.
+  std::string Deep = "(FPCore (x) ";
+  for (int I = 0; I < 20000; ++I)
+    Deep += "(+ 1 ";
+  Deep += "x";
+  Deep.append(20000, ')');
+  Seeds.push_back(Deep + ")");
+  Rng R(0xfc0e);
+  int Parsed = 0, Compiled = 0, Mutants = 0;
+  for (size_t S = 0; S < Seeds.size(); ++S) {
+    SCOPED_TRACE("seed " + std::to_string(S));
+    fpcore::ParseResult Seed = fpcore::parse(Seeds[S]);
+    EXPECT_EQ(Seed.Ok, S + 1 < Seeds.size()) << Seed.Error;
+    for (int I = 0; I < MutantsPerDoc / 5; ++I, ++Mutants) {
+      std::string Mutant = mutate(Seeds[S], R);
+      fpcore::ParseResult P = fpcore::parse(Mutant);
+      if (!P.Ok) {
+        EXPECT_FALSE(P.Error.empty()) << "mutant " << I << " failed silently";
+        continue;
+      }
+      ++Parsed;
+      std::string Printed = P.Value.print();
+      fpcore::ParseResult Again = fpcore::parse(Printed);
+      ASSERT_TRUE(Again.Ok) << "mutant " << I << " printed unparseably: "
+                            << Again.Error << "\n"
+                            << Printed;
+      EXPECT_EQ(Again.Value.print(), Printed) << "mutant " << I;
+      std::string WhyNot;
+      if (!fpcore::isCompilable(P.Value, &WhyNot)) {
+        EXPECT_FALSE(WhyNot.empty()) << "mutant " << I;
+        continue;
+      }
+      ++Compiled;
+      EXPECT_EQ(fpcore::compile(P.Value).validate(), "") << Printed;
+    }
+  }
+  // The mutants must reach every stage: some fail to parse, some parse
+  // and are refused, some compile.
+  EXPECT_LT(Parsed, Mutants);
+  EXPECT_LT(Compiled, Parsed);
+  EXPECT_GT(Compiled, 0);
 }
