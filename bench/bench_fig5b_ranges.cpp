@@ -30,7 +30,7 @@ int main() {
       AnalysisConfig Cfg;
       Cfg.Ranges = Mode;
       auto HG = analyzeCore(C, /*Samples=*/32, Cfg);
-      std::vector<uint32_t> Causes = HG->reportedRootCauses();
+      std::vector<uint32_t> Causes = HG->records().reportedRootCauses();
       bool AnySig = false, AnyImp = false;
       size_t Limit = std::min<size_t>(Causes.size(), 2);
       for (size_t I = 0; I < Limit && !AnyImp; ++I) {

@@ -49,7 +49,7 @@ int main() {
 
     // (2) Herbgrind on the compiled binary.
     auto HG = analyzeCore(C, /*Samples=*/48);
-    std::vector<uint32_t> Causes = HG->reportedRootCauses();
+    std::vector<uint32_t> Causes = HG->records().reportedRootCauses();
     if (Causes.empty())
       continue;
     ++HGDetected;

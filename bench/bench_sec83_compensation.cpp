@@ -127,9 +127,9 @@ int main() {
               static_cast<unsigned long long>(MissedViaControlFlow));
   std::printf("reported root causes, detection on:                    "
               "%zu\n",
-              On->reportedRootCauses().size());
+              On->records().reportedRootCauses().size());
   std::printf("reported root causes, detection off:                   "
               "%zu\n",
-              Off->reportedRootCauses().size());
+              Off->records().reportedRootCauses().size());
   return 0;
 }

@@ -683,7 +683,7 @@ static int runMergeShards(const std::vector<std::string> &Args,
 
   // A named file that is not a segment fails here.
   std::vector<ShardDoc> Docs;
-  std::string Err, Warnings;
+  std::string Err;
   if (!readSegmentShards(Paths, Docs, Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
@@ -693,12 +693,10 @@ static int runMergeShards(const std::vector<std::string> &Args,
   std::string DocsHash = Docs.empty() ? std::string() : Docs.front().ConfigHash;
 
   BatchResult Result;
-  if (!mergeShards(std::move(Docs), Result, Err, &Warnings)) {
+  if (!mergeShards(std::move(Docs), Result, Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  if (!Warnings.empty())
-    std::fprintf(stderr, "warning: %s", Warnings.c_str());
 
   if (O.Improve) {
     std::unique_ptr<ResultCache> Cache;

@@ -111,7 +111,7 @@ void analyze(const char *Label, bool Compensated, bool Detect) {
   std::printf("adaptive-branch divergences (undetectable cases): %llu\n",
               static_cast<unsigned long long>(Divergences));
   std::printf("reported root causes: %zu\n",
-              HG.reportedRootCauses().size());
+              HG.records().reportedRootCauses().size());
   Report R = buildReport(HG);
   for (const RootCauseReport &RC : R.allRootCauses())
     std::printf("  cause @ %s: %s\n", RC.Loc.str().c_str(),

@@ -456,15 +456,18 @@ Analyzer::Analyzer(const AnalysisConfig &Config, uint32_t NumTemps)
       Arena(Config.MaxExprDepth, Config.EquivDepth, Config.UsePools),
       // One shadow state serves every run: runs reset it in place, so its
       // value pool and memory-table buckets are reused run over run.
-      Shadow(Arena, NumTemps, Config.UsePools, Config.SharedShadowValues) {}
+      Shadow(Arena, NumTemps, Config.UsePools, Config.SharedShadowValues) {
+  Records.Ranges = Config.Ranges;
+  Records.EquivDepth = Config.EquivDepth;
+}
 
 void Analyzer::reset() {
   Shadow.reset();
   Arena.resetForReuse();
   // Interned influence sets survive on purpose: they are value-interned,
   // so reuse cannot change results, only skip re-interning.
-  Ops.clear();
-  Spots.clear();
+  Records.Ops.clear();
+  Records.Spots.clear();
   ShadowOps = 0;
   RunSuspect = false;
 }
@@ -498,7 +501,7 @@ ShadowValue *Analyzer::op(Opcode Op, uint32_t Site, const SourceLoc &Loc,
     return Shadow.createPredicate(P.Delta, P.Noise, opInfo(Op).ResultTy);
   }
 
-  OpRecord &Rec = Ops[Site];
+  OpRecord &Rec = Records.Ops[Site];
   if (Rec.Executions == 0) {
     Rec.Op = Op;
     Rec.Loc = Loc;
@@ -671,7 +674,7 @@ void Analyzer::comparison(Opcode Op, uint32_t Site, const SourceLoc &Loc,
       RunSuspect = true;
     return;
   }
-  SpotRecord &Spot = countSpot(Spots, Site, SpotKind::Comparison, Loc);
+  SpotRecord &Spot = countSpot(Records.Spots, Site, SpotKind::Comparison, Loc);
   if (!A && !B) {
     // No shadows: the real predicate trivially agrees with the float one.
     Spot.ErrorBits.add(0.0);
@@ -713,7 +716,7 @@ void Analyzer::conversion(uint32_t Site, const SourceLoc &Loc,
       RunSuspect = true;
     return;
   }
-  SpotRecord &Spot = countSpot(Spots, Site, SpotKind::Conversion, Loc);
+  SpotRecord &Spot = countSpot(Records.Spots, Site, SpotKind::Conversion, Loc);
   if (!A) {
     Spot.ErrorBits.add(0.0);
     return;
@@ -737,7 +740,7 @@ void Analyzer::output(uint32_t Site, const SourceLoc &Loc, ShadowValue *SV,
       RunSuspect = true;
     return;
   }
-  SpotRecord &Spot = countSpot(Spots, Site, SpotKind::Output, Loc);
+  SpotRecord &Spot = countSpot(Records.Spots, Site, SpotKind::Output, Loc);
   double Err = shadowValueErrorBits(SV, LaneVal);
   Spot.ErrorBits.add(Err);
   if (Err > Cfg.OutputErrorThreshold) {
@@ -914,33 +917,31 @@ void AnalysisResult::mergeFrom(const AnalysisResult &Other) {
   }
 }
 
-AnalysisResult Analyzer::snapshot() const {
-  AnalysisResult R;
-  R.Ranges = Cfg.Ranges;
-  R.EquivDepth = Cfg.EquivDepth;
-  for (const auto &[PC, Rec] : Ops)
-    R.Ops.emplace(PC, Rec.clone());
-  R.Spots = Spots;
-  return R;
-}
-
 //===----------------------------------------------------------------------===//
 // Result extraction
 //===----------------------------------------------------------------------===//
 
-std::vector<uint32_t> Analyzer::reportedRootCauses() const {
+std::vector<uint32_t> AnalysisResult::reportedRootCauses() const {
   // Only operations whose influence reached an erroneous spot are reported
   // (Section 4.2 footnote 7).
   std::set<uint32_t> Reached;
   for (const auto &[PC, Spot] : Spots)
     if (Spot.Erroneous > 0)
       Reached.insert(Spot.InfluencingOps.begin(), Spot.InfluencingOps.end());
-  std::vector<uint32_t> Result(Reached.begin(), Reached.end());
+  return mostFlaggedFirst(Reached);
+}
+
+std::vector<uint32_t>
+AnalysisResult::mostFlaggedFirst(const std::set<uint32_t> &Sites) const {
+  auto Flagged = [&](uint32_t PC) {
+    auto It = Ops.find(PC);
+    return It == Ops.end() ? 0 : It->second.Flagged;
+  };
+  std::vector<uint32_t> Result(Sites.begin(), Sites.end());
   std::sort(Result.begin(), Result.end(), [&](uint32_t A, uint32_t B) {
-    const OpRecord &RA = Ops.at(A);
-    const OpRecord &RB = Ops.at(B);
-    if (RA.Flagged != RB.Flagged)
-      return RA.Flagged > RB.Flagged;
+    uint64_t FA = Flagged(A), FB = Flagged(B);
+    if (FA != FB)
+      return FA > FB;
     return A < B;
   });
   return Result;

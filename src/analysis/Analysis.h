@@ -157,6 +157,15 @@ struct AnalysisResult {
 
   /// Folds \p Other (a later shard of the same program) in.
   void mergeFrom(const AnalysisResult &Other);
+
+  /// Candidate root causes: flagged op records whose influence reached an
+  /// erroneous spot, most-flagged first (Section 4.2, footnote 7: only
+  /// sources whose error flows into spots are reported).
+  std::vector<uint32_t> reportedRootCauses() const;
+
+  /// \p Sites ordered most-flagged first, ties by site; a site without a
+  /// record counts as never flagged.
+  std::vector<uint32_t> mostFlaggedFirst(const std::set<uint32_t> &Sites) const;
 };
 
 /// The analysis both frontends share: the shadow state, the accumulated
@@ -173,21 +182,23 @@ struct AnalysisResult {
 /// function is virtual: the per-op path stays direct calls.
 class Analyzer {
 public:
-  /// Per-operation records accumulated so far, keyed by site. Live views:
-  /// they grow as runs execute.
-  const std::map<uint32_t, OpRecord> &opRecords() const { return Ops; }
+  /// The records accumulated so far. A live view: it grows as runs
+  /// execute.
+  const AnalysisResult &records() const { return Records; }
+
+  /// Per-operation records accumulated so far, keyed by site.
+  const std::map<uint32_t, OpRecord> &opRecords() const {
+    return Records.Ops;
+  }
 
   /// Per-spot records accumulated so far, keyed by site.
-  const std::map<uint32_t, SpotRecord> &spotRecords() const { return Spots; }
+  const std::map<uint32_t, SpotRecord> &spotRecords() const {
+    return Records.Spots;
+  }
 
   /// Copies the accumulated records out as a mergeable value (shardable,
   /// serializable, cacheable -- the engine's unit of reduction).
-  AnalysisResult snapshot() const;
-
-  /// Candidate root causes: flagged op records whose influence reached an
-  /// erroneous spot, most-flagged first (Section 4.2, footnote 7: only
-  /// sources whose error flows into spots are reported).
-  std::vector<uint32_t> reportedRootCauses() const;
+  AnalysisResult snapshot() const { return Records.clone(); }
 
   /// The configuration this analysis was constructed with.
   const AnalysisConfig &config() const { return Cfg; }
@@ -242,8 +253,7 @@ protected:
   TraceArena Arena;
   InfluenceSets Sets;
   ShadowState Shadow;
-  std::map<uint32_t, OpRecord> Ops;
-  std::map<uint32_t, SpotRecord> Spots;
+  AnalysisResult Records;
   uint64_t ShadowOps = 0;
   bool RunSuspect = false;
 };

@@ -55,11 +55,9 @@ static RootCauseReport buildRootCause(uint32_t PC, const OpRecord &Rec,
   return RC;
 }
 
-static Report buildReportFromRecords(const std::map<uint32_t, OpRecord> &Ops,
-                                     const std::map<uint32_t, SpotRecord> &Spots,
-                                     RangeMode Ranges) {
+Report herbgrind::buildReport(const AnalysisResult &Result) {
   Report R;
-  for (const auto &[PC, Spot] : Spots) {
+  for (const auto &[PC, Spot] : Result.Spots) {
     if (Spot.Erroneous == 0)
       continue;
     SpotReport SR;
@@ -69,21 +67,11 @@ static Report buildReportFromRecords(const std::map<uint32_t, OpRecord> &Ops,
     SR.Executions = Spot.Executions;
     SR.Erroneous = Spot.Erroneous;
     SR.MaxErrorBits = Spot.ErrorBits.max();
-    std::vector<uint32_t> Influencers(Spot.InfluencingOps.begin(),
-                                      Spot.InfluencingOps.end());
-    std::sort(Influencers.begin(), Influencers.end(),
-              [&](uint32_t A, uint32_t B) {
-                uint64_t FA = Ops.count(A) ? Ops.at(A).Flagged : 0;
-                uint64_t FB = Ops.count(B) ? Ops.at(B).Flagged : 0;
-                if (FA != FB)
-                  return FA > FB;
-                return A < B;
-              });
-    for (uint32_t OpPC : Influencers) {
-      auto It = Ops.find(OpPC);
-      if (It == Ops.end() || !It->second.Expr)
+    for (uint32_t OpPC : Result.mostFlaggedFirst(Spot.InfluencingOps)) {
+      auto It = Result.Ops.find(OpPC);
+      if (It == Result.Ops.end() || !It->second.Expr)
         continue;
-      SR.RootCauses.push_back(buildRootCause(OpPC, It->second, Ranges));
+      SR.RootCauses.push_back(buildRootCause(OpPC, It->second, Result.Ranges));
     }
     R.Spots.push_back(std::move(SR));
   }
@@ -91,86 +79,7 @@ static Report buildReportFromRecords(const std::map<uint32_t, OpRecord> &Ops,
 }
 
 Report herbgrind::buildReport(const Analyzer &Analysis) {
-  return buildReportFromRecords(Analysis.opRecords(), Analysis.spotRecords(),
-                                Analysis.config().Ranges);
-}
-
-Report herbgrind::buildReport(const AnalysisResult &Result) {
-  return buildReportFromRecords(Result.Ops, Result.Spots, Result.Ranges);
-}
-
-void Report::mergeFrom(const Report &Other) {
-  for (const SpotReport &OS : Other.Spots) {
-    SpotReport *Mine = nullptr;
-    for (SpotReport &SR : Spots)
-      if (SR.PC == OS.PC && SR.Loc == OS.Loc) {
-        Mine = &SR;
-        break;
-      }
-    if (!Mine) {
-      Spots.push_back(OS);
-      continue;
-    }
-    Mine->Executions += OS.Executions;
-    Mine->Erroneous += OS.Erroneous;
-    Mine->MaxErrorBits = std::max(Mine->MaxErrorBits, OS.MaxErrorBits);
-    for (const RootCauseReport &RC : OS.RootCauses) {
-      RootCauseReport *Have = nullptr;
-      for (RootCauseReport &M : Mine->RootCauses)
-        if (M.PC == RC.PC) {
-          Have = &M;
-          break;
-        }
-      if (!Have)
-        Mine->RootCauses.push_back(RC);
-      else if (RC.Flagged > Have->Flagged)
-        *Have = RC; // keep the strongest observation of this cause
-    }
-    std::sort(Mine->RootCauses.begin(), Mine->RootCauses.end(),
-              [](const RootCauseReport &A, const RootCauseReport &B) {
-                if (A.Flagged != B.Flagged)
-                  return A.Flagged > B.Flagged;
-                return A.PC < B.PC;
-              });
-  }
-  if (!Other.Improvements.empty()) {
-    // Pc spaces are per-program (exactly why spots merge on (pc, loc)),
-    // so cross-benchmark folds key on (pc, expression): two programs
-    // blaming different expressions at the same pc keep both records.
-    // A full-key collision (same expression under different recorded
-    // regimes) keeps the strongest outcome -- mirroring the root-cause
-    // policy above -- with field-wise tie-breaks so the benchmark fold
-    // order never decides.
-    auto Stronger = [](const ImproveRecord &X, const ImproveRecord &Y) {
-      if (X.Improved != Y.Improved)
-        return X.Improved;
-      double GX = X.ErrorBefore - X.ErrorAfter;
-      double GY = Y.ErrorBefore - Y.ErrorAfter;
-      if (GX != GY)
-        return GX > GY;
-      if (X.ErrorBefore != Y.ErrorBefore)
-        return X.ErrorBefore > Y.ErrorBefore;
-      return X.Rewritten < Y.Rewritten;
-    };
-    for (const ImproveRecord &IR : Other.Improvements) {
-      ImproveRecord *Have = nullptr;
-      for (ImproveRecord &Mine : Improvements)
-        if (Mine.PC == IR.PC && Mine.Original == IR.Original) {
-          Have = &Mine;
-          break;
-        }
-      if (!Have)
-        Improvements.push_back(IR);
-      else if (Stronger(IR, *Have))
-        *Have = IR;
-    }
-    std::sort(Improvements.begin(), Improvements.end(),
-              [](const ImproveRecord &A, const ImproveRecord &B) {
-                if (A.PC != B.PC)
-                  return A.PC < B.PC;
-                return A.Original < B.Original;
-              });
-  }
+  return buildReport(Analysis.records());
 }
 
 // Report::renderJson lives in Serialize.cpp: the JSON shape is one

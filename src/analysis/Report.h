@@ -85,18 +85,6 @@ struct Report {
 
   /// All distinct root causes across spots (deduplicated by pc).
   std::vector<RootCauseReport> allRootCauses() const;
-
-  /// Folds another report in at the presentation level: spots for the same
-  /// (pc, location) combine their counters and keep each root cause's
-  /// strongest version; other spots append. Improver records append for
-  /// (pc, expression) pairs this report has none for -- pc spaces are
-  /// per-program, so unrelated expressions sharing a pc both survive --
-  /// keep the strongest outcome on a full-key collision, and the merged
-  /// list re-sorts by pc. This is the aggregation used
-  /// for corpus-wide summaries over per-benchmark reports. For shards of
-  /// one program prefer merging `AnalysisResult`s and rebuilding -- that
-  /// path anti-unifies the underlying expressions and is exact.
-  void mergeFrom(const Report &Other);
 };
 
 /// Builds the FPCore text for a single operation record.

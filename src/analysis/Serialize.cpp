@@ -10,8 +10,9 @@
 // the field order written is the field order read. That order IS the wire
 // format -- both the JSON byte layout and the HGB binary field sequence --
 // so changing it is a format change. Checks only a reader needs (enum
-// names, duplicate pcs, run ranges, bucket counts, [lo, hi] pairs, the
-// telemetry minor) sit under `if constexpr (IO::Reads)`.
+// names, duplicate pcs, run ranges, bucket counts, [lo, hi] pairs) sit
+// under `if constexpr (IO::Reads)`; a field a minor version added is read
+// only from documents of that minor on (telemetry's meta, shard totals).
 //
 //===----------------------------------------------------------------------===//
 
@@ -340,19 +341,23 @@ static bool xferAnalysisResult(IO &X, Ref<IO, AnalysisResult> V) {
 }
 
 /// A shard document's body, field by field, so the engine can render
-/// records it does not own as a ShardDoc.
+/// records it does not own as a ShardDoc. \p Minor is the document's own
+/// minor version: "runTotal" is read only from 1.2 on, and a 1.1 document
+/// reads as total 0 (encoders always write the current minor).
 template <class IO>
 static bool xferShard(IO &X, Ref<IO, std::string> ConfigHash,
                       Ref<IO, std::string> Benchmark,
                       Ref<IO, uint64_t> BenchIndex,
                       Ref<IO, uint64_t> ShardIndex,
                       Ref<IO, uint64_t> RunBegin, Ref<IO, uint64_t> RunEnd,
-                      Ref<IO, AnalysisResult> Result) {
+                      Ref<IO, uint64_t> RunTotal,
+                      Ref<IO, AnalysisResult> Result, int Minor) {
   ScopedCtx C(X, "shard");
   if (!X.key("configHash") || !X.str(ConfigHash) || !X.key("benchmark") ||
       !X.str(Benchmark) || !X.key("benchIndex") || !X.u64(BenchIndex) ||
       !X.key("shardIndex") || !X.u64(ShardIndex) || !X.key("runBegin") ||
-      !X.u64(RunBegin) || !X.key("runEnd") || !X.u64(RunEnd))
+      !X.u64(RunBegin) || !X.key("runEnd") || !X.u64(RunEnd) ||
+      (Minor >= 2 && (!X.key("runTotal") || !X.u64(RunTotal))))
     return false;
   if constexpr (IO::Reads) {
     if (RunEnd < RunBegin)
@@ -604,7 +609,7 @@ struct DocKind {
 };
 
 constexpr DocKind ShardKind{"herbgrind-shard", wire::Family::Shard,
-                            WireFormatMajor, WireFormatMinor, "shard"};
+                            WireFormatMajor, ShardFormatMinor, "shard"};
 constexpr DocKind ImproveKind{"herbgrind-improve", wire::Family::Improve,
                               WireFormatMajor, WireFormatMinor, "improve"};
 constexpr DocKind ReportKind{nullptr, wire::Family::Report, WireFormatMajor,
@@ -736,25 +741,27 @@ std::string herbgrind::renderShard(const std::string &ConfigHash,
                                    const std::string &Benchmark,
                                    uint64_t BenchIndex, uint64_t ShardIndex,
                                    uint64_t RunBegin, uint64_t RunEnd,
+                                   uint64_t RunTotal,
                                    const AnalysisResult &Result,
                                    WireEncoding Enc) {
   return renderDoc(ShardKind, Enc, [&](wire::Encoder &E) {
     return xferShard(E, ConfigHash, Benchmark, BenchIndex, ShardIndex,
-                     RunBegin, RunEnd, Result);
+                     RunBegin, RunEnd, RunTotal, Result, ShardFormatMinor);
   });
 }
 
 std::string herbgrind::renderShard(const ShardDoc &Doc, WireEncoding Enc) {
   return renderShard(Doc.ConfigHash, Doc.Benchmark, Doc.BenchIndex,
-                     Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd, Doc.Result,
-                     Enc);
+                     Doc.ShardIndex, Doc.RunBegin, Doc.RunEnd, Doc.RunTotal,
+                     Doc.Result, Enc);
 }
 
 bool herbgrind::parseShard(const std::string &Text, ShardDoc &Out,
                            std::string &Err) {
-  return parseDoc(ShardKind, Text, Err, [&](wire::Decoder &D, int) {
+  return parseDoc(ShardKind, Text, Err, [&](wire::Decoder &D, int Minor) {
     return xferShard(D, Out.ConfigHash, Out.Benchmark, Out.BenchIndex,
-                     Out.ShardIndex, Out.RunBegin, Out.RunEnd, Out.Result);
+                     Out.ShardIndex, Out.RunBegin, Out.RunEnd, Out.RunTotal,
+                     Out.Result, Minor);
   });
 }
 

@@ -58,6 +58,9 @@ constexpr int WireFormatMajor = 1;
 /// History: 1.1 added the optional report "improvements" section
 /// (ImproveRecord) and the "herbgrind-improve" cache document.
 constexpr int WireFormatMinor = 1;
+/// The shard family's minor version, which moves on its own so that the
+/// other families' bytes stay put. History: 1.2 added "runTotal".
+constexpr int ShardFormatMinor = 2;
 
 /// Which wire backend a render uses. Readers never need to be told --
 /// they sniff. Who reads a document decides its encoding: the engine
@@ -84,6 +87,8 @@ struct ShardDoc {
   uint64_t ShardIndex = 0; ///< Shard number within the benchmark.
   uint64_t RunBegin = 0;   ///< First sampled-input index (inclusive).
   uint64_t RunEnd = 0;     ///< Last sampled-input index (exclusive).
+  uint64_t RunTotal = 0;   ///< The benchmark's sampled inputs in the whole
+                           ///< sweep; 0 in a document older than 1.2.
   AnalysisResult Result;
 };
 
@@ -95,8 +100,8 @@ std::string renderShard(const ShardDoc &Doc, WireEncoding Enc);
 std::string renderShard(const std::string &ConfigHash,
                         const std::string &Benchmark, uint64_t BenchIndex,
                         uint64_t ShardIndex, uint64_t RunBegin,
-                        uint64_t RunEnd, const AnalysisResult &Result,
-                        WireEncoding Enc);
+                        uint64_t RunEnd, uint64_t RunTotal,
+                        const AnalysisResult &Result, WireEncoding Enc);
 
 /// Parses a shard document in either format (sniffed from the first
 /// byte). Rejects wrong families and unknown major versions; truncated or

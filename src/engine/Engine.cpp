@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -143,18 +144,97 @@ struct Shard {
   size_t End = 0;
 };
 
-/// Per-benchmark streaming-reduction state: shards fold into the
-/// BenchmarkResult the moment every earlier shard has; later arrivals
-/// wait in Pending. The fold order is ascending shard index whatever the
-/// completion order, so the reduction stays deterministic while it
-/// overlaps analysis.
-struct BenchFold {
+/// One benchmark's reduction, the one that sweeps and merges share: shard
+/// records fold into a BenchmarkResult in ascending shard order whatever
+/// order they arrive in, so the reduction stays deterministic while it
+/// overlaps analysis. A shard parks until every earlier shard has folded,
+/// and its runs must begin where the previous shard's runs ended. A
+/// sweep's own layout always keeps both rules; a merge's documents may
+/// not, and the fold then fails naming the benchmark and the shard.
+struct ShardFold {
   std::mutex M;
-  size_t NextIndex = 0; ///< Next shard index the accumulator expects.
-  std::map<size_t, AnalysisResult> Pending; ///< Out-of-order completions.
+  size_t NextIndex = 0; ///< The shard the fold waits for.
+  uint64_t NextRun = 0; ///< Where that shard's runs must begin.
+  struct Parked {
+    uint64_t RunBegin = 0, RunEnd = 0;
+    AnalysisResult Records;
+  };
+  std::map<size_t, Parked> Pending; ///< Shards that arrived early.
+
+  /// Parks shard \p Index of benchmark \p Bench, which covers runs
+  /// [RunBegin, RunEnd), then folds into \p BR every shard that no longer
+  /// waits. Fails on a shard that arrived before or whose runs do not
+  /// begin where the previous shard's runs ended.
+  bool add(BenchmarkResult &BR, size_t Bench, size_t Index, uint64_t RunBegin,
+           uint64_t RunEnd, AnalysisResult Records, std::string &Err) {
+    std::lock_guard<std::mutex> Lock(M);
+    Parked Shard{RunBegin, RunEnd, std::move(Records)};
+    if (Index < NextIndex ||
+        !Pending.try_emplace(Index, std::move(Shard)).second) {
+      Err = format("duplicate shard %zu for benchmark '%s'", Index,
+                   BR.Name.c_str());
+      return false;
+    }
+    for (auto It = Pending.find(NextIndex); It != Pending.end();
+         It = Pending.find(NextIndex)) {
+      Parked &P = It->second;
+      if (P.RunBegin != NextRun) {
+        Err = format("'%s': shard %zu begins at run %llu, but the runs "
+                     "before it end at %llu",
+                     BR.Name.c_str(), NextIndex,
+                     static_cast<unsigned long long>(P.RunBegin),
+                     static_cast<unsigned long long>(NextRun));
+        return false;
+      }
+      if (BR.Shards == 0)
+        BR.Records = std::move(P.Records);
+      else
+        BR.Records.mergeFrom(P.Records);
+      ++BR.Shards;
+      BR.Runs += P.RunEnd - P.RunBegin;
+      NextRun = P.RunEnd;
+      Pending.erase(It);
+      if (events::enabled())
+        events::emit("shard.reduced",
+                     format("\"bench\":%zu,\"shard\":%zu", Bench, NextIndex));
+      ++NextIndex;
+    }
+    return true;
+  }
+
+  /// After the last add: fails unless every shard folded and the runs
+  /// reach \p RunTotal.
+  bool complete(const BenchmarkResult &BR, uint64_t RunTotal,
+                std::string &Err) const {
+    if (Pending.empty() && NextRun == RunTotal)
+      return true;
+    if (Pending.empty() && NextRun > RunTotal)
+      Err = format("'%s' has runs up to %llu, past its %llu runs",
+                   BR.Name.c_str(), static_cast<unsigned long long>(NextRun),
+                   static_cast<unsigned long long>(RunTotal));
+    else
+      Err = format("'%s' is missing shard %zu (runs %llu to %llu)",
+                   BR.Name.c_str(), NextIndex,
+                   static_cast<unsigned long long>(NextRun),
+                   static_cast<unsigned long long>(
+                       Pending.empty() ? RunTotal
+                                       : Pending.begin()->second.RunBegin));
+    return false;
+  }
 };
 
 } // namespace
+
+/// Builds every benchmark's report from its folded records and totals the
+/// sweep's statistics: the last step of a sweep and of a merge alike.
+static void buildReports(BatchResult &Out) {
+  for (BenchmarkResult &BR : Out.Benchmarks) {
+    BR.Rep = buildReport(BR.Records);
+    Out.Stats.Shards += BR.Shards;
+    Out.Stats.Runs += BR.Runs;
+  }
+  Out.Stats.Benchmarks = Out.Benchmarks.size();
+}
 
 /// Monotonic id per Engine::run call; guards the worker-local analyzer
 /// cache against ever comparing a recycled Program address across runs.
@@ -234,14 +314,15 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 
   BatchResult Out;
   Out.Benchmarks.resize(Sources.size());
-  std::vector<BenchFold> Folds(Sources.size());
+  std::vector<ShardFold> Folds(Sources.size());
   for (size_t B = 0; B < Sources.size(); ++B) {
     Out.Benchmarks[B].Name = Sources[B].Name;
     Out.Benchmarks[B].Records.Ranges = Cfg.Analysis.Ranges;
     Out.Benchmarks[B].Records.EquivDepth = Cfg.Analysis.EquivDepth;
     // Executed shard indices per benchmark are a contiguous slice, so the
-    // streaming fold starts at the slice's first index.
+    // streaming fold starts at the slice's first shard.
     Folds[B].NextIndex = Cfg.ShardBegin;
+    Folds[B].NextRun = Cfg.ShardBegin * static_cast<uint64_t>(Cfg.ShardSize);
   }
 
   // Every stage's outcome reaches the sweep statistics, the metrics
@@ -345,7 +426,8 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
             trace::enabled() ? "{" + Fields + "}" : std::string();
         ResultCache::ShardKey Key{
             RC && !Cleared ? Identities[Sh.Bench] : std::string(),
-            Seeds[Sh.Bench], Sh.Bench, Sh.Index, Sh.Begin, Sh.End};
+            Seeds[Sh.Bench], Sh.Bench, Sh.Index, Sh.Begin, Sh.End,
+            Inputs[Sh.Bench].size()};
 
         // A cleared benchmark's shard gets no probe, no analysis and no
         // cache store: its records stay empty, so the layout's shard/run
@@ -400,34 +482,13 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           Emit->store(Key, Sources[Sh.Bench].Name, O.Records);
         }
 
-        // Streaming in-order fold. The arriving shard parks in Pending,
-        // then everything contiguous from NextIndex folds in; shard sizes
-        // are recovered from the layout (End - Begin == ShardSize except
-        // for the tail shard).
-        BenchFold &Fold = Folds[Sh.Bench];
-        BenchmarkResult &BR = Out.Benchmarks[Sh.Bench];
-        size_t Step = static_cast<size_t>(Cfg.ShardSize);
-        size_t Total = Inputs[Sh.Bench].size();
         trace::Span ReduceSpan("shard.reduce", "engine", TReduce, SpanArgs);
-        std::lock_guard<std::mutex> Lock(Fold.M);
-        Fold.Pending.emplace(Sh.Index, std::move(O.Records));
-        for (auto It = Fold.Pending.find(Fold.NextIndex);
-             It != Fold.Pending.end();
-             It = Fold.Pending.find(Fold.NextIndex)) {
-          if (BR.Shards == 0)
-            BR.Records = std::move(It->second);
-          else
-            BR.Records.mergeFrom(It->second);
-          ++BR.Shards;
-          size_t Lo = Fold.NextIndex * Step;
-          BR.Runs += std::min(Lo + Step, Total) - Lo;
-          Fold.Pending.erase(It);
-          if (events::enabled())
-            events::emit("shard.reduced",
-                         format("\"bench\":%zu,\"shard\":%zu", Sh.Bench,
-                                Fold.NextIndex));
-          ++Fold.NextIndex;
-        }
+        std::string Err;
+        bool Folded = Folds[Sh.Bench].add(Out.Benchmarks[Sh.Bench], Sh.Bench,
+                                          Sh.Index, Sh.Begin, Sh.End,
+                                          std::move(O.Records), Err);
+        assert(Folded && "a sweep's own layout has no gaps");
+        (void)Folded;
       });
     }
     Pool.waitAll();
@@ -445,12 +506,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 
   // Phase 3 (serial, cheap): build the per-benchmark reports from the
   // merged records and collect the statistics.
-  for (BenchmarkResult &BR : Out.Benchmarks) {
-    BR.Rep = buildReport(BR.Records);
-    Out.Stats.Shards += BR.Shards;
-    Out.Stats.Runs += BR.Runs;
-  }
-  Out.Stats.Benchmarks = Sources.size();
+  buildReports(Out);
   Out.Stats.AnalyzedShards = Analyzed.load();
   Out.Stats.CachedShards = Cached.load();
   Out.Stats.LimbHeapAllocs = LimbHeap.load();
@@ -683,13 +739,6 @@ BatchResult Engine::runCorpus() { return run(fpcore::compilableCorpus()); }
 // Batch output
 //===----------------------------------------------------------------------===//
 
-Report BatchResult::merged() const {
-  Report R;
-  for (const BenchmarkResult &BR : Benchmarks)
-    R.mergeFrom(BR.Rep);
-  return R;
-}
-
 std::string BatchResult::renderJson() const {
   return renderWire(WireEncoding::Json);
 }
@@ -707,13 +756,18 @@ std::string BatchResult::renderWire(WireEncoding Enc) const {
 //===----------------------------------------------------------------------===//
 
 bool herbgrind::engine::mergeShards(std::vector<ShardDoc> Docs,
-                                    BatchResult &Out, std::string &Err,
-                                    std::string *Warnings) {
+                                    BatchResult &Out, std::string &Err) {
   if (Docs.empty()) {
     Err = "no shard documents to merge";
     return false;
   }
-  for (const ShardDoc &D : Docs)
+  struct Bench {
+    BenchmarkResult BR;
+    ShardFold Fold;
+    uint64_t RunTotal = 0;
+  };
+  std::map<uint64_t, Bench> Benches;
+  for (ShardDoc &D : Docs) {
     if (D.ConfigHash != Docs.front().ConfigHash) {
       Err = format("config hash mismatch: shard %llu of '%s' has %s, "
                    "expected %s (shards from different sweep "
@@ -723,70 +777,34 @@ bool herbgrind::engine::mergeShards(std::vector<ShardDoc> Docs,
                    Docs.front().ConfigHash.c_str());
       return false;
     }
-
-  std::stable_sort(Docs.begin(), Docs.end(),
-                   [](const ShardDoc &A, const ShardDoc &B) {
-                     if (A.BenchIndex != B.BenchIndex)
-                       return A.BenchIndex < B.BenchIndex;
-                     return A.ShardIndex < B.ShardIndex;
-                   });
-
-  for (size_t I = 0; I + 1 < Docs.size(); ++I) {
-    const ShardDoc &A = Docs[I], &B = Docs[I + 1];
-    if (A.BenchIndex != B.BenchIndex)
-      continue;
-    if (A.Benchmark != B.Benchmark) {
+    if (D.RunTotal == 0) {
+      Err = format("shard %llu of '%s' has no run total (shard format "
+                   "1.1); emit it again to merge it",
+                   static_cast<unsigned long long>(D.ShardIndex),
+                   D.Benchmark.c_str());
+      return false;
+    }
+    auto [It, New] = Benches.try_emplace(D.BenchIndex);
+    Bench &B = It->second;
+    if (New) {
+      B.BR.Name = D.Benchmark;
+      B.RunTotal = D.RunTotal;
+    } else if (D.Benchmark != B.BR.Name) {
       Err = format("benchmark index %llu names both '%s' and '%s'",
-                   static_cast<unsigned long long>(A.BenchIndex),
-                   A.Benchmark.c_str(), B.Benchmark.c_str());
+                   static_cast<unsigned long long>(D.BenchIndex),
+                   B.BR.Name.c_str(), D.Benchmark.c_str());
       return false;
     }
-    if (A.ShardIndex == B.ShardIndex) {
-      Err = format("duplicate shard %llu for benchmark '%s'",
-                   static_cast<unsigned long long>(A.ShardIndex),
-                   A.Benchmark.c_str());
+    if (!B.Fold.add(B.BR, D.BenchIndex, D.ShardIndex, D.RunBegin, D.RunEnd,
+                    std::move(D.Result), Err))
       return false;
-    }
-    if (Warnings && B.RunBegin != A.RunEnd)
-      *Warnings += format("gap in '%s' between shard %llu (runs end %llu) "
-                          "and shard %llu (runs begin %llu); merging the "
-                          "shards present\n",
-                          A.Benchmark.c_str(),
-                          static_cast<unsigned long long>(A.ShardIndex),
-                          static_cast<unsigned long long>(A.RunEnd),
-                          static_cast<unsigned long long>(B.ShardIndex),
-                          static_cast<unsigned long long>(B.RunBegin));
   }
-
-  for (size_t I = 0; I < Docs.size();) {
-    size_t J = I;
-    while (J < Docs.size() && Docs[J].BenchIndex == Docs[I].BenchIndex)
-      ++J;
-    // The pairwise pass above cannot see a missing *leading* shard.
-    if (Warnings && Docs[I].RunBegin != 0)
-      *Warnings += format("'%s' starts at shard %llu (runs begin %llu), "
-                          "not at the beginning of the sweep; merging the "
-                          "shards present\n",
-                          Docs[I].Benchmark.c_str(),
-                          static_cast<unsigned long long>(Docs[I].ShardIndex),
-                          static_cast<unsigned long long>(Docs[I].RunBegin));
-    BenchmarkResult BR;
-    BR.Name = Docs[I].Benchmark;
-    for (size_t K = I; K < J; ++K) {
-      if (K == I)
-        BR.Records = std::move(Docs[K].Result);
-      else
-        BR.Records.mergeFrom(Docs[K].Result);
-      ++BR.Shards;
-      BR.Runs += Docs[K].RunEnd - Docs[K].RunBegin;
-    }
-    BR.Rep = buildReport(BR.Records);
-    Out.Stats.Shards += BR.Shards;
-    Out.Stats.Runs += BR.Runs;
-    Out.Benchmarks.push_back(std::move(BR));
-    I = J;
+  for (auto &[Index, B] : Benches) {
+    if (!B.Fold.complete(B.BR, B.RunTotal, Err))
+      return false;
+    Out.Benchmarks.push_back(std::move(B.BR));
   }
-  Out.Stats.Benchmarks = Out.Benchmarks.size();
+  buildReports(Out);
   return true;
 }
 

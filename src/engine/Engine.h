@@ -196,9 +196,6 @@ struct BatchResult {
   std::vector<BenchmarkResult> Benchmarks; ///< In submission order.
   EngineStats Stats;
 
-  /// Corpus-wide report: per-benchmark reports folded together.
-  Report merged() const;
-
   /// Deterministic JSON: a versioned envelope (REPORT_SCHEMA.md) around
   /// the per-benchmark reports. Byte-identical across worker counts,
   /// repeated runs, warm/cold caches, and single- vs multi-machine
@@ -255,18 +252,19 @@ private:
 
 /// Folds shard wire-format documents (from `--emit-shard` runs, possibly
 /// on different machines, or straight from a cache directory) back into a
-/// BatchResult. Documents are grouped by benchmark index and folded in
-/// ascending shard order -- the same deterministic reduction the engine
-/// uses -- so merging a sweep's complete shard set reproduces that
-/// sweep's report byte-identically.
+/// BatchResult, in any document order. Each benchmark's documents go
+/// through the sweep's own in-order fold, so merging a sweep's complete
+/// shard set reproduces that sweep's report byte-identically.
 ///
-/// Fails (returns false, sets \p Err) on an empty input, mismatched
-/// config hashes, inconsistent benchmark identities, or duplicate shards.
-/// Gaps in shard coverage are permitted -- a partial merge is a correct
-/// report over the shards present -- but are described in \p Warnings
-/// when provided.
+/// Every benchmark with a document must be complete: its shards must
+/// cover runs 0 up to the document's run total without a gap. Fails
+/// (returns false, sets \p Err) on an empty input, mismatched config
+/// hashes, a benchmark index that names two benchmarks, a duplicate
+/// shard, a missing leading, middle or trailing shard (naming the
+/// benchmark and the shard), or a document without a run total (shard
+/// format 1.1). A benchmark with no document at all is not seen.
 bool mergeShards(std::vector<ShardDoc> Docs, BatchResult &Out,
-                 std::string &Err, std::string *Warnings = nullptr);
+                 std::string &Err);
 
 /// Appends the shard documents of the segment files \p Paths to \p Docs,
 /// for mergeShards. A document repeating an earlier one's key and bytes

@@ -401,7 +401,8 @@ void ResultCache::store(const ShardKey &Key, const std::string &BenchName,
                         const AnalysisResult &Result) {
   const std::string Doc =
       renderShard(Hash, BenchName, Key.BenchIndex, Key.ShardIndex,
-                  Key.RunBegin, Key.RunEnd, Result, WireEncoding::Binary);
+                  Key.RunBegin, Key.RunEnd, Key.RunTotal, Result,
+                  WireEncoding::Binary);
   const uint64_t K = keyHash(Key);
   const uint64_t DocHash = fnv1a64(Doc);
   std::lock_guard<std::mutex> Lock(M);

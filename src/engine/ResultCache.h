@@ -148,6 +148,8 @@ public:
     uint64_t ShardIndex = 0;  ///< Shard number within the benchmark.
     uint64_t RunBegin = 0;    ///< Sample range (inclusive begin).
     uint64_t RunEnd = 0;      ///< Sample range (exclusive end).
+    uint64_t RunTotal = 0;    ///< The benchmark's sample count. Stored,
+                              ///< not keyed: the config hash holds it.
   };
 
   /// Looks a shard up; on a hit fills \p Out with a result that folds

@@ -31,18 +31,9 @@
 
 using namespace herbgrind;
 
-static size_t GlobalDefaultPrecisionBits = 256;
-
-size_t BigFloat::defaultPrecisionBits() { return GlobalDefaultPrecisionBits; }
-
-void BigFloat::setDefaultPrecisionBits(size_t Bits) {
-  assert(Bits >= 64 && "precision must be at least one limb");
-  GlobalDefaultPrecisionBits = Bits;
-}
-
 size_t BigFloat::limbsForPrecision(size_t PrecBits) {
   if (PrecBits == 0)
-    PrecBits = GlobalDefaultPrecisionBits;
+    PrecBits = DefaultPrecisionBits;
   return std::max<size_t>(1, (PrecBits + 63) / 64);
 }
 

@@ -10,8 +10,8 @@
 /// is (-1)^sign * frac * 2^Exp where frac is a little-endian limb vector
 /// interpreted as a fraction in [1/2, 1) (the top bit of the top limb is
 /// always set). Precision is a per-value property, always a whole number of
-/// 64-bit limbs; the paper's default is 1000 bits, ours is 256 (configurable
-/// via setDefaultPrecisionBits, swept in the tests).
+/// 64-bit limbs; the paper's default is 1000 bits, ours is 256
+/// (DefaultPrecisionBits; a caller that wants another passes PrecBits).
 ///
 /// Storage is small-size-optimized: up to four limbs (256 bits, the default
 /// precision) live inline in the object, so the shadow hot path never heap-
@@ -185,11 +185,8 @@ public:
   /// Hex-ish representation for debugging: "-0x.ab12...p+12[256]".
   std::string debugStr() const;
 
-  /// \name Default precision configuration.
-  /// @{
-  static size_t defaultPrecisionBits();
-  static void setDefaultPrecisionBits(size_t Bits);
-  /// @}
+  /// The precision a PrecBits of 0 stands for.
+  static constexpr size_t DefaultPrecisionBits = 256;
 
   /// Rounds PrecBits up to a whole number of limbs (minimum one).
   static size_t limbsForPrecision(size_t PrecBits);

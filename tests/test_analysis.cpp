@@ -68,7 +68,7 @@ TEST(Analysis, AccurateProgramReportsNothing) {
     HG.runOnInput({V});
   Report R = buildReport(HG);
   EXPECT_TRUE(R.Spots.empty()) << R.render();
-  EXPECT_TRUE(HG.reportedRootCauses().empty());
+  EXPECT_TRUE(HG.records().reportedRootCauses().empty());
 }
 
 TEST(Analysis, CatastrophicCancellationIsDetectedAndLocated) {
@@ -78,7 +78,7 @@ TEST(Analysis, CatastrophicCancellationIsDetectedAndLocated) {
   ASSERT_EQ(HG.lastOutputs().size(), 1u);
   EXPECT_EQ(HG.lastOutputs()[0].asF64(), 0.0); // the bug is real
 
-  std::vector<uint32_t> Causes = HG.reportedRootCauses();
+  std::vector<uint32_t> Causes = HG.records().reportedRootCauses();
   ASSERT_FALSE(Causes.empty());
   const OpRecord &Rec = HG.opRecords().at(Causes[0]);
   EXPECT_EQ(Rec.Op, Opcode::SubF64);
@@ -91,7 +91,7 @@ TEST(Analysis, NoErrorOnBenignInputs) {
   Herbgrind HG(P);
   HG.runOnInput({2.0});
   HG.runOnInput({-0.5});
-  EXPECT_TRUE(HG.reportedRootCauses().empty());
+  EXPECT_TRUE(HG.records().reportedRootCauses().empty());
 }
 
 TEST(Analysis, OutputsMatchUninstrumentedInterpreter) {
@@ -182,7 +182,7 @@ TEST(Analysis, InfluenceFlowsThroughMemory) {
   B.halt();
   Herbgrind HG(B.finish());
   HG.runOnInput({1e16});
-  std::vector<uint32_t> Causes = HG.reportedRootCauses();
+  std::vector<uint32_t> Causes = HG.records().reportedRootCauses();
   ASSERT_FALSE(Causes.empty());
   EXPECT_EQ(HG.opRecords().at(Causes[0]).Op, Opcode::SubF64);
 }
@@ -215,7 +215,7 @@ TEST(Analysis, InfluenceFlowsThroughThreadStateAndCalls) {
   HG.runOnInput({1e16, 1.0, 0.0});
   EXPECT_EQ(HG.lastOutputs()[0].asF64(), 0.0);
   HG.runOnInput({2e16, 1.0, 0.0});
-  std::vector<uint32_t> Causes = HG.reportedRootCauses();
+  std::vector<uint32_t> Causes = HG.records().reportedRootCauses();
   ASSERT_FALSE(Causes.empty());
   const OpRecord &Top = HG.opRecords().at(Causes[0]);
   EXPECT_EQ(Top.Op, Opcode::SubF64);
@@ -338,7 +338,7 @@ Program compensationProgram() {
 
 std::set<Opcode> causeOps(const Herbgrind &HG) {
   std::set<Opcode> Ops;
-  for (uint32_t PC : HG.reportedRootCauses())
+  for (uint32_t PC : HG.records().reportedRootCauses())
     Ops.insert(HG.opRecords().at(PC).Op);
   return Ops;
 }
@@ -351,7 +351,7 @@ TEST(Analysis, CompensatingTermsDoNotPropagateInfluence) {
   Cfg.DetectCompensation = true;
   Herbgrind HG(P, Cfg);
   HG.runOnInput({1e16, 1.0, 1e-17});
-  std::vector<uint32_t> Causes = HG.reportedRootCauses();
+  std::vector<uint32_t> Causes = HG.records().reportedRootCauses();
   ASSERT_FALSE(Causes.empty());
   // Exactly one root cause: the cancellation sub G; the two-sum's
   // compensating machinery is filtered out.
@@ -372,7 +372,8 @@ TEST(Analysis, DisablingCompensationDetectionLeaksFalsePositives) {
   CfgOn.DetectCompensation = true;
   Herbgrind On(P, CfgOn);
   On.runOnInput({1e16, 1.0, 1e-17});
-  EXPECT_GT(Off.reportedRootCauses().size(), On.reportedRootCauses().size());
+  EXPECT_GT(Off.records().reportedRootCauses().size(),
+            On.records().reportedRootCauses().size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -444,7 +445,7 @@ TEST(Analysis, SimdLanesAreShadowedIndependently) {
   // Lane 0's output is wrong (0 instead of 1); lane 1's is exact (3).
   EXPECT_EQ(HG.lastOutputs()[0].asF64(), 0.0);
   EXPECT_EQ(HG.lastOutputs()[1].asF64(), 3.0);
-  ASSERT_FALSE(HG.reportedRootCauses().empty());
+  ASSERT_FALSE(HG.records().reportedRootCauses().empty());
 }
 
 TEST(Analysis, XorSignFlipIsShadowedAsNegation) {

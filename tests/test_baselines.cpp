@@ -119,7 +119,7 @@ TEST(BZ, HasFalsePositivesOnCompensatedCode) {
 
   Herbgrind HG(P);
   HG.runOnInput({1.0, 1e-17});
-  EXPECT_TRUE(HG.reportedRootCauses().empty())
+  EXPECT_TRUE(HG.records().reportedRootCauses().empty())
       << "Herbgrind should not report the compensated two-sum";
 }
 

@@ -838,10 +838,3 @@ TEST(BigFloat, ExponentAccessor) {
   EXPECT_EQ(BigFloat::fromDouble(4.0).exponent(), 3);
   EXPECT_EQ(BigFloat::fromDouble(0.75).exponent(), 0);
 }
-
-TEST(BigFloat, DefaultPrecisionControl) {
-  size_t Old = BigFloat::defaultPrecisionBits();
-  BigFloat::setDefaultPrecisionBits(512);
-  EXPECT_EQ(BigFloat::fromDouble(1.0).precisionBits(), 512u);
-  BigFloat::setDefaultPrecisionBits(Old);
-}

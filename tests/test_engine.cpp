@@ -562,53 +562,5 @@ TEST(Engine, StatsAndStructureAreConsistent) {
     EXPECT_FALSE(BR.Rep.render().empty());
   }
   EXPECT_EQ(R.Stats.Runs, 7u * Cores.size());
-  // The corpus-wide fold renders.
-  EXPECT_FALSE(R.merged().render().empty());
   EXPECT_FALSE(R.renderJson().empty());
-}
-
-//===----------------------------------------------------------------------===//
-// Presentation-level report merging
-//===----------------------------------------------------------------------===//
-
-TEST(ReportMerge, CombinesSpotsAndKeepsStrongestCauses) {
-  Report A, B;
-  SpotReport SA;
-  SA.PC = 3;
-  SA.Loc = SourceLoc("bench.fpcore", 1, "");
-  SA.Executions = 10;
-  SA.Erroneous = 2;
-  SA.MaxErrorBits = 12.0;
-  RootCauseReport RC1;
-  RC1.PC = 7;
-  RC1.Flagged = 5;
-  RC1.FPCore = "(FPCore (x) (- (+ x 1) x))";
-  SA.RootCauses.push_back(RC1);
-  A.Spots.push_back(SA);
-
-  SpotReport SB = SA;
-  SB.Executions = 6;
-  SB.Erroneous = 4;
-  SB.MaxErrorBits = 20.0;
-  SB.RootCauses[0].Flagged = 9; // stronger observation of the same cause
-  RootCauseReport RC2;
-  RC2.PC = 9;
-  RC2.Flagged = 1;
-  SB.RootCauses.push_back(RC2);
-  B.Spots.push_back(SB);
-  SpotReport Other;
-  Other.PC = 3; // same pc, different benchmark location: stays separate
-  Other.Loc = SourceLoc("other.fpcore", 2, "");
-  Other.Executions = 1;
-  B.Spots.push_back(Other);
-
-  A.mergeFrom(B);
-  ASSERT_EQ(A.Spots.size(), 2u);
-  EXPECT_EQ(A.Spots[0].Executions, 16u);
-  EXPECT_EQ(A.Spots[0].Erroneous, 6u);
-  EXPECT_EQ(A.Spots[0].MaxErrorBits, 20.0);
-  ASSERT_EQ(A.Spots[0].RootCauses.size(), 2u);
-  EXPECT_EQ(A.Spots[0].RootCauses[0].PC, 7u);
-  EXPECT_EQ(A.Spots[0].RootCauses[0].Flagged, 9u);
-  EXPECT_EQ(A.Spots[1].Loc.File, "other.fpcore");
 }

@@ -71,7 +71,7 @@ AnalysisResult analyzeChunk(const Program &P,
 AnalysisResult roundTrip(const AnalysisResult &R, const std::string &Ctx) {
   AnalysisResult Back;
   for (WireEncoding Enc : {WireEncoding::Binary, WireEncoding::Json}) {
-    std::string Text = renderShard("h", "b", 0, 0, 0, 1, R, Enc);
+    std::string Text = renderShard("h", "b", 0, 0, 0, 1, 1, R, Enc);
     ShardDoc Doc;
     std::string Err;
     EXPECT_TRUE(parseShard(Text, Doc, Err)) << Ctx << ": " << Err;
@@ -306,6 +306,7 @@ TEST(Serialize, ShardDocRoundTrips) {
   Doc.ShardIndex = 7;
   Doc.RunBegin = 14;
   Doc.RunEnd = 17;
+  Doc.RunTotal = 20;
   Doc.Result = analyzeChunk(P, Inputs, 0, 3);
   std::string Json = renderShard(Doc, WireEncoding::Json);
 
@@ -318,13 +319,29 @@ TEST(Serialize, ShardDocRoundTrips) {
   EXPECT_EQ(Back.ShardIndex, 7u);
   EXPECT_EQ(Back.RunBegin, 14u);
   EXPECT_EQ(Back.RunEnd, 17u);
+  EXPECT_EQ(Back.RunTotal, 20u);
   EXPECT_EQ(renderShard(Back, WireEncoding::Json), Json);
+
+  // A 1.1 document has no run total and reads as total 0.
+  std::string Old = Json;
+  for (auto [From, To] : {std::pair<std::string, std::string>{
+                              format("\"minor\":%d", ShardFormatMinor),
+                              "\"minor\":1"},
+                          {",\"runTotal\":20", ""}}) {
+    size_t At = Old.find(From);
+    ASSERT_NE(At, std::string::npos) << From;
+    Old.replace(At, From.size(), To);
+  }
+  ShardDoc OldBack;
+  ASSERT_TRUE(parseShard(Old, OldBack, Err)) << Err;
+  EXPECT_EQ(OldBack.RunEnd, 17u);
+  EXPECT_EQ(OldBack.RunTotal, 0u);
 }
 
 TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
   Program P = cancellationKernel();
   std::vector<std::vector<double>> Inputs = {{1e15}};
-  std::string Json = renderShard("hash", "b", 0, 0, 0, 1,
+  std::string Json = renderShard("hash", "b", 0, 0, 0, 1, 1,
                                  analyzeChunk(P, Inputs, 0, 1),
                                  WireEncoding::Json);
 
@@ -342,11 +359,11 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
 
   // A newer *minor* version of the same major still parses.
   std::string MinorBump = Json;
-  Needle = format("\"minor\":%d", WireFormatMinor);
+  Needle = format("\"minor\":%d", ShardFormatMinor);
   At = MinorBump.find(Needle);
   ASSERT_NE(At, std::string::npos);
   MinorBump.replace(At, Needle.size(),
-                    format("\"minor\":%d", WireFormatMinor + 3));
+                    format("\"minor\":%d", ShardFormatMinor + 3));
   ShardDoc Out2;
   EXPECT_TRUE(parseShard(MinorBump, Out2, Err)) << Err;
 
@@ -512,9 +529,10 @@ TEST(Serialize, ImproveDocRoundTripsAndRejectsForeignEnvelopes) {
 
   // Wrong format tag and unknown major are both rejected.
   ImproveDoc Out;
-  EXPECT_FALSE(parseImproveDoc(
-      renderShard("h", "b", 0, 0, 0, 1, AnalysisResult{}, WireEncoding::Json),
-      Out, Err));
+  EXPECT_FALSE(parseImproveDoc(renderShard("h", "b", 0, 0, 0, 1, 1,
+                                           AnalysisResult{},
+                                           WireEncoding::Json),
+                               Out, Err));
   std::string Bumped = Json;
   std::string Needle = format("\"major\":%d", WireFormatMajor);
   Bumped.replace(Bumped.find(Needle), Needle.size(),
@@ -756,9 +774,8 @@ TEST(MergeShards, ReproducesTheDirectSweepByteIdentically) {
   ASSERT_EQ(Docs.size(), 5u * 3u); // ceil(7/3) = 3 shards per benchmark
 
   BatchResult Merged;
-  std::string Err, Warnings;
-  ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err, &Warnings)) << Err;
-  EXPECT_TRUE(Warnings.empty()) << Warnings;
+  std::string Err;
+  ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err)) << Err;
   EXPECT_EQ(Merged.renderJson(), Direct);
   EXPECT_EQ(Merged.Stats.Runs, 7u * 5u);
 }
@@ -825,7 +842,7 @@ TEST(MergeShards, TwoSelectionsOfOneConfigurationDoNotMerge) {
 
 TEST(MergeShards, RejectsMixedConfigsAndDuplicates) {
   Program P = cancellationKernel();
-  std::vector<std::vector<double>> Inputs = {{1e15}, {2e15}};
+  std::vector<std::vector<double>> Inputs = {{1e15}, {2e15}, {3e15}};
   auto MakeDoc = [&](const char *Hash, uint64_t ShardIdx) {
     ShardDoc D;
     D.ConfigHash = Hash;
@@ -833,8 +850,16 @@ TEST(MergeShards, RejectsMixedConfigsAndDuplicates) {
     D.ShardIndex = ShardIdx;
     D.RunBegin = ShardIdx;
     D.RunEnd = ShardIdx + 1;
+    D.RunTotal = Inputs.size();
     D.Result = analyzeChunk(P, Inputs, ShardIdx, ShardIdx + 1);
     return D;
+  };
+  auto Merge = [&](const std::vector<uint64_t> &Shards, BatchResult &Out,
+                   std::string &Err) {
+    std::vector<ShardDoc> Docs;
+    for (uint64_t S : Shards)
+      Docs.push_back(MakeDoc("aaaa", S));
+    return mergeShards(std::move(Docs), Out, Err);
   };
 
   std::vector<ShardDoc> Mixed;
@@ -845,38 +870,54 @@ TEST(MergeShards, RejectsMixedConfigsAndDuplicates) {
   EXPECT_FALSE(mergeShards(std::move(Mixed), Out, Err));
   EXPECT_NE(Err.find("config hash"), std::string::npos) << Err;
 
-  std::vector<ShardDoc> Dup;
-  Dup.push_back(MakeDoc("aaaa", 0));
-  Dup.push_back(MakeDoc("aaaa", 0));
   BatchResult Out2;
-  EXPECT_FALSE(mergeShards(std::move(Dup), Out2, Err));
-  EXPECT_NE(Err.find("duplicate"), std::string::npos) << Err;
+  EXPECT_FALSE(Merge({0, 0, 1, 2}, Out2, Err));
+  EXPECT_NE(Err.find("duplicate shard 0 for benchmark 'k'"),
+            std::string::npos)
+      << Err;
 
   std::vector<ShardDoc> Empty;
   BatchResult Out3;
   EXPECT_FALSE(mergeShards(std::move(Empty), Out3, Err));
 
-  // A gap merges (partial results are valid) but is reported.
-  std::vector<ShardDoc> Gappy;
-  Gappy.push_back(MakeDoc("aaaa", 0));
-  ShardDoc Later = MakeDoc("aaaa", 1);
-  Later.RunBegin = 5;
-  Later.RunEnd = 6;
-  Gappy.push_back(std::move(Later));
-  BatchResult Out4;
-  std::string Warnings;
-  EXPECT_TRUE(mergeShards(std::move(Gappy), Out4, Err, &Warnings)) << Err;
-  EXPECT_NE(Warnings.find("gap"), std::string::npos) << Warnings;
+  // Every gap fails, naming the benchmark and the missing shard: in the
+  // middle, at the start and at the end of the layout.
+  const std::pair<std::vector<uint64_t>, const char *> Gaps[] = {
+      {{0, 2}, "'k' is missing shard 1 (runs 1 to 2)"},
+      {{1, 2}, "'k' is missing shard 0 (runs 0 to 1)"},
+      {{0, 1}, "'k' is missing shard 2 (runs 2 to 3)"},
+  };
+  for (const auto &[Shards, Want] : Gaps) {
+    BatchResult Gappy;
+    EXPECT_FALSE(Merge(Shards, Gappy, Err));
+    EXPECT_EQ(Err, Want);
+  }
 
-  // So is a missing *leading* shard (set starts past run 0).
-  std::vector<ShardDoc> Headless;
-  Headless.push_back(MakeDoc("aaaa", 1));
+  // So do runs that do not continue where the previous shard's ended.
+  std::vector<ShardDoc> Skips;
+  Skips.push_back(MakeDoc("aaaa", 0));
+  Skips.push_back(MakeDoc("aaaa", 1));
+  Skips.back().RunBegin = 2;
+  BatchResult Out4;
+  EXPECT_FALSE(mergeShards(std::move(Skips), Out4, Err));
+  EXPECT_NE(Err.find("shard 1 begins at run 2"), std::string::npos) << Err;
+
+  // A 1.1 document carries no run total: refused, naming it.
+  std::vector<ShardDoc> Old;
+  Old.push_back(MakeDoc("aaaa", 0));
+  Old.back().RunTotal = 0;
   BatchResult Out5;
-  std::string Warnings2;
-  EXPECT_TRUE(mergeShards(std::move(Headless), Out5, Err, &Warnings2))
+  EXPECT_FALSE(mergeShards(std::move(Old), Out5, Err));
+  EXPECT_NE(Err.find("shard 0 of 'k' has no run total"), std::string::npos)
       << Err;
-  EXPECT_NE(Warnings2.find("starts at shard"), std::string::npos)
-      << Warnings2;
+
+  // Documents in reverse order fold in shard order.
+  BatchResult Forward, Reversed;
+  ASSERT_TRUE(Merge({0, 1, 2}, Forward, Err)) << Err;
+  ASSERT_TRUE(Merge({2, 1, 0}, Reversed, Err)) << Err;
+  EXPECT_EQ(Reversed.renderJson(), Forward.renderJson());
+  EXPECT_EQ(Reversed.Stats.Shards, 3u);
+  EXPECT_EQ(Reversed.Stats.Runs, 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1003,9 +1044,10 @@ TEST(ResultCache, OwnUnflushedStoresHitWithoutAFlush) {
     K.ShardIndex = I;
     K.RunBegin = I;
     K.RunEnd = I + 1;
+    K.RunTotal = Inputs.size();
     AnalysisResult R = analyzeChunk(P, Inputs, I, I + 1);
-    Rendered.push_back(renderShard(Cache.configHash(), "k", 0, I, I, I + 1, R,
-                                   WireEncoding::Binary));
+    Rendered.push_back(renderShard(Cache.configHash(), "k", 0, I, I, I + 1,
+                                   K.RunTotal, R, WireEncoding::Binary));
     Cache.store(K, "k", R);
     Keys.push_back(K);
   }
@@ -1013,8 +1055,8 @@ TEST(ResultCache, OwnUnflushedStoresHitWithoutAFlush) {
   for (uint64_t I = 0; I < Keys.size(); ++I) {
     AnalysisResult Got;
     ASSERT_TRUE(Cache.lookup(Keys[I], Got)) << "key " << I;
-    EXPECT_EQ(renderShard(Cache.configHash(), "k", 0, I, I, I + 1, Got,
-                          WireEncoding::Binary),
+    EXPECT_EQ(renderShard(Cache.configHash(), "k", 0, I, I, I + 1,
+                          Inputs.size(), Got, WireEncoding::Binary),
               Rendered[I]);
   }
   EXPECT_EQ(Cache.hits(), Keys.size());

@@ -178,9 +178,8 @@ TEST(TieredDiff, ConfirmEmittedShardsMergeToFullReport) {
   ASSERT_EQ(Docs.size(), Swept.Stats.Shards);
 
   BatchResult Merged;
-  std::string Err, Warnings;
-  ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err, &Warnings)) << Err;
-  EXPECT_TRUE(Warnings.empty()) << Warnings;
+  std::string Err;
+  ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err)) << Err;
   EXPECT_EQ(Merged.renderJson(), Swept.renderJson());
   EXPECT_EQ(Merged.renderJson(),
             sweepJson(Cores, Kernels, smallConfig(1, TierMode::Full)));
@@ -214,10 +213,8 @@ TEST(TieredDiff, TwoSliceMergesEqualTheDirectSweep) {
         ASSERT_TRUE(emitted::readShardsOf(Emit.Path, Docs));
       }
       BatchResult Merged;
-      std::string Err, Warnings;
-      ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err, &Warnings))
-          << Err;
-      EXPECT_TRUE(Warnings.empty()) << Warnings;
+      std::string Err;
+      ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err)) << Err;
       EXPECT_EQ(Merged.renderJson(), sweepJson(Cores, Kernels, Cfg))
           << tierModeName(Tier) << ", jobs " << Jobs;
     }

@@ -152,7 +152,7 @@ TEST(WireBinary, SniffedHeaderCarriesFamilyAndVersion) {
   ASSERT_TRUE(D.ok()) << D.error();
   EXPECT_EQ(D.family(), wire::Family::Shard);
   EXPECT_EQ(D.major(), WireFormatMajor);
-  EXPECT_EQ(D.minor(), WireFormatMinor);
+  EXPECT_EQ(D.minor(), ShardFormatMinor);
 }
 
 TEST(WireBinary, ImproveDocumentRoundTripsAndCrossRenders) {

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Hostile bytes against every wire decoder. One real document of each of
-// the six families, in both encodings, is mutated a fixed number of times
+// the six families, in both encodings, plus a shard document as a 1.1
+// writer wrote it (no run total), is mutated a fixed number of times
 // from a fixed seed: bit flips, cut-out spans, and bytes overwritten with
 // 0x00, 0x7f, 0x80 or 0xff. Each mutant must either fail to parse with a
 // non-empty error, or parse into a value whose same-encoding re-render
@@ -28,8 +29,10 @@
 #include "fpcore/Compile.h"
 #include "fpcore/Corpus.h"
 #include "herbgrind/Herbgrind.h"
+#include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/Rng.h"
+#include "support/WireBinary.h"
 
 #include <gtest/gtest.h>
 
@@ -67,10 +70,50 @@ struct SeedDoc {
   const char *Family;
   RoundTrip Parse;
   std::string Json, Bin;
+  /// What the seed re-renders to, when that is not the seed itself.
+  std::string JsonBack = {}, BinBack = {};
 };
 
+/// \p Doc, a shard document rendered with run total 0, as a 1.1 writer
+/// rendered it: minor 1 and no "runTotal" field. In HGB that field is the
+/// one-byte varint after \p Fields' leading scalars, in a raw body.
+std::string asShardMinor1(std::string Doc, const ShardDoc &Fields,
+                          WireEncoding Enc) {
+  if (Enc == WireEncoding::Json) {
+    for (auto [From, To] : {std::pair<std::string, std::string>{
+                                format("\"minor\":%d", ShardFormatMinor),
+                                "\"minor\":1"},
+                            {",\"runTotal\":0", ""}}) {
+      size_t At = Doc.find(From);
+      EXPECT_NE(At, std::string::npos) << From;
+      if (At != std::string::npos)
+        Doc.replace(At, From.size(), To);
+    }
+    return Doc;
+  }
+  wire::BinaryEncoder Prefix(wire::Family::Shard, WireFormatMajor,
+                             ShardFormatMinor);
+  Prefix.str(Fields.ConfigHash);
+  Prefix.str(Fields.Benchmark);
+  Prefix.u64(Fields.BenchIndex);
+  Prefix.u64(Fields.ShardIndex);
+  Prefix.u64(Fields.RunBegin);
+  Prefix.u64(Fields.RunEnd);
+  const size_t At = Prefix.take().size();
+  // The header is the magic, three one-byte varints and the codec byte.
+  if (At >= Doc.size() || Doc[6] != ShardFormatMinor || Doc[7] != 0 ||
+      Doc[At] != 0) {
+    ADD_FAILURE() << "not a raw-body 1.2 shard with run total 0";
+    return Doc;
+  }
+  Doc[6] = 1;
+  Doc.erase(At, 1);
+  return Doc;
+}
+
 /// One real document per family: records from an actual analysis, a
-/// batch report and metrics from an actual engine sweep.
+/// batch report and metrics from an actual engine sweep. The shard family
+/// has a second, as a 1.1 writer wrote it.
 std::vector<SeedDoc> seedDocs() {
   ProgramBuilder B;
   auto X = B.input(0);
@@ -87,6 +130,7 @@ std::vector<SeedDoc> seedDocs() {
   Shard.ShardIndex = 1;
   Shard.RunBegin = 4;
   Shard.RunEnd = 8;
+  Shard.RunTotal = 8;
   Shard.Result = HG.snapshot();
 
   ImproveRecord Rec;
@@ -164,6 +208,20 @@ std::vector<SeedDoc> seedDocs() {
       Both(renderTelemetry, Tel));
   Add("ledger", via(parseLedgerEntry, renderLedgerEntry),
       Both(renderLedgerEntry, Led));
+  // A 1.1 shard reads as run total 0, which is how it re-renders. It holds
+  // no records: any record makes the HGB body compress, and asShardMinor1
+  // patches a raw body.
+  ShardDoc Old;
+  Old.ConfigHash = Shard.ConfigHash;
+  Old.Benchmark = Shard.Benchmark;
+  Old.ShardIndex = Shard.ShardIndex;
+  Old.RunBegin = Shard.RunBegin;
+  Old.RunEnd = Shard.RunEnd;
+  auto [OldJson, OldBin] = Both(ShardR, Old);
+  Docs.push_back({"shard 1.1", via(parseShard, renderShard),
+                  asShardMinor1(OldJson, Old, WireEncoding::Json),
+                  asShardMinor1(OldBin, Old, WireEncoding::Binary), OldJson,
+                  OldBin});
   return Docs;
 }
 
@@ -191,16 +249,18 @@ std::string mutate(std::string Doc, Rng &R) {
 
 TEST(WireFuzz, EveryDecoderSurvivesSeededMutants) {
   std::vector<SeedDoc> Docs = seedDocs();
-  ASSERT_EQ(Docs.size(), 6u);
+  ASSERT_EQ(Docs.size(), 7u);
   Rng R(0xf022);
   for (const SeedDoc &D : Docs) {
     for (WireEncoding Enc : {WireEncoding::Json, WireEncoding::Binary}) {
       const std::string &Seed = Enc == WireEncoding::Json ? D.Json : D.Bin;
       SCOPED_TRACE(std::string(D.Family) +
                    (Enc == WireEncoding::Json ? " json" : " hgb"));
+      const std::string &Back = Enc == WireEncoding::Json ? D.JsonBack
+                                                          : D.BinBack;
       std::string Rendered, Err;
       ASSERT_TRUE(D.Parse(Seed, Enc, Rendered, Err)) << Err;
-      ASSERT_EQ(Rendered, Seed);
+      ASSERT_EQ(Rendered, Back.empty() ? Seed : Back);
       int Parsed = 0;
       for (int I = 0; I < MutantsPerDoc; ++I) {
         std::string Mutant = mutate(Seed, R);
@@ -333,9 +393,11 @@ TEST(WireFuzz, SegmentReaderAndLookupsSurviveSeededMutants) {
       K.ShardIndex = S;
       K.RunBegin = 3 * S;
       K.RunEnd = 3 * S + 3;
+      K.RunTotal = 12;
       AnalysisResult Res = HG.snapshot();
       Stored.push_back(renderShard(Hash, "cancellation", 0, S, K.RunBegin,
-                                   K.RunEnd, Res, WireEncoding::Binary));
+                                   K.RunEnd, K.RunTotal, Res,
+                                   WireEncoding::Binary));
       Writer.store(K, "cancellation", Res);
       Keys.push_back(K);
     }
@@ -390,8 +452,8 @@ TEST(WireFuzz, SegmentReaderAndLookupsSurviveSeededMutants) {
         continue;
       ++Hits;
       EXPECT_EQ(renderShard(Hash, "cancellation", 0, Keys[K].ShardIndex,
-                            Keys[K].RunBegin, Keys[K].RunEnd, Got,
-                            WireEncoding::Binary),
+                            Keys[K].RunBegin, Keys[K].RunEnd,
+                            Keys[K].RunTotal, Got, WireEncoding::Binary),
                 Stored[K])
           << "a lookup returned a result no store wrote";
     }
