@@ -15,7 +15,9 @@
 // replacement of the global operator new / new[] (defined in this file,
 // so it sees limb blocks, containers and everything else) verifies that
 // shadowed operations perform zero heap allocations. The loop programs and
-// the native quadratic kernel are held to the same count.
+// the native quadratic kernel are held to the same count. A per-shard
+// probe counts what the hot path leaves: every heap allocation on any
+// thread during a jobs-1 sweep, over the sweep's shard count.
 //
 // Everything is recorded to a machine-readable JSON file (default
 // BENCH_engine.json, or --json-out FILE) so the perf trajectory is
@@ -47,6 +49,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -70,9 +73,15 @@
 // to these. The sized delete is defined only because -Wextra's
 // -Wsized-deallocation asks for it beside the unsized one.
 static thread_local uint64_t HeapAllocCount = 0;
+// Every thread's calls, counted only while the per-shard probe's sweep
+// runs (its engine allocates on the pool's worker as well as here).
+static std::atomic<bool> CountAllThreads{false};
+static std::atomic<uint64_t> AllThreadAllocs{0};
 
 static void *countedAlloc(std::size_t Size, std::size_t Align) {
   ++HeapAllocCount;
+  if (CountAllThreads.load(std::memory_order_relaxed))
+    AllThreadAllocs.fetch_add(1, std::memory_order_relaxed);
   if (Size == 0)
     Size = 1;
   void *P = Align <= alignof(std::max_align_t)
@@ -277,6 +286,34 @@ NativeProbe runNativeProbe() {
   return Probe;
 }
 
+/// Per-shard allocation probe: every heap allocation any thread makes
+/// during one jobs-1 Engine::run, and the shards that run folded. The
+/// per-op hot path is held to zero above, so what this counts is per
+/// shard (the analyzer's reset, the records' hand-off and their fold) and
+/// per sweep. It drives nothing but Engine::run.
+struct ShardAllocProbe {
+  uint64_t Allocs = 0;
+  uint64_t Shards = 0;
+  double perShard() const {
+    return Shards ? static_cast<double>(Allocs) / Shards : 0.0;
+  }
+};
+
+template <typename Sources>
+ShardAllocProbe runShardAllocProbe(EngineConfig Cfg, const Sources &Src) {
+  Cfg.Jobs = 1;
+  Cfg.CacheDir.clear(); // every shard is analyzed, none served
+  Engine E(Cfg);
+  uint64_t Allocs0 = AllThreadAllocs.load();
+  CountAllThreads.store(true);
+  BatchResult R = E.run(Src);
+  CountAllThreads.store(false);
+  ShardAllocProbe Probe;
+  Probe.Allocs = AllThreadAllocs.load() - Allocs0;
+  Probe.Shards = R.Stats.Shards;
+  return Probe;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -442,6 +479,35 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(NP.ShadowOps),
               NP.ShadowOps ? 1e9 * NP.NativeSeconds / NP.ShadowOps : 0.0,
               static_cast<unsigned long long>(NP.SteadyHeapAllocs));
+
+  // Per-shard allocations: jobs-1 sweeps of the straight-line corpus and
+  // of the native demo kernels at this run's samples and shard size.
+  std::vector<fpcore::Core> StraightLine;
+  for (fpcore::Core &C : fpcore::compilableCorpus())
+    if (isStraightLine(*C.Body))
+      StraightLine.push_back(std::move(C));
+  ShardAllocProbe CorpusShards = runShardAllocProbe(Cfg, StraightLine);
+  ShardAllocProbe NativeShards =
+      runShardAllocProbe(Cfg, herbgrind::native::demoKernels());
+  std::printf("\nper-shard heap allocations (jobs 1, every thread): "
+              "straight-line corpus %.1f (%llu over %llu shards), native "
+              "kernels %.1f (%llu over %llu shards)\n",
+              CorpusShards.perShard(),
+              static_cast<unsigned long long>(CorpusShards.Allocs),
+              static_cast<unsigned long long>(CorpusShards.Shards),
+              NativeShards.perShard(),
+              static_cast<unsigned long long>(NativeShards.Allocs),
+              static_cast<unsigned long long>(NativeShards.Shards));
+  std::string ShardAllocJson = format(
+      "{\"corpus_per_shard\":%s,\"corpus_allocs\":%llu,"
+      "\"corpus_shards\":%llu,\"native_per_shard\":%s,"
+      "\"native_allocs\":%llu,\"native_shards\":%llu}",
+      formatDoubleShortest(CorpusShards.perShard()).c_str(),
+      static_cast<unsigned long long>(CorpusShards.Allocs),
+      static_cast<unsigned long long>(CorpusShards.Shards),
+      formatDoubleShortest(NativeShards.perShard()).c_str(),
+      static_cast<unsigned long long>(NativeShards.Allocs),
+      static_cast<unsigned long long>(NativeShards.Shards));
 
   // Op-profiler probe: sweep the bundled quadratic native kernel with
   // sampling at period 1 and rank where the shadow time goes. At period 1
@@ -735,6 +801,7 @@ int main(int Argc, char **Argv) {
       "\"herbgrind_s\":%s,\"shadow_ops\":%llu,\"native_overhead\":%s,"
       "\"interp_overhead\":%s,\"herbgrind_overhead\":%s,"
       "\"native_heap_allocs\":%llu},"
+      "\"shard_heap_allocs\":%s,"
       "\"profile\":%s,"
       "\"telemetry_merge\":%s,"
       "\"tiered\":%s,"
@@ -764,7 +831,8 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.InterpSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
       static_cast<unsigned long long>(NP.SteadyHeapAllocs),
-      ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
+      ShardAllocJson.c_str(), ProfileJson.c_str(),
+      TelemetryMergeJson.c_str(), TieredJson.c_str(),
       WireSectionJson.c_str(), CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
   if (Out) {

@@ -13,10 +13,12 @@
 #include "support/FloatBits.h"
 #include "support/LimbAlloc.h"
 #include "support/Metrics.h"
+#include "support/StampedTable.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 using namespace herbgrind;
 
@@ -472,6 +474,13 @@ void Analyzer::reset() {
   RunSuspect = false;
 }
 
+AnalysisResult Analyzer::takeRecords() {
+  AnalysisResult Taken = std::move(Records);
+  Records.Ops.clear();
+  Records.Spots.clear();
+  return Taken;
+}
+
 ShadowValue *Analyzer::leaf(const Value &Concrete) {
   if (Cfg.PredicateOnly)
     return Shadow.createPredicate(0.0, 0.0, Concrete.Ty);
@@ -790,6 +799,37 @@ OpRecord OpRecord::clone() const {
   return R;
 }
 
+/// Rewrites \p Mine, the earlier side's summaries of the variables of an
+/// expression a merge just generalized, as the merged variables'. A
+/// constant leaf contributed its value on every one of its side's rounds;
+/// a variable contributes its accumulated summary (only once per side --
+/// a split variable's history stays with the index that kept it). An index
+/// the merge did not keep belonged to a subtree that generalized away and
+/// is dropped, so the summaries are exactly those built fresh from the
+/// provenance, without building them.
+static void mergeInputs(InputCharacteristics &Mine, uint64_t MyRounds,
+                        const InputCharacteristics &Theirs,
+                        uint64_t TheirRounds, const MergeScratch &Merge) {
+  for (uint32_t I = 0; I < Mine.Vars.size(); ++I)
+    if (!Merge.KeptA.find(I, 0))
+      Mine.Vars[I] = VarSummary();
+  for (const MergedVar &V : Merge.Vars) {
+    VarSummary S = V.KeptA ? Mine.var(V.Idx) : VarSummary();
+    if (V.A == MergedVar::Source::Const)
+      S.addRepeated(V.AConst, MyRounds);
+    if (V.B == MergedVar::Source::Var)
+      S.merge(Theirs.var(V.BVar));
+    else if (V.B == MergedVar::Source::Const)
+      S.addRepeated(V.BConst, TheirRounds);
+    if (S.Count > 0 && Mine.Vars.size() <= V.Idx)
+      Mine.Vars.resize(V.Idx + 1);
+    if (V.Idx < Mine.Vars.size())
+      Mine.Vars[V.Idx] = S.Count > 0 ? S : VarSummary();
+  }
+  while (!Mine.Vars.empty() && Mine.Vars.back().Count == 0)
+    Mine.Vars.pop_back();
+}
+
 void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
   if (Other.Executions == 0)
     return;
@@ -798,51 +838,30 @@ void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
     return;
   }
 
-  // Anti-unify the two accumulated expressions. B's per-variable first
-  // observed values (Example is the earliest value by construction, thanks
-  // to retroactive constant promotion) disambiguate merged-variable
-  // numbering so it matches sequential processing.
-  assert(Expr && Other.Expr && "executed records always carry expressions");
-  std::vector<std::pair<bool, double>> BFirst;
-  BFirst.reserve(Other.TotalInputs.Vars.size());
-  for (const VarSummary &VS : Other.TotalInputs.Vars)
-    BFirst.push_back({VS.Count > 0 && !VS.SawNaN, VS.Example});
-  uint32_t NewNext = NextVarIdx;
-  std::vector<MergedVar> Vars;
-  std::unique_ptr<SymExpr> Merged = antiUnifyExprs(
-      Expr.get(), Other.Expr.get(), EquivDepth, BFirst, NewNext, Vars);
+  // One scratch per thread serves every merge the thread runs, so a merge
+  // reaches the heap only when it outgrows every earlier one. MergedOfB
+  // maps a B variable to the first merged variable holding it.
+  struct Scratch {
+    MergeScratch Merge;
+    StampedTable MergedOfB;
+  };
+  thread_local Scratch Tables;
+  MergeScratch &Merge = Tables.Merge;
 
-  // Combine input summaries through each merged variable's provenance. A
-  // constant leaf contributed its value on every one of its side's rounds;
-  // a variable contributes its accumulated summary (only once per side --
-  // a split variable's history stays with the index that kept it).
-  InputCharacteristics NewTotal, NewProb;
-  for (const MergedVar &V : Vars) {
-    VarSummary T, P;
-    if (V.KeptA) {
-      T = TotalInputs.var(V.AVar);
-      P = ProblematicInputs.var(V.AVar);
-    } else if (V.A == MergedVar::Source::Const) {
-      T.addRepeated(V.AConst, Executions);
-      P.addRepeated(V.AConst, Flagged);
-    }
-    if (V.B == MergedVar::Source::Var) {
-      T.merge(Other.TotalInputs.var(V.BVar));
-      P.merge(Other.ProblematicInputs.var(V.BVar));
-    } else if (V.B == MergedVar::Source::Const) {
-      T.addRepeated(V.BConst, Other.Executions);
-      P.addRepeated(V.BConst, Other.Flagged);
-    }
-    auto Install = [](InputCharacteristics &C, uint32_t Idx, VarSummary &S) {
-      if (C.Vars.size() <= Idx)
-        C.Vars.resize(Idx + 1);
-      C.Vars[Idx] = S;
-    };
-    if (T.Count > 0)
-      Install(NewTotal, V.Idx, T);
-    if (P.Count > 0)
-      Install(NewProb, V.Idx, P);
-  }
+  // Generalize the accumulated expression in place against the other's.
+  // B's per-variable first observed values (Example is the earliest value
+  // by construction, thanks to retroactive constant promotion)
+  // disambiguate merged-variable numbering so it matches sequential
+  // processing.
+  assert(Expr && Other.Expr && "executed records always carry expressions");
+  Merge.BFirstValues.clear();
+  for (const VarSummary &VS : Other.TotalInputs.Vars)
+    Merge.BFirstValues.push_back({VS.Count > 0 && !VS.SawNaN, VS.Example});
+  antiUnifyMerge(*Expr, *Other.Expr, EquivDepth, NextVarIdx, Merge);
+  mergeInputs(TotalInputs, Executions, Other.TotalInputs, Other.Executions,
+              Merge);
+  mergeInputs(ProblematicInputs, Flagged, Other.ProblematicInputs,
+              Other.Flagged, Merge);
 
   // The worst flagged round decides the example input; ties go to the
   // later shard exactly like the incremental `>=` comparison. Variables
@@ -854,30 +873,28 @@ void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
                (Flagged == 0 ||
                 Other.MaxFlaggedLocalError >= MaxFlaggedLocalError);
   if (TakeB) {
-    std::map<uint32_t, uint32_t> BMap;
-    for (const MergedVar &V : Vars)
-      if (V.B == MergedVar::Source::Var)
-        BMap.emplace(V.BVar, V.Idx); // first claim wins
-    std::vector<VarBinding> Remapped;
-    for (const VarBinding &Bnd : Other.ExampleProblematic) {
-      auto It = BMap.find(Bnd.Idx);
-      if (It != BMap.end())
-        Remapped.push_back({It->second, Bnd.Value});
+    Tables.MergedOfB.clear();
+    for (const MergedVar &V : Merge.Vars) {
+      bool First;
+      if (V.B != MergedVar::Source::Var)
+        continue;
+      uint32_t &Slot = Tables.MergedOfB.slot(V.BVar, 0, First);
+      if (First)
+        Slot = V.Idx;
     }
-    for (const MergedVar &V : Vars)
+    ExampleProblematic.clear();
+    for (const VarBinding &Bnd : Other.ExampleProblematic)
+      if (const uint32_t *Idx = Tables.MergedOfB.find(Bnd.Idx, 0))
+        ExampleProblematic.push_back({*Idx, Bnd.Value});
+    for (const MergedVar &V : Merge.Vars)
       if (V.B == MergedVar::Source::Const)
-        Remapped.push_back({V.Idx, V.BConst});
-    ExampleProblematic = std::move(Remapped);
+        ExampleProblematic.push_back({V.Idx, V.BConst});
   } else if (Flagged > 0) {
-    for (const MergedVar &V : Vars)
+    for (const MergedVar &V : Merge.Vars)
       if (V.A == MergedVar::Source::Const)
         ExampleProblematic.push_back({V.Idx, V.AConst});
   }
 
-  Expr = std::move(Merged);
-  NextVarIdx = NewNext;
-  TotalInputs = std::move(NewTotal);
-  ProblematicInputs = std::move(NewProb);
   Executions += Other.Executions;
   Flagged += Other.Flagged;
   CompensationsDetected += Other.CompensationsDetected;
@@ -900,21 +917,40 @@ AnalysisResult AnalysisResult::clone() const {
   return R;
 }
 
+/// The one body of both AnalysisResult::mergeFrom forms: a site both sides
+/// have merges in place, and a site only \p Other has is moved over when
+/// \p Other is an rvalue (its map node and all) or cloned when not.
+template <typename Result>
+static void mergeResults(AnalysisResult &Into, Result &&Other) {
+  constexpr bool Moving = !std::is_lvalue_reference_v<Result>;
+  for (auto It = Other.Ops.begin(); It != Other.Ops.end();) {
+    auto Cur = It++;
+    auto Mine = Into.Ops.lower_bound(Cur->first);
+    if (Mine != Into.Ops.end() && Mine->first == Cur->first)
+      Mine->second.mergeFrom(Cur->second, Into.EquivDepth);
+    else if constexpr (Moving)
+      Into.Ops.insert(Mine, Other.Ops.extract(Cur));
+    else
+      Into.Ops.emplace_hint(Mine, Cur->first, Cur->second.clone());
+  }
+  for (auto It = Other.Spots.begin(); It != Other.Spots.end();) {
+    auto Cur = It++;
+    auto Mine = Into.Spots.lower_bound(Cur->first);
+    if (Mine != Into.Spots.end() && Mine->first == Cur->first)
+      Mine->second.mergeFrom(Cur->second);
+    else if constexpr (Moving)
+      Into.Spots.insert(Mine, Other.Spots.extract(Cur));
+    else
+      Into.Spots.emplace_hint(Mine, *Cur);
+  }
+}
+
 void AnalysisResult::mergeFrom(const AnalysisResult &Other) {
-  for (const auto &[PC, Rec] : Other.Ops) {
-    auto It = Ops.find(PC);
-    if (It == Ops.end())
-      Ops.emplace(PC, Rec.clone());
-    else
-      It->second.mergeFrom(Rec, EquivDepth);
-  }
-  for (const auto &[PC, Spot] : Other.Spots) {
-    auto It = Spots.find(PC);
-    if (It == Spots.end())
-      Spots.emplace(PC, Spot);
-    else
-      It->second.mergeFrom(Spot);
-  }
+  mergeResults(*this, Other);
+}
+
+void AnalysisResult::mergeFrom(AnalysisResult &&Other) {
+  mergeResults(*this, std::move(Other));
 }
 
 //===----------------------------------------------------------------------===//

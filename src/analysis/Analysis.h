@@ -129,9 +129,10 @@ struct OpRecord {
   OpRecord clone() const;
 
   /// Folds another shard's record for the same operation site in: the
-  /// symbolic expressions are anti-unified (bounded at \p EquivDepth like
-  /// the incremental path), input summaries are combined through the
-  /// merged variables' provenance, and counters/statistics accumulate.
+  /// accumulated expression is generalized in place against the other's
+  /// (antiUnifyMerge, bounded at \p EquivDepth like the incremental path),
+  /// input summaries are combined in place through the merged variables'
+  /// provenance, and counters/statistics accumulate.
   /// Merging shards in execution order reproduces what one analysis
   /// running all the rounds sequentially would have recorded -- exactly
   /// so when the two sides' expressions disagree only at leaves and no
@@ -155,8 +156,11 @@ struct AnalysisResult {
 
   AnalysisResult clone() const;
 
-  /// Folds \p Other (a later shard of the same program) in.
+  /// Folds \p Other (a later shard of the same program) in. The two forms
+  /// differ only in the sites this result lacks: the rvalue form moves
+  /// them over, the other clones them.
   void mergeFrom(const AnalysisResult &Other);
+  void mergeFrom(AnalysisResult &&Other);
 
   /// Candidate root causes: flagged op records whose influence reached an
   /// erroneous spot, most-flagged first (Section 4.2, footnote 7: only
@@ -199,6 +203,11 @@ public:
   /// Copies the accumulated records out as a mergeable value (shardable,
   /// serializable, cacheable -- the engine's unit of reduction).
   AnalysisResult snapshot() const { return Records.clone(); }
+
+  /// Moves the accumulated records out and leaves this analyzer's records
+  /// as a fresh one's (its ranges and equivalence depth kept): the
+  /// engine's hand-off of a finished shard, which copies nothing.
+  AnalysisResult takeRecords();
 
   /// The configuration this analysis was constructed with.
   const AnalysisConfig &config() const { return Cfg; }

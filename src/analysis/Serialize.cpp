@@ -604,7 +604,10 @@ struct DocKind {
   /// report, whose JSON form is its body object alone.
   const char *Format;
   wire::Family Family; ///< HGB header family.
-  int Major, Minor;    ///< Version written; readers accept any minor of Major.
+  /// Version written. JSON readers accept any minor of Major, since their
+  /// fields go by name; HGB readers accept minors up to Minor only, since
+  /// theirs go by position and a newer minor's field would be misread.
+  int Major, Minor;
   const char *Ctx;     ///< Prefix of structural errors ("shard", ...).
 };
 
@@ -687,9 +690,9 @@ static bool decodeJsonEnvelope(wire::JsonDecoder &D, const DocKind &K,
 /// Parses one document in either encoding, sniffed from the first byte.
 /// \p Body reads the family's fields given the document's own minor
 /// version, which minor-gated fields (telemetry's meta block) need. A
-/// wrong family or format tag, an unknown major, trailing HGB bytes and a
-/// JSON value that is not an object all fail with \p K's name in the
-/// message.
+/// wrong family or format tag, an unknown major, an HGB minor newer than
+/// \p K's, trailing HGB bytes and a JSON value that is not an object all
+/// fail with \p K's name in the message.
 template <typename BodyFn>
 static bool parseDoc(const DocKind &K, const std::string &Text,
                      std::string &Err, BodyFn Body) {
@@ -705,6 +708,10 @@ static bool parseDoc(const DocKind &K, const std::string &Text,
       Err = format("unsupported %s major version %d (this reader "
                    "understands %d)",
                    Name, D.major(), K.Major);
+    else if (D.minor() > K.Minor)
+      Err = format("unsupported %s minor version %d (this reader "
+                   "understands up to %d)",
+                   Name, D.minor(), K.Minor);
     else if (!Body(D, D.minor()))
       Err = D.error();
     else if (!D.atEnd())

@@ -150,7 +150,9 @@ struct Shard {
 /// overlaps analysis. A shard parks until every earlier shard has folded,
 /// and its runs must begin where the previous shard's runs ended. A
 /// sweep's own layout always keeps both rules; a merge's documents may
-/// not, and the fold then fails naming the benchmark and the shard.
+/// not, and the fold then fails naming the benchmark and the shard. A
+/// shard's records are moved in, never copied: the first shard becomes
+/// the accumulator, and a later one merges into it by move.
 struct ShardFold {
   std::mutex M;
   size_t NextIndex = 0; ///< The shard the fold waits for.
@@ -189,7 +191,7 @@ struct ShardFold {
       if (BR.Shards == 0)
         BR.Records = std::move(P.Records);
       else
-        BR.Records.mergeFrom(P.Records);
+        BR.Records.mergeFrom(std::move(P.Records));
       ++BR.Shards;
       BR.Runs += P.RunEnd - P.RunBegin;
       NextRun = P.RunEnd;
@@ -614,7 +616,9 @@ static void runOne(native::Context &C, const native::Kernel &K,
 ///
 /// One loop runs every stage, one input tuple per step. Tier 0, when the
 /// stage has it, leads each step: Verdict stops at the first suspect run,
-/// Escalate replays each suspect run under the full shadow.
+/// Escalate replays each suspect run under the full shadow. The full
+/// analyzer hands its records off at the end (takeRecords), so the shard
+/// ships them without a copy and the next reset() has none to free.
 template <typename Subject>
 static ShardOutcome
 analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, Stage St,
@@ -667,7 +671,7 @@ analyzeStage(const Subject &Sub, const AnalysisConfig &Cfg, Stage St,
   if (Tier0)
     Out.Tier0Ops = Tier0->stats().ShadowOpsExecuted - Ops0;
   if (Full)
-    Out.Records = Full->snapshot();
+    Out.Records = Full->takeRecords();
   return Out;
 }
 

@@ -10,9 +10,10 @@
 /// It is the scratch of work that runs at instruction rate and needs a
 /// fresh table every time: anti-unification keeps two in its reused
 /// scratch (the pair-to-variable table and the claimed-index set,
-/// AntiUnifyScratch in trace/SymExpr.h), so a round reuses their slots and
-/// reaches the heap only when it holds more entries than any round before
-/// it.
+/// AntiUnifyScratch in trace/SymExpr.h), and so does the merge of two
+/// accumulated expressions (MergeScratch), so a round or a merge reuses
+/// their slots and reaches the heap only when it holds more entries than
+/// any before it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +45,7 @@ public:
   uint32_t &slot(uint64_t K1, uint64_t K2, bool &Inserted) {
     if (2 * (Count + 1) > Slots.size())
       grow();
-    Slot &S = probe(K1, K2);
+    Slot &S = slotAt(K1, K2);
     Inserted = S.Stamp != Round;
     if (Inserted) {
       S = {K1, K2, 0, Round};
@@ -60,6 +61,14 @@ public:
     return Inserted;
   }
 
+  /// The value stored under (\p K1, \p K2), or null when absent.
+  const uint32_t *find(uint64_t K1, uint64_t K2) const {
+    if (Count == 0)
+      return nullptr;
+    const Slot &S = Slots[probe(K1, K2)];
+    return S.Stamp == Round ? &S.Value : nullptr;
+  }
+
 private:
   struct Slot {
     uint64_t K1 = 0, K2 = 0;
@@ -67,17 +76,20 @@ private:
     uint32_t Stamp = 0; ///< Live iff equal to the table's Round.
   };
 
-  /// The live slot holding the key, or the empty slot where it belongs.
-  Slot &probe(uint64_t K1, uint64_t K2) {
+  Slot &slotAt(uint64_t K1, uint64_t K2) { return Slots[probe(K1, K2)]; }
+
+  /// The index of the live slot holding the key, or of the empty slot
+  /// where it belongs.
+  size_t probe(uint64_t K1, uint64_t K2) const {
     uint64_t H = K1 * 0x9e3779b97f4a7c15ULL ^ (K2 + 0x632be59bd9b4e019ULL);
     H ^= H >> 32;
     H *= 0xd6e8feb86659fd93ULL;
     H ^= H >> 32;
     size_t Mask = Slots.size() - 1;
     for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-      Slot &S = Slots[I];
+      const Slot &S = Slots[I];
       if (S.Stamp != Round || (S.K1 == K1 && S.K2 == K2))
-        return S;
+        return I;
     }
   }
 
@@ -87,7 +99,7 @@ private:
     Slots.resize(Old.empty() ? 16 : 2 * Old.size());
     for (const Slot &S : Old)
       if (S.Stamp == Round)
-        probe(S.K1, S.K2) = S;
+        slotAt(S.K1, S.K2) = S;
   }
 
   std::vector<Slot> Slots; ///< Power-of-two size, at most half live.

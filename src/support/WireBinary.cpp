@@ -9,6 +9,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 using namespace herbgrind;
@@ -275,6 +276,12 @@ BinaryDecoder::BinaryDecoder(const std::string &D) : Data(D), Src(&D) {
   if (F < 1 || F > 6) {
     fail(format("unknown HGB family tag %llu",
                 static_cast<unsigned long long>(F)));
+    return;
+  }
+  if (Ma > INT32_MAX || Mi > INT32_MAX) {
+    fail(format("HGB version %llu.%llu out of range",
+                static_cast<unsigned long long>(Ma),
+                static_cast<unsigned long long>(Mi)));
     return;
   }
   Fam = static_cast<Family>(F);

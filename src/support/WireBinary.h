@@ -40,8 +40,10 @@
 /// JSON ('{') vs HGB (0x89) vs garbage from the first byte alone, which
 /// is how the result cache and shard merging accept either format.
 ///
-/// Version discipline matches the JSON envelope: readers accept any
-/// minor of a known major and reject unknown majors.
+/// Version discipline: readers reject unknown majors, as the JSON envelope
+/// does, and also reject a minor newer than they know. A JSON reader can
+/// skip a newer minor's fields by name; an HGB reader would read them as
+/// the next field's bytes, since fields go by position.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace herbgrind;
 
@@ -150,17 +148,16 @@ uint64_t symFingerprint(const SymExpr *E, uint32_t DepthLeft) {
   return 0;
 }
 
-struct PairKey {
-  uint64_t SymFP, ConcFP;
-  bool operator==(const PairKey &O) const {
-    return SymFP == O.SymFP && ConcFP == O.ConcFP;
-  }
-};
-struct PairKeyHash {
-  size_t operator()(const PairKey &K) const {
-    return K.SymFP * 0x9e3779b97f4a7c15ULL ^ K.ConcFP;
-  }
-};
+/// Overwrites \p E as variable \p Idx, dropping its subtree: the one way
+/// both a round and a merge generalize a node.
+void becomeVariable(SymExpr &E, uint32_t Idx) {
+  E.Kind = SymExpr::SEKind::Var;
+  E.Op = Opcode::AddF64;
+  E.ConstVal = 0.0;
+  E.VarIdx = Idx;
+  E.Site = UINT32_MAX;
+  E.Kids.clear();
+}
 
 /// One in-place anti-unification round: a pre-order walk of the
 /// expression against the trace, with the scratch's reused tables standing
@@ -194,13 +191,7 @@ struct Generalizer {
       if (E.Kind == SymExpr::SEKind::Const)
         Round.Promotions.push_back({Slot, E.ConstVal});
     }
-    uint32_t Idx = Slot;
-    E.Kind = SymExpr::SEKind::Var;
-    E.Op = Opcode::AddF64;
-    E.ConstVal = 0.0;
-    E.VarIdx = Idx;
-    E.Site = UINT32_MAX;
-    E.Kids.clear();
+    becomeVariable(E, Slot);
   }
 
   void gen(SymExpr &E, TraceNode *T, uint32_t Budget) {
@@ -237,58 +228,51 @@ void herbgrind::antiUnify(TraceArena &Arena, SymExpr &Expr, TraceNode *Trace,
 
 namespace {
 
-/// One generalization site of the A/B alignment: a unique (A-subtree,
-/// B-subtree) equivalence-class pair that becomes one merged variable.
-struct MergeSite {
-  PairKey Key;
-  const SymExpr *SA;
-  const SymExpr *SB;
-  uint32_t AssignedIdx = 0;
-  bool Assigned = false;
-  bool BTime = false; ///< Created when B generalized (vs on B's 1st round).
-};
-
-/// Shared state of one expression-vs-expression merge.
-struct ExprMerger {
+/// One in-place merge of two accumulated expressions over the scratch's
+/// reused tables.
+struct Merger {
   uint32_t EquivDepth;
-  const std::vector<std::pair<bool, double>> &BFirstValues;
-  std::vector<MergeSite> Sites; ///< In first-visit traversal order.
-  std::unordered_map<PairKey, size_t, PairKeyHash> SiteForPair;
+  MergeScratch &M;
+  using Site = MergeScratch::Site;
 
-  bool aligned(const SymExpr *SA, const SymExpr *SB) const {
-    if (SA->Kind == SymExpr::SEKind::Op && SB->Kind == SymExpr::SEKind::Op)
-      return SA->Op == SB->Op && SA->Kids.size() == SB->Kids.size();
-    if (SA->Kind == SymExpr::SEKind::Const &&
-        SB->Kind == SymExpr::SEKind::Const)
-      return bitsOfDouble(SA->ConstVal) == bitsOfDouble(SB->ConstVal);
+  static bool aligned(const SymExpr &SA, const SymExpr &SB) {
+    if (SA.Kind == SymExpr::SEKind::Op && SB.Kind == SymExpr::SEKind::Op)
+      return SA.Op == SB.Op && SA.Kids.size() == SB.Kids.size();
+    if (SA.Kind == SymExpr::SEKind::Const && SB.Kind == SymExpr::SEKind::Const)
+      return bitsOfDouble(SA.ConstVal) == bitsOfDouble(SB.ConstVal);
     return false;
   }
 
-  void collect(const SymExpr *SA, const SymExpr *SB) {
-    if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
-      for (size_t I = 0; I < SA->Kids.size(); ++I)
-        collect(SA->Kids[I].get(), SB->Kids[I].get());
+  /// The pre-order walk: aligned op nodes recurse and equal constants stay
+  /// concrete; every other position joins the site of its class pair.
+  void collect(SymExpr &SA, const SymExpr &SB) {
+    if (aligned(SA, SB)) {
+      if (SA.Kind == SymExpr::SEKind::Op)
+        for (size_t I = 0; I < SA.Kids.size(); ++I)
+          collect(*SA.Kids[I], *SB.Kids[I]);
       return;
     }
-    if (aligned(SA, SB))
-      return; // equal constants stay concrete
-    PairKey Key{symFingerprint(SA, EquivDepth), symFingerprint(SB, EquivDepth)};
-    if (SiteForPair.count(Key))
-      return;
-    SiteForPair.emplace(Key, Sites.size());
-    Sites.push_back({Key, SA, SB, 0, false, false});
+    bool Inserted;
+    uint32_t &Slot = M.SiteForPair.slot(symFingerprint(&SA, EquivDepth),
+                                        symFingerprint(&SB, EquivDepth),
+                                        Inserted);
+    if (Inserted) {
+      Slot = static_cast<uint32_t>(M.Sites.size());
+      M.Sites.push_back({&SA, &SB});
+    }
+    M.Positions.push_back({&SA, Slot});
   }
 
   /// Would sequential processing have generalized this site on B's very
   /// first round (making its index precede every variable B itself
   /// created), or only when B generalized it?
-  bool isBTime(const MergeSite &S) const {
+  bool isBTime(const Site &S) const {
     if (S.SB->Kind != SymExpr::SEKind::Var)
       return false; // B ended concrete: the sides simply disagree -> round 1
     if (S.SA->Kind == SymExpr::SEKind::Const) {
       uint32_t J = S.SB->VarIdx;
-      if (J < BFirstValues.size() && BFirstValues[J].first &&
-          bitsOfDouble(BFirstValues[J].second) !=
+      if (J < M.BFirstValues.size() && M.BFirstValues[J].first &&
+          bitsOfDouble(M.BFirstValues[J].second) !=
               bitsOfDouble(S.SA->ConstVal))
         return false; // disagreed already on B's first observation
       return true;
@@ -298,42 +282,38 @@ struct ExprMerger {
     return true;    // A variable splitting against a B variable
   }
 
-  void assignIndices(uint32_t &NextVarIdx, std::vector<MergedVar> &Vars) {
+  void assignIndices(uint32_t &NextVarIdx) {
     // Pass 1: A-side variables keep their index (first claim wins, exactly
-    // like ReusedThisRound on the incremental path).
-    std::unordered_set<uint32_t> ClaimedA;
-    for (MergeSite &S : Sites)
+    // like the claimed set of the incremental path).
+    for (Site &S : M.Sites)
       if (S.SA->Kind == SymExpr::SEKind::Var &&
-          ClaimedA.insert(S.SA->VarIdx).second) {
-        S.AssignedIdx = S.SA->VarIdx;
+          M.KeptA.insert(S.SA->VarIdx, 0)) {
+        S.Idx = S.SA->VarIdx;
         S.Assigned = true;
       }
     // Pass 2: new variables. Sites that sequential processing would have
     // generalized on B's first round come first in traversal order; sites
     // created only when B generalized follow in B's creation order (B's
     // variable indices are monotone in creation time).
-    std::vector<size_t> Fresh;
-    for (size_t I = 0; I < Sites.size(); ++I)
-      if (!Sites[I].Assigned) {
-        Sites[I].BTime = isBTime(Sites[I]);
-        Fresh.push_back(I);
+    for (uint32_t I = 0; I < M.Sites.size(); ++I)
+      if (!M.Sites[I].Assigned) {
+        M.Sites[I].BTime = isBTime(M.Sites[I]);
+        M.Fresh.push_back(I);
       }
-    std::stable_sort(Fresh.begin(), Fresh.end(), [&](size_t X, size_t Y) {
-      const MergeSite &SX = Sites[X], &SY = Sites[Y];
+    std::sort(M.Fresh.begin(), M.Fresh.end(), [&](uint32_t X, uint32_t Y) {
+      const Site &SX = M.Sites[X], &SY = M.Sites[Y];
       if (SX.BTime != SY.BTime)
         return !SX.BTime; // first-round sites precede B-created sites
       if (SX.BTime && SX.SB->VarIdx != SY.SB->VarIdx)
         return SX.SB->VarIdx < SY.SB->VarIdx;
-      return false; // stable: traversal order breaks ties
+      return X < Y; // traversal order breaks ties
     });
-    for (size_t I : Fresh) {
-      Sites[I].AssignedIdx = NextVarIdx++;
-      Sites[I].Assigned = true;
-    }
+    for (uint32_t I : M.Fresh)
+      M.Sites[I].Idx = NextVarIdx++;
     // Report provenance.
-    for (const MergeSite &S : Sites) {
+    for (const Site &S : M.Sites) {
       MergedVar V;
-      V.Idx = S.AssignedIdx;
+      V.Idx = S.Idx;
       auto Classify = [](const SymExpr *E, MergedVar::Source &Src,
                          uint32_t &Var, double &Const) {
         switch (E->Kind) {
@@ -353,34 +333,30 @@ struct ExprMerger {
       Classify(S.SA, V.A, V.AVar, V.AConst);
       Classify(S.SB, V.B, V.BVar, V.BConst);
       V.KeptA = V.A == MergedVar::Source::Var && V.Idx == V.AVar;
-      Vars.push_back(V);
+      M.Vars.push_back(V);
     }
-  }
-
-  std::unique_ptr<SymExpr> rebuild(const SymExpr *SA, const SymExpr *SB) {
-    if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
-      auto E = SymExpr::makeOp(SA->Op, SA->Site);
-      E->Kids.reserve(SA->Kids.size());
-      for (size_t I = 0; I < SA->Kids.size(); ++I)
-        E->Kids.push_back(rebuild(SA->Kids[I].get(), SB->Kids[I].get()));
-      return E;
-    }
-    if (aligned(SA, SB))
-      return SymExpr::makeConst(SA->ConstVal);
-    PairKey Key{symFingerprint(SA, EquivDepth), symFingerprint(SB, EquivDepth)};
-    return SymExpr::makeVar(Sites[SiteForPair.at(Key)].AssignedIdx);
   }
 };
 
 } // namespace
 
-std::unique_ptr<SymExpr> herbgrind::antiUnifyExprs(
-    const SymExpr *A, const SymExpr *B, uint32_t EquivDepth,
-    const std::vector<std::pair<bool, double>> &BFirstValues,
-    uint32_t &NextVarIdx, std::vector<MergedVar> &Vars) {
-  Vars.clear();
-  ExprMerger M{EquivDepth, BFirstValues, {}, {}};
+void herbgrind::antiUnifyMerge(SymExpr &A, const SymExpr &B,
+                               uint32_t EquivDepth, uint32_t &NextVarIdx,
+                               MergeScratch &Merge) {
+  Merge.Vars.clear();
+  Merge.KeptA.clear();
+  Merge.Sites.clear();
+  Merge.Positions.clear();
+  Merge.Fresh.clear();
+  Merge.SiteForPair.clear();
+  Merger M{EquivDepth, Merge};
   M.collect(A, B);
-  M.assignIndices(NextVarIdx, Vars);
-  return M.rebuild(A, B);
+  M.assignIndices(NextVarIdx);
+  // Positions are disjoint subtrees of A, and every fingerprint and
+  // provenance above read them before any is overwritten.
+  for (const auto &[Node, SiteIdx] : Merge.Positions) {
+    uint32_t Idx = Merge.Sites[SiteIdx].Idx;
+    if (Node->Kind != SymExpr::SEKind::Var || Node->VarIdx != Idx)
+      becomeVariable(*Node, Idx);
+  }
 }

@@ -137,20 +137,51 @@ struct MergedVar {
   bool KeptA = false;  ///< Idx was inherited from the A side's variable.
 };
 
-/// Plotkin anti-unification of two accumulated symbolic expressions: the
-/// most specific generalization of \p A (the earlier shard) and \p B (the
-/// later shard), with subtree equivalence bounded at \p EquivDepth exactly
-/// like the incremental path. Variable indices from \p A are kept where
-/// possible; new variables are numbered from \p NextVarIdx in the order
-/// sequential processing of B's rounds after A's would have created them
-/// (\p BFirstValues -- per-B-variable {known, first observed value} --
-/// disambiguates whether a constant-vs-variable position generalized on
-/// B's first round or only when B itself generalized it). \p Vars receives
-/// the provenance of every merged variable.
-std::unique_ptr<SymExpr>
-antiUnifyExprs(const SymExpr *A, const SymExpr *B, uint32_t EquivDepth,
-               const std::vector<std::pair<bool, double>> &BFirstValues,
-               uint32_t &NextVarIdx, std::vector<MergedVar> &Vars);
+/// Everything one merge of two accumulated expressions keeps besides the
+/// expressions: its input, its output and its lookup tables. Each merge
+/// clears and refills it, so, as with AntiUnifyScratch, one instance
+/// reused merge after merge reaches the heap only when a merge outgrows
+/// every earlier one.
+struct MergeScratch {
+  /// Input: per B-side variable, {known, first observed value}.
+  std::vector<std::pair<bool, double>> BFirstValues;
+  /// Output: the provenance of every merged variable, in first-visit
+  /// order.
+  std::vector<MergedVar> Vars;
+  /// Output: the A-side variable indices the merge kept.
+  StampedTable KeptA;
+
+  /// One generalization site: a unique (A-subtree class, B-subtree class)
+  /// pair that becomes one merged variable.
+  struct Site {
+    const SymExpr *SA; ///< The A subtree of the site's first position.
+    const SymExpr *SB; ///< The B subtree of the site's first position.
+    uint32_t Idx = 0;  ///< The merged variable.
+    bool Assigned = false;
+    bool BTime = false; ///< Created when B generalized (vs on B's 1st round).
+  };
+  std::vector<Site> Sites;                           ///< First-visit order.
+  std::vector<std::pair<SymExpr *, uint32_t>> Positions; ///< A node, site.
+  std::vector<uint32_t> Fresh;  ///< Sites that take a new index.
+  StampedTable SiteForPair;     ///< (A class, B class) -> site.
+};
+
+/// Plotkin anti-unification of two accumulated symbolic expressions, in
+/// place: turns \p A (the earlier shard's) into the most specific
+/// generalization of itself and \p B (the later shard's), with subtree
+/// equivalence bounded at \p EquivDepth exactly like the incremental
+/// path. One pre-order walk of both finds the positions where they
+/// disagree; a node where they agree is kept as it is, and only a position
+/// whose merged variable is not already there is overwritten, so merging
+/// two equal expressions replaces no node. Variable indices from \p A are
+/// kept where possible; new variables are numbered from \p NextVarIdx in
+/// the order sequential processing of B's rounds after A's would have
+/// created them (\p Merge.BFirstValues disambiguates whether a
+/// constant-vs-variable position generalized on B's first round or only
+/// when B itself generalized it). \p Merge.Vars receives the provenance of
+/// every merged variable and \p Merge.KeptA the indices kept from A.
+void antiUnifyMerge(SymExpr &A, const SymExpr &B, uint32_t EquivDepth,
+                    uint32_t &NextVarIdx, MergeScratch &Merge);
 
 } // namespace herbgrind
 

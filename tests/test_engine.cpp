@@ -262,6 +262,47 @@ TEST(RecordMerge, UnevenShardsMatchSequential) {
   expectMatchesSequential(Merged, Seq, "uneven");
 }
 
+TEST(RecordMerge, EqualShardsKeepTheAccumulatedExpression) {
+  // Both inputs vary within each shard, so each shard's records end with
+  // the same expressions, (+ x 1) and (- (+ x 1) y): the merge must fold
+  // the later shard in without replacing a node of the accumulated trees.
+  Program P = twoInputKernel();
+  std::vector<std::vector<double>> Inputs;
+  Rng R(0xe9a1);
+  for (int I = 0; I < 8; ++I)
+    Inputs.push_back({R.betweenOrdinals(1e10, 1e16),
+                      R.betweenOrdinals(-100.0, 100.0)});
+  Herbgrind Seq(P);
+  for (const auto &In : Inputs)
+    Seq.runOnInput(In);
+
+  auto Nodes = [](const SymExpr &E) {
+    std::vector<const SymExpr *> Out;
+    std::vector<const SymExpr *> Work{&E};
+    while (!Work.empty()) {
+      const SymExpr *N = Work.back();
+      Work.pop_back();
+      Out.push_back(N);
+      for (const auto &Kid : N->Kids)
+        Work.push_back(Kid.get());
+    }
+    return Out;
+  };
+  AnalysisResult Merged = analyzeChunk(P, Inputs, 0, 4);
+  AnalysisResult Later = analyzeChunk(P, Inputs, 4, 8);
+  std::map<uint32_t, std::vector<const SymExpr *>> Before;
+  for (const auto &[PC, Rec] : Merged.Ops) {
+    ASSERT_TRUE(Rec.Expr && Later.Ops.count(PC));
+    ASSERT_EQ(Rec.Expr->fpcoreBody(), Later.Ops.at(PC).Expr->fpcoreBody());
+    Before[PC] = Nodes(*Rec.Expr);
+  }
+  ASSERT_EQ(Before.size(), 2u);
+  Merged.mergeFrom(std::move(Later));
+  for (const auto &[PC, Rec] : Merged.Ops)
+    EXPECT_EQ(Nodes(*Rec.Expr), Before.at(PC)) << "pc " << PC;
+  expectMatchesSequential(Merged, Seq, "equal-shards");
+}
+
 TEST(RecordMerge, StraightLineCorpusShardsMatchSequential) {
   int Tested = 0;
   for (size_t BI = 0; BI < fpcore::corpus().size() && Tested < 12; ++BI) {
@@ -371,6 +412,38 @@ TEST(RecordMerge, EmptyShardIsIdentity) {
   AnalysisResult Right = Full.clone();
   Right.mergeFrom(Empty);
   EXPECT_EQ(buildReport(Right).renderJson(), Before);
+}
+
+TEST(RecordMerge, SummariesOfVariablesGeneralizedAwayAreDropped) {
+  // The earlier shard's expression is x1 alone: the subtree that held x0
+  // generalized away, but x0's summary stayed. A merge keeps x1, so its
+  // summaries must drop x0's entry, as a record built from the merged
+  // variables alone would.
+  auto Summary = [](std::initializer_list<double> Values) {
+    VarSummary S;
+    for (double V : Values)
+      S.add(V);
+    return S;
+  };
+  OpRecord A;
+  A.Executions = 3;
+  A.Expr = SymExpr::makeVar(1);
+  A.NextVarIdx = 2;
+  A.TotalInputs.Vars = {Summary({1, 2}), Summary({3, 4, 5})};
+  A.ProblematicInputs.Vars = {Summary({1})};
+  OpRecord B;
+  B.Executions = 2;
+  B.Expr = SymExpr::makeVar(0);
+  B.NextVarIdx = 1;
+  B.TotalInputs.Vars = {Summary({6, 7})};
+  A.mergeFrom(B, 5);
+  EXPECT_EQ(A.Expr->fpcoreBody(), "y");
+  EXPECT_EQ(A.NextVarIdx, 2u);
+  ASSERT_EQ(A.TotalInputs.Vars.size(), 2u);
+  EXPECT_EQ(A.TotalInputs.Vars[0].Count, 0u);
+  EXPECT_EQ(A.TotalInputs.Vars[1].Count, 5u);
+  EXPECT_EQ(A.TotalInputs.Vars[1].Hi, 7.0);
+  EXPECT_TRUE(A.ProblematicInputs.Vars.empty());
 }
 
 TEST(RecordMerge, SingleOpSingleRoundShards) {

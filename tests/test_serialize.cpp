@@ -394,6 +394,103 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
   EXPECT_FALSE(parseShard(Negative, Out5, Err));
 }
 
+/// FNV-1a, as result-cache segments hash their documents and index.
+static uint64_t segmentHash(const char *P, size_t N,
+                            uint64_t H = 0xcbf29ce484222325ULL) {
+  for (size_t I = 0; I < N; ++I) {
+    H ^= static_cast<unsigned char>(P[I]);
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+TEST(Serialize, HgbReadersRefuseANewerMinor) {
+  Program P = cancellationKernel();
+  std::vector<std::vector<double>> Inputs = {{1e15}, {2e15}};
+  ShardDoc Doc;
+  Doc.ConfigHash = "0123456789abcdef";
+  Doc.Benchmark = "cancellation";
+  Doc.RunEnd = 2;
+  Doc.RunTotal = 2;
+  Doc.Result = analyzeChunk(P, Inputs, 0, 2);
+  const std::string Refusal =
+      format("unsupported herbgrind-shard minor version %d (this reader "
+             "understands up to %d)",
+             ShardFormatMinor + 1, ShardFormatMinor);
+
+  // HGB fields go by position, so a newer minor's document is refused.
+  // The header is the magic and three one-byte varints, the minor last.
+  std::string Bin = renderShard(Doc, WireEncoding::Binary);
+  ASSERT_EQ(Bin[6], ShardFormatMinor);
+  std::string Newer = Bin;
+  Newer[6] = static_cast<char>(ShardFormatMinor + 1);
+  ShardDoc Out;
+  std::string Err;
+  EXPECT_FALSE(parseShard(Newer, Out, Err));
+  EXPECT_EQ(Err, Refusal);
+  // A minor too wide for an int must not wrap around to an older one:
+  // here 2^32 + 2, a five-byte varint.
+  std::string Wide =
+      Bin.substr(0, 6) + "\x82\x80\x80\x80\x10" + Bin.substr(7);
+  EXPECT_FALSE(parseShard(Wide, Out, Err));
+  EXPECT_EQ(Err, "HGB version 1.4294967298 out of range");
+
+  // JSON fields go by name: the same document at the newer minor parses.
+  std::string Json = renderShard(Doc, WireEncoding::Json);
+  std::string NewerJson = Json;
+  std::string Needle = format("\"minor\":%d", ShardFormatMinor);
+  size_t At = NewerJson.find(Needle);
+  ASSERT_NE(At, std::string::npos);
+  NewerJson.replace(At, Needle.size(),
+                    format("\"minor\":%d", ShardFormatMinor + 1));
+  ASSERT_TRUE(parseShard(NewerJson, Out, Err)) << Err;
+  EXPECT_EQ(renderShard(Out, WireEncoding::Json), Json);
+
+  // A cache entry holding the newer HGB document passes its hash and then
+  // fails to parse, which makes its lookup a miss.
+  TempDir Dir("cache-newer-minor");
+  ResultCache::ShardKey Key;
+  Key.CoreIdentity = "cancellation";
+  Key.RunEnd = 2;
+  Key.RunTotal = 2;
+  {
+    ResultCache Writer(Dir.Path, Doc.ConfigHash);
+    Writer.store(Key, Doc.Benchmark, Doc.Result);
+  }
+  std::vector<std::string> Segments = segmentsIn(Dir.Path);
+  ASSERT_EQ(Segments.size(), 1u);
+  std::vector<SegmentEntry> Entries;
+  ASSERT_TRUE(readSegment(Segments[0], Entries, Err)) << Err;
+  ASSERT_EQ(Entries.size(), 1u);
+  {
+    ResultCache Reader(Dir.Path, Doc.ConfigHash);
+    AnalysisResult Got;
+    EXPECT_TRUE(Reader.lookup(Key, Got));
+  }
+  // Re-head the one document, then re-seal its hash in the one index
+  // entry and the index hash in the footer (both 32 bytes, hash last).
+  std::string Seg = slurpFile(Segments[0]);
+  size_t DocAt = Seg.find(Entries[0].Doc);
+  ASSERT_NE(DocAt, std::string::npos);
+  Seg[DocAt + 6] = static_cast<char>(ShardFormatMinor + 1);
+  const size_t Footer = Seg.size() - 32, Index = Footer - 32;
+  auto PutU64 = [&Seg](size_t Pos, uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      Seg[Pos + I] = static_cast<char>(V >> (8 * I));
+  };
+  PutU64(Index + 24, segmentHash(Seg.data() + DocAt, Entries[0].Doc.size()));
+  PutU64(Footer + 24, segmentHash(Seg.data() + Footer, 24,
+                                  segmentHash(Seg.data() + Index, 32)));
+  spewFile(Segments[0], Seg);
+  ASSERT_TRUE(readSegment(Segments[0], Entries, Err)) << Err;
+  EXPECT_FALSE(parseShard(Entries[0].Doc, Out, Err));
+  EXPECT_EQ(Err, Refusal);
+  ResultCache Reader(Dir.Path, Doc.ConfigHash);
+  AnalysisResult Got;
+  EXPECT_FALSE(Reader.lookup(Key, Got));
+  EXPECT_EQ(Reader.misses(), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Presentation reports and batch documents
 //===----------------------------------------------------------------------===//

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "inputs/InputSummary.h"
 #include "support/FloatBits.h"
 #include "trace/SymExpr.h"
 #include "trace/TraceNode.h"
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <deque>
 #include <limits>
 #include <random>
@@ -603,7 +605,8 @@ namespace {
 
 /// The rebuilding anti-unification that antiUnify replaced, kept verbatim
 /// as the oracle: each round builds a fresh expression from the old one
-/// and the trace, with per-round hash maps.
+/// and the trace, with per-round hash maps. The rebuilding merge that
+/// antiUnifyMerge replaced follows it.
 namespace oracle {
 
 uint64_t symFingerprint(const SymExpr *E, uint32_t DepthLeft) {
@@ -699,6 +702,156 @@ std::unique_ptr<SymExpr> antiUnify(TraceArena &Arena, const SymExpr *Expr,
     Promotions->clear();
   Generalizer G{Arena, NextVarIdx, Bindings, Promotions, {}, {}};
   return G.gen(Expr, Trace, Arena.rootBudget());
+}
+
+
+/// The rebuilding merge of two accumulated expressions that
+/// antiUnifyMerge replaced, kept verbatim as its oracle: it collects the
+/// sites, numbers them, and builds a fresh merged expression.
+/// One generalization site of the A/B alignment: a unique (A-subtree,
+/// B-subtree) equivalence-class pair that becomes one merged variable.
+struct MergeSite {
+  PairKey Key;
+  const SymExpr *SA;
+  const SymExpr *SB;
+  uint32_t AssignedIdx = 0;
+  bool Assigned = false;
+  bool BTime = false; ///< Created when B generalized (vs on B's 1st round).
+};
+
+/// Shared state of one expression-vs-expression merge.
+struct ExprMerger {
+  uint32_t EquivDepth;
+  const std::vector<std::pair<bool, double>> &BFirstValues;
+  std::vector<MergeSite> Sites; ///< In first-visit traversal order.
+  std::unordered_map<PairKey, size_t, PairKeyHash> SiteForPair;
+
+  bool aligned(const SymExpr *SA, const SymExpr *SB) const {
+    if (SA->Kind == SymExpr::SEKind::Op && SB->Kind == SymExpr::SEKind::Op)
+      return SA->Op == SB->Op && SA->Kids.size() == SB->Kids.size();
+    if (SA->Kind == SymExpr::SEKind::Const &&
+        SB->Kind == SymExpr::SEKind::Const)
+      return bitsOfDouble(SA->ConstVal) == bitsOfDouble(SB->ConstVal);
+    return false;
+  }
+
+  void collect(const SymExpr *SA, const SymExpr *SB) {
+    if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
+      for (size_t I = 0; I < SA->Kids.size(); ++I)
+        collect(SA->Kids[I].get(), SB->Kids[I].get());
+      return;
+    }
+    if (aligned(SA, SB))
+      return; // equal constants stay concrete
+    PairKey Key{symFingerprint(SA, EquivDepth), symFingerprint(SB, EquivDepth)};
+    if (SiteForPair.count(Key))
+      return;
+    SiteForPair.emplace(Key, Sites.size());
+    Sites.push_back({Key, SA, SB, 0, false, false});
+  }
+
+  /// Would sequential processing have generalized this site on B's very
+  /// first round (making its index precede every variable B itself
+  /// created), or only when B generalized it?
+  bool isBTime(const MergeSite &S) const {
+    if (S.SB->Kind != SymExpr::SEKind::Var)
+      return false; // B ended concrete: the sides simply disagree -> round 1
+    if (S.SA->Kind == SymExpr::SEKind::Const) {
+      uint32_t J = S.SB->VarIdx;
+      if (J < BFirstValues.size() && BFirstValues[J].first &&
+          bitsOfDouble(BFirstValues[J].second) !=
+              bitsOfDouble(S.SA->ConstVal))
+        return false; // disagreed already on B's first observation
+      return true;
+    }
+    if (S.SA->Kind == SymExpr::SEKind::Op)
+      return false; // structural mismatch surfaces immediately
+    return true;    // A variable splitting against a B variable
+  }
+
+  void assignIndices(uint32_t &NextVarIdx, std::vector<MergedVar> &Vars) {
+    // Pass 1: A-side variables keep their index (first claim wins, exactly
+    // like ReusedThisRound on the incremental path).
+    std::unordered_set<uint32_t> ClaimedA;
+    for (MergeSite &S : Sites)
+      if (S.SA->Kind == SymExpr::SEKind::Var &&
+          ClaimedA.insert(S.SA->VarIdx).second) {
+        S.AssignedIdx = S.SA->VarIdx;
+        S.Assigned = true;
+      }
+    // Pass 2: new variables. Sites that sequential processing would have
+    // generalized on B's first round come first in traversal order; sites
+    // created only when B generalized follow in B's creation order (B's
+    // variable indices are monotone in creation time).
+    std::vector<size_t> Fresh;
+    for (size_t I = 0; I < Sites.size(); ++I)
+      if (!Sites[I].Assigned) {
+        Sites[I].BTime = isBTime(Sites[I]);
+        Fresh.push_back(I);
+      }
+    std::stable_sort(Fresh.begin(), Fresh.end(), [&](size_t X, size_t Y) {
+      const MergeSite &SX = Sites[X], &SY = Sites[Y];
+      if (SX.BTime != SY.BTime)
+        return !SX.BTime; // first-round sites precede B-created sites
+      if (SX.BTime && SX.SB->VarIdx != SY.SB->VarIdx)
+        return SX.SB->VarIdx < SY.SB->VarIdx;
+      return false; // stable: traversal order breaks ties
+    });
+    for (size_t I : Fresh) {
+      Sites[I].AssignedIdx = NextVarIdx++;
+      Sites[I].Assigned = true;
+    }
+    // Report provenance.
+    for (const MergeSite &S : Sites) {
+      MergedVar V;
+      V.Idx = S.AssignedIdx;
+      auto Classify = [](const SymExpr *E, MergedVar::Source &Src,
+                         uint32_t &Var, double &Const) {
+        switch (E->Kind) {
+        case SymExpr::SEKind::Var:
+          Src = MergedVar::Source::Var;
+          Var = E->VarIdx;
+          break;
+        case SymExpr::SEKind::Const:
+          Src = MergedVar::Source::Const;
+          Const = E->ConstVal;
+          break;
+        case SymExpr::SEKind::Op:
+          Src = MergedVar::Source::Subtree;
+          break;
+        }
+      };
+      Classify(S.SA, V.A, V.AVar, V.AConst);
+      Classify(S.SB, V.B, V.BVar, V.BConst);
+      V.KeptA = V.A == MergedVar::Source::Var && V.Idx == V.AVar;
+      Vars.push_back(V);
+    }
+  }
+
+  std::unique_ptr<SymExpr> rebuild(const SymExpr *SA, const SymExpr *SB) {
+    if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
+      auto E = SymExpr::makeOp(SA->Op, SA->Site);
+      E->Kids.reserve(SA->Kids.size());
+      for (size_t I = 0; I < SA->Kids.size(); ++I)
+        E->Kids.push_back(rebuild(SA->Kids[I].get(), SB->Kids[I].get()));
+      return E;
+    }
+    if (aligned(SA, SB))
+      return SymExpr::makeConst(SA->ConstVal);
+    PairKey Key{symFingerprint(SA, EquivDepth), symFingerprint(SB, EquivDepth)};
+    return SymExpr::makeVar(Sites[SiteForPair.at(Key)].AssignedIdx);
+  }
+};
+
+std::unique_ptr<SymExpr> antiUnifyExprs(
+    const SymExpr *A, const SymExpr *B, uint32_t EquivDepth,
+    const std::vector<std::pair<bool, double>> &BFirstValues,
+    uint32_t &NextVarIdx, std::vector<MergedVar> &Vars) {
+  Vars.clear();
+  ExprMerger M{EquivDepth, BFirstValues, {}, {}};
+  M.collect(A, B);
+  M.assignIndices(NextVarIdx, Vars);
+  return M.rebuild(A, B);
 }
 
 } // namespace oracle
@@ -835,6 +988,151 @@ TEST(AntiUnifyInPlace, MatchesRebuildingOracleOnRandomTraces) {
     }
     EXPECT_EQ(A.liveNodes(), 0u);
   }
+}
+
+namespace {
+
+/// One side of a merge as an analysis accumulates it: the expression of a
+/// few rounds of random traces, its next variable index, and each
+/// variable's {known, first value} read off the record's summaries the
+/// way OpRecord::mergeFrom reads them.
+struct MergeSide {
+  std::unique_ptr<SymExpr> Expr;
+  uint32_t Next = 0;
+  std::vector<std::pair<bool, double>> First;
+};
+
+template <typename ShapeFn>
+MergeSide accumulate(TraceArena &A, RandomTraces &Gen, AntiUnifyScratch &Round,
+                     ShapeFn NextShape, int Rounds) {
+  MergeSide S;
+  InputCharacteristics Total;
+  for (int R = 0; R < Rounds; ++R) {
+    TraceNode *T = Gen.make(NextShape());
+    if (!S.Expr) {
+      S.Expr = symbolize(A, T);
+    } else {
+      antiUnify(A, *S.Expr, T, S.Next, Round);
+      for (const Promotion &Pr : Round.Promotions)
+        Total.addRepeated(Pr.Idx, Pr.OldValue, R);
+      Total.record(Round.Bindings);
+    }
+    A.release(T);
+  }
+  for (const VarSummary &VS : Total.Vars)
+    S.First.push_back({VS.Count > 0 && !VS.SawNaN, VS.Example});
+  return S;
+}
+
+/// Gives each variable leaf of \p E an index drawn below \p Bound: where
+/// the expression repeats a variable, the copies mostly part ways.
+void renameVars(SymExpr &E, std::mt19937_64 &Pick, uint32_t Bound) {
+  if (E.Kind == SymExpr::SEKind::Var)
+    E.VarIdx = static_cast<uint32_t>(Pick() % Bound);
+  for (auto &Kid : E.Kids)
+    renameVars(*Kid, Pick, Bound);
+}
+
+} // namespace
+
+TEST(AntiUnifyMerge, MatchesRebuildingOracleOnRandomPairs) {
+  using Src = MergedVar::Source;
+  size_t Equal = 0, ConstConst = 0, ConstVar = 0, OpVar = 0, Splits = 0;
+  for (uint32_t MaxDepth : {4u, 24u}) {
+    TraceArena A(MaxDepth, 5);
+    RandomTraces Gen(A, 0xfa110000 + MaxDepth);
+    std::mt19937_64 Pick(0x3e49e + MaxDepth);
+    AntiUnifyScratch Round;
+    // One scratch serves every merge, as one thread's does.
+    MergeScratch Merge;
+    for (int Pair = 0; Pair < 300; ++Pair) {
+      SCOPED_TRACE("max depth " + std::to_string(MaxDepth) + ", pair " +
+                   std::to_string(Pair));
+      // Both sides draw mostly from one shape, so they agree structurally
+      // except where a side drew one of three others.
+      uint64_t Base = Pick();
+      auto NextShape = [&] {
+        return Pick() % 8 < 6 ? Base : Base + 1 + Pick() % 3;
+      };
+      MergeSide SA = accumulate(A, Gen, Round, NextShape, 1 + Pick() % 5);
+      // A fifth of the pairs are equal, a fifth are A with its variables
+      // renamed (which splits the variables A repeats), and the rest are
+      // drawn independently.
+      MergeSide SB;
+      unsigned Kind = Pick() % 5;
+      bool EqualPair = Kind == 0;
+      if (Kind < 2) {
+        SB.Expr = SA.Expr->clone();
+        SB.Next = SA.Next;
+        SB.First = SA.First;
+        Equal += EqualPair;
+        if (!EqualPair && SA.Next > 0) {
+          SB.Next = SA.Next + 2;
+          renameVars(*SB.Expr, Pick, SB.Next);
+          SB.First.resize(SB.Next, {true, 0.5});
+        }
+      } else {
+        SB = accumulate(A, Gen, Round, NextShape, 1 + Pick() % 5);
+      }
+
+      uint32_t NextOracle = SA.Next, NextInPlace = SA.Next;
+      std::vector<MergedVar> VarsOracle;
+      std::unique_ptr<SymExpr> Oracle =
+          oracle::antiUnifyExprs(SA.Expr.get(), SB.Expr.get(), A.equivDepth(),
+                                 SB.First, NextOracle, VarsOracle);
+      std::unique_ptr<SymExpr> Before = SA.Expr->clone();
+      std::vector<const SymExpr *> NodesBefore;
+      collectNodes(*SA.Expr, NodesBefore);
+      Merge.BFirstValues = SB.First;
+      antiUnifyMerge(*SA.Expr, *SB.Expr, A.equivDepth(), NextInPlace, Merge);
+
+      ASSERT_EQ(SA.Expr->fpcoreBody(), Oracle->fpcoreBody());
+      expectSameTree(*SA.Expr, *Oracle);
+      EXPECT_EQ(NextInPlace, NextOracle);
+      ASSERT_EQ(Merge.Vars.size(), VarsOracle.size());
+      for (size_t I = 0; I < VarsOracle.size(); ++I) {
+        const MergedVar &Got = Merge.Vars[I], &Want = VarsOracle[I];
+        SCOPED_TRACE("merged variable " + std::to_string(I));
+        EXPECT_EQ(Got.Idx, Want.Idx);
+        EXPECT_EQ(Got.A, Want.A);
+        EXPECT_EQ(Got.B, Want.B);
+        EXPECT_EQ(Got.AVar, Want.AVar);
+        EXPECT_EQ(Got.BVar, Want.BVar);
+        EXPECT_EQ(bitsOfDouble(Got.AConst), bitsOfDouble(Want.AConst));
+        EXPECT_EQ(bitsOfDouble(Got.BConst), bitsOfDouble(Want.BConst));
+        EXPECT_EQ(Got.KeptA, Want.KeptA);
+        if (Want.A == Src::Var) {
+          EXPECT_TRUE(Merge.KeptA.find(Want.AVar, 0));
+        }
+        ConstConst += Want.A == Src::Const && Want.B == Src::Const;
+        ConstVar += (Want.A == Src::Const && Want.B == Src::Var) ||
+                    (Want.A == Src::Var && Want.B == Src::Const);
+        OpVar += (Want.A == Src::Subtree && Want.B == Src::Var) ||
+                 (Want.A == Src::Var && Want.B == Src::Subtree);
+        Splits += Want.A == Src::Var && !Want.KeptA;
+      }
+      if (EqualPair) {
+        // Equal sides: nothing generalizes and no node is replaced.
+        std::vector<const SymExpr *> NodesAfter;
+        collectNodes(*SA.Expr, NodesAfter);
+        EXPECT_EQ(NodesAfter, NodesBefore);
+        expectSameTree(*SA.Expr, *Before);
+        EXPECT_EQ(NextInPlace, SA.Next);
+      }
+      if (HasFatalFailure())
+        return;
+    }
+    EXPECT_EQ(A.liveNodes(), 0u);
+  }
+  // Every kind of position the merge generalizes came up.
+  EXPECT_GT(Equal, 0u);
+  EXPECT_GT(ConstConst, 0u);
+  EXPECT_GT(ConstVar, 0u);
+  EXPECT_GT(OpVar, 0u);
+  EXPECT_GT(Splits, 0u);
+  std::printf("merge pairs: %zu equal; merged variables: %zu const/const, "
+              "%zu const/var, %zu op/var, %zu splits\n",
+              Equal, ConstConst, ConstVar, OpVar, Splits);
 }
 
 TEST_F(AUFixture, ConvergedRoundKeepsEveryNode) {

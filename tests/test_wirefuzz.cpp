@@ -4,18 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Hostile bytes against every wire decoder. One real document of each of
-// the six families, in both encodings, plus a shard document as a 1.1
-// writer wrote it (no run total), is mutated a fixed number of times
-// from a fixed seed: bit flips, cut-out spans, and bytes overwritten with
-// 0x00, 0x7f, 0x80 or 0xff. Each mutant must either fail to parse with a
-// non-empty error, or parse into a value whose same-encoding re-render
-// parses again. A real result-cache segment gets the same mutations plus
+// Hostile bytes against every wire decoder. Two real documents of each
+// of the six families, in both encodings, plus a shard document as a 1.1
+// writer wrote it (no run total), are mutated a fixed number of times
+// from a fixed seed: bit flips, cut-out spans, bytes overwritten with
+// 0x00, 0x7f, 0x80 or 0xff, and spans spliced in from another seed of
+// the same family and encoding. Each mutant must either fail to parse
+// with a non-empty error, or parse into a value whose same-encoding
+// re-render parses again. An HGB mutant that is only its header's minor
+// rewritten to a newer one must fail, naming that minor: HGB fields go by
+// position, so a reader must not guess at a newer minor's. A real
+// result-cache segment gets the same mutations plus
 // targeted ones of its footer's count and its index's offsets and lengths;
 // every lookup must return exactly the stored result or miss, and the
 // segment reader must fail or return stored documents. The FPCore parser
 // gets the same mutations of every corpus source and of a body nested
-// 20000 deep: each mutant must fail with an error or parse into a core
+// 20000 deep, splicing from the other sources: each mutant must fail with
+// an error or parse into a core
 // that prints, parses back the same, and passes or fails the compiler's
 // checker without crashing. Run under ASan/UBSan, this is also a
 // memory-safety check of the JSON reader, the HGB reader and its LZSS
@@ -111,9 +116,9 @@ std::string asShardMinor1(std::string Doc, const ShardDoc &Fields,
   return Doc;
 }
 
-/// One real document per family: records from an actual analysis, a
-/// batch report and metrics from an actual engine sweep. The shard family
-/// has a second, as a 1.1 writer wrote it.
+/// Two real documents per family, so a mutant can splice from another:
+/// records from an actual analysis, batch reports and metrics from actual
+/// engine sweeps. The shard family has a third, as a 1.1 writer wrote it.
 std::vector<SeedDoc> seedDocs() {
   ProgramBuilder B;
   auto X = B.input(0);
@@ -145,7 +150,14 @@ std::vector<SeedDoc> seedDocs() {
   Improve.SpecIdentity = "x in [1e8, 1e18]";
   Improve.Record = Rec;
 
-  Report Rep = buildReport(Shard.Result);
+  ImproveDoc Plain = Improve;
+  Plain.ExprIdentity = Plain.Record.Original = "(sqrt (* x x))";
+  Plain.Record.Rewritten = "";
+  Plain.Record.ErrorBefore = 0.5;
+  Plain.Record.HadSignificantError = Plain.Record.Improved = false;
+
+  Report Bare = buildReport(Shard.Result);
+  Report Rep = Bare;
   Rec.PC = 1;
   Rep.Improvements.push_back(Rec);
 
@@ -158,6 +170,11 @@ std::vector<SeedDoc> seedDocs() {
   Cfg.SamplesPerBenchmark = 4;
   Cfg.ShardSize = 2;
   BatchResult Sweep = Engine(Cfg).run(Cores);
+  Cfg.SamplesPerBenchmark = 3;
+  Cfg.ShardSize = 1;
+  std::vector<fpcore::Core> One;
+  One.push_back(Cores[1].clone());
+  BatchResult Small = Engine(Cfg).run(One);
 
   TelemetryDoc Tel;
   Tel.HasMeta = true;
@@ -181,6 +198,16 @@ std::vector<SeedDoc> seedDocs() {
   Led.Shards = Sweep.Stats.Shards;
   Led.WallSeconds = 0.25;
   Led.Metrics = Tel.Metrics;
+  LedgerEntry Other = Led;
+  Other.Label = "merge";
+  Other.Tier = "confirm";
+  Other.Benchmarks = 1;
+  Other.Shards = Small.Stats.Shards;
+  Other.WallSeconds = 0.125;
+  Other.Metrics = {};
+
+  TelemetryDoc Quiet;
+  Quiet.Metrics = Tel.Metrics;
 
   auto Both = [](auto Render, const auto &D) {
     return std::make_pair(Render(D, WireEncoding::Json),
@@ -198,16 +225,32 @@ std::vector<SeedDoc> seedDocs() {
     Docs.push_back({Family, std::move(Parse), std::move(Texts.first),
                     std::move(Texts.second)});
   };
+  ShardDoc Later;
+  Later.ConfigHash = Shard.ConfigHash;
+  Later.Benchmark = Shard.Benchmark;
+  Later.RunEnd = 4;
+  Later.RunTotal = 8;
   Add("shard", via(parseShard, renderShard), Both(ShardR, Shard));
+  Add("shard (empty)", via(parseShard, renderShard), Both(ShardR, Later));
   Add("improve", via(parseImproveDoc, renderImproveDoc),
       Both(renderImproveDoc, Improve));
+  Add("improve (plain)", via(parseImproveDoc, renderImproveDoc),
+      Both(renderImproveDoc, Plain));
   Add("report", via(parseReportDoc, renderReport), Both(renderReport, Rep));
+  Add("report (bare)", via(parseReportDoc, renderReport),
+      Both(renderReport, Bare));
   Add("batch report", via(parseBatchReport, renderBatchReport),
       Both(BatchR, Sweep));
+  Add("batch report (small)", via(parseBatchReport, renderBatchReport),
+      Both(BatchR, Small));
   Add("telemetry", via(parseTelemetry, renderTelemetry),
       Both(renderTelemetry, Tel));
+  Add("telemetry (quiet)", via(parseTelemetry, renderTelemetry),
+      Both(renderTelemetry, Quiet));
   Add("ledger", via(parseLedgerEntry, renderLedgerEntry),
       Both(renderLedgerEntry, Led));
+  Add("ledger (other)", via(parseLedgerEntry, renderLedgerEntry),
+      Both(renderLedgerEntry, Other));
   // A 1.1 shard reads as run total 0, which is how it re-renders. It holds
   // no records: any record makes the HGB body compress, and asShardMinor1
   // patches a raw body.
@@ -225,21 +268,55 @@ std::vector<SeedDoc> seedDocs() {
   return Docs;
 }
 
-/// Applies one to three random mutations to \p Doc.
-std::string mutate(std::string Doc, Rng &R) {
+/// The seeds a mutant of \p Docs[Self] splices from: the other seeds of
+/// its family (the HGB header's family varint) in encoding \p Enc.
+std::vector<const std::string *> donorsOf(const std::vector<SeedDoc> &Docs,
+                                          size_t Self, WireEncoding Enc) {
+  std::vector<const std::string *> Out;
+  for (size_t I = 0; I < Docs.size(); ++I)
+    if (I != Self && Docs[I].Bin[4] == Docs[Self].Bin[4])
+      Out.push_back(Enc == WireEncoding::Json ? &Docs[I].Json : &Docs[I].Bin);
+  return Out;
+}
+
+/// Applies one to three random mutations to \p Doc: a bit flip, a cut-out
+/// span, a byte overwritten with an edge value, or a span of one of
+/// \p Donors copied over a span of \p Doc. With \p NewerMinor given and
+/// \p Doc an HGB document, one mutant in eight is instead only its
+/// header's minor rewritten to a newer one, which *NewerMinor then holds
+/// (0 otherwise).
+std::string mutate(std::string Doc, Rng &R,
+                   const std::vector<const std::string *> &Donors = {},
+                   int *NewerMinor = nullptr) {
   static const unsigned char Bytes[] = {0x00, 0x7f, 0x80, 0xff};
+  if (NewerMinor) {
+    *NewerMinor = 0;
+    // The header is the magic and three one-byte varints, the minor last.
+    // Minors from 100 up are newer than any family's and still one byte.
+    if (wire::isBinary(Doc) && Doc.size() > 6 && R.chance(1, 8)) {
+      *NewerMinor = 100 + static_cast<int>(R.nextBelow(28));
+      Doc[6] = static_cast<char>(*NewerMinor);
+      return Doc;
+    }
+  }
   for (uint64_t N = 1 + R.nextBelow(3); N > 0 && !Doc.empty(); --N) {
     size_t At = R.nextBelow(Doc.size());
-    switch (R.nextBelow(3)) {
+    switch (R.nextBelow(Donors.empty() ? 3 : 4)) {
     case 0: // Flip one bit.
       Doc[At] = static_cast<char>(Doc[At] ^ (1u << R.nextBelow(8)));
       break;
     case 1: // Cut out a span of up to 16 bytes.
       Doc.erase(At, 1 + R.nextBelow(16));
       break;
-    default: // Overwrite one byte with an edge value.
+    case 2: // Overwrite one byte with an edge value.
       Doc[At] = static_cast<char>(Bytes[R.nextBelow(4)]);
       break;
+    default: { // Splice: copy up to 32 bytes of a donor over as many.
+      const std::string &Donor = *Donors[R.nextBelow(Donors.size())];
+      size_t Len = 1 + R.nextBelow(32);
+      Doc.replace(At, Len, Donor, R.nextBelow(Donor.size()), Len);
+      break;
+    }
     }
   }
   return Doc;
@@ -249,11 +326,15 @@ std::string mutate(std::string Doc, Rng &R) {
 
 TEST(WireFuzz, EveryDecoderSurvivesSeededMutants) {
   std::vector<SeedDoc> Docs = seedDocs();
-  ASSERT_EQ(Docs.size(), 7u);
+  ASSERT_EQ(Docs.size(), 13u);
   Rng R(0xf022);
-  for (const SeedDoc &D : Docs) {
+  int NewerMinors = 0;
+  for (size_t DI = 0; DI < Docs.size(); ++DI) {
+    const SeedDoc &D = Docs[DI];
     for (WireEncoding Enc : {WireEncoding::Json, WireEncoding::Binary}) {
       const std::string &Seed = Enc == WireEncoding::Json ? D.Json : D.Bin;
+      const std::vector<const std::string *> Donors = donorsOf(Docs, DI, Enc);
+      ASSERT_FALSE(Donors.empty()) << D.Family;
       SCOPED_TRACE(std::string(D.Family) +
                    (Enc == WireEncoding::Json ? " json" : " hgb"));
       const std::string &Back = Enc == WireEncoding::Json ? D.JsonBack
@@ -263,12 +344,22 @@ TEST(WireFuzz, EveryDecoderSurvivesSeededMutants) {
       ASSERT_EQ(Rendered, Back.empty() ? Seed : Back);
       int Parsed = 0;
       for (int I = 0; I < MutantsPerDoc; ++I) {
-        std::string Mutant = mutate(Seed, R);
+        int Minor = 0;
+        std::string Mutant = mutate(Seed, R, Donors, &Minor);
+        NewerMinors += Minor != 0;
         Err.clear();
         if (!D.Parse(Mutant, Enc, Rendered, Err)) {
           EXPECT_FALSE(Err.empty()) << "mutant " << I << " failed silently";
+          if (Minor) {
+            EXPECT_NE(Err.find(format("minor version %d (this reader "
+                                      "understands up to ",
+                                      Minor)),
+                      std::string::npos)
+                << "mutant " << I << ": " << Err;
+          }
           continue;
         }
+        EXPECT_EQ(Minor, 0) << "mutant " << I << " read a newer HGB minor";
         ++Parsed;
         std::string Again;
         EXPECT_TRUE(D.Parse(Rendered, Enc, Again, Err))
@@ -279,6 +370,7 @@ TEST(WireFuzz, EveryDecoderSurvivesSeededMutants) {
       EXPECT_LT(Parsed, MutantsPerDoc);
     }
   }
+  EXPECT_GT(NewerMinors, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -486,8 +578,12 @@ TEST(WireFuzz, FPCoreParserSurvivesSeededMutants) {
     SCOPED_TRACE("seed " + std::to_string(S));
     fpcore::ParseResult Seed = fpcore::parse(Seeds[S]);
     EXPECT_EQ(Seed.Ok, S + 1 < Seeds.size()) << Seed.Error;
+    std::vector<const std::string *> Donors;
+    for (size_t O = 0; O < Seeds.size(); ++O)
+      if (O != S)
+        Donors.push_back(&Seeds[O]);
     for (int I = 0; I < MutantsPerDoc / 5; ++I, ++Mutants) {
-      std::string Mutant = mutate(Seeds[S], R);
+      std::string Mutant = mutate(Seeds[S], R, Donors);
       fpcore::ParseResult P = fpcore::parse(Mutant);
       if (!P.Ok) {
         EXPECT_FALSE(P.Error.empty()) << "mutant " << I << " failed silently";
